@@ -33,7 +33,6 @@ from .statespace import (
     interconnect_positive_feedback,
     is_minimal,
     load_system,
-    save_system,
     simulate,
 )
 from .structure import (

@@ -42,7 +42,6 @@ class FrequencyGrid:
     omegas: np.ndarray
     lo: float
     hi: float
-    requested: int
     excluded: tuple = ()
 
     @classmethod
@@ -63,8 +62,7 @@ class FrequencyGrid:
             omegas = omegas[keep]
         if len(omegas) == 0:
             raise InputError("frequency grid is empty after pole exclusion")
-        return cls(omegas=omegas, lo=lo, hi=hi, requested=points,
-                   excluded=excluded)
+        return cls(omegas=omegas, lo=lo, hi=hi, excluded=excluded)
 
 
 @dataclass(frozen=True)
@@ -110,19 +108,6 @@ class Certificate:
             d["epsilon"] = self.epsilon
         return d
 
-    @classmethod
-    def from_dict(cls, data, sys=None):
-        if not isinstance(data, dict) or "Y" not in data:
-            raise InputError("certificate JSON must be an object with key 'Y'")
-        Y = np.asarray(data["Y"], dtype=float)
-        eps = data.get("epsilon")
-        ni_class = data.get("class", "ni").lower()
-        if sys is not None:
-            return compute_certificate(sys, ni_class, Y, eps)
-        return cls(Y=Y, epsilon=eps, ni_class=ni_class,
-                   lyap_residual=float("nan"), coupling_residual=float("nan"),
-                   pd_margin=float("nan"))
-
 
 def _check_class(ni_class):
     ni_class = ni_class.lower()
@@ -131,13 +116,10 @@ def _check_class(ni_class):
     return ni_class
 
 
-def _forbidden_pole(sys, ni_class, tol=None):
+def _forbidden_pole(sys, ni_class):
     """Return a pole violating the class pole condition, with a reason."""
-    if sys.n == 0:
-        return None, None
     poles = sys.poles()
-    if tol is None:
-        tol = 1e-8 * (1.0 + spectral_norm(sys.A))
+    tol = 1e-8 * (1.0 + sys.a_norm)
     if ni_class == "ni":
         for lam in poles:
             if lam.real > tol:
@@ -151,11 +133,8 @@ def _forbidden_pole(sys, ni_class, tol=None):
     return None, None
 
 
-def _imaginary_axis_pole_frequencies(sys, tol=None):
-    if sys.n == 0:
-        return []
-    if tol is None:
-        tol = 1e-8 * (1.0 + spectral_norm(sys.A))
+def _imaginary_axis_pole_frequencies(sys):
+    tol = 1e-8 * (1.0 + sys.a_norm)
     out = []
     for lam in sys.poles():
         if abs(lam.real) <= tol and lam.imag > tol:
@@ -174,7 +153,7 @@ class ResidueResult:
     notes: tuple = ()
 
 
-def residue_at_imaginary_pole(sys, omega0, tol=None):
+def residue_at_imaginary_pole(sys, omega0):
     """Residue matrix ``K0 = lim (s - j w0) j R(s)`` at a simple pole.
 
     Computed from the spectral projector of the eigenvalue ``j w0`` (right
@@ -184,13 +163,12 @@ def residue_at_imaginary_pole(sys, omega0, tol=None):
     p = sys.require_square("residue computation")
     if omega0 <= 0:
         raise InputError("omega0 must be positive")
-    res = linalg.eig(sys.A)
-    scale = 1.0 + spectral_norm(sys.A)
-    cluster = 1e-7 * scale if tol is None else tol
+    res = sys.spectrum
+    scale = 1.0 + sys.a_norm
     target = 1j * omega0
     dists = np.abs(res.values - target)
     k = int(np.argmin(dists))
-    if dists[k] > cluster:
+    if dists[k] > 1e-7 * scale:
         raise InputError(
             f"j*{omega0} is not a pole (closest eigenvalue {res.values[k]})")
     if res.algebraic[k] != 1:
@@ -233,8 +211,7 @@ def _class_matrix(R, D, omega, ni_class, eps):
     return (M + M.conj().T) / 2.0
 
 
-def classify_freq(sys, ni_class, grid=None, eps=None, tol=1e-8,
-                  strict_floor=STRICT_FLOOR):
+def classify_freq(sys, ni_class, grid=None, eps=None):
     """Sampled frequency-domain test of NI/SNI/OSNI/SSNI membership.
 
     NI additionally runs residue checks at detected simple imaginary-axis
@@ -273,10 +250,10 @@ def classify_freq(sys, ni_class, grid=None, eps=None, tol=1e-8,
             worst_margin, worst_omega = margin, float(w)
     if worst_omega is None:
         raise InputError("no usable grid points (all near poles)")
-    floor = -tol if ni_class in ("ni", "osni") else strict_floor
+    floor = -1e-8 if ni_class in ("ni", "osni") else STRICT_FLOOR
     holds = worst_margin >= floor
     if ni_class in ("sni", "ssni"):
-        notes.append(f"strict test floor {strict_floor:g}")
+        notes.append(f"strict test floor {STRICT_FLOOR:g}")
 
     if ni_class == "ni":
         for w0 in _imaginary_axis_pole_frequencies(sys):
@@ -301,7 +278,7 @@ def classify_freq(sys, ni_class, grid=None, eps=None, tol=1e-8,
         notes.append(
             f"limit proxies at omega={OMEGA_HIGH:g}/{OMEGA_LOW:g}: "
             f"lambda_min {lam_hi:.3e} / {lam_lo:.3e}")
-        if lam_hi <= strict_floor or lam_lo <= strict_floor:
+        if lam_hi <= STRICT_FLOOR or lam_lo <= STRICT_FLOOR:
             holds = False
             notes.append("a frequency-limit condition fails at its proxy")
 
@@ -333,8 +310,7 @@ def compute_certificate(sys, ni_class, Y, eps=None):
                        pd_margin=pd)
 
 
-def verify_certificate(sys, ni_class, Y, eps=None, tol=1e-8,
-                       coupling_tol=1e-9, strict_floor=STRICT_FLOOR):
+def verify_certificate(sys, ni_class, Y, eps=None):
     """Check the state-space certificate of NI/SSNI/OSNI membership.
 
     Returns ``(Verdict, Certificate)``.  Hypothesis failures (minimality,
@@ -364,17 +340,15 @@ def verify_certificate(sys, ni_class, Y, eps=None, tol=1e-8,
             notes.append("realization is not minimal (certificate-test hypothesis)")
         if sys.n:
             smin = np.linalg.svd(sys.A, compute_uv=False)[-1]
-            if smin <= 1e-10 * (1.0 + spectral_norm(sys.A)):
+            if smin <= 1e-10 * (1.0 + sys.a_norm):
                 holds = False
                 notes.append("A is singular (certificate-test hypothesis det(A) != 0)")
     else:  # ssni
-        for lam in linalg.eig(sys.A).values:
-            eye = np.eye(sys.n)
-            uncontrollable = linalg.rank(
-                np.hstack([lam * eye - sys.A, sys.B])) < sys.n
-            observable_mode = linalg.rank(
-                np.vstack([lam * eye - sys.A, sys.C])) == sys.n
-            if uncontrollable and observable_mode:
+        for lam in sys.poles():
+            uncontrollable = linalg._pbh_witness(
+                sys.A, sys.B, "controllable", [lam]) is not None
+            if uncontrollable and linalg._pbh_witness(
+                    sys.A, sys.C, "observable", [lam]) is None:
                 holds = False
                 notes.append(
                     f"observable uncontrollable mode at {lam} "
@@ -387,19 +361,19 @@ def verify_certificate(sys, ni_class, Y, eps=None, tol=1e-8,
         notes.append(f"Y is not positive definite "
                      f"(lambda_min {cert.pd_margin:.3e})")
     coupling_scale = 1.0 + spectral_norm(sys.B) + \
-        spectral_norm(sys.A) * scale_y * spectral_norm(sys.C)
-    if cert.coupling_residual > coupling_tol * coupling_scale:
+        sys.a_norm * scale_y * spectral_norm(sys.C)
+    if cert.coupling_residual > 1e-9 * coupling_scale:
         holds = False
         notes.append(f"coupling residual {cert.coupling_residual:.3e} "
                      "violates B + A Y C^T = 0")
-    lyap_scale = 1.0 + spectral_norm(sys.A) * scale_y
+    lyap_scale = 1.0 + sys.a_norm * scale_y
     if ni_class == "ssni":
-        if cert.lyap_residual > -strict_floor:
+        if cert.lyap_residual > -STRICT_FLOOR:
             holds = False
             notes.append(f"A Y + Y A^T is not negative definite "
                          f"(lambda_max {cert.lyap_residual:.3e})")
     else:
-        if cert.lyap_residual > tol * lyap_scale:
+        if cert.lyap_residual > 1e-8 * lyap_scale:
             holds = False
             notes.append(f"Lyapunov-type inequality fails "
                          f"(lambda_max {cert.lyap_residual:.3e})")
@@ -408,8 +382,7 @@ def verify_certificate(sys, ni_class, Y, eps=None, tol=1e-8,
     return verdict, cert
 
 
-def dc_gain_interconnection_stable(R, Rs, r_status="asserted NI",
-                                   rs_status="asserted SNI", tol=1e-9):
+def dc_gain_interconnection_stable(R, Rs):
     """DC-gain internal-stability test of a positive feedback loop.
 
     Checks the hypotheses ``R(inf) Rs(inf) = 0`` and ``Rs(inf) >= 0`` on
@@ -418,10 +391,10 @@ def dc_gain_interconnection_stable(R, Rs, r_status="asserted NI",
     p = R.require_square("DC-gain test")
     if Rs.require_square("DC-gain test") != p:
         raise InputError("systems must share the input/output dimension")
-    notes = [f"plant: {r_status}", f"uncertainty: {rs_status}"]
+    notes = ["plant: asserted NI", "uncertainty: asserted SNI"]
     holds = True
     dprod = spectral_norm(R.D @ Rs.D)
-    if dprod > tol * (1.0 + spectral_norm(R.D)) * (1.0 + spectral_norm(Rs.D)):
+    if dprod > 1e-9 * (1.0 + spectral_norm(R.D)) * (1.0 + spectral_norm(Rs.D)):
         holds = False
         notes.append(f"R(inf) Rs(inf) = 0 fails (norm {dprod:.3e})")
     if not linalg.definiteness(Rs.D + Rs.D.T, "psd"):
@@ -434,7 +407,7 @@ def dc_gain_interconnection_stable(R, Rs, r_status="asserted NI",
         notes.append("DC product has non-real eigenvalues; using max real part")
     lam_max = float(prod_eigs.real.max()) if p else 0.0
     notes.append(f"lambda_max(R(0) Rs(0)) = {lam_max:.6g}")
-    if lam_max >= 1.0 - tol:
+    if lam_max >= 1.0 - 1e-9:
         holds = False
     return Verdict(holds=holds, ni_class="interconnection",
                    worst_omega=0.0, worst_margin=1.0 - lam_max,

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, certify, structure, synth
 from .errors import InputError, NumericalError, RelativeDegreeNotOneError, VerdictError
 from .statespace import (
-    StateSpace,
     UncertainSystem,
     has_zero_at_origin,
     interconnect_positive_feedback,
@@ -114,8 +113,6 @@ def _pipeline_normal_form(system, target, overrides):
                 f"strongly-strict synthesis needs relative degree "
                 f"{{1,...,1}} of the original outputs (got r={info.r})")
         T_y = np.eye(system.n_outputs) if T_y is None else T_y
-    elif T_y is None:
-        T_y, _ = structure.find_output_transformation(system)
     return structure.to_normal_form(system, T_y,
                                     T_x=overrides.get("T_x"),
                                     T_u=overrides.get("T_u"))
@@ -134,16 +131,11 @@ def cmd_analyze(args):
                                  "notes": list(info0.notes)}
     overrides = _transform_args(
         _load_json(args.transforms, "transforms") if args.transforms else None)
-    T_y = overrides.get("T_y")
-    if T_y is None:
-        T_y, info = structure.find_output_transformation(system)
-    else:
-        info = structure.relative_degree_vector(
-            StateSpace(A=system.A, B=system.B, C=T_y @ system.C))
-    nf = structure.to_normal_form(system, T_y, T_x=overrides.get("T_x"),
+    nf = structure.to_normal_form(system, overrides.get("T_y"),
+                                  T_x=overrides.get("T_x"),
                                   T_u=overrides.get("T_u"))
-    report["transformed_relative_degree"] = {"r": list(info.r),
-                                             "kind": info.kind.value}
+    report["transformed_relative_degree"] = {"r": list(nf.rd_info.r),
+                                             "kind": nf.rd_info.kind.value}
     report["normal_form"] = {
         "p1": nf.p1, "p2": nf.p2, "m": nf.m,
         "blocks": {name: getattr(nf, name).tolist()
@@ -367,12 +359,13 @@ def main(argv=None):
     except VerdictError as exc:
         _emit_error(args, exc, "verdict")
         return EXIT_VERDICT_FAILS
+    # a LAPACK failure is a ValueError too: it must be caught first
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        _emit_error(args, exc, "numerical-failure")
+        return EXIT_NUMERICAL
     except (InputError, OSError, ValueError) as exc:
         _emit_error(args, exc, "input-error")
         return EXIT_INPUT_ERROR
-    except NumericalError as exc:
-        _emit_error(args, exc, "numerical-failure")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ Conventions
 -----------
 * ``solve_lyapunov(A, Q)`` solves ``A^T P + P A = -Q`` by vectorizing to an
   n^2 x n^2 linear system (no Schur machinery).
-* Tolerances default to relative values based on the spectral norm; every
-  routine accepts an explicit override.
+* Tolerances are fixed constants, relative to the norm of the matrix at
+  hand, written at their point of use; no routine takes an override.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def _cluster(values, radius):
     return clusters
 
 
-def eig(A, cluster_tol=None):
+def eig(A):
     """Eigendecomposition of a real square matrix.
 
     Eigenvalues are returned conjugate-closed and sorted by (real, imag).
@@ -124,7 +124,7 @@ def eig(A, cluster_tol=None):
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]
-    radius = CLUSTER_TOL * spectral_norm(A) if cluster_tol is None else cluster_tol
+    radius = CLUSTER_TOL * spectral_norm(A)
     alg = np.zeros(n, dtype=int)
     geo = np.zeros(n, dtype=int)
     for members in _cluster(values, radius):
@@ -137,41 +137,35 @@ def eig(A, cluster_tol=None):
     return EigenResult(values, vectors, alg, geo)
 
 
-def rank(M, tol=None):
-    """Numerical rank: number of singular values above ``tol``.
-
-    Default tolerance is ``max(rows, cols) * eps * sigma_max``.
-    """
+def rank(M):
+    """Number of singular values above ``max(rows, cols) * eps * sigma_max``."""
     M = np.asarray(M)
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if tol is None:
-        tol = max(M.shape) * EPS * s[0]
-    return int(np.sum(s > tol))
+    return int(np.sum(s > max(M.shape) * EPS * s[0]))
 
 
-def symmetrize(M, name="matrix", sym_tol=1e-8):
+def symmetrize(M, name="matrix"):
     """Check near-symmetry (Hermitian for complex) and return (M + M*)/2."""
     M = np.asarray(M)
     if M.size == 0:
         return M
     defect = spectral_norm(M - M.conj().T)
-    if defect > sym_tol * max(1.0, spectral_norm(M)):
+    if defect > 1e-8 * max(1.0, spectral_norm(M)):
         raise AsymmetricMatrixError(
             f"{name} is not symmetric within tolerance (defect {defect:.3e})")
     return (M + M.conj().T) / 2.0
 
 
-def definiteness(M, mode, tol=None):
+def definiteness(M, mode):
     """Test definiteness of a symmetric/Hermitian matrix.
 
     Parameters
     ----------
     mode : {"pd", "psd", "nd", "nsd"}
-        Positive/negative (semi)definite.
-    tol : float, optional
-        Eigenvalue tolerance; default ``dim * eps * max|lambda|``.
+        Positive/negative (semi)definite, with eigenvalue tolerance
+        ``dim * eps * max|lambda|``.
     """
     mode = mode.lower()
     if mode not in ("pd", "psd", "nd", "nsd"):
@@ -180,8 +174,7 @@ def definiteness(M, mode, tol=None):
     if M.shape[0] == 0:
         return True
     lam = np.linalg.eigvalsh(M)
-    if tol is None:
-        tol = M.shape[0] * EPS * max(abs(lam[0]), abs(lam[-1]), 1e-300)
+    tol = M.shape[0] * EPS * max(abs(lam[0]), abs(lam[-1]), 1e-300)
     if mode == "pd":
         return bool(lam[0] > tol)
     if mode == "psd":
@@ -191,7 +184,7 @@ def definiteness(M, mode, tol=None):
     return bool(lam[-1] <= tol)
 
 
-def solve_lyapunov(A, Q, tol=None):
+def solve_lyapunov(A, Q):
     """Solve ``A^T P + P A = -Q`` for symmetric ``Q``.
 
     The equation is vectorized into an n^2 x n^2 dense system, which is
@@ -209,7 +202,7 @@ def solve_lyapunov(A, Q, tol=None):
     vals = np.linalg.eigvals(A)
     scale = 1.0 + float(np.abs(vals).max())
     pair_sums = np.abs(vals[:, None] + vals[None, :])
-    if pair_sums.min() <= (1e-9 * scale if tol is None else tol):
+    if pair_sums.min() <= 1e-9 * scale:
         raise SingularLyapunovOperatorError(
             "Lyapunov operator is singular: eigenvalue pair sums to "
             f"{pair_sums.min():.3e}")
@@ -225,7 +218,7 @@ def solve_lyapunov(A, Q, tol=None):
     return P
 
 
-def kernel_pd_solution(A, tol=None):
+def kernel_pd_solution(A):
     """Positive definite ``P`` with ``A^T P + P A = 0``.
 
     Requires every eigenvalue of ``A`` purely imaginary and semisimple.
@@ -238,10 +231,8 @@ def kernel_pd_solution(A, tol=None):
     if n == 0:
         return np.zeros((0, 0))
     scale = 1.0 + spectral_norm(A)
-    if tol is None:
-        tol = 1e-7 * scale
     res = eig(A)
-    if np.any(np.abs(res.values.real) > tol):
+    if np.any(np.abs(res.values.real) > 1e-7 * scale):
         worst = res.values[np.argmax(np.abs(res.values.real))]
         raise SpectrumError(
             f"spectrum not purely imaginary: eigenvalue {worst}")
@@ -261,32 +252,33 @@ def kernel_pd_solution(A, tol=None):
     return P
 
 
-def sqrtm_pd(P, tol=None):
+def sqrtm_pd(P):
     """Unique positive definite square root of a symmetric PD matrix."""
     P = symmetrize(as_matrix(P, "P", square=True), "P")
     if P.shape[0] == 0:
         return np.zeros((0, 0))
     lam, V = np.linalg.eigh(P)
-    if tol is None:
-        tol = P.shape[0] * EPS * max(abs(lam[-1]), 1e-300)
-    if lam[0] <= tol:
+    if lam[0] <= P.shape[0] * EPS * max(abs(lam[-1]), 1e-300):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (lambda_min {lam[0]:.3e})")
     S = (V * np.sqrt(lam)) @ V.T
     return (S + S.T) / 2.0
 
 
-def pbh_test(A, M, mode, tol=None):
+def pbh_test(A, M, mode):
     """Pencil-rank form of the eigenvector tests.
 
     ``mode="controllable"`` checks ``rank [lambda I - A, B] == n`` at every
     eigenvalue; ``mode="observable"`` checks ``rank [lambda I - A; C] == n``.
     """
-    return _pbh_witness(A, M, mode, tol) is None
+    return _pbh_witness(A, M, mode) is None
 
 
-def _pbh_witness(A, M, mode, tol=None):
-    """Return the first eigenvalue failing the PBH rank test, or None."""
+def _pbh_witness(A, M, mode, values=None):
+    """Return the first eigenvalue failing the PBH rank test, or None.
+
+    ``values`` (default ``eig(A).values``) lets a caller reuse its spectrum.
+    """
     A = as_matrix(A, "A", square=True)
     M = as_matrix(M, "M")
     n = A.shape[0]
@@ -299,28 +291,27 @@ def _pbh_witness(A, M, mode, tol=None):
     if n == 0:
         return None
     eye = np.eye(n)
-    for lam in eig(A).values:
+    for lam in eig(A).values if values is None else values:
         if mode == "controllable":
             pencil = np.hstack([lam * eye - A, M])
         else:
             pencil = np.vstack([lam * eye - A, M])
-        if rank(pencil, tol) < n:
+        if rank(pencil) < n:
             return complex(lam)
     return None
 
 
-def stability_class(A, tol=None):
+def stability_class(A):
     """Classify ``A`` as Hurwitz, Lyapunov stable, or unstable.
 
     Hurwitz: every ``Re lambda < -tol``.  Lyapunov stable: every
     ``Re lambda <= tol`` and each eigenvalue with ``|Re lambda| <= tol``
-    is semisimple.  Default ``tol = 1e-8 * (1 + ||A||)``.
+    is semisimple.  ``tol = 1e-8 * (1 + ||A||)``.
     """
     A = as_matrix(A, "A", square=True)
     if A.shape[0] == 0:
         return StabilityClass.HURWITZ
-    if tol is None:
-        tol = 1e-8 * (1.0 + spectral_norm(A))
+    tol = 1e-8 * (1.0 + spectral_norm(A))
     res = eig(A)
     re = res.values.real
     if np.all(re < -tol):

@@ -7,14 +7,15 @@ The JSON schema for a system is::
 ``D`` and ``name`` are optional; ``D`` defaults to zero.  Matrices are
 row-major lists of lists and are validated for rectangularity on load.
 
-All functions are pure and keep no caches, so frequency sweeps may call
-``eval_tf`` concurrently at many points.
+A ``StateSpace`` holds read-only copies of its matrices and caches the
+spectrum and spectral norm of ``A``; the functions keep no other state.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +55,20 @@ class StateSpace:
         if D.shape != (C.shape[0], B.shape[1]):
             raise InputError(
                 f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+            M = np.array(M)
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
+
+    @cached_property
+    def spectrum(self):
+        """``linalg.eig(A)``, computed once per system."""
+        return linalg.eig(self.A)
+
+    @cached_property
+    def a_norm(self):
+        """Spectral norm of ``A``, computed once per system."""
+        return spectral_norm(self.A)
 
     @property
     def n(self):
@@ -84,7 +95,7 @@ class StateSpace:
 
     def poles(self):
         """Eigenvalues of A (poles of a minimal realization)."""
-        return linalg.eig(self.A).values
+        return self.spectrum.values
 
     def to_dict(self):
         d = {"A": self.A.tolist(), "B": self.B.tolist(), "C": self.C.tolist()}
@@ -135,31 +146,23 @@ def load_system(path):
     return StateSpace.from_dict(data)
 
 
-def save_system(sys, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sys.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def eval_tf(sys, s, pole_tol=None):
+def eval_tf(sys, s):
     """Evaluate ``R(s) = C (sI - A)^{-1} B + D`` at a complex point.
 
     Raises ``PoleProximityError`` when ``s`` is within
     ``1e-9 * (1 + ||A||)`` of an eigenvalue of ``A``.
     """
     s = complex(s)
-    if pole_tol is None:
-        pole_tol = 1e-9 * (1.0 + spectral_norm(sys.A))
-    vals = np.linalg.eigvals(sys.A) if sys.n else np.zeros(0, dtype=complex)
-    if sys.n:
-        dist = np.abs(vals - s)
-        k = int(np.argmin(dist))
-        if dist[k] < pole_tol:
-            raise PoleProximityError(
-                f"evaluation point {s} is within {dist[k]:.3e} of pole "
-                f"{vals[k]}", pole=complex(vals[k]))
-    X = np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B.astype(complex)) \
-        if sys.n else np.zeros((0, sys.n_inputs), dtype=complex)
+    if sys.n == 0:
+        return sys.D + 0j
+    vals = sys.poles()
+    dist = np.abs(vals - s)
+    k = int(np.argmin(dist))
+    if dist[k] < 1e-9 * (1.0 + sys.a_norm):
+        raise PoleProximityError(
+            f"evaluation point {s} is within {dist[k]:.3e} of pole "
+            f"{vals[k]}", pole=complex(vals[k]))
+    X = np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B.astype(complex))
     return sys.C @ X + sys.D
 
 
@@ -175,19 +178,22 @@ class Minimality:
 
 def is_minimal(sys):
     """PBH controllability/observability of the realization."""
+    vals = sys.poles()
     return Minimality(
-        controllable=linalg.pbh_test(sys.A, sys.B, "controllable"),
-        observable=linalg.pbh_test(sys.A, sys.C, "observable"))
+        controllable=linalg._pbh_witness(sys.A, sys.B, "controllable",
+                                         vals) is None,
+        observable=linalg._pbh_witness(sys.A, sys.C, "observable",
+                                       vals) is None)
 
 
-def has_zero_at_origin(sys, tol=None):
+def has_zero_at_origin(sys):
     """True when the system pencil loses rank at s = 0.
 
     Tests ``rank [[A, B], [C, D]] < n + p`` for a square system.
     """
     p = sys.require_square("zero-at-origin test")
     pencil = np.block([[sys.A, sys.B], [sys.C, sys.D]])
-    return linalg.rank(pencil, tol) < sys.n + p
+    return linalg.rank(pencil) < sys.n + p
 
 
 def interconnect_positive_feedback(plant, delta):
@@ -312,12 +318,10 @@ class UncertainSystem:
     ``K_w = K_v - I`` of ``FeedbackLaw`` implies.
 
     ``gamma`` bounds the uncertainty DC gain, ``lambda_max(Delta(0)) <= gamma``.
-    ``delta`` optionally carries a sampled uncertainty realization.
     """
 
     plant: StateSpace
     gamma: float
-    delta: StateSpace | None = None
 
     def __post_init__(self):
         self.plant.require_square("uncertain system")

@@ -63,7 +63,7 @@ def _markov_zero_threshold(c_norm, a_norm, b_norm, j):
     return MARKOV_ZERO_TOL * max(scale * b_norm, 1e-300)
 
 
-def relative_degree_vector(sys, tol=None):
+def relative_degree_vector(sys):
     """Relative degree of each output row, with kind classification.
 
     Requires ``rank(B) = rank(C) = p``.  The search per row is capped at
@@ -90,8 +90,7 @@ def relative_degree_vector(sys, tol=None):
         found = None
         for j in range(n):
             row = ci @ powers[j] @ B
-            threshold = tol if tol is not None else \
-                _markov_zero_threshold(c_norm, a_norm, b_norm, j)
+            threshold = _markov_zero_threshold(c_norm, a_norm, b_norm, j)
             if float(np.linalg.norm(row)) > threshold:
                 found = j + 1
                 h_rows.append(row)
@@ -116,7 +115,7 @@ def relative_degree_vector(sys, tol=None):
     return RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
 
 
-def find_output_transformation(sys, tol=None):
+def find_output_transformation(sys):
     """Search for ``T_y`` making the output-transformed system relative
     degree at most two.
 
@@ -130,10 +129,11 @@ def find_output_transformation(sys, tol=None):
     when it is minimal with no zero at the origin).
     """
     p = sys.require_square("output-transformation search")
-    if not linalg.pbh_test(sys.A, sys.B, "controllable"):
+    if linalg._pbh_witness(sys.A, sys.B, "controllable",
+                           sys.poles()) is not None:
         raise NotControllableError(
             "output-transformation search requires a controllable system")
-    info = relative_degree_vector(sys, tol)
+    info = relative_degree_vector(sys)
     if info.kind is RdKind.FULL and info.max_degree <= 2:
         return np.eye(p), info
 
@@ -141,7 +141,7 @@ def find_output_transformation(sys, tol=None):
     M = C @ B
     T = np.eye(p)
     m_scale = max(spectral_norm(M), 1e-300)
-    zero_tol = tol if tol is not None else MARKOV_ZERO_TOL * m_scale
+    zero_tol = MARKOV_ZERO_TOL * m_scale
     work = M.copy()
     remaining = list(range(p))
     while remaining:
@@ -164,7 +164,7 @@ def find_output_transformation(sys, tol=None):
             "no output transformation yields relative degree <= 2: "
             "a combined output has relative degree >= 3")
     result = relative_degree_vector(
-        StateSpace(A=A, B=B, C=Ct, name=sys.name), tol)
+        StateSpace(A=A, B=B, C=Ct, name=sys.name))
     if result.kind is not RdKind.FULL or result.max_degree > 2:
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
@@ -185,7 +185,7 @@ class TransformSet:
     T_u_inv: np.ndarray
 
     @classmethod
-    def build(cls, T_y, T_x, T_u, tol=1e-8):
+    def build(cls, T_y, T_x, T_u):
         mats = {}
         for name, M in (("T_y", T_y), ("T_x", T_x), ("T_u", T_u)):
             M = as_matrix(M, name, square=True)
@@ -193,7 +193,7 @@ class TransformSet:
                 raise InputError(f"{name} is singular")
             Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
             residual = spectral_norm(M @ Minv - np.eye(M.shape[0]))
-            if residual > tol * max(1.0, spectral_norm(M)):
+            if residual > 1e-8 * max(1.0, spectral_norm(M)):
                 raise NumericalError(
                     f"{name} inverse residual {residual:.3e} too large")
             mats[name] = (M, Minv)
@@ -212,7 +212,8 @@ class NormalForm:
 
     The transformed state matrix has rows ``(z, x1, x2, x3)`` with the x2
     row structurally equal to ``[0 0 0 I]``; the transformed input matrix
-    is the indicator of the (x1, x3) rows.
+    is the indicator of the (x1, x3) rows.  ``rd_info`` holds the relative
+    degrees of ``T_y C`` for the given or found ``T_y``, before sorting.
     """
 
     p1: int
@@ -232,6 +233,7 @@ class NormalForm:
     A33: np.ndarray
     transforms: TransformSet
     source: StateSpace
+    rd_info: RelativeDegreeInfo
 
     @property
     def n(self):
@@ -297,9 +299,10 @@ def _complete_internal_rows(B, base, m, n):
         else np.zeros((0, n))
 
 
-def to_normal_form(sys, T_y, T_x=None, T_u=None, tol=1e-8):
+def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     """Transform a degree-(1,2) system into normal form.
 
+    ``T_y`` defaults to the one ``find_output_transformation`` finds.
     Rows are sorted so degree-1 outputs precede degree-2 (the permutation
     is folded into ``T_y``).  The state transform stacks the internal rows
     (annihilating B) over ``[C_O; C_T; C_T A]``; the input transform is
@@ -307,13 +310,16 @@ def to_normal_form(sys, T_y, T_x=None, T_u=None, tol=1e-8):
     particular choice; they are validated against the same structure.
     """
     p = sys.require_square("normal form")
-    T_y = as_matrix(T_y, "T_y", square=True)
-    if T_y.shape[0] != p:
-        raise InputError(f"T_y must be {p}x{p}")
     A, B = sys.A, sys.B
     n = sys.n
-    info = relative_degree_vector(
-        StateSpace(A=A, B=B, C=T_y @ sys.C, name=sys.name))
+    if T_y is None:
+        T_y, info = find_output_transformation(sys)
+    else:
+        T_y = as_matrix(T_y, "T_y", square=True)
+        if T_y.shape[0] != p:
+            raise InputError(f"T_y must be {p}x{p}")
+        info = relative_degree_vector(
+            StateSpace(A=A, B=B, C=T_y @ sys.C, name=sys.name))
     if info.kind is not RdKind.FULL or any(d not in (1, 2) for d in info.r):
         raise InputError(
             "T_y does not yield a relative degree vector with degrees in "
@@ -337,7 +343,7 @@ def to_normal_form(sys, T_y, T_x=None, T_u=None, tol=1e-8):
         T_u = T_u_expected
     else:
         T_u = as_matrix(T_u, "T_u", square=True)
-        if spectral_norm(T_u - T_u_expected) > tol * max(1.0, spectral_norm(T_u_expected)):
+        if spectral_norm(T_u - T_u_expected) > 1e-8 * max(1.0, spectral_norm(T_u_expected)):
             raise InputError(
                 "supplied T_u does not match the input transform implied by "
                 "T_y (it is determined by [C_O; C_T A] B)")
@@ -350,10 +356,10 @@ def to_normal_form(sys, T_y, T_x=None, T_u=None, tol=1e-8):
         if T_x.shape[0] != n:
             raise InputError(f"T_x must be {n}x{n}")
         scale = max(1.0, spectral_norm(T_x))
-        if spectral_norm(T_x[m:, :] - base) > tol * scale:
+        if spectral_norm(T_x[m:, :] - base) > 1e-8 * scale:
             raise InputError(
                 "supplied T_x rows m..n must equal [C_O; C_T; C_T A]")
-        if m and spectral_norm(T_x[:m, :] @ B) > tol * scale * max(1.0, spectral_norm(B)):
+        if m and spectral_norm(T_x[:m, :] @ B) > 1e-8 * scale * max(1.0, spectral_norm(B)):
             raise InputError("supplied T_x internal rows must annihilate B")
 
     transforms = TransformSet.build(T_y_eff, T_x, T_u)
@@ -363,10 +369,10 @@ def to_normal_form(sys, T_y, T_x=None, T_u=None, tol=1e-8):
     x2_rows = At[m + p1:m + p1 + p2, :]
     x2_expected = np.zeros((p2, n))
     x2_expected[:, m + p1 + p2:] = np.eye(p2)
-    if spectral_norm(x2_rows - x2_expected) > 1e3 * tol * scale_A:
+    if spectral_norm(x2_rows - x2_expected) > 1e-5 * scale_A:
         raise NumericalError(
             "normal-form structure check failed on the x2 rows")
-    if spectral_norm(Bt - normal_form_input_matrix(m, p1, p2)) > 1e3 * tol * max(1.0, spectral_norm(Bt)):
+    if spectral_norm(Bt - normal_form_input_matrix(m, p1, p2)) > 1e-5 * max(1.0, spectral_norm(Bt)):
         raise NumericalError(
             "normal-form structure check failed on the input matrix")
 
@@ -377,7 +383,7 @@ def to_normal_form(sys, T_y, T_x=None, T_u=None, tol=1e-8):
         A00=At[s0, s0], A01=At[s0, s1], A02=At[s0, s2], A03=At[s0, s3],
         A10=At[s1, s0], A11=At[s1, s1], A12=At[s1, s2], A13=At[s1, s3],
         A30=At[s3, s0], A31=At[s3, s1], A32=At[s3, s2], A33=At[s3, s3],
-        transforms=transforms, source=sys)
+        transforms=transforms, source=sys, rd_info=info)
 
 
 @dataclass(frozen=True)
@@ -437,7 +443,7 @@ def _real_eigenbasis(values, vectors, indices, tol):
     return np.column_stack(cols) if cols else np.zeros((vectors.shape[0], 0))
 
 
-def split_zero_dynamics(nf, tol=None):
+def split_zero_dynamics(nf):
     """Split the internal dynamics spectrum across the imaginary axis.
 
     The critical block is rendered exactly skew-symmetric by a congruence
@@ -454,8 +460,7 @@ def split_zero_dynamics(nf, tol=None):
             A01a=nf.A01[:0], A01b=nf.A01, A02a=nf.A02[:0], A02b=nf.A02,
             A03a=nf.A03[:0], A03b=nf.A03)
     scale = 1.0 + spectral_norm(A00)
-    if tol is None:
-        tol = SPLIT_AXIS_TOL * scale
+    tol = SPLIT_AXIS_TOL * scale
     klass = linalg.stability_class(A00)
     if klass is StabilityClass.UNSTABLE:
         raise NotWeaklyMinimumPhaseError(

@@ -33,7 +33,6 @@ from .statespace import StateSpace, UncertainSystem, eval_tf, is_minimal, has_ze
 from .structure import (
     NormalForm,
     ZeroDynamicsSplit,
-    find_output_transformation,
     normal_form_input_matrix,
     normal_form_output_matrix,
     split_zero_dynamics,
@@ -163,7 +162,6 @@ class FeedbackLaw:
 
     K_x: np.ndarray
     K_v: np.ndarray
-    frame: str = "original"
 
     @property
     def K_w(self):
@@ -251,12 +249,6 @@ def _check_emitted(sys, Y, ni_class, eps):
         raise NumericalError(
             f"emitted {ni_class} certificate failed verification: "
             f"{'; '.join(verdict.notes)}")
-    minim = is_minimal(sys)
-    if not minim.minimal:
-        raise NumericalError("emitted closed loop is not minimal")
-    smin = np.linalg.svd(sys.A, compute_uv=False)[-1]
-    if smin <= 1e-10 * spectral_norm(sys.A):
-        raise NumericalError("emitted closed-loop state matrix is singular")
     return verdict, cert
 
 
@@ -284,8 +276,10 @@ def _synthesize_deg12(nf, cfg, ni_class):
     A02 = np.vstack([split.A02a, split.A02b])
     A03 = np.vstack([split.A03a, split.A03b])
 
-    c1 = linalg.pbh_test(A00, A01, "controllable")
-    c2 = linalg.pbh_test(A00, A00 @ A03 + A02, "controllable")
+    vals00 = linalg.eig(A00).values
+    c1 = linalg._pbh_witness(A00, A01, "controllable", vals00) is None
+    c2 = linalg._pbh_witness(A00, A00 @ A03 + A02, "controllable",
+                             vals00) is None
     if not (c1 or c2):
         raise NotControllableError(
             "the normal form is not controllable: neither (A00, A01) nor "
@@ -351,11 +345,11 @@ def _synthesize_deg12(nf, cfg, ni_class):
         K20 = np.hstack([K20a, K20b])
         ok = True
         if c1:
-            w = linalg._pbh_witness(A00, K10, "observable")
+            w = linalg._pbh_witness(A00, K10, "observable", vals00)
             if w is not None:
                 ok, last_witness = False, w
         if c2 and ok:
-            w = linalg._pbh_witness(A00, K20, "observable")
+            w = linalg._pbh_witness(A00, K20, "observable", vals00)
             if w is not None:
                 ok, last_witness = False, w
         if ok:
@@ -439,8 +433,8 @@ def synthesize_ssni(nf, cfg=None):
 
     Requires ``p2 = 0``, asymptotically stable internal dynamics and
     ``(A00, A01)`` controllable.  The Lyapunov parameter is computed from
-    a correction-augmented Lyapunov solve and rescaled until the strict
-    inequality holds with margin.
+    a correction-augmented Lyapunov solve, whose residual (``-I`` up to
+    rounding) must reach the strict margin ``-1e-8 ||A00||``.
     """
     cfg = cfg or SynthesisConfig()
     if nf.p2 != 0:
@@ -460,13 +454,9 @@ def synthesize_ssni(nf, cfg=None):
         iA00 = np.linalg.inv(A00)
         corr = 0.5 * iA00 @ A01 @ A01.T @ iA00.T
         Y1 = linalg.solve_lyapunov(A00.T, np.eye(m) + corr)
-        floor = -1e-8 * spectral_norm(A00)
-        for _ in range(64):
-            resid = A00 @ Y1 + Y1 @ A00.T + corr
-            if float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[-1]) <= floor:
-                break
-            Y1 = 2.0 * Y1
-        else:  # pragma: no cover - scaling always terminates
+        resid = A00 @ Y1 + Y1 @ A00.T + corr
+        if float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[-1]) > \
+                -1e-8 * spectral_norm(A00):
             raise NumericalError("could not reach the strict Lyapunov margin")
         K1 = -A01.T @ iA00.T @ np.linalg.inv(Y1)
         G1 = iA00 @ A01
@@ -486,6 +476,11 @@ def synthesize_ssni(nf, cfg=None):
         raise NumericalError("emitted strongly-strict closed loop is not Hurwitz")
     Y = (Y + Y.T) / 2.0
     verdict, cert = _check_emitted(closed, Y, "ssni", None)
+    # the strong-class certificate route tests neither hypothesis
+    if not is_minimal(closed).minimal:
+        raise NumericalError("emitted closed loop is not minimal")
+    if np.linalg.svd(closed.A, compute_uv=False)[-1] <= 1e-10 * closed.a_norm:
+        raise NumericalError("emitted closed-loop state matrix is singular")
     R0 = np.real(eval_tf(closed, 0.0))
     if spectral_norm(R0 - Y2) > 1e-8 * (1.0 + spectral_norm(Y2)):
         raise NumericalError("closed-loop DC gain does not equal Y2")
@@ -505,19 +500,16 @@ def synthesize_ssni(nf, cfg=None):
         normal_form=nf, split=split)
 
 
-def compose_full_gain(gains, transforms=None, nf=None):
+def compose_full_gain(gains):
     """Map normal-form gains back to the original coordinates.
 
     ``u = T_u^{-1} (K_tilde T_x x + T_y^{-T} v)``, so
     ``K_x = T_u^{-1} K_tilde T_x`` and ``K_v = T_u^{-1} T_y^{-T}``.
     """
-    nf = nf or gains.normal_form
-    transforms = transforms or nf.transforms
-    if gains.K_tilde.shape != (nf.p, nf.n):
-        raise InputError("gain set and normal form frames do not match")
+    transforms = gains.normal_form.transforms
     K_x = transforms.T_u_inv @ gains.K_tilde @ transforms.T_x
     K_v = transforms.T_u_inv @ transforms.T_y_inv.T
-    return FeedbackLaw(K_x=K_x, K_v=K_v, frame="original")
+    return FeedbackLaw(K_x=K_x, K_v=K_v)
 
 
 @dataclass(frozen=True)
@@ -591,8 +583,6 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
         raise VerdictError("plant realization is not observable")
     if has_zero_at_origin(plant):
         raise VerdictError("plant has a zero at the origin")
-    if T_y is None:
-        T_y, _ = find_output_transformation(plant)
     nf = to_normal_form(plant, T_y, T_x=T_x, T_u=T_u)
 
     cfg = cfg or SynthesisConfig()

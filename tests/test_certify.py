@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace
+from nisynth import StateSpace, is_minimal, linalg
 from nisynth.certify import (
     FrequencyGrid,
     classify_freq,
@@ -67,6 +67,20 @@ class TestClassifyFreq:
         verdict = classify_freq(sys, "ni")
         assert verdict.holds
         assert any("residue" in note for note in verdict.notes)
+
+    def test_spectrum_computed_once_per_system(self, monkeypatch):
+        sys = demo_nominal_closed()
+        on_sys = []
+        eig = linalg.eig
+
+        def counting_eig(A):
+            on_sys.append(np.array_equal(A, sys.A))
+            return eig(A)
+
+        monkeypatch.setattr(linalg, "eig", counting_eig)
+        assert is_minimal(sys).minimal
+        assert classify_freq(sys, "ni").holds
+        assert sum(on_sys) == 1
 
     def test_osni_needs_eps(self):
         with pytest.raises(InputError):

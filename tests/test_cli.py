@@ -63,6 +63,18 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_lapack_failure_exits_three(self, capsys, tmp_path):
+        # finite entries, but LAPACK's SVD does not converge on them
+        big = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "A": [[big, -big, big], [-big, big, -big], [big, big, -big]],
+            "B": [[1], [0], [0]], "C": [[0, 0, 1]]}))
+        code, rep = run_cli(capsys, "analyze", str(path))
+        assert code == 3
+        assert rep["error"]["kind"] == "numerical-failure"
+
 
 class TestSynthesize:
     def test_deterministic_gain_payload(self, capsys, plant_path):

@@ -207,6 +207,20 @@ class TestSimulate:
         assert abs(t1.states[-1, 0] - 2.0 * (1 - np.exp(-1.0))) < 1e-6
 
 
+class TestReadOnly:
+    def test_matrices_are_read_only_copies(self):
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        sys = StateSpace(A=A, B=[[1.0], [0.0]], C=[[1.0, 1.0]])
+        poles = sys.poles().copy()
+        with pytest.raises(ValueError):
+            sys.A[0, 0] = 5.0
+        A[0, 0] = 5.0
+        assert A.flags.writeable
+        assert sys.A[0, 0] == -1.0
+        assert np.array_equal(sys.poles(), poles)
+        assert np.array_equal(poles, [-2.0, -1.0])
+
+
 class TestJsonSchema:
     def test_round_trip(self, demo_plant, tmp_path):
         path = tmp_path / "sys.json"

@@ -28,6 +28,19 @@ from gen import (
 )
 
 
+def assert_same_normal_form(a, b):
+    """Block for block and bit for bit."""
+    assert (a.p1, a.p2, a.m) == (b.p1, b.p2, b.m)
+    assert (a.rd_info.r, a.rd_info.kind) == (b.rd_info.r, b.rd_info.kind)
+    assert np.array_equal(a.rd_info.H, b.rd_info.H)
+    for name in ("A00", "A01", "A02", "A03", "A10", "A11", "A12", "A13",
+                 "A30", "A31", "A32", "A33"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("T_y", "T_x", "T_u", "T_y_inv", "T_x_inv", "T_u_inv"):
+        assert np.array_equal(getattr(a.transforms, name),
+                              getattr(b.transforms, name)), name
+
+
 def triple_integrator():
     return StateSpace(A=[[0.0, 1, 0], [0, 0, 1], [0, 0, 0]],
                       B=[[0.0], [0.0], [1.0]], C=[[1.0, 0, 0]])
@@ -94,6 +107,9 @@ class TestFindOutputTransformation:
             StateSpace(A=demo_plant.A, B=demo_plant.B,
                        C=T_y @ demo_plant.C))
         assert recheck.kind is RdKind.FULL and max(recheck.r) <= 2
+        # without T_y, to_normal_form runs the same search itself
+        assert_same_normal_form(to_normal_form(demo_plant),
+                                to_normal_form(demo_plant, T_y))
 
     def test_identity_accepted_for_degree_one(self):
         sys = StateSpace(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
@@ -132,6 +148,8 @@ class TestFindOutputTransformation:
             T_y, info = find_output_transformation(sys)
             assert info.kind is RdKind.FULL and max(info.r) <= 2
             assert sorted(info.r) == [1] * p1 + [2] * p2
+            assert_same_normal_form(to_normal_form(sys),
+                                    to_normal_form(sys, T_y))
 
 
 class TestToNormalForm:

@@ -10,6 +10,7 @@ from nisynth.errors import (
     NotControllableError,
     NotMinimumPhaseError,
     NotWeaklyMinimumPhaseError,
+    NumericalError,
     RelativeDegreeNotOneError,
     RetryExhaustedError,
     UnsupportedShapeError,
@@ -274,6 +275,19 @@ class TestSynthesizeSsni:
         nf = normal_form_from_blocks(blk, 1, 0, 1)
         with pytest.raises(NotControllableError):
             synthesize_ssni(nf)
+
+    def test_stiff_internal_dynamics_miss_the_margin(self):
+        # the Lyapunov residual is -I up to rounding, below the required
+        # margin -1e-8 ||A00|| once ||A00|| exceeds 1e8
+        rng = np.random.default_rng(0)
+        A00 = -1e8 * np.diag([1.0, 2.0, 3.0])
+        A01, A10, A11 = (rng.standard_normal(shape)
+                         for shape in ((3, 2), (2, 3), (2, 2)))
+        sys = StateSpace(A=np.block([[A00, A01], [A10, A11]]),
+                         B=np.vstack([np.zeros((3, 2)), np.eye(2)]),
+                         C=np.hstack([np.zeros((2, 3)), np.eye(2)]))
+        with pytest.raises(NumericalError, match="strict Lyapunov margin"):
+            synthesize_ssni(to_normal_form(sys, np.eye(2)))
 
     def test_round_trip_on_planted_systems(self):
         rng = np.random.default_rng(157)
