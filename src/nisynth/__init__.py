@@ -18,7 +18,7 @@ from .linalg import (
     definiteness,
     eig,
     kernel_pd_solution,
-    pbh_test,
+    pbh_witness,
     rank,
     solve_lyapunov,
     sqrtm_pd,
@@ -42,7 +42,6 @@ from .structure import (
     TransformSet,
     ZeroDynamicsSplit,
     find_output_transformation,
-    phase_classification,
     relative_degree_vector,
     split_zero_dynamics,
     to_normal_form,

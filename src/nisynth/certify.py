@@ -345,9 +345,9 @@ def verify_certificate(sys, ni_class, Y, eps=None):
                 notes.append("A is singular (certificate-test hypothesis det(A) != 0)")
     else:  # ssni
         for lam in sys.poles():
-            uncontrollable = linalg._pbh_witness(
+            uncontrollable = linalg.pbh_witness(
                 sys.A, sys.B, "controllable", [lam]) is not None
-            if uncontrollable and linalg._pbh_witness(
+            if uncontrollable and linalg.pbh_witness(
                     sys.A, sys.C, "observable", [lam]) is None:
                 holds = False
                 notes.append(

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, certify, structure, synth
 from .errors import InputError, NumericalError, RelativeDegreeNotOneError, VerdictError
+from .linalg import StabilityClass
 from .statespace import (
     UncertainSystem,
     has_zero_at_origin,
@@ -143,8 +144,10 @@ def cmd_analyze(args):
                                 "A12", "A13", "A30", "A31", "A32", "A33")},
         "transforms": nf.transforms.to_dict(),
     }
-    report["phase"] = structure.phase_classification(nf)
     split = structure.split_zero_dynamics(nf)
+    report["phase"] = {
+        "weakly_minimum_phase": split.stability is not StabilityClass.UNSTABLE,
+        "minimum_phase": split.stability is StabilityClass.HURWITZ}
     report["zero_dynamics_split"] = {
         "m_a": split.m_a, "m_b": split.m_b,
         "A00a": split.A00a.tolist(), "A00b": split.A00b.tolist(),

@@ -69,13 +69,15 @@ class EigenResult:
 
     ``values`` are sorted by (real, imag); ``vectors[:, k]`` is the right
     eigenvector of ``values[k]``.  ``algebraic``/``geometric`` hold the
-    multiplicities of the cluster each eigenvalue belongs to.
+    multiplicities of the cluster each eigenvalue belongs to; ``norm`` is
+    the spectral norm of the decomposed matrix.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     algebraic: np.ndarray
     geometric: np.ndarray
+    norm: float
 
     @property
     def semisimple(self):
@@ -108,15 +110,16 @@ def eig(A):
     """Eigendecomposition of a real square matrix.
 
     Eigenvalues are returned conjugate-closed and sorted by (real, imag).
-    Algebraic multiplicity is the cluster size within the cluster radius;
-    geometric multiplicity is ``n - rank(A - mu I)`` at the cluster mean.
+    Algebraic multiplicity is the cluster size within the cluster radius.
+    Geometric multiplicity is 1 for a single eigenvalue and
+    ``n - rank(A - mu I)`` at the cluster mean of a larger cluster.
     """
     A = as_matrix(A, "A", square=True)
     n = A.shape[0]
     if n == 0:
         empty = np.zeros(0)
         return EigenResult(empty.astype(complex), empty.reshape(0, 0).astype(complex),
-                           empty.astype(int), empty.astype(int))
+                           empty.astype(int), empty.astype(int), 0.0)
     try:
         values, vectors = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -124,17 +127,19 @@ def eig(A):
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]
-    radius = CLUSTER_TOL * spectral_norm(A)
+    norm = spectral_norm(A)
     alg = np.zeros(n, dtype=int)
     geo = np.zeros(n, dtype=int)
-    for members in _cluster(values, radius):
-        mu = values[members].mean()
-        # rank tolerance can swallow a nearby cluster; cap at cluster size
-        g = min(n - rank(A - mu * np.eye(n)), len(members))
-        for k in members:
-            alg[k] = len(members)
-            geo[k] = g
-    return EigenResult(values, vectors, alg, geo)
+    for members in _cluster(values, CLUSTER_TOL * norm):
+        g = 1
+        if len(members) > 1:
+            mu = values[members].mean()
+            # every eigenvalue has an eigenvector, and the rank tolerance
+            # can swallow a nearby cluster: keep g within [1, cluster size]
+            g = min(max(n - rank(A - mu * np.eye(n)), 1), len(members))
+        alg[members] = len(members)
+        geo[members] = g
+    return EigenResult(values, vectors, alg, geo, norm)
 
 
 def rank(M):
@@ -230,8 +235,8 @@ def kernel_pd_solution(A):
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    scale = 1.0 + spectral_norm(A)
     res = eig(A)
+    scale = 1.0 + res.norm
     if np.any(np.abs(res.values.real) > 1e-7 * scale):
         worst = res.values[np.argmax(np.abs(res.values.real))]
         raise SpectrumError(
@@ -265,19 +270,13 @@ def sqrtm_pd(P):
     return (S + S.T) / 2.0
 
 
-def pbh_test(A, M, mode):
-    """Pencil-rank form of the eigenvector tests.
+def pbh_witness(A, M, mode, values):
+    """Return the first of ``values`` failing the PBH rank test, or None.
 
-    ``mode="controllable"`` checks ``rank [lambda I - A, B] == n`` at every
-    eigenvalue; ``mode="observable"`` checks ``rank [lambda I - A; C] == n``.
-    """
-    return _pbh_witness(A, M, mode) is None
-
-
-def _pbh_witness(A, M, mode, values=None):
-    """Return the first eigenvalue failing the PBH rank test, or None.
-
-    ``values`` (default ``eig(A).values``) lets a caller reuse its spectrum.
+    ``mode="controllable"`` tests ``rank [lambda I - A, M] == n`` and
+    ``mode="observable"`` tests ``rank [lambda I - A; M] == n``.  ``values``
+    are eigenvalues of ``A`` the caller already holds (all of them, for a
+    controllability or observability verdict).
     """
     A = as_matrix(A, "A", square=True)
     M = as_matrix(M, "M")
@@ -291,7 +290,7 @@ def _pbh_witness(A, M, mode, values=None):
     if n == 0:
         return None
     eye = np.eye(n)
-    for lam in eig(A).values if values is None else values:
+    for lam in values:
         if mode == "controllable":
             pencil = np.hstack([lam * eye - A, M])
         else:
@@ -301,19 +300,15 @@ def _pbh_witness(A, M, mode, values=None):
     return None
 
 
-def stability_class(A):
-    """Classify ``A`` as Hurwitz, Lyapunov stable, or unstable.
+def stability_class(res):
+    """Classify the matrix decomposed by ``res = eig(A)``.
 
     Hurwitz: every ``Re lambda < -tol``.  Lyapunov stable: every
     ``Re lambda <= tol`` and each eigenvalue with ``|Re lambda| <= tol``
     is semisimple.  ``tol = 1e-8 * (1 + ||A||)``.
     """
-    A = as_matrix(A, "A", square=True)
-    if A.shape[0] == 0:
-        return StabilityClass.HURWITZ
-    tol = 1e-8 * (1.0 + spectral_norm(A))
-    res = eig(A)
     re = res.values.real
+    tol = 1e-8 * (1.0 + res.norm)
     if np.all(re < -tol):
         return StabilityClass.HURWITZ
     if np.any(re > tol):

@@ -8,7 +8,8 @@ The JSON schema for a system is::
 row-major lists of lists and are validated for rectangularity on load.
 
 A ``StateSpace`` holds read-only copies of its matrices and caches the
-spectrum and spectral norm of ``A``; the functions keep no other state.
+spectrum of ``A``, which records ``||A||_2`` too; the functions keep no
+other state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     PoleProximityError,
     SimulationDivergedError,
 )
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class StateSpace:
         """``linalg.eig(A)``, computed once per system."""
         return linalg.eig(self.A)
 
-    @cached_property
+    @property
     def a_norm(self):
-        """Spectral norm of ``A``, computed once per system."""
-        return spectral_norm(self.A)
+        """Spectral norm of ``A``, recorded by its spectrum."""
+        return self.spectrum.norm
 
     @property
     def n(self):
@@ -180,10 +181,10 @@ def is_minimal(sys):
     """PBH controllability/observability of the realization."""
     vals = sys.poles()
     return Minimality(
-        controllable=linalg._pbh_witness(sys.A, sys.B, "controllable",
-                                         vals) is None,
-        observable=linalg._pbh_witness(sys.A, sys.C, "observable",
-                                       vals) is None)
+        controllable=linalg.pbh_witness(sys.A, sys.B, "controllable",
+                                        vals) is None,
+        observable=linalg.pbh_witness(sys.A, sys.C, "observable",
+                                      vals) is None)
 
 
 def has_zero_at_origin(sys):

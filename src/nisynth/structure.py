@@ -63,13 +63,21 @@ def _markov_zero_threshold(c_norm, a_norm, b_norm, j):
     return MARKOV_ZERO_TOL * max(scale * b_norm, 1e-300)
 
 
+def _independent_rows(M):
+    """Rows of a wide ``M`` are independent when ``sigma_min`` clears the
+    relative threshold at which ``find_output_transformation`` eliminates
+    a row."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[-1] > MARKOV_ZERO_TOL * s[0]
+
+
 def relative_degree_vector(sys):
     """Relative degree of each output row, with kind classification.
 
     Requires ``rank(B) = rank(C) = p``.  The search per row is capped at
-    ``n``.  The result is FULL when the stacked ``H`` has rank p, LIRD_ONLY
-    when only the equal-degree row groups of ``H`` are independent, and
-    NONE otherwise (including rows whose Markov parameters all vanish).
+    ``n``.  The result is FULL when the stacked ``H`` has independent rows,
+    LIRD_ONLY when only the equal-degree row groups of ``H`` do, and NONE
+    otherwise (including rows whose Markov parameters all vanish).
     """
     p = sys.require_square("relative-degree analysis")
     A, B, C = sys.A, sys.B, sys.C
@@ -102,13 +110,13 @@ def relative_degree_vector(sys):
     if any(d is None for d in degrees):
         return RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE, tuple(notes))
     H = np.vstack(h_rows)
-    if linalg.rank(H) == p:
+    if _independent_rows(H):
         kind = RdKind.FULL
     else:
         kind = RdKind.LIRD_ONLY
         for d in sorted(set(degrees)):
             idx = [i for i in range(p) if degrees[i] == d]
-            if linalg.rank(H[idx, :]) < len(idx):
+            if not _independent_rows(H[idx, :]):
                 kind = RdKind.NONE
                 notes.append(f"degree-{d} rows of H are linearly dependent")
                 break
@@ -129,8 +137,8 @@ def find_output_transformation(sys):
     when it is minimal with no zero at the origin).
     """
     p = sys.require_square("output-transformation search")
-    if linalg._pbh_witness(sys.A, sys.B, "controllable",
-                           sys.poles()) is not None:
+    if linalg.pbh_witness(sys.A, sys.B, "controllable",
+                          sys.poles()) is not None:
         raise NotControllableError(
             "output-transformation search requires a controllable system")
     info = relative_degree_vector(sys)
@@ -389,8 +397,13 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
 @dataclass(frozen=True)
 class ZeroDynamicsSplit:
     """Similarity splitting the internal dynamics into a skew-symmetric
-    imaginary-axis block and a Hurwitz block."""
+    imaginary-axis block and a Hurwitz block.
 
+    ``stability`` is the class of the internal dynamics: HURWITZ (minimum
+    phase) or LYAPUNOV_STABLE (weakly minimum phase only).
+    """
+
+    stability: StabilityClass
     S: np.ndarray
     S_inv: np.ndarray
     A00a: np.ndarray
@@ -456,12 +469,14 @@ def split_zero_dynamics(nf):
     if m == 0:
         S = np.zeros((0, 0))
         return ZeroDynamicsSplit(
+            stability=StabilityClass.HURWITZ,
             S=S, S_inv=S, A00a=S, A00b=S, m_a=0, m_b=0,
             A01a=nf.A01[:0], A01b=nf.A01, A02a=nf.A02[:0], A02b=nf.A02,
             A03a=nf.A03[:0], A03b=nf.A03)
-    scale = 1.0 + spectral_norm(A00)
+    res = linalg.eig(A00)
+    scale = 1.0 + res.norm
     tol = SPLIT_AXIS_TOL * scale
-    klass = linalg.stability_class(A00)
+    klass = linalg.stability_class(res)
     if klass is StabilityClass.UNSTABLE:
         raise NotWeaklyMinimumPhaseError(
             "internal dynamics are not Lyapunov stable")
@@ -471,7 +486,6 @@ def split_zero_dynamics(nf):
             "internal dynamics are singular (the system has a zero at the "
             "origin)")
 
-    res = linalg.eig(A00)
     critical = [k for k in range(m) if abs(res.values[k].real) <= tol]
     m_a = len(critical)
     m_b = m - m_a
@@ -517,18 +531,7 @@ def split_zero_dynamics(nf):
     A02s = S @ nf.A02
     A03s = S @ nf.A03
     return ZeroDynamicsSplit(
-        S=S, S_inv=S_inv, A00a=A00a, A00b=A00b, m_a=m_a, m_b=m_b,
+        stability=klass, S=S, S_inv=S_inv, A00a=A00a, A00b=A00b,
+        m_a=m_a, m_b=m_b,
         A01a=A01s[:m_a], A01b=A01s[m_a:], A02a=A02s[:m_a], A02b=A02s[m_a:],
         A03a=A03s[:m_a], A03b=A03s[m_a:])
-
-
-def phase_classification(nf):
-    """Weak/strict minimum-phase classification of the zero dynamics."""
-    if nf.m == 0:
-        return {"weakly_minimum_phase": True, "minimum_phase": True}
-    klass = linalg.stability_class(nf.A00)
-    return {
-        "weakly_minimum_phase": klass in (StabilityClass.HURWITZ,
-                                          StabilityClass.LYAPUNOV_STABLE),
-        "minimum_phase": klass is StabilityClass.HURWITZ,
-    }

@@ -42,7 +42,11 @@ from .structure import (
 #: largest output-strictness level the constructive certificate supports
 OSNI_EPS_MAX = (3.0 - np.sqrt(5.0)) / 2.0
 
-K13_POLICIES = ("zero", "orthonormal", "random-in-S_K")
+#: fraction of its admissible set a random H or K13 draw may reach
+THETA = 0.9
+
+#: seeded draws of (H, K13) before the observability targets are given up
+MAX_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -51,32 +55,17 @@ class SynthesisConfig:
 
     Matrix-valued fields accept a scalar (meaning ``scalar * I``), an
     explicit matrix, or None for the module default.  ``Y1b`` fixes the
-    Hurwitz-block Lyapunov solution directly (its defining right-hand side
-    then overrides ``Qb``); ``H`` and ``K13`` pin the randomized choices.
+    Hurwitz-block Lyapunov solution (by default it solves the Lyapunov
+    equation with ``Qb = I``); ``H`` and ``K13`` pin the randomized choices.
     """
 
     Y2: object = None            # p1 x p1 SPD, default I
     Y3: object = None            # p2 x p2 SPD, default I
-    y1a: float = 1.0
-    Qb: object = None            # m_b x m_b SPD, default I
     Y1b: object = None           # explicit Lyapunov solution for the Hurwitz block
     H: object = None             # explicit p2 x m_b parameter
     K13: object = None           # explicit p1 x p2 parameter
-    theta: float = 0.9
-    k13_policy: str = "random-in-S_K"
     epsilon: float = OSNI_EPS_MAX
     rng_seed: int = 0
-    max_retries: int = 32
-
-    def __post_init__(self):
-        if not (0.0 < self.theta <= 1.0):
-            raise InputError("theta must lie in (0, 1]")
-        if self.k13_policy not in K13_POLICIES:
-            raise InputError(f"k13_policy must be one of {K13_POLICIES}")
-        if self.y1a <= 0:
-            raise InputError("y1a must be positive")
-        if self.max_retries < 1:
-            raise InputError("max_retries must be at least 1")
 
 
 def _bind_spd(value, dim, name):
@@ -168,20 +157,16 @@ class FeedbackLaw:
         return self.K_v - np.eye(self.K_v.shape[0])
 
 
-def _draw_h(rng, p2, m_b, theta, Qb_sqrt, scale):
-    if p2 == 0 or m_b == 0:
-        return np.zeros((p2, m_b))
-    if scale == 0.0:
+def _draw_h(rng, p2, m_b, Qb_sqrt, scale):
+    if p2 == 0 or m_b == 0 or scale == 0.0:
         return np.zeros((p2, m_b))
     G = rng.standard_normal((p2, m_b))
     smax = max(spectral_norm(G), 1e-300)
-    return theta * scale * (G / smax) @ Qb_sqrt
+    return THETA * scale * (G / smax) @ Qb_sqrt
 
 
-def _draw_k13(rng, p1, p2, theta, policy):
+def _draw_k13(rng, p1, p2, policy):
     if p1 == 0 or p2 == 0:
-        return np.zeros((p1, p2))
-    if policy == "zero":
         return np.zeros((p1, p2))
     G = rng.standard_normal((p1, p2))
     if policy == "orthonormal":
@@ -192,7 +177,7 @@ def _draw_k13(rng, p1, p2, theta, policy):
         Q = np.linalg.qr(G)[0]
         return Q[:, :p2]
     smax = max(spectral_norm(G), 1e-300)
-    return np.sqrt(2.0) * theta * G / smax
+    return np.sqrt(2.0) * THETA * G / smax
 
 
 def _osni_h_shrink(eps):
@@ -201,7 +186,7 @@ def _osni_h_shrink(eps):
     The Schur complement of the certificate matrix requires
     ``g(eps) H^T H <= Qb``, where ``g -> 1`` as ``eps -> 0`` and
     ``g -> inf`` at the maximal strictness level, so H is drawn from the
-    shrunk set ``theta U (Qb / g)^(1/2)``.
+    shrunk set ``THETA U (Qb / g)^(1/2)``.
     """
     den = 1.0 - 2.0 * eps
     if den <= 0:
@@ -218,7 +203,7 @@ def _block(rows):
     return np.vstack([np.hstack(r) for r in rows])
 
 
-def _assemble_certificate(split, y1a, Y1b, Y2, Y3):
+def _assemble_certificate(split, Y1b, Y2, Y3):
     """Certificate blocks for the (z, x1, x2, x3) split coordinates."""
     m_a, m_b = split.m_a, split.m_b
     m = m_a + m_b
@@ -227,7 +212,7 @@ def _assemble_certificate(split, y1a, Y1b, Y2, Y3):
     A02 = np.vstack([split.A02a, split.A02b])
     iA00 = np.linalg.inv(A00) if m else A00
     Y1 = np.zeros((m, m))
-    Y1[:m_a, :m_a] = y1a * np.eye(m_a)
+    Y1[:m_a, :m_a] = np.eye(m_a)
     Y1[m_a:, m_a:] = Y1b
     p1 = A01.shape[1]
     p2 = A02.shape[1]
@@ -277,9 +262,9 @@ def _synthesize_deg12(nf, cfg, ni_class):
     A03 = np.vstack([split.A03a, split.A03b])
 
     vals00 = linalg.eig(A00).values
-    c1 = linalg._pbh_witness(A00, A01, "controllable", vals00) is None
-    c2 = linalg._pbh_witness(A00, A00 @ A03 + A02, "controllable",
-                             vals00) is None
+    c1 = linalg.pbh_witness(A00, A01, "controllable", vals00) is None
+    c2 = linalg.pbh_witness(A00, A00 @ A03 + A02, "controllable",
+                            vals00) is None
     if not (c1 or c2):
         raise NotControllableError(
             "the normal form is not controllable: neither (A00, A01) nor "
@@ -287,7 +272,6 @@ def _synthesize_deg12(nf, cfg, ni_class):
 
     Y2 = _bind_spd(cfg.Y2, p1, "Y2")
     Y3 = _bind_spd(cfg.Y3, p2, "Y3")
-    Qb = _bind_spd(cfg.Qb, m_b, "Qb")
     if cfg.Y1b is not None:
         Y1b = _bind_spd(cfg.Y1b, m_b, "Y1b")
         Qb = -(split.A00b @ Y1b + Y1b @ split.A00b.T)
@@ -296,6 +280,7 @@ def _synthesize_deg12(nf, cfg, ni_class):
                 "Y1b is not a Lyapunov solution for the Hurwitz block: "
                 "-(A00b Y1b + Y1b A00b^T) is not positive definite")
     else:
+        Qb = np.eye(m_b)
         Y1b = linalg.solve_lyapunov(split.A00b.T, Qb)
     Qb_sqrt = linalg.sqrtm_pd(Qb) if m_b else np.zeros((0, 0))
 
@@ -330,26 +315,26 @@ def _synthesize_deg12(nf, cfg, ni_class):
     K10a = -split.A01a.T @ iA00a_T
 
     rng = np.random.default_rng(cfg.rng_seed)
-    policy = "orthonormal" if ni_class == "osni" else cfg.k13_policy
+    policy = "orthonormal" if ni_class == "osni" else "random-in-S_K"
     last_witness = None
     retries_used = 0
-    for attempt in range(cfg.max_retries):
+    for attempt in range(MAX_RETRIES):
         retries_used = attempt
         H = H_fixed if H_fixed is not None else \
-            _draw_h(rng, p2, m_b, cfg.theta, Qb_sqrt, h_scale)
+            _draw_h(rng, p2, m_b, Qb_sqrt, h_scale)
         K13 = K13_fixed if K13_fixed is not None else \
-            _draw_k13(rng, p1, p2, cfg.theta, policy)
+            _draw_k13(rng, p1, p2, policy)
         K20b = (-split.A02b.T @ iA00b_T - split.A03b.T + H) @ iY1b
         K10b = (-split.A01b.T @ iA00b_T - K13 @ H) @ iY1b
         K10 = np.hstack([K10a, K10b])
         K20 = np.hstack([K20a, K20b])
         ok = True
         if c1:
-            w = linalg._pbh_witness(A00, K10, "observable", vals00)
+            w = linalg.pbh_witness(A00, K10, "observable", vals00)
             if w is not None:
                 ok, last_witness = False, w
         if c2 and ok:
-            w = linalg._pbh_witness(A00, K20, "observable", vals00)
+            w = linalg.pbh_witness(A00, K20, "observable", vals00)
             if w is not None:
                 ok, last_witness = False, w
         if ok:
@@ -360,7 +345,7 @@ def _synthesize_deg12(nf, cfg, ni_class):
                 f"(failing eigenvalue {last_witness})", witness=last_witness)
     else:
         raise RetryExhaustedError(
-            f"observability targets not met in {cfg.max_retries} draws "
+            f"observability targets not met in {MAX_RETRIES} draws "
             f"(last failing eigenvalue {last_witness})", witness=last_witness)
 
     K11 = K10 @ iA00 @ A01 - np.linalg.inv(Y2) if p1 else np.zeros((0, 0))
@@ -378,7 +363,7 @@ def _synthesize_deg12(nf, cfg, ni_class):
     closed = StateSpace(A=A_cl, B=normal_form_input_matrix(m, p1, p2),
                         C=normal_form_output_matrix(m, p1, p2),
                         name=(nf.source.name or "system") + ":closed")
-    Y = _assemble_certificate(split, cfg.y1a, Y1b, Y2, Y3)
+    Y = _assemble_certificate(split, Y1b, Y2, Y3)
     verdict, cert = _check_emitted(closed, Y, ni_class, eps)
 
     S = split.S
@@ -388,9 +373,9 @@ def _synthesize_deg12(nf, cfg, ni_class):
     ])
 
     free = {
-        "Y2": Y2.tolist(), "Y3": Y3.tolist(), "y1a": cfg.y1a,
+        "Y2": Y2.tolist(), "Y3": Y3.tolist(), "y1a": 1.0,
         "Qb": Qb.tolist(), "Y1b": Y1b.tolist(), "H": H.tolist(),
-        "K13": K13.tolist(), "theta": cfg.theta,
+        "K13": K13.tolist(), "theta": THETA,
         "k13_policy": policy, "rng_seed": cfg.rng_seed,
         "retries_used": retries_used,
     }
@@ -443,10 +428,12 @@ def synthesize_ssni(nf, cfg=None):
             f"(got p2={nf.p2})")
     p, m = nf.p1, nf.m
     A00, A01 = nf.A00, nf.A01
-    if m and linalg.stability_class(A00) is not StabilityClass.HURWITZ:
+    res00 = linalg.eig(A00)
+    if linalg.stability_class(res00) is not StabilityClass.HURWITZ:
         raise NotMinimumPhaseError(
             "internal dynamics are not asymptotically stable")
-    if not linalg.pbh_test(A00, A01, "controllable"):
+    if linalg.pbh_witness(A00, A01, "controllable",
+                          res00.values) is not None:
         raise NotControllableError("(A00, A01) is not controllable")
     Y2 = _bind_spd(cfg.Y2, p, "Y2")
     iY2 = np.linalg.inv(Y2)
@@ -472,7 +459,7 @@ def synthesize_ssni(nf, cfg=None):
     closed = StateSpace(A=A_cl, B=normal_form_input_matrix(m, p, 0),
                         C=normal_form_output_matrix(m, p, 0),
                         name=(nf.source.name or "system") + ":closed")
-    if linalg.stability_class(A_cl) is not StabilityClass.HURWITZ:
+    if linalg.stability_class(closed.spectrum) is not StabilityClass.HURWITZ:
         raise NumericalError("emitted strongly-strict closed loop is not Hurwitz")
     Y = (Y + Y.T) / 2.0
     verdict, cert = _check_emitted(closed, Y, "ssni", None)
@@ -486,6 +473,7 @@ def synthesize_ssni(nf, cfg=None):
         raise NumericalError("closed-loop DC gain does not equal Y2")
 
     split = ZeroDynamicsSplit(
+        stability=StabilityClass.HURWITZ,
         S=np.eye(m), S_inv=np.eye(m), A00a=np.zeros((0, 0)), A00b=A00,
         m_a=0, m_b=m, A01a=A01[:0], A01b=A01,
         A02a=nf.A02[:0], A02b=nf.A02, A03a=nf.A03[:0], A03b=nf.A03)

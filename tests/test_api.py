@@ -1,10 +1,16 @@
-"""Guard against tolerance knobs: every tolerance is a constant at its point
-of use, so no function or method of the library modules takes one as a
-defaulted parameter."""
+"""API guards.
 
+* No tolerance knobs: every tolerance is a constant at its point of use, so
+  no function or method of the library modules takes one as a defaulted
+  parameter.
+* No private entry points: a module reaches another module only through
+  its public names, so what one layer offers the others is its public API.
+"""
+
+import ast
 import inspect
 
-from nisynth import certify, linalg, statespace, structure, synth
+from nisynth import certify, cli, errors, linalg, statespace, structure, synth
 
 MODULES = (linalg, statespace, structure, certify, synth)
 
@@ -30,3 +36,24 @@ def test_no_defaulted_tolerance_parameters():
             if param.default is not param.empty
             and ("tol" in param.name or "floor" in param.name)]
     assert hits == [], f"{len(hits)} defaulted tolerance parameters: {hits}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_names_across_modules():
+    library = MODULES + (cli, errors)
+    short = {module.__name__.rsplit(".", 1)[1] for module in library}
+    hits = []
+    for module in library:
+        own = module.__name__.rsplit(".", 1)[1]
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Attribute) and _private(node.attr) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in short - {own}:
+                hits.append(f"{own}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                hits += [f"{own}: from .{node.module or ''} import {a.name}"
+                         for a in node.names if _private(a.name)]
+    assert hits == [], f"private names used across modules: {hits}"

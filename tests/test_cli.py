@@ -118,10 +118,13 @@ class TestSynthesize:
 
     def test_unknown_param_rejected(self, capsys, plant_path, tmp_path):
         bad = tmp_path / "params.json"
-        bad.write_text('{"Y9": 1.0}')
-        code, rep = run_cli(capsys, "synthesize", plant_path,
-                            "--params", str(bad))
-        assert code == 2
+        for name in ("Y9", "theta", "k13_policy", "y1a", "Qb",
+                     "max_retries"):
+            bad.write_text(json.dumps({name: 1.0}))
+            code, rep = run_cli(capsys, "synthesize", plant_path,
+                                "--params", str(bad))
+            assert code == 2, name
+            assert name in rep["error"]["message"]
 
 
 class TestStabilize:

@@ -182,17 +182,26 @@ def kalman_rank_observable(A, C):
     return kalman_rank_controllable(A.T, C.T)
 
 
+def pbh_holds(A, M, mode):
+    """PBH verdict over the whole spectrum of ``A``."""
+    return linalg.pbh_witness(A, M, mode, linalg.eig(A).values) is None
+
+
 class TestPbh:
     def test_double_integrator_controllable(self):
-        assert linalg.pbh_test([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
-                               "controllable")
+        assert pbh_holds([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                         "controllable")
 
     def test_unobserved_mode(self):
-        assert not linalg.pbh_test(np.diag([-1.0, -2.0]), [[1.0, 0.0]],
-                                   "observable")
+        A = np.diag([-1.0, -2.0])
+        assert linalg.pbh_witness(A, [[1.0, 0.0]], "observable",
+                                  linalg.eig(A).values) == -2.0
+        # only the eigenvalues passed are tested
+        assert linalg.pbh_witness(A, [[1.0, 0.0]], "observable",
+                                  [-1.0]) is None
 
     def test_scalar_gain_observable(self):
-        assert linalg.pbh_test([[-1.0]], [[4.0]], "observable")
+        assert pbh_holds([[-1.0]], [[4.0]], "observable")
 
     def test_agreement_with_kalman_rank(self):
         rng = np.random.default_rng(17)
@@ -207,31 +216,47 @@ class TestPbh:
             if k % 4 == 0:
                 B[0, :] = 0.0
             C = rng.standard_normal((p, n))
-            assert linalg.pbh_test(A, B, "controllable") == \
+            assert pbh_holds(A, B, "controllable") == \
                 kalman_rank_controllable(A, B)
-            assert linalg.pbh_test(A, C, "observable") == \
+            assert pbh_holds(A, C, "observable") == \
                 kalman_rank_observable(A, C)
+
+
+def stability_class(A):
+    return linalg.stability_class(linalg.eig(A))
 
 
 class TestStabilityClass:
     def test_rotation_lyapunov_stable(self):
-        assert linalg.stability_class([[0.0, 1.0], [-1.0, 0.0]]) is \
+        assert stability_class([[0.0, 1.0], [-1.0, 0.0]]) is \
             StabilityClass.LYAPUNOV_STABLE
 
     def test_jordan_block_unstable(self):
-        assert linalg.stability_class([[0.0, 1.0], [0.0, 0.0]]) is \
+        assert stability_class([[0.0, 1.0], [0.0, 0.0]]) is \
             StabilityClass.UNSTABLE
 
     def test_demo_closed_loop_hurwitz(self):
         A = np.array([[-1.0, 0, 1, 1], [1, -4, -1, -1], [1, -4, 0, -2],
                       [-3, -8, 12.5, -2.5]])
-        assert linalg.stability_class(A) is StabilityClass.HURWITZ
+        assert stability_class(A) is StabilityClass.HURWITZ
 
     def test_hurwitz_implies_pd_gramian(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
             n = int(rng.integers(1, 6))
             A = random_hurwitz(rng, n)
-            assert linalg.stability_class(A) is StabilityClass.HURWITZ
+            assert stability_class(A) is StabilityClass.HURWITZ
             P = linalg.solve_lyapunov(A.T, np.eye(n))
             assert np.linalg.eigvalsh(P).min() > 0
+
+    def test_simple_imaginary_pair_needs_no_rank_test(self):
+        # rank(A - mu I) at a computed simple eigenvalue can reach n here;
+        # a simple eigenvalue is semisimple without a rank test
+        rng = np.random.default_rng(333)
+        w = rng.uniform(0.5, 2)
+        a = rng.uniform(0.3, 1.2)
+        T = rng.standard_normal((3, 3))
+        A = np.linalg.solve(T, [[0, w, 0], [-w, 0, 0], [0, 0, -a]]) @ T
+        res = linalg.eig(A)
+        assert list(res.geometric) == [1, 1, 1]
+        assert linalg.stability_class(res) is StabilityClass.LYAPUNOV_STABLE

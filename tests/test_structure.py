@@ -8,12 +8,12 @@ from nisynth.errors import (
     NotControllableError,
     NotWeaklyMinimumPhaseError,
 )
+from nisynth.linalg import StabilityClass
 from nisynth.structure import (
     RdKind,
     find_output_transformation,
     normal_form_input_matrix,
     normal_form_output_matrix,
-    phase_classification,
     relative_degree_vector,
     split_zero_dynamics,
     to_normal_form,
@@ -180,6 +180,7 @@ class TestToNormalForm:
         blk = planted_normal_blocks(rng, 1, 1, 0, 0)
         nf = normal_form_from_blocks(blk, 1, 1, 0)
         assert nf.m == 0 and nf.A00.shape == (0, 0)
+        assert split_zero_dynamics(nf).stability is StabilityClass.HURWITZ
 
     def test_transform_round_trip(self):
         rng = np.random.default_rng(67)
@@ -237,6 +238,23 @@ class TestSplitZeroDynamics:
         with pytest.raises(NotWeaklyMinimumPhaseError):
             split_zero_dynamics(nf)
 
+    def test_internal_dynamics_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        blk = planted_normal_blocks(rng, 1, 1, 2, 2)
+        nf = normal_form_from_blocks(blk, 1, 1, 4)
+        on_a00 = []
+        eig = linalg.eig
+
+        def counting_eig(A):
+            on_a00.append(np.array_equal(A, nf.A00))
+            return eig(A)
+
+        monkeypatch.setattr(linalg, "eig", counting_eig)
+        split = split_zero_dynamics(nf)
+        assert (split.m_a, split.m_b) == (2, 2)
+        assert split.stability is StabilityClass.LYAPUNOV_STABLE
+        assert sum(on_a00) == 1
+
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(79)
         for _ in range(10):
@@ -260,26 +278,26 @@ class TestSplitZeroDynamics:
 
 
 class TestPhaseClassification:
+    """The split records the class of the zero dynamics it decided."""
+
     def test_demo(self, demo_plant, demo_transforms):
         nf = to_normal_form(demo_plant, demo_transforms["T_y"],
                             T_x=demo_transforms["T_x"],
                             T_u=demo_transforms["T_u"])
-        phases = phase_classification(nf)
-        assert phases["weakly_minimum_phase"] and phases["minimum_phase"]
+        assert split_zero_dynamics(nf).stability is StabilityClass.HURWITZ
 
     def test_marginal_zero_dynamics(self):
         rng = np.random.default_rng(83)
         blk = planted_normal_blocks(rng, 1, 0, 2, 0)
         blk["A00"] = np.array([[0.0, 1.0], [-1.0, 0.0]])
         nf = normal_form_from_blocks(blk, 1, 0, 2)
-        phases = phase_classification(nf)
-        assert phases["weakly_minimum_phase"] and not phases["minimum_phase"]
+        assert split_zero_dynamics(nf).stability is \
+            StabilityClass.LYAPUNOV_STABLE
 
     def test_defective_zero_dynamics(self):
         rng = np.random.default_rng(89)
         blk = planted_normal_blocks(rng, 1, 0, 0, 2)
         blk["A00"] = np.array([[0.0, 1.0], [0.0, 0.0]])
         nf = normal_form_from_blocks(blk, 1, 0, 2)
-        phases = phase_classification(nf)
-        assert not phases["weakly_minimum_phase"]
-        assert not phases["minimum_phase"]
+        with pytest.raises(NotWeaklyMinimumPhaseError):
+            split_zero_dynamics(nf)

@@ -244,7 +244,7 @@ class TestSynthesizeSsni:
     def test_scalar_synthesis(self):
         nf = normal_form_from_blocks(self.scalar_blocks(), 1, 0, 1)
         g = synthesize_ssni(nf, SynthesisConfig(Y2=1.0))
-        assert linalg.stability_class(g.closed_loop.A) is \
+        assert linalg.stability_class(g.closed_loop.spectrum) is \
             linalg.StabilityClass.HURWITZ
         assert g.certificate.lyap_residual < -1e-10
         R0 = np.real(eval_tf(g.closed_loop, 0.0))
@@ -298,7 +298,7 @@ class TestSynthesizeSsni:
             sys, _ = planted_system(rng, p1, 0, 0, m_b)
             nf = to_normal_form(sys, np.eye(p1))
             g = synthesize_ssni(nf, SynthesisConfig(rng_seed=done))
-            assert linalg.stability_class(g.closed_loop.A) is \
+            assert linalg.stability_class(g.closed_loop.spectrum) is \
                 linalg.StabilityClass.HURWITZ
             assert g.certificate.lyap_residual < -1e-10
             Y2 = np.asarray(g.free_parameters["Y2"])
@@ -308,6 +308,23 @@ class TestSynthesizeSsni:
             assert classify_freq(g.closed_loop, "ssni").holds
             assert classify_freq(g.closed_loop, "sni").holds
             done += 1
+
+    def test_each_matrix_decomposed_once(self, monkeypatch):
+        sys, _ = planted_system(np.random.default_rng(163), 2, 0, 0, 3)
+        nf = to_normal_form(sys, np.eye(2))
+        calls = []
+        eig = linalg.eig
+
+        def recording_eig(A):
+            calls.append(np.array(A, dtype=float))
+            return eig(A)
+
+        monkeypatch.setattr(linalg, "eig", recording_eig)
+        g = synthesize_ssni(nf)
+        # the Hurwitz and PBH tests share one eig(A00); the closed loop's
+        # Hurwitz test, verify_certificate and is_minimal share its spectrum
+        for M in (nf.A00, g.closed_loop.A):
+            assert sum(np.array_equal(A, M) for A in calls) == 1
 
 
 class TestComposeFullGain:
@@ -370,6 +387,18 @@ class TestRobustStabilize:
         with pytest.raises(NoRdLeqTwoError):
             robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
 
+    def test_rounding_does_not_make_h_full_rank(self):
+        # C B has singular values 0.69 and 5e-16: the degree-1 rows of H
+        # are dependent, and the output transformation must find it
+        sys, _ = planted_system(np.random.default_rng(45), 1, 1, 0, 2)
+        res = robust_stabilize(sys)
+        nf = res.gains.normal_form
+        assert (nf.p1, nf.p2, nf.m) == (1, 1, 2)
+        assert res.gains.verdict.holds
+        assert classify_freq(res.nominal_closed, "ni").holds
+        v, _ = verify_certificate(res.nominal_closed, "ni", res.Y_original)
+        assert v.holds, v.notes
+
     def test_stabilized_loop_under_sampled_uncertainty(self, demo_plant,
                                                        demo_uncertainty):
         from nisynth.statespace import interconnect_positive_feedback
@@ -402,7 +431,7 @@ class TestSsniComposition:
             g = synthesize_ssni(nf, SynthesisConfig(rng_seed=seed))
             closed, Y, eps = original_coordinates_certificate(g)
             assert eps is None
-            assert linalg.stability_class(closed.A) is \
+            assert linalg.stability_class(closed.spectrum) is \
                 linalg.StabilityClass.HURWITZ
             v, _ = verify_certificate(closed, "ssni", Y)
             assert v.holds, v.notes
