@@ -1,8 +1,9 @@
 """Dense matrix kernels for small state-space computations.
 
 Everything here works on plain ``numpy`` arrays at desk scale (n up to a
-few dozen).  All routines are pure functions: no caching, no global state,
-results depend only on the arguments.
+few dozen).  All routines are pure functions of their arguments with no
+global state; the one cache is an ``EigenResult``'s left eigenvectors,
+computed from its own right eigenvectors on first use.
 
 Conventions
 -----------
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +72,8 @@ class EigenResult:
     ``values`` are sorted by (real, imag); ``vectors[:, k]`` is the right
     eigenvector of ``values[k]``.  ``algebraic``/``geometric`` hold the
     multiplicities of the cluster each eigenvalue belongs to; ``norm`` is
-    the spectral norm of the decomposed matrix.
+    the spectral norm of the decomposed matrix.  ``left`` holds the left
+    eigenvectors, computed once on first use.
     """
 
     values: np.ndarray
@@ -82,6 +85,19 @@ class EigenResult:
     @property
     def semisimple(self):
         return bool(np.all(self.algebraic == self.geometric))
+
+    @cached_property
+    def left(self):
+        """``W = V^{-1}``, whose row ``k`` is a left eigenvector of
+        ``values[k]`` with ``W[k] @ vectors[:, k] = 1``; None when ``V`` is
+        numerically singular (``sigma_min <= 1e-12 sigma_max``)."""
+        V = self.vectors
+        if V.size == 0:
+            return V
+        s = np.linalg.svd(V, compute_uv=False)
+        if s[-1] <= 1e-12 * s[0]:
+            return None
+        return np.linalg.inv(V)
 
 
 def _cluster(values, radius):
@@ -270,13 +286,21 @@ def sqrtm_pd(P):
     return (S + S.T) / 2.0
 
 
-def pbh_witness(A, M, mode, values):
-    """Return the first of ``values`` failing the PBH rank test, or None.
+def pbh_failures(A, M, mode, spectrum):
+    """PBH rank test at every eigenvalue of ``spectrum = eig(A)``.
 
-    ``mode="controllable"`` tests ``rank [lambda I - A, M] == n`` and
-    ``mode="observable"`` tests ``rank [lambda I - A; M] == n``.  ``values``
-    are eigenvalues of ``A`` the caller already holds (all of them, for a
-    controllability or observability verdict).
+    Returns a boolean array over ``spectrum.values``, True where
+    ``rank [lambda I - A, M] < n`` (``mode="controllable"``) or
+    ``rank [lambda I - A; M] < n`` (``mode="observable"``), the ranks
+    decided by ``rank``.  A simple eigenvalue passes without that SVD when
+    its unit left eigenvector ``w_k`` (controllable) or unit right
+    eigenvector ``v_k`` (observable) keeps ``||w_k^H M||`` or ``||M v_k||``
+    above ``1e-6 s_k (||A||_2 + ||M||_F)``, with ``s_k = ||w_k|| ||v_k||``
+    the condition number of the eigenvalue for ``w_k^H v_k = 1``; the rank
+    tolerance grows with ``||A||``, so the bound does too.  Repeated
+    eigenvalues, eigenvalues under the bound and every eigenvalue of a
+    numerically defective ``A`` (``spectrum.left`` is None) take the SVD
+    test, so every failure is decided by it.
     """
     A = as_matrix(A, "A", square=True)
     M = as_matrix(M, "M")
@@ -287,17 +311,37 @@ def pbh_witness(A, M, mode, values):
         raise InputError("B must have n rows")
     if mode == "observable" and M.shape[1] != n:
         raise InputError("C must have n columns")
+    failed = np.zeros(n, dtype=bool)
     if n == 0:
-        return None
-    eye = np.eye(n)
-    for lam in values:
+        return failed
+    V, W = spectrum.vectors, spectrum.left
+    screened = np.zeros(n, dtype=bool)
+    if W is not None:
+        w_norm = np.linalg.norm(W, axis=1)
+        v_norm = np.linalg.norm(V, axis=0)
         if mode == "controllable":
-            pencil = np.hstack([lam * eye - A, M])
+            reach = np.linalg.norm(W @ M, axis=1) / w_norm
         else:
-            pencil = np.vstack([lam * eye - A, M])
-        if rank(pencil) < n:
-            return complex(lam)
-    return None
+            reach = np.linalg.norm(M @ V, axis=0) / v_norm
+        scale = spectrum.norm + np.linalg.norm(M)
+        bound = 1e-6 * w_norm * v_norm * scale
+        screened = (spectrum.algebraic == 1) & (reach > bound)
+    eye = np.eye(n)
+    for k in np.flatnonzero(~screened):
+        shifted = spectrum.values[k] * eye - A
+        pencil = np.hstack([shifted, M]) if mode == "controllable" \
+            else np.vstack([shifted, M])
+        failed[k] = rank(pencil) < n
+    return failed
+
+
+def pbh_witness(A, M, mode, spectrum):
+    """First eigenvalue of ``spectrum = eig(A)`` failing the PBH rank
+    test of ``pbh_failures``, or None when the pair passes at all of them
+    (controllable or observable)."""
+    failed = pbh_failures(A, M, mode, spectrum)
+    return complex(spectrum.values[np.argmax(failed)]) if failed.any() \
+        else None
 
 
 def stability_class(res):

@@ -8,8 +8,8 @@ The JSON schema for a system is::
 row-major lists of lists and are validated for rectangularity on load.
 
 A ``StateSpace`` holds read-only copies of its matrices and caches the
-spectrum of ``A``, which records ``||A||_2`` too; the functions keep no
-other state.
+spectrum of ``A``, which records ``||A||_2`` too and, once asked, its left
+eigenvectors; the functions keep no other state.
 """
 
 from __future__ import annotations
@@ -147,24 +147,39 @@ def load_system(path):
     return StateSpace.from_dict(data)
 
 
-def eval_tf(sys, s):
-    """Evaluate ``R(s) = C (sI - A)^{-1} B + D`` at a complex point.
+def near_pole(sys, s):
+    """True for each point of the 1-D array ``s`` within
+    ``1e-9 * (1 + ||A||)`` of an eigenvalue of ``A``."""
+    dist = np.abs(sys.poles()[None, :] - np.asarray(s)[:, None])
+    return dist.min(axis=1, initial=np.inf) < 1e-9 * (1.0 + sys.a_norm)
 
-    Raises ``PoleProximityError`` when ``s`` is within
-    ``1e-9 * (1 + ||A||)`` of an eigenvalue of ``A``.
+
+def eval_tf(sys, s):
+    """Evaluate ``R(s) = C (sI - A)^{-1} B + D``.
+
+    ``s`` is one complex point, giving a ``p x q`` array, or a 1-D array of
+    N points, giving the ``N x p x q`` stack of the responses from one
+    stacked solve; each slice equals the one-point call bit for bit.
+    Raises ``PoleProximityError`` when a point is ``near_pole`` (the first
+    such point is named).
     """
-    s = complex(s)
+    points = np.asarray(s, dtype=complex)
+    stack = points.reshape(-1)
     if sys.n == 0:
-        return sys.D + 0j
-    vals = sys.poles()
-    dist = np.abs(vals - s)
-    k = int(np.argmin(dist))
-    if dist[k] < 1e-9 * (1.0 + sys.a_norm):
+        return np.broadcast_to(sys.D + 0j, points.shape + sys.D.shape).copy()
+    near = near_pole(sys, stack)
+    if near.any():
+        point = complex(stack[np.argmax(near)])
+        vals = sys.poles()
+        dist = np.abs(vals - point)
+        k = int(np.argmin(dist))
         raise PoleProximityError(
-            f"evaluation point {s} is within {dist[k]:.3e} of pole "
+            f"evaluation point {point} is within {dist[k]:.3e} of pole "
             f"{vals[k]}", pole=complex(vals[k]))
-    X = np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B.astype(complex))
-    return sys.C @ X + sys.D
+    shifted = stack[:, None, None] * np.eye(sys.n) - sys.A
+    X = np.linalg.solve(shifted, sys.B.astype(complex))
+    R = sys.C @ X + sys.D
+    return R.reshape(points.shape + R.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -179,12 +194,11 @@ class Minimality:
 
 def is_minimal(sys):
     """PBH controllability/observability of the realization."""
-    vals = sys.poles()
     return Minimality(
         controllable=linalg.pbh_witness(sys.A, sys.B, "controllable",
-                                        vals) is None,
+                                        sys.spectrum) is None,
         observable=linalg.pbh_witness(sys.A, sys.C, "observable",
-                                      vals) is None)
+                                      sys.spectrum) is None)
 
 
 def has_zero_at_origin(sys):

@@ -138,7 +138,7 @@ def find_output_transformation(sys):
     """
     p = sys.require_square("output-transformation search")
     if linalg.pbh_witness(sys.A, sys.B, "controllable",
-                          sys.poles()) is not None:
+                          sys.spectrum) is not None:
         raise NotControllableError(
             "output-transformation search requires a controllable system")
     info = relative_degree_vector(sys)
@@ -284,27 +284,32 @@ def _complete_internal_rows(B, base, m, n):
     """Choose ``m`` rows from the left null space of B completing ``base``.
 
     Greedy selection from an orthonormal null-space basis, maximizing the
-    smallest singular value of the partial stack at each step.
+    smallest singular value of the partial stack at each step (the first
+    best candidate wins a tie).  A step forms the Gram matrix of the rows
+    chosen so far once; each candidate borders it, and one stacked
+    ``eigvalsh`` gives every candidate's ``sigma_min^2``.
     """
     p = B.shape[1]
-    U = np.linalg.svd(B, full_matrices=True)[0]
-    candidates = [U[:, p + k] for k in range(n - p)]
-    chosen = []
+    candidates = np.linalg.svd(B, full_matrices=True)[0][:, p:].T
+    chosen = np.zeros((0, n))
     for _ in range(m):
-        best, best_sigma = None, -1.0
-        for idx, cand in enumerate(candidates):
-            trial = np.vstack([*(c.reshape(1, -1) for c in chosen),
-                               cand.reshape(1, -1), base])
-            sigma = np.linalg.svd(trial, compute_uv=False)[-1]
-            if sigma > best_sigma:
-                best, best_sigma = idx, sigma
-        if best is None or best_sigma <= 0.0:
+        X = np.vstack([chosen, base])
+        r = X.shape[0]
+        cross = candidates @ X.T
+        gram = np.empty((len(candidates), r + 1, r + 1))
+        gram[:, 0, 0] = (candidates * candidates).sum(axis=1)
+        gram[:, 0, 1:] = cross
+        gram[:, 1:, 0] = cross
+        gram[:, 1:, 1:] = X @ X.T
+        sigma2 = np.linalg.eigvalsh(gram)[:, 0]
+        best = int(np.argmax(sigma2))
+        if sigma2[best] <= 0.0:
             raise NumericalError(
                 "could not complete the state transform from the left "
                 "null space of B")
-        chosen.append(candidates.pop(best))
-    return np.vstack([c.reshape(1, -1) for c in chosen]) if chosen \
-        else np.zeros((0, n))
+        chosen = np.vstack([chosen, candidates[best]])
+        candidates = np.delete(candidates, best, axis=0)
+    return chosen
 
 
 def to_normal_form(sys, T_y=None, T_x=None, T_u=None):

@@ -261,10 +261,10 @@ def _synthesize_deg12(nf, cfg, ni_class):
     A02 = np.vstack([split.A02a, split.A02b])
     A03 = np.vstack([split.A03a, split.A03b])
 
-    vals00 = linalg.eig(A00).values
-    c1 = linalg.pbh_witness(A00, A01, "controllable", vals00) is None
+    res00 = linalg.eig(A00)
+    c1 = linalg.pbh_witness(A00, A01, "controllable", res00) is None
     c2 = linalg.pbh_witness(A00, A00 @ A03 + A02, "controllable",
-                            vals00) is None
+                            res00) is None
     if not (c1 or c2):
         raise NotControllableError(
             "the normal form is not controllable: neither (A00, A01) nor "
@@ -330,11 +330,11 @@ def _synthesize_deg12(nf, cfg, ni_class):
         K20 = np.hstack([K20a, K20b])
         ok = True
         if c1:
-            w = linalg.pbh_witness(A00, K10, "observable", vals00)
+            w = linalg.pbh_witness(A00, K10, "observable", res00)
             if w is not None:
                 ok, last_witness = False, w
         if c2 and ok:
-            w = linalg.pbh_witness(A00, K20, "observable", vals00)
+            w = linalg.pbh_witness(A00, K20, "observable", res00)
             if w is not None:
                 ok, last_witness = False, w
         if ok:
@@ -432,8 +432,7 @@ def synthesize_ssni(nf, cfg=None):
     if linalg.stability_class(res00) is not StabilityClass.HURWITZ:
         raise NotMinimumPhaseError(
             "internal dynamics are not asymptotically stable")
-    if linalg.pbh_witness(A00, A01, "controllable",
-                          res00.values) is not None:
+    if linalg.pbh_witness(A00, A01, "controllable", res00) is not None:
         raise NotControllableError("(A00, A01) is not controllable")
     Y2 = _bind_spd(cfg.Y2, p, "Y2")
     iY2 = np.linalg.inv(Y2)

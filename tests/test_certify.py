@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, is_minimal, linalg
+from nisynth import StateSpace, certify, eval_tf, is_minimal, linalg
 from nisynth.certify import (
     FrequencyGrid,
     classify_freq,
@@ -9,11 +9,23 @@ from nisynth.certify import (
     residue_at_imaginary_pole,
     verify_certificate,
 )
-from nisynth.errors import InputError, PoleInForbiddenRegionError
+from nisynth.errors import (
+    InputError,
+    PoleInForbiddenRegionError,
+    PoleProximityError,
+)
+from nisynth.statespace import UncertainSystem
 from nisynth.structure import find_output_transformation, to_normal_form
-from nisynth.synth import SynthesisConfig, synthesize_ni
+from nisynth.synth import (
+    SynthesisConfig,
+    robust_stabilize,
+    synthesize_ni,
+    synthesize_osni,
+    synthesize_ssni,
+)
 
-from gen import planted_system, random_shape, well_conditioned
+from gen import planted_system, random_hurwitz, random_shape, \
+    well_conditioned
 
 
 def demo_nominal_closed():
@@ -114,6 +126,149 @@ class TestClassifyFreq:
             cases += 1
 
 
+def per_point_sweep(sys, ni_class, grid, eps=None):
+    """Reference: the sampled part of the class test, one frequency at a
+    time; points within the pole distance of ``eval_tf`` are skipped and
+    the first strictly smallest margin wins.  Returns
+    ``(worst_omega, worst_margin)``."""
+    worst_margin, worst_omega = np.inf, None
+    for w in grid.omegas:
+        try:
+            R = eval_tf(sys, 1j * w)
+        except PoleProximityError:
+            continue
+        M = 1j * (R - R.conj().T)
+        if ni_class == "osni":
+            Rb = R - sys.D
+            M = w * M - eps * w ** 2 * (Rb.conj().T @ Rb)
+        lam = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+        margin = float(lam[0]) if len(lam) else 0.0
+        if margin < worst_margin:
+            worst_margin, worst_omega = margin, float(w)
+    return worst_omega, worst_margin
+
+
+def assert_sweep_matches(sys, ni_class, eps=None, grid=None):
+    grid = grid or FrequencyGrid.default(sys)
+    verdict = classify_freq(sys, ni_class, grid=grid, eps=eps)
+    omega, margin = per_point_sweep(sys, ni_class, grid, eps)
+    assert verdict.worst_omega == omega
+    assert np.float64(verdict.worst_margin).tobytes() == \
+        np.float64(margin).tobytes()
+    floor = -1e-8 if ni_class in ("ni", "osni") else 1e-10
+    # residue and frequency-limit failures are noted; they can only
+    # turn a sampled pass into a failure
+    other_failure = any("fails" in note or "not simple" in note
+                        for note in verdict.notes)
+    assert verdict.holds == (margin >= floor and not other_failure)
+    return verdict
+
+
+def _closed_loops(rng, count, shape_of, synthesize):
+    loops = []
+    while len(loops) < count:
+        p1, p2, m_a, m_b = shape_of(rng)
+        sys, _ = planted_system(rng, p1, p2, m_a, m_b)
+        gains = synthesize(to_normal_form(sys),
+                           SynthesisConfig(rng_seed=len(loops)))
+        loops.append(gains)
+    return loops
+
+
+class TestBatchedSweep:
+    """The chunked, stacked sweep of ``classify_freq`` gives the verdict,
+    worst frequency and worst margin of the per-point loop bit for bit."""
+
+    def test_ni_on_planted_closed_loops_and_demo(self):
+        rng = np.random.default_rng(61)
+        loops = _closed_loops(rng, 6, lambda r: random_shape(r, 3, 8),
+                              synthesize_ni)
+        for gains in loops:
+            assert assert_sweep_matches(gains.closed_loop, "ni").holds
+        assert assert_sweep_matches(demo_nominal_closed(), "ni").holds
+
+    def test_osni_on_planted_closed_loops(self):
+        rng = np.random.default_rng(62)
+
+        def shape(r):
+            while True:
+                p1, p2, m_a, m_b = random_shape(r, 3, 8)
+                if p1 > 0 and p2 <= p1:
+                    return p1, p2, m_a, m_b
+
+        for gains in _closed_loops(rng, 5, shape, synthesize_osni):
+            assert assert_sweep_matches(gains.closed_loop, "osni",
+                                        eps=gains.epsilon).holds
+
+    def test_sni_and_ssni_on_planted_closed_loops(self):
+        rng = np.random.default_rng(63)
+        loops = _closed_loops(
+            rng, 5, lambda r: random_shape(r, 3, 8, force_p2=0, force_ma=0),
+            synthesize_ssni)
+        for gains in loops:
+            assert assert_sweep_matches(gains.closed_loop, "sni").holds
+            assert assert_sweep_matches(gains.closed_loop, "ssni").holds
+        assert assert_sweep_matches(first_order_lag(), "sni").holds
+
+    def test_all_classes_on_random_hurwitz_systems(self):
+        # mostly not NI: the worst point is a genuine negative margin
+        rng = np.random.default_rng(64)
+        for n, p in ((1, 1), (3, 2), (5, 3), (8, 2)):
+            sys = StateSpace(A=random_hurwitz(rng, n),
+                             B=rng.standard_normal((n, p)),
+                             C=rng.standard_normal((p, n)))
+            for ni_class in ("ni", "sni", "ssni"):
+                assert_sweep_matches(sys, ni_class)
+            assert_sweep_matches(sys, "osni", eps=0.3)
+
+    def test_64_states_span_several_chunks(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        sys = StateSpace(A=random_hurwitz(rng, 64),
+                         B=rng.standard_normal((64, 3)),
+                         C=rng.standard_normal((3, 64)))
+        calls = []
+
+        def counting_eval_tf(system, s):
+            calls.append(np.size(s))
+            return eval_tf(system, s)
+
+        monkeypatch.setattr(certify, "eval_tf", counting_eval_tf)
+        for ni_class in ("ni", "sni", "ssni"):
+            assert_sweep_matches(sys, ni_class)
+        assert_sweep_matches(sys, "osni", eps=0.3)
+        # 2**14 complex entries: four 64 x 64 points a chunk
+        assert calls[:100] == [4] * 100
+
+    def test_64_state_robust_loop(self):
+        rng = np.random.default_rng(66)
+        sys, _ = planted_system(rng, 1, 2, 34, 25)
+        res = robust_stabilize(UncertainSystem(plant=sys, gamma=1.0))
+        assert assert_sweep_matches(res.nominal_closed, "ni").holds
+
+    def test_points_at_a_pole_are_skipped(self):
+        # R(s) = 1/(s^2 + 1); the grid point 1.0 sits on the pole j
+        sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
+                         C=[[1.0, 0.0]])
+        grid = FrequencyGrid(omegas=np.array([0.5, 1.0, 2.0]), lo=0.5,
+                             hi=2.0)
+        assert assert_sweep_matches(sys, "ni", grid=grid).holds
+        only_pole = FrequencyGrid(omegas=np.array([1.0]), lo=0.5, hi=2.0)
+        with pytest.raises(InputError, match="no usable grid points"):
+            classify_freq(sys, "ni", grid=only_pole)
+
+    def test_resonance_between_grid_points_still_missed(self):
+        # known fault (ROADMAP item 1): a resonance between two grid
+        # points is not NI, yet the sampled test says it holds
+        grid = FrequencyGrid.default()
+        w0 = float(np.sqrt(grid.omegas[200] * grid.omegas[201]))
+        sys = StateSpace(A=[[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                            [0.0, -w0 ** 2, -2e-4 * w0]],
+                         B=[[1.0], [0.0], [1.0]], C=[[1.0, -0.01, 0.0]])
+        R = eval_tf(sys, 1j * w0)
+        assert np.linalg.eigvalsh(1j * (R - R.conj().T))[0] < -1.0
+        assert assert_sweep_matches(sys, "ni").holds
+
+
 class TestResidue:
     def oscillator(self, numerator="position"):
         # 1/(s^2+1) has residue 1/2 at j; s/(s^2+1) likewise (partial
@@ -199,6 +354,21 @@ class TestVerifyCertificate:
         verdict, _ = verify_certificate(sys, "ni", np.eye(2))
         assert not verdict.holds
         assert any("minimal" in n for n in verdict.notes)
+
+    def test_observable_uncontrollable_mode_noted(self):
+        # -2 is uncontrollable and observable, so the strong-class
+        # certificate route does not apply
+        sys = StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
+                         C=[[1.0, 1.0]])
+        verdict, _ = verify_certificate(sys, "ssni", np.eye(2))
+        assert not verdict.holds
+        assert "observable uncontrollable mode at -2.0 " \
+            "(certificate-test hypothesis)" in verdict.notes
+        # uncontrollable and unobservable: not a hypothesis failure
+        hidden = StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
+                            C=[[1.0, 0.0]])
+        verdict, _ = verify_certificate(hidden, "ssni", np.eye(2))
+        assert not any("uncontrollable" in n for n in verdict.notes)
 
     def test_sni_not_supported(self):
         with pytest.raises(InputError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisynth import linalg
+from nisynth import StateSpace, is_minimal, linalg
 from nisynth.errors import (
     AsymmetricMatrixError,
     InputError,
@@ -11,7 +11,7 @@ from nisynth.errors import (
 )
 from nisynth.linalg import StabilityClass
 
-from gen import random_hurwitz, random_skew_nonsingular
+from gen import planted_system, random_hurwitz, random_skew_nonsingular
 
 
 class TestEig:
@@ -184,7 +184,7 @@ def kalman_rank_observable(A, C):
 
 def pbh_holds(A, M, mode):
     """PBH verdict over the whole spectrum of ``A``."""
-    return linalg.pbh_witness(A, M, mode, linalg.eig(A).values) is None
+    return linalg.pbh_witness(A, M, mode, linalg.eig(A)) is None
 
 
 class TestPbh:
@@ -194,11 +194,12 @@ class TestPbh:
 
     def test_unobserved_mode(self):
         A = np.diag([-1.0, -2.0])
-        assert linalg.pbh_witness(A, [[1.0, 0.0]], "observable",
-                                  linalg.eig(A).values) == -2.0
-        # only the eigenvalues passed are tested
-        assert linalg.pbh_witness(A, [[1.0, 0.0]], "observable",
-                                  [-1.0]) is None
+        res = linalg.eig(A)
+        assert linalg.pbh_witness(A, [[1.0, 0.0]], "observable", res) == -2.0
+        # every eigenvalue of the spectrum is tested, in its sorted order
+        assert list(res.values) == [-2.0, -1.0]
+        assert list(linalg.pbh_failures(A, [[1.0, 0.0]], "observable",
+                                        res)) == [True, False]
 
     def test_scalar_gain_observable(self):
         assert pbh_holds([[-1.0]], [[4.0]], "observable")
@@ -220,6 +221,157 @@ class TestPbh:
                 kalman_rank_controllable(A, B)
             assert pbh_holds(A, C, "observable") == \
                 kalman_rank_observable(A, C)
+
+
+def svd_pbh_failures(A, M, mode, values):
+    """Reference: the SVD rank test of the PBH pencil at every eigenvalue."""
+    A, M = np.asarray(A, dtype=float), np.asarray(M, dtype=float)
+    n = A.shape[0]
+    failed = []
+    for lam in values:
+        shifted = lam * np.eye(n) - A
+        pencil = np.hstack([shifted, M]) if mode == "controllable" \
+            else np.vstack([shifted, M])
+        failed.append(linalg.rank(pencil) < n)
+    return np.array(failed, dtype=bool)
+
+
+def assert_pbh_matches_svd(A, M, mode):
+    """Screened verdicts and witness equal the SVD test's; returns them."""
+    res = linalg.eig(A)
+    ref = svd_pbh_failures(A, M, mode, res.values)
+    assert list(linalg.pbh_failures(A, M, mode, res)) == list(ref)
+    assert linalg.pbh_witness(A, M, mode, res) == \
+        (complex(res.values[np.argmax(ref)]) if ref.any() else None)
+    return ref
+
+
+def conditioned(rng, n, kappa):
+    """Random real matrix with singular values log-spaced over
+    [1/kappa, 1]."""
+    Q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q1 @ np.diag(np.logspace(0.0, -np.log10(kappa), n)) @ Q2
+
+
+def real_blocks(rng, spectrum):
+    """Block-diagonal real matrix: a real eigenvalue per 1x1 block, a
+    complex pair per 2x2 block; returns it and the first block's size."""
+    blocks = []
+    for kind in spectrum:
+        a = -rng.uniform(0.2, 3.0)
+        if kind == "real":
+            blocks.append(np.array([[a]]))
+        else:
+            b = rng.uniform(0.5, 3.0)
+            blocks.append(np.array([[a, b], [-b, a]]))
+    n = sum(len(b) for b in blocks)
+    D = np.zeros((n, n))
+    k = 0
+    for blk in blocks:
+        D[k:k + len(blk), k:k + len(blk)] = blk
+        k += len(blk)
+    return D, len(blocks[0])
+
+
+class TestPbhScreen:
+    """``pbh_failures`` screens simple eigenvalues with the left
+    eigenvectors; verdicts and witnesses equal the SVD test's."""
+
+    SPECTRA = {"real": ("real",) * 6,
+               "complex": ("pair",) * 3,
+               "mixed": ("pair", "real", "pair", "real")}
+
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9])
+    def test_component_along_one_left_eigenvector(self, spectrum, kappa):
+        rng = np.random.default_rng([int(np.log10(kappa)), len(spectrum)])
+        outcomes = set()
+        for _ in range(3):
+            D, k = real_blocks(rng, self.SPECTRA[spectrum])
+            n = len(D)
+            T = conditioned(rng, n, kappa)
+            T_inv = np.linalg.inv(T)
+            A = T @ D @ T_inv
+            # B sees the first block's left eigenvectors only through eps
+            P = np.eye(n) - T[:, :k] @ T_inv[:k, :]
+            G = P @ rng.standard_normal((n, 2))
+            G /= np.linalg.norm(G)
+            v = T[:, :1] / np.linalg.norm(T[:, :1])
+            for eps in 10.0 ** -np.arange(2, 17, 2):
+                B = G.copy()
+                B[:, :1] += eps * v
+                outcomes.add(assert_pbh_matches_svd(A, B, "controllable")
+                             .any())
+                outcomes.add(assert_pbh_matches_svd(A.T, B.T, "observable")
+                             .any())
+        if kappa <= 1e6:
+            # both verdicts occur over the range of eps (at 1e9 the rank
+            # tolerance, relative to ||A||, exceeds ||B|| and all fail)
+            assert outcomes == {True, False}
+
+    def test_jordan_block(self):
+        J = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        head, tail = [[1.0], [0.0], [1.0]], [[0.0], [1.0], [1.0]]
+        assert list(linalg.eig(J).algebraic) == [1, 2, 2]
+        # input on the head of the chain: uncontrollable at -1
+        assert assert_pbh_matches_svd(J, head, "controllable").any()
+        assert not assert_pbh_matches_svd(J, tail, "controllable").any()
+        assert assert_pbh_matches_svd(J.T, np.transpose(head),
+                                      "observable").any()
+        # hidden by a similarity the computed pair splits by about 1e-8;
+        # it stays one cluster, which takes the SVD test
+        rng = np.random.default_rng(41)
+        T = conditioned(rng, 3, 10.0)
+        A = T @ J @ np.linalg.inv(T)
+        assert list(linalg.eig(A).algebraic) == [1, 2, 2]
+        for b in (head, tail):
+            assert_pbh_matches_svd(A, T @ b, "controllable")
+            assert_pbh_matches_svd(A.T, (T @ b).T, "observable")
+
+    def test_repeated_eigenvalue(self):
+        rng = np.random.default_rng(42)
+        T = conditioned(rng, 4, 10.0)
+        A = T @ np.diag([-1.0, -1.0, -2.0, -3.0]) @ np.linalg.inv(T)
+        B1 = rng.standard_normal((4, 1))
+        # one input cannot reach a two-dimensional eigenspace
+        assert assert_pbh_matches_svd(A, B1, "controllable").any()
+        assert not assert_pbh_matches_svd(
+            A, rng.standard_normal((4, 2)), "controllable").any()
+        assert assert_pbh_matches_svd(A.T, B1.T, "observable").any()
+
+    def test_minimal_26_state_plant_needs_no_rank_test(self, monkeypatch):
+        sys, _ = planted_system(np.random.default_rng(26), 2, 1, 12, 10)
+        assert sys.n == 26
+        fresh = StateSpace(A=sys.A, B=sys.B, C=sys.C)
+        calls = []
+        rank = linalg.rank
+
+        def counting_rank(M):
+            calls.append(M.shape)
+            return rank(M)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        assert is_minimal(fresh).minimal
+        assert calls == []
+
+    def test_badly_scaled_spectrum(self):
+        # the rank tolerance grows with ||A||: a component of B far above
+        # 1e-6 ||B|| can still be rank deficient next to an eigenvalue of
+        # -1e10, so the screen's bound scales with ||A|| too
+        for big in (1e6, 1e10, 1e12):
+            A = np.diag([-big, -1.0, -big / 2])
+            for c in (1e-3, 1e-5, 3e-6, 1e-8):
+                M = np.array([[1.0], [c], [1.0]])
+                assert_pbh_matches_svd(A, M, "controllable")
+                assert_pbh_matches_svd(A, M.T, "observable")
+
+    def test_singular_eigenvector_matrix_takes_the_svd_test(self):
+        A = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-14]])
+        res = linalg.eig(A)
+        assert res.left is None
+        assert_pbh_matches_svd(A, [[0.0], [1.0]], "controllable")
+        assert_pbh_matches_svd(A, [[1.0], [0.0]], "controllable")
 
 
 def stability_class(A):

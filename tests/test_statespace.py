@@ -61,6 +61,32 @@ class TestEvalTf:
             assert np.allclose(eval_tf(sys, np.conj(s)),
                                np.conj(eval_tf(sys, s)), atol=1e-9)
 
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for n, p in ((1, 1), (3, 2), (6, 3), (26, 3), (64, 3)):
+            sys = StateSpace(A=random_hurwitz(rng, n),
+                             B=rng.standard_normal((n, p)),
+                             C=rng.standard_normal((p, n)),
+                             D=rng.standard_normal((p, p)))
+            points = np.concatenate([
+                1j * np.logspace(-4, 4, 37),
+                rng.standard_normal(5) + 1j * rng.standard_normal(5), [0.0]])
+            stack = eval_tf(sys, points)
+            assert stack.shape == (len(points), p, p)
+            for s, R in zip(points, stack):
+                assert R.tobytes() == eval_tf(sys, s).tobytes()
+
+    def test_array_pole_proximity(self):
+        sys = StateSpace(A=np.diag([-1.0, -3.0]), B=[[1.0], [1.0]],
+                         C=[[1.0, 1.0]])
+        points = np.array([1j, -3.0 + 1e-12, 2j, -1.0])
+        with pytest.raises(PoleProximityError) as exc:
+            eval_tf(sys, points)
+        # the first point too close to a pole is named
+        assert exc.value.pole == -3.0
+        assert f"evaluation point {complex(points[1])} " in str(exc.value)
+        assert eval_tf(sys, points[[0, 2]]).shape == (2, 1, 1)
+
 
 class TestMinimality:
     def test_demo_plant_minimal(self, demo_plant):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, linalg
+from nisynth import StateSpace, linalg, structure
 from nisynth.errors import (
     InputError,
     NoRdLeqTwoError,
@@ -202,6 +202,69 @@ class TestToNormalForm:
     def test_rejects_bad_ty(self, demo_plant):
         with pytest.raises(InputError):
             to_normal_form(demo_plant, np.eye(2))
+
+
+def greedy_svd_rows(B, base, m, n):
+    """Reference completion: one SVD per candidate per greedy step."""
+    p = B.shape[1]
+    U = np.linalg.svd(B, full_matrices=True)[0]
+    candidates = [U[:, p + k] for k in range(n - p)]
+    chosen = []
+    for _ in range(m):
+        best, best_sigma = None, -1.0
+        for idx, cand in enumerate(candidates):
+            trial = np.vstack([*(c.reshape(1, -1) for c in chosen),
+                               cand.reshape(1, -1), base])
+            sigma = np.linalg.svd(trial, compute_uv=False)[-1]
+            if sigma > best_sigma:
+                best, best_sigma = idx, sigma
+        chosen.append(candidates.pop(best))
+    return np.vstack(chosen) if chosen else np.zeros((0, n))
+
+
+def gen_shapes(max_p=3, max_n=8):
+    """Every (p1, p2, m_a, m_b) that ``random_shape`` can draw."""
+    for p1 in range(max_p + 1):
+        for p2 in range(max_p + 1 - p1):
+            n_ext = p1 + 2 * p2
+            if p1 + p2 == 0 or n_ext >= max_n:
+                continue
+            budget = max_n - n_ext
+            for m_a in range(0, budget + 1, 2):
+                for m_b in range(budget - m_a + 1):
+                    yield p1, p2, m_a, m_b
+
+
+class TestCompleteInternalRows:
+    """The bordered-Gram completion picks the rows of the greedy
+    per-candidate SVD loop, so ``T_x`` is unchanged bit for bit."""
+
+    @staticmethod
+    def assert_same_completion(sys):
+        nf = to_normal_form(sys)
+        Ct = nf.transforms.T_y @ sys.C
+        base = np.vstack([Ct[:nf.p1], Ct[nf.p1:], Ct[nf.p1:] @ sys.A])
+        rows = structure._complete_internal_rows(sys.B, base, nf.m, sys.n)
+        expected = greedy_svd_rows(sys.B, base, nf.m, sys.n)
+        assert rows.tobytes() == expected.tobytes()
+        assert nf.transforms.T_x.tobytes() == \
+            np.vstack([expected, base]).tobytes()
+
+    def test_every_gen_shape(self):
+        shapes = list(gen_shapes())
+        assert len(shapes) > 50
+        for k, shape in enumerate(shapes):
+            sys, _ = planted_system(np.random.default_rng([71, k]), *shape)
+            self.assert_same_completion(sys)
+
+    def test_large_shapes(self):
+        rng = np.random.default_rng(72)
+        for shape in ((2, 1, 12, 10), (1, 2, 34, 25)):
+            sys, _ = planted_system(rng, *shape)
+            self.assert_same_completion(sys)
+
+    def test_demo(self, demo_plant):
+        self.assert_same_completion(demo_plant)
 
 
 class TestSplitZeroDynamics:
