@@ -126,15 +126,20 @@ def cmd_analyze(args):
     report["minimality"] = {"controllable": m.controllable,
                             "observable": m.observable}
     report["zero_at_origin"] = has_zero_at_origin(system)
-    info0 = structure.relative_degree_vector(system)
-    report["relative_degree"] = {"r": list(info0.r),
-                                 "kind": info0.kind.value,
-                                 "notes": list(info0.notes)}
+    # the normal form's T_y search computes the original outputs' degrees
+    # before any other test and records them; with a transforms file it
+    # may not run, so the degrees are computed here, before the file is read
+    info0 = structure.relative_degree_vector(system) if args.transforms \
+        else None
     overrides = _transform_args(
         _load_json(args.transforms, "transforms") if args.transforms else None)
     nf = structure.to_normal_form(system, overrides.get("T_y"),
                                   T_x=overrides.get("T_x"),
                                   T_u=overrides.get("T_u"))
+    info0 = info0 or nf.source_rd_info
+    report["relative_degree"] = {"r": list(info0.r),
+                                 "kind": info0.kind.value,
+                                 "notes": list(info0.notes)}
     report["transformed_relative_degree"] = {"r": list(nf.rd_info.r),
                                              "kind": nf.rd_info.kind.value}
     report["normal_form"] = {

@@ -9,7 +9,8 @@ row-major lists of lists and are validated for rectangularity on load.
 
 A ``StateSpace`` holds read-only copies of its matrices and caches the
 spectrum of ``A``, which records ``||A||_2`` too and, once asked, its left
-eigenvectors; the functions keep no other state.
+eigenvectors, and the modal factors ``C V`` and ``V^{-1} B`` that
+``eval_tf`` works from; the functions keep no other state.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ class StateSpace:
     def spectrum(self):
         """``linalg.eig(A)``, computed once per system."""
         return linalg.eig(self.A)
+
+    @cached_property
+    def modal_factors(self):
+        """``(C V, V^{-1} B)`` from the cached spectrum, computed once per
+        system; None when the eigenbasis is not trusted
+        (``spectrum.left`` is None)."""
+        W = self.spectrum.left
+        if W is None:
+            return None
+        return self.C @ self.spectrum.vectors, W @ self.B
 
     @property
     def a_norm(self):
@@ -158,8 +169,11 @@ def eval_tf(sys, s):
     """Evaluate ``R(s) = C (sI - A)^{-1} B + D``.
 
     ``s`` is one complex point, giving a ``p x q`` array, or a 1-D array of
-    N points, giving the ``N x p x q`` stack of the responses from one
-    stacked solve; each slice equals the one-point call bit for bit.
+    N points, giving the ``N x p x q`` stack of the responses; each slice
+    equals the one-point call bit for bit.  The responses come from the
+    modal form ``D + (C V) diag(1 / (s - lambda_k)) (V^{-1} B)`` in one
+    stacked product, or, when the eigenbasis is not trusted
+    (``modal_factors`` is None), from one stacked solve with ``sI - A``.
     Raises ``PoleProximityError`` when a point is ``near_pole`` (the first
     such point is named).
     """
@@ -167,18 +181,23 @@ def eval_tf(sys, s):
     stack = points.reshape(-1)
     if sys.n == 0:
         return np.broadcast_to(sys.D + 0j, points.shape + sys.D.shape).copy()
+    vals = sys.poles()
     near = near_pole(sys, stack)
     if near.any():
         point = complex(stack[np.argmax(near)])
-        vals = sys.poles()
         dist = np.abs(vals - point)
         k = int(np.argmin(dist))
         raise PoleProximityError(
             f"evaluation point {point} is within {dist[k]:.3e} of pole "
             f"{vals[k]}", pole=complex(vals[k]))
-    shifted = stack[:, None, None] * np.eye(sys.n) - sys.A
-    X = np.linalg.solve(shifted, sys.B.astype(complex))
-    R = sys.C @ X + sys.D
+    factors = sys.modal_factors
+    if factors is None:
+        shifted = stack[:, None, None] * np.eye(sys.n) - sys.A
+        R = sys.C @ np.linalg.solve(shifted, sys.B.astype(complex)) + sys.D
+    else:
+        CV, WB = factors
+        resolvent = 1.0 / (stack[:, None] - vals[None, :])
+        R = (CV * resolvent[:, None, :]) @ WB + sys.D
     return R.reshape(points.shape + R.shape[-2:])
 
 

@@ -136,14 +136,21 @@ def find_output_transformation(sys):
     system is not state-feedback equivalent to a negative imaginary system
     when it is minimal with no zero at the origin).
     """
+    T, info, _ = _search_output_transformation(sys)
+    return T, info
+
+
+def _search_output_transformation(sys):
+    """``find_output_transformation``, returning the relative-degree info
+    of the original outputs too, after that of the transformed ones."""
     p = sys.require_square("output-transformation search")
+    original = relative_degree_vector(sys)
     if linalg.pbh_witness(sys.A, sys.B, "controllable",
                           sys.spectrum) is not None:
         raise NotControllableError(
             "output-transformation search requires a controllable system")
-    info = relative_degree_vector(sys)
-    if info.kind is RdKind.FULL and info.max_degree <= 2:
-        return np.eye(p), info
+    if original.kind is RdKind.FULL and original.max_degree <= 2:
+        return np.eye(p), original, original
 
     A, B, C = sys.A, sys.B, sys.C
     M = C @ B
@@ -178,7 +185,7 @@ def find_output_transformation(sys):
             "no output transformation yields relative degree <= 2: "
             "mixed-degree rows of the high-frequency gain matrix are "
             "dependent and cannot be repaired by output transformation")
-    return T, result
+    return T, result, original
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,9 @@ class NormalForm:
     The transformed state matrix has rows ``(z, x1, x2, x3)`` with the x2
     row structurally equal to ``[0 0 0 I]``; the transformed input matrix
     is the indicator of the (x1, x3) rows.  ``rd_info`` holds the relative
-    degrees of ``T_y C`` for the given or found ``T_y``, before sorting.
+    degrees of ``T_y C`` for the given or found ``T_y``, before sorting;
+    ``source_rd_info`` those of the source's own outputs when the ``T_y``
+    search ran, else None.
     """
 
     p1: int
@@ -242,6 +251,7 @@ class NormalForm:
     transforms: TransformSet
     source: StateSpace
     rd_info: RelativeDegreeInfo
+    source_rd_info: RelativeDegreeInfo | None
 
     @property
     def n(self):
@@ -325,8 +335,9 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     p = sys.require_square("normal form")
     A, B = sys.A, sys.B
     n = sys.n
+    source_info = None
     if T_y is None:
-        T_y, info = find_output_transformation(sys)
+        T_y, info, source_info = _search_output_transformation(sys)
     else:
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
@@ -396,7 +407,8 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         A00=At[s0, s0], A01=At[s0, s1], A02=At[s0, s2], A03=At[s0, s3],
         A10=At[s1, s0], A11=At[s1, s1], A12=At[s1, s2], A13=At[s1, s3],
         A30=At[s3, s0], A31=At[s3, s1], A32=At[s3, s2], A33=At[s3, s3],
-        transforms=transforms, source=sys, rd_info=info)
+        transforms=transforms, source=sys, rd_info=info,
+        source_rd_info=source_info)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,15 @@ from nisynth.structure import (
     to_normal_form,
 )
 
+#: matrices whose eigenbasis is not trusted (``EigenResult.left`` is None):
+#: a 3-state Jordan block (V singular) and a Hurwitz matrix whose V is
+#: nonsingular but too ill-conditioned, 1e6 < kappa_2(V) = 2e7 < 1e12
+UNTRUSTED_EIGENBASES = {
+    "jordan": np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                        [0.0, 0.0, -1.0]]),
+    "kappa-2e7": np.array([[-1.0, 1e7], [0.0, -2.0]]),
+}
+
 
 def random_orthogonal(rng, n):
     if n == 0:

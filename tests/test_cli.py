@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from nisynth import structure
 from nisynth.cli import main
+from nisynth.statespace import load_system
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,27 @@ class TestAnalyze:
         assert sorted(rep["transformed_relative_degree"]["r"]) == [1, 2]
         assert rep["phase"]["weakly_minimum_phase"] is True
         assert rep["inputs"]["sha256"]
+
+    def test_original_degrees_computed_once(self, capsys, plant_path,
+                                            monkeypatch):
+        # the report takes the original outputs' degrees from the T_y
+        # search of the normal form instead of computing them again
+        original = structure.relative_degree_vector
+        outputs = []
+
+        def counting(sys):
+            outputs.append(sys.C.copy())
+            return original(sys)
+
+        monkeypatch.setattr(structure, "relative_degree_vector", counting)
+        code, rep = run_cli(capsys, "analyze", plant_path)
+        assert code == 0
+        C = load_system(plant_path).C
+        assert sum(np.array_equal(c, C) for c in outputs) == 1
+        info = original(load_system(plant_path))
+        assert rep["relative_degree"] == {
+            "r": list(info.r), "kind": info.kind.value,
+            "notes": list(info.notes)}
 
     def test_pinned_transforms(self, capsys, plant_path, params_path,
                                tmp_path):

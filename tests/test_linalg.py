@@ -11,7 +11,12 @@ from nisynth.errors import (
 )
 from nisynth.linalg import StabilityClass
 
-from gen import planted_system, random_hurwitz, random_skew_nonsingular
+from gen import (
+    UNTRUSTED_EIGENBASES,
+    planted_system,
+    random_hurwitz,
+    random_skew_nonsingular,
+)
 
 
 class TestEig:
@@ -87,6 +92,104 @@ class TestDefiniteness:
             linalg.definiteness([[1.0, 5.0], [0.0, 1.0]], "pd")
 
 
+def double_loop_cluster(values, radius):
+    """The pair loop ``_cluster`` used to run, kept as its reference."""
+    order = np.lexsort((values.imag, values.real))
+    clusters = []
+    used = np.zeros(len(values), dtype=bool)
+    for idx in order:
+        if used[idx]:
+            continue
+        members = [idx]
+        used[idx] = True
+        for jdx in order:
+            if not used[jdx] and abs(values[jdx] - values[idx]) <= radius:
+                members.append(jdx)
+                used[jdx] = True
+        clusters.append(np.array(members))
+    return clusters
+
+
+class TestCluster:
+    """One n x n distance test replaces the pair loop; the clusters, their
+    order and the order of their members are unchanged."""
+
+    @staticmethod
+    def assert_same_clusters(values, radius):
+        new = linalg._cluster(values, radius)
+        old = double_loop_cluster(values, radius)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_random_spectra(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 5, 12, 26, 64):
+            values = np.linalg.eigvals(rng.standard_normal((n, n)))
+            for radius in (0.0, 1e-7 * n, 0.3, 1.5):
+                self.assert_same_clusters(values, radius)
+
+    def test_conjugate_pairs(self):
+        rng = np.random.default_rng(42)
+        for pairs in (1, 3, 10):
+            z = rng.standard_normal(pairs) + 1j * rng.uniform(0.1, 2.0, pairs)
+            values = rng.permutation(np.concatenate([z, z.conj()]))
+            for radius in (1e-7, 0.25, 1.0):
+                self.assert_same_clusters(values, radius)
+
+    def test_planted_near_duplicates(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            base = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            copies = base[rng.integers(0, 6, 8)] + 1e-9 * (
+                rng.standard_normal(8) + 1j * rng.standard_normal(8))
+            values = rng.permutation(np.concatenate([base, copies]))
+            for radius in (1e-10, 3e-9, 1e-7):
+                self.assert_same_clusters(values, radius)
+
+    def test_chains_close_pairwise_not_transitively(self):
+        # neighbours 0.6 r apart: each is within r of the next, the ends
+        # of a chain are not, so the greedy sweep cuts the chain in pieces
+        r = 1e-3
+        for length in (3, 4, 7):
+            chain = -1.0 + 0.6 * r * np.arange(length)
+            for values in (chain + 0j, chain[::-1] + 0.5j,
+                           np.concatenate([chain + 1j, chain - 1j])):
+                self.assert_same_clusters(values, r)
+        assert [list(c) for c in linalg._cluster(
+            -1.0 + 0.6 * r * np.arange(4) + 0j, r)] == [[0, 1], [2, 3]]
+
+
+class TestSpectralNorm:
+    def test_equals_matrix_two_norm_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        cases = [np.zeros((3, 3)), np.ones((2, 5))]
+        for rows, cols in ((1, 1), (4, 4), (3, 7), (9, 2), (26, 26)):
+            cases.append(rng.standard_normal((rows, cols)))
+            low_rank = rng.standard_normal((rows, 1)) @ \
+                rng.standard_normal((1, cols))
+            cases.append(low_rank)
+            cases.append(low_rank + 1j * rng.standard_normal((rows, cols)))
+        for M in cases:
+            assert np.float64(linalg.spectral_norm(M)).tobytes() == \
+                np.float64(np.linalg.norm(M, 2)).tobytes()
+
+    def test_empty(self):
+        for shape in ((0, 0), (0, 3), (4, 0)):
+            assert linalg.spectral_norm(np.zeros(shape)) == 0.0
+
+
+def kron_lyapunov(A, Q):
+    """The n^2 x n^2 vectorized solve ``solve_lyapunov`` keeps as its
+    fallback, as it ran before the eigenbasis route: the reference for
+    matrices that take the fallback."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    L = np.kron(A.T, eye) + np.kron(eye, A.T)
+    P = np.linalg.solve(L, -Q.flatten()).reshape(n, n)
+    return (P + P.T) / 2.0
+
+
 class TestSolveLyapunov:
     def test_scalar(self):
         assert np.allclose(linalg.solve_lyapunov([[-1.0]], [[2.0]]), [[1.0]])
@@ -114,6 +217,64 @@ class TestSolveLyapunov:
     def test_singular_operator(self):
         with pytest.raises(SingularLyapunovOperatorError):
             linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_matches_scipy_oracle(self, monkeypatch):
+        # the eigenbasis route against Bartels-Stewart (scipy is a test
+        # oracle only); on these well-conditioned operators the two agree
+        # to about a hundred eps of ||P||
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        gate = linalg._lyapunov_residual
+        gates = []
+
+        def counting_gate(*args):
+            gates.append(args)
+            return gate(*args)
+
+        # one residual gate per solve: the eigenbasis answer passed it
+        monkeypatch.setattr(linalg, "_lyapunov_residual", counting_gate)
+        rng = np.random.default_rng(45)
+        for n in (1, 2, 4, 10, 25, 64):
+            for _ in range(3):
+                A = random_hurwitz(rng, n)
+                G = rng.standard_normal((n, n))
+                for Q in (np.eye(n), G @ G.T + np.eye(n)):
+                    gates.clear()
+                    P = linalg.solve_lyapunov(A, Q)
+                    assert len(gates) == 1
+                    ref = scipy_linalg.solve_continuous_lyapunov(A.T, -Q)
+                    assert np.linalg.norm(P - ref, 2) <= \
+                        1e-12 * np.linalg.norm(ref, 2)
+
+    @pytest.mark.parametrize("name", sorted(UNTRUSTED_EIGENBASES))
+    def test_untrusted_eigenbasis_takes_the_kron_solve(self, name):
+        A = UNTRUSTED_EIGENBASES[name]
+        kappa = np.linalg.cond(linalg.eig(A).vectors)
+        assert kappa > 1e6 and (name == "jordan" or kappa < 1e12)
+        assert linalg.eig(A).left is None
+        n = A.shape[0]
+        for Q in (np.eye(n), np.diag(np.arange(1.0, n + 1))):
+            assert linalg.solve_lyapunov(A, Q).tobytes() == \
+                kron_lyapunov(A, Q).tobytes()
+
+    def test_failed_residual_gate_takes_the_kron_solve(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        A = random_hurwitz(rng, 5)
+        Q = np.eye(5)
+        assert linalg.eig(A).left is not None
+        assert linalg.solve_lyapunov(A, Q).tobytes() != \
+            kron_lyapunov(A, Q).tobytes()
+        gate = linalg._lyapunov_residual
+        verdicts = []
+
+        def first_fails(*args):
+            residual, bound = gate(*args)
+            verdicts.append(residual <= bound)
+            return (np.inf if len(verdicts) == 1 else residual), bound
+
+        monkeypatch.setattr(linalg, "_lyapunov_residual", first_fails)
+        assert linalg.solve_lyapunov(A, Q).tobytes() == \
+            kron_lyapunov(A, Q).tobytes()
+        assert verdicts == [True, True]
 
 
 class TestKernelPdSolution:
