@@ -161,9 +161,11 @@ class ResidueResult:
 def residue_at_imaginary_pole(sys, omega0):
     """Residue matrix ``K0 = lim (s - j w0) j R(s)`` at a simple pole.
 
-    Computed from the spectral projector of the eigenvalue ``j w0`` (right
-    and left eigenvectors).  Non-simple poles yield ``simple=False`` and a
-    failed PSD verdict.
+    Computed from the spectral projector ``v w`` of the eigenvalue
+    ``j w0``: ``v`` its right eigenvector and ``w`` the matching row of the
+    spectrum's left eigenvectors (``w v = 1``), or, when the eigenbasis is
+    not trusted, a right eigenvector of ``A^T`` scaled to ``w v = 1``.
+    Non-simple poles yield ``simple=False`` and a failed PSD verdict.
     """
     p = sys.require_square("residue computation")
     if omega0 <= 0:
@@ -183,15 +185,17 @@ def residue_at_imaginary_pole(sys, omega0):
             notes=(f"pole at j*{omega0} has algebraic multiplicity "
                    f"{res.algebraic[k]}; the class requires simple "
                    "imaginary-axis poles",))
-    lam = res.values[k]
     v = res.vectors[:, k]
-    resT = linalg.eig(sys.A.T)
-    kT = int(np.argmin(np.abs(resT.values - lam)))
-    u = resT.vectors[:, kT].conj()
-    denom = u.conj() @ v
-    if abs(denom) <= EPS * scale:
-        raise InputError("left/right eigenvectors are numerically orthogonal")
-    proj = np.outer(v, u.conj()) / denom
+    if res.left is not None:
+        proj = np.outer(v, res.left[k])
+    else:
+        resT = linalg.eig(sys.A.T)
+        u = resT.vectors[:, int(np.argmin(np.abs(resT.values - res.values[k])))]
+        denom = u @ v
+        if abs(denom) <= EPS * scale:
+            raise InputError(
+                "left/right eigenvectors are numerically orthogonal")
+        proj = np.outer(v, u) / denom
     K0 = 1j * (sys.C @ proj @ sys.B)
     defect = spectral_norm(K0 - K0.conj().T)
     K0h = (K0 + K0.conj().T) / 2.0

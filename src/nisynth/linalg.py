@@ -116,10 +116,14 @@ def _cluster(values, radius):
     Returns a list of index arrays.  Greedy sweep over the sorted values:
     the first value not yet taken opens a cluster of every untaken value
     within ``radius`` of it, listed in sweep order.  Adequate for the
-    well-separated spectra handled here.
+    well-separated spectra handled here.  When no two values are within
+    ``radius`` (the common case), the clusters are the singletons in
+    sweep order, returned without the sweep.
     """
     order = np.lexsort((values.imag, values.real))
     close = np.abs(values[:, None] - values[None, :]) <= radius
+    if np.count_nonzero(close) == len(values) and close.diagonal().all():
+        return list(order[:, None])
     clusters = []
     free = np.ones(len(values), dtype=bool)
     for idx in order:
@@ -153,17 +157,16 @@ def eig(A):
     values = values[order]
     vectors = vectors[:, order]
     norm = spectral_norm(A)
-    alg = np.zeros(n, dtype=int)
-    geo = np.zeros(n, dtype=int)
+    alg = np.ones(n, dtype=int)
+    geo = np.ones(n, dtype=int)
     for members in _cluster(values, CLUSTER_TOL * norm):
-        g = 1
-        if len(members) > 1:
-            mu = values[members].mean()
-            # every eigenvalue has an eigenvector, and the rank tolerance
-            # can swallow a nearby cluster: keep g within [1, cluster size]
-            g = min(max(n - rank(A - mu * np.eye(n)), 1), len(members))
+        if len(members) == 1:
+            continue
+        mu = values[members].mean()
         alg[members] = len(members)
-        geo[members] = g
+        # every eigenvalue has an eigenvector, and the rank tolerance
+        # can swallow a nearby cluster: keep g within [1, cluster size]
+        geo[members] = min(max(n - rank(A - mu * np.eye(n)), 1), len(members))
     return EigenResult(values, vectors, alg, geo, norm)
 
 

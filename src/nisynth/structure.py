@@ -290,36 +290,103 @@ def normal_form_output_matrix(m, p1, p2):
     return C
 
 
+def _bordered_sigma2(candidates, chosen, base, rows):
+    """``sigma_min^2`` of ``[c; chosen; base]`` for the candidate rows
+    ``c = candidates[rows]``: the Gram matrix of ``[chosen; base]``,
+    bordered by each candidate, and one stacked ``eigvalsh``."""
+    X = np.vstack([chosen, base])
+    r = X.shape[0]
+    cross = (candidates @ X.T)[rows]
+    gram = np.empty((len(rows), r + 1, r + 1))
+    gram[:, 0, 0] = (candidates * candidates).sum(axis=1)[rows]
+    gram[:, 0, 1:] = cross
+    gram[:, 1:, 0] = cross
+    gram[:, 1:, 1:] = X @ X.T
+    return np.linalg.eigvalsh(gram)[:, 0]
+
+
 def _complete_internal_rows(B, base, m, n):
     """Choose ``m`` rows from the left null space of B completing ``base``.
 
-    Greedy selection from an orthonormal null-space basis, maximizing the
-    smallest singular value of the partial stack at each step (the first
-    best candidate wins a tie).  A step forms the Gram matrix of the rows
-    chosen so far once; each candidate borders it, and one stacked
-    ``eigvalsh`` gives every candidate's ``sigma_min^2``.
+    Greedy selection from an orthonormal null-space basis: each step picks
+    the candidate ``c`` maximizing ``sigma_min^2`` of ``[c; chosen; base]``
+    (the first best candidate wins a tie), as a screen of every candidate
+    by the bordered Gram (``_bordered_sigma2``) would, bit for bit.
+
+    Reduced matrix.  The candidates and the chosen rows are orthonormal.
+    With ``q`` base rows, ``g_c = c base^T``, ``G_b = base base^T`` and a
+    ``q x q`` factor ``R`` with ``R^T R = F^T F``, ``F = chosen base^T``,
+    the ``(2q + 1)``-square ``[[I_q, 0, R], [0, 1, g_c], [R^T, g_c^T,
+    G_b]]`` and the bordered Gram both have ``lambda_min <= 1`` and the
+    same spectrum below 1, so the same ``sigma_min^2``, whatever the
+    number of rows chosen.  ``R`` is ``F`` itself, zero-padded, for the
+    first ``q`` picks, and after that one QR of ``[R; g_best]`` per pick.
+
+    Interlacing bound.  A candidate's ``sigma_min^2`` only falls as rows
+    are chosen (Cauchy interlacing), so its last value bounds it from
+    above.  A step evaluates the candidate of highest bound, then, in one
+    stacked ``eigvalsh``, those whose bound is within
+    ``tau = 1e-9 (1 + ||G_b||_2)`` of that value; no other can lead.
+
+    Arbitration.  When the screen cannot separate the leader (a second
+    value within ``tau`` of the top, or a top value ``<= tau``), the
+    bordered Gram decides among that shortlist in candidate order, and
+    raises when its best is not positive.  Rounding moves a value far less
+    than ``tau``, so the full screen's choice is always on the shortlist.
     """
+    if m == 0:
+        return np.zeros((0, n))
     p = B.shape[1]
     candidates = np.linalg.svd(B, full_matrices=True)[0][:, p:].T
-    chosen = np.zeros((0, n))
+    q = base.shape[0]
+    g = candidates @ base.T
+    G_b = base @ base.T
+    tau = 1e-9 * (1.0 + np.linalg.eigvalsh(G_b)[-1])
+    reduced = np.zeros((len(candidates), 2 * q + 1, 2 * q + 1))
+    reduced[:, :q, :q] = np.eye(q)
+    reduced[:, q, q] = 1.0
+    reduced[:, q, q + 1:] = g
+    reduced[:, q + 1:, q] = g
+    reduced[:, q + 1:, q + 1:] = G_b
+    stack = np.zeros((q + 1, q))     # [R; g_best]
+    bound = np.linalg.eigvalsh(reduced)[:, 0]
+    picks = []
     for _ in range(m):
-        X = np.vstack([chosen, base])
-        r = X.shape[0]
-        cross = candidates @ X.T
-        gram = np.empty((len(candidates), r + 1, r + 1))
-        gram[:, 0, 0] = (candidates * candidates).sum(axis=1)
-        gram[:, 0, 1:] = cross
-        gram[:, 1:, 0] = cross
-        gram[:, 1:, 1:] = X @ X.T
-        sigma2 = np.linalg.eigvalsh(gram)[:, 0]
-        best = int(np.argmax(sigma2))
-        if sigma2[best] <= 0.0:
-            raise NumericalError(
-                "could not complete the state transform from the left "
-                "null space of B")
-        chosen = np.vstack([chosen, candidates[best]])
-        candidates = np.delete(candidates, best, axis=0)
-    return chosen
+        if picks:
+            row = min(len(picks), q + 1) - 1
+            stack[row] = g[picks[-1]]
+            if row == q:
+                stack[:q] = np.linalg.qr(stack, mode="r")
+            R = stack[:q]
+            reduced[:, :q, q + 1:] = R
+            reduced[:, q + 1:, :q] = R.T
+            top = bound.argmax()
+            bound[top] = np.linalg.eigvalsh(reduced[top])[0]
+            stale = bound >= bound[top] - tau
+            stale[top] = False
+            if stale.any():
+                bound[stale] = np.linalg.eigvalsh(reduced[stale])[:, 0]
+        lead = bound.argmax()
+        near = bound >= bound[lead] - tau
+        if bound[lead] > tau and np.count_nonzero(near) == 1:
+            best = int(lead)
+        else:
+            short = np.flatnonzero(near)
+            # the remaining candidates as the full screen holds them: the
+            # SVD's own view at the first step, a compact copy after it
+            live = np.delete(np.arange(len(candidates)), picks)
+            rest = candidates[live] if picks else candidates
+            sigma2 = _bordered_sigma2(rest, candidates[picks], base,
+                                      np.searchsorted(live, short))
+            i = int(np.argmax(sigma2))
+            if sigma2[i] <= 0.0:
+                raise NumericalError(
+                    "could not complete the state transform from the left "
+                    "null space of B")
+            best = int(short[i])
+        picks.append(best)
+        bound[best] = -np.inf
+    return candidates[picks]
 
 
 def to_normal_form(sys, T_y=None, T_x=None, T_u=None):

@@ -326,6 +326,70 @@ class TestResidue:
                 1.0, np.linalg.norm(rr.K0, 2))
             assert np.allclose(rr.K0, psi @ psi.T / 2.0, atol=1e-9)
 
+    @staticmethod
+    def transposed_eig_residue(sys, w):
+        """The residue from a left eigenvector of an ``eig(A^T)``."""
+        res = sys.spectrum
+        k = int(np.argmin(np.abs(res.values - 1j * w)))
+        vals, vecs = np.linalg.eig(sys.A.T)
+        u = vecs[:, int(np.argmin(np.abs(vals - res.values[k])))]
+        v = res.vectors[:, k]
+        K0 = 1j * (sys.C @ np.outer(v, u) @ sys.B) / (u @ v)
+        return (K0 + K0.conj().T) / 2.0
+
+    def test_residues_from_the_cached_left_eigenvectors(self, monkeypatch):
+        # three undamped collocated modes psi_i psi_i^T w_i / (s^2 + w_i^2):
+        # the NI verdict decomposes A once, not once more per pole pair
+        rng = np.random.default_rng(103)
+        omegas = (0.7, 1.3, 2.9)
+        psi = rng.standard_normal((3, 2))
+        A = np.zeros((6, 6))
+        B = np.zeros((6, 2))
+        C = np.zeros((2, 6))
+        for i, w in enumerate(omegas):
+            A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, w], [-w, 0.0]]
+            B[2 * i + 1] = psi[i]
+            C[:, 2 * i] = psi[i]
+        sys = StateSpace(A=A, B=B, C=C)
+        calls = []
+        eig = linalg.eig
+        monkeypatch.setattr(linalg, "eig",
+                            lambda M: calls.append(1) or eig(M))
+        verdict = classify_freq(sys, "ni")
+        assert verdict.holds and len(calls) == 1
+        for i, w in enumerate(omegas):
+            rr = residue_at_imaginary_pole(sys, w)
+            ref = self.transposed_eig_residue(sys, w)
+            assert rr.simple and rr.psd
+            assert np.linalg.norm(rr.K0 - ref, 2) <= \
+                1e-12 * np.linalg.norm(ref, 2)
+            assert np.allclose(rr.K0, np.outer(psi[i], psi[i]) / 2.0,
+                               atol=1e-12)
+        assert len(calls) == 1
+
+    def test_untrusted_eigenbasis_takes_the_transpose(self, monkeypatch):
+        # a defective pole pair: no trusted left eigenvectors; the
+        # simple pole at j*2 still gets its residue from eig(A^T)
+        R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        A = np.zeros((6, 6))
+        A[:4, :4] = np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]])
+        A[4:, 4:] = [[0.0, 2.0], [-2.0, 0.0]]
+        B = np.zeros((6, 1))
+        B[3, 0] = B[5, 0] = 1.0
+        C = np.zeros((1, 6))
+        C[0, 0] = C[0, 4] = 1.0
+        sys = StateSpace(A=A, B=B, C=C)
+        assert sys.spectrum.left is None
+        calls = []
+        eig = linalg.eig
+        monkeypatch.setattr(linalg, "eig",
+                            lambda M: calls.append(1) or eig(M))
+        rr = residue_at_imaginary_pole(sys, 2.0)
+        assert rr.simple and rr.psd and calls == [1]
+        assert np.allclose(rr.K0, self.transposed_eig_residue(sys, 2.0),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(rr.K0, [[0.5]], atol=1e-12)
+
 
 class TestVerifyCertificate:
     def test_scalar_certificate(self):

@@ -57,6 +57,15 @@ class TestEig:
         with pytest.raises(InputError):
             linalg.eig(np.zeros((2, 3)))
 
+    def test_repeated_eigenvalues_keep_their_multiplicities(self):
+        # a 2-block Jordan chain at -1, a double semisimple -2, simple -3
+        A = np.array([[-1.0, 1, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -2, 0, 0],
+                      [0, 0, 0, -2, 0], [0, 0, 0, 0, -3]])
+        res = linalg.eig(A)
+        assert res.values.real.tolist() == [-3, -2, -2, -1, -1]
+        assert res.algebraic.tolist() == [1, 2, 2, 2, 2]
+        assert res.geometric.tolist() == [1, 2, 2, 1, 1]
+
 
 class TestRank:
     def test_singular_product(self):
@@ -158,6 +167,25 @@ class TestCluster:
                 self.assert_same_clusters(values, r)
         assert [list(c) for c in linalg._cluster(
             -1.0 + 0.6 * r * np.arange(4) + 0j, r)] == [[0, 1], [2, 3]]
+
+
+    def test_all_singletons(self):
+        rng = np.random.default_rng(45)
+        for n in (1, 3, 26, 64):
+            values = np.linalg.eigvals(rng.standard_normal((n, n)))
+            radius = 1e-7 * n
+            assert [len(c) for c in linalg._cluster(values, radius)] == \
+                [1] * n
+            self.assert_same_clusters(values, radius)
+
+    def test_singletons_mixed_with_clusters(self):
+        rng = np.random.default_rng(46)
+        single = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        near = single[:3] + 1e-10 * (1 + 1j)
+        values = rng.permutation(np.concatenate([single, near]))
+        assert sorted(len(c) for c in linalg._cluster(values, 1e-8)) == \
+            [1] * 7 + [2] * 3
+        self.assert_same_clusters(values, 1e-8)
 
 
 class TestSpectralNorm:

@@ -7,6 +7,7 @@ from nisynth.errors import (
     NoRdLeqTwoError,
     NotControllableError,
     NotWeaklyMinimumPhaseError,
+    NumericalError,
 )
 from nisynth.linalg import StabilityClass
 from nisynth.structure import (
@@ -222,6 +223,24 @@ def greedy_svd_rows(B, base, m, n):
     return np.vstack(chosen) if chosen else np.zeros((0, n))
 
 
+def near_tie(rng, n, p, gap=1e-12):
+    """``(B, base)`` whose first two null-space candidates ``c1, c2`` tie.
+
+    The ``p`` base rows are orthogonal to ``c1 - c2``, so both candidates
+    have the same ``g = c base^T`` and, step for step, the same
+    ``sigma_min^2``; a component ``gap`` along ``c1 - c2`` then separates
+    them by about ``gap``, far above rounding and far below the screen's
+    margin (1e-9 relative), so the greedy SVD loop's pick is defined.
+    """
+    B = rng.standard_normal((n, p))
+    U = np.linalg.svd(B, full_matrices=True)[0]
+    d = U[:, p] - U[:, p + 1]
+    d /= np.linalg.norm(d)
+    base = rng.standard_normal((p, n))
+    base += np.outer(gap * rng.standard_normal(p) - base @ d, d)
+    return B, base
+
+
 def gen_shapes(max_p=3, max_n=8):
     """Every (p1, p2, m_a, m_b) that ``random_shape`` can draw."""
     for p1 in range(max_p + 1):
@@ -265,6 +284,47 @@ class TestCompleteInternalRows:
 
     def test_demo(self, demo_plant):
         self.assert_same_completion(demo_plant)
+
+    def test_near_tie_goes_to_arbitration(self, monkeypatch):
+        # the reduced screen cannot separate the pair: the bordered Gram
+        # decides, and picks what the greedy SVD loop picks
+        calls = []
+        screen = structure._bordered_sigma2
+        monkeypatch.setattr(structure, "_bordered_sigma2",
+                            lambda *args: calls.append(1) or screen(*args))
+        for n, p in ((6, 2), (9, 3), (14, 4)):
+            for seed in range(3):
+                B, base = near_tie(np.random.default_rng([n, seed]), n, p)
+                calls.clear()
+                rows = structure._complete_internal_rows(B, base, n - p, n)
+                assert calls, (n, p, seed)
+                expected = greedy_svd_rows(B, base, n - p, n)
+                assert rows.tobytes() == expected.tobytes(), (n, p, seed)
+
+    def test_clear_leaders_skip_arbitration(self, monkeypatch):
+        # the 64-state shape of the benchmark: every step has a clear leader
+        calls = []
+        screen = structure._bordered_sigma2
+        monkeypatch.setattr(structure, "_bordered_sigma2",
+                            lambda *args: calls.append(1) or screen(*args))
+        rng = np.random.default_rng(73)
+        sys, _ = planted_system(rng, 1, 2, 34, 25)
+        nf = to_normal_form(sys)
+        assert nf.m == 59 and not calls
+
+    def test_base_no_candidate_completes(self):
+        # a zero base row makes every stack singular: every sigma_min^2 is
+        # exactly 0, and the completion fails as the full screen's does
+        rng = np.random.default_rng(74)
+        B = rng.standard_normal((6, 2))
+        base = rng.standard_normal((3, 6))
+        base[1] = 0.0
+        for m in (1, 3):
+            with pytest.raises(NumericalError) as err:
+                structure._complete_internal_rows(B, base, m, 6)
+            assert str(err.value) == (
+                "could not complete the state transform from the left "
+                "null space of B")
 
 
 class TestSplitZeroDynamics:
