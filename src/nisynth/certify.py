@@ -3,8 +3,9 @@
 Two independent routes are provided and kept independent on purpose:
 
 * ``classify_freq`` samples the defining Hermitian matrix of the class on
-  a log frequency grid (plus residue checks at imaginary-axis poles and
-  finite proxies for the frequency-limit conditions),
+  a log frequency grid, the whole grid in one stacked evaluation (plus
+  residue checks at imaginary-axis poles and finite proxies for the
+  frequency-limit conditions),
 * ``verify_certificate`` checks the state-space certificate inequalities
   ``A Y + Y A^T (+ eps (C A Y)^T C A Y) <= 0`` and ``B + A Y C^T = 0``
   for a supplied symmetric positive definite ``Y``.
@@ -26,11 +27,6 @@ NI_CLASSES = ("ni", "sni", "osni", "ssni")
 #: default grid extent and size
 GRID_POINTS = 400
 GRID_RANGE = (1e-4, 1e4)
-
-#: complex entries one stacked array of the frequency sweep may hold: the
-#: grid is swept in chunks of 2**14 // n**2 points, since the whole
-#: 400-point grid of a 64-state system would stack 26 MB of (sI - A)
-SWEEP_ENTRIES = 2 ** 14
 
 #: strict positivity floor for sampled strict inequalities
 STRICT_FLOOR = 1e-10
@@ -59,10 +55,9 @@ class FrequencyGrid:
         excluded = ()
         if sys is not None:
             poles = sys.poles()
-            keep = np.ones(len(omegas), dtype=bool)
-            for pole in poles:
-                radius = 1e-6 * (1.0 + abs(pole))
-                keep &= np.abs(1j * omegas - pole) >= radius
+            radius = 1e-6 * (1.0 + np.abs(poles))
+            keep = (np.abs((1j * omegas)[:, None] - poles) >= radius).all(
+                axis=1)
             excluded = tuple(float(w) for w in omegas[~keep])
             omegas = omegas[keep]
         if len(omegas) == 0:
@@ -232,7 +227,8 @@ def classify_freq(sys, ni_class, grid=None, eps=None):
     """Sampled frequency-domain test of NI/SNI/OSNI/SSNI membership.
 
     The grid points within the pole distance of ``eval_tf`` are skipped;
-    the rest are swept in chunks of stacked evaluations.  NI additionally
+    the rest are evaluated by one stacked ``eval_tf`` call and their class
+    matrices decomposed by one stacked ``eigvalsh``.  NI additionally
     runs residue checks at detected simple imaginary-axis poles; SSNI
     additionally evaluates finite proxies of the two frequency limit
     conditions.  Raises ``PoleInForbiddenRegionError`` when the pole
@@ -256,14 +252,11 @@ def classify_freq(sys, ni_class, grid=None, eps=None):
         notes.append(f"excluded {len(grid.excluded)} frequencies near "
                      "imaginary-axis poles")
     omegas = grid.omegas[~near_pole(sys, 1j * grid.omegas)]
-    step = max(1, SWEEP_ENTRIES // max(sys.n, 1) ** 2)
     margins = np.zeros(len(omegas))
-    for lo in range(0, len(omegas), step):
-        w = omegas[lo:lo + step]
-        R = eval_tf(sys, 1j * w)
-        if p:
-            lam = np.linalg.eigvalsh(_class_matrix(R, sys.D, w, ni_class, eps))
-            margins[lo:lo + step] = lam[:, 0]
+    if p and len(omegas):
+        R = eval_tf(sys, 1j * omegas)
+        margins = np.linalg.eigvalsh(
+            _class_matrix(R, sys.D, omegas, ni_class, eps))[:, 0]
     if np.isnan(margins).all():
         raise InputError("no usable grid points (all near poles)")
     k = int(np.nanargmin(margins))

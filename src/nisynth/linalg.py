@@ -100,14 +100,23 @@ class EigenResult:
         accuracy, so the bound keeps it under 1e-9 (the bound acceptance
         criterion 4b puts on its modal reference); defective and nearly
         defective matrices get None and their callers take the direct
-        route."""
+        route.  ``V`` has unit columns, so ``max|W| <= kappa_2(V) <=
+        ||V||_F ||W||_F``: the SVD of ``V`` decides only when these bounds
+        leave the gate open.  ``max|W|`` is tested first, as the Frobenius
+        norm of an exactly defective matrix's ``W`` overflows."""
         V = self.vectors
         if V.size == 0:
             return V
-        s = np.linalg.svd(V, compute_uv=False)
-        if not s[0] <= 1e6 * s[-1]:
+        try:
+            W = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
             return None
-        return np.linalg.inv(V)
+        if not np.abs(W).max() <= 1e6:
+            return None
+        if np.linalg.norm(V) * np.linalg.norm(W) <= 1e6:
+            return W
+        s = np.linalg.svd(V, compute_uv=False)
+        return W if s[0] <= 1e6 * s[-1] else None
 
 
 def _cluster(values, radius):
@@ -180,14 +189,19 @@ def rank(M):
 
 
 def symmetrize(M, name="matrix"):
-    """Check near-symmetry (Hermitian for complex) and return (M + M*)/2."""
+    """Check near-symmetry (Hermitian for complex) and return (M + M*)/2.
+
+    An exactly Hermitian ``M`` has no defect to measure and skips the test.
+    """
     M = np.asarray(M)
     if M.size == 0:
         return M
-    defect = spectral_norm(M - M.conj().T)
-    if defect > 1e-8 * max(1.0, spectral_norm(M)):
-        raise AsymmetricMatrixError(
-            f"{name} is not symmetric within tolerance (defect {defect:.3e})")
+    if not np.array_equal(M, M.conj().T):
+        defect = spectral_norm(M - M.conj().T)
+        if defect > 1e-8 * max(1.0, spectral_norm(M)):
+            raise AsymmetricMatrixError(
+                f"{name} is not symmetric within tolerance "
+                f"(defect {defect:.3e})")
     return (M + M.conj().T) / 2.0
 
 
@@ -276,16 +290,18 @@ def _lyapunov_residual(A, P, Q, a_norm):
 def kernel_pd_solution(A):
     """Positive definite ``P`` with ``A^T P + P A = 0``.
 
-    Requires every eigenvalue of ``A`` purely imaginary and semisimple.
-    ``P`` is assembled as ``sum Re(u u*)`` over a complete set of unit
-    eigenvectors of ``A^T`` (each term solves the equation individually
-    because ``A^T u = conj(lambda) u`` and ``Re lambda = 0``).
+    Requires every eigenvalue of ``A`` purely imaginary and semisimple,
+    which is checked on the spectrum of ``A^T`` (the same eigenvalues with
+    the same multiplicities).  ``P`` is assembled as ``sum Re(u u*)`` over
+    a complete set of unit eigenvectors of ``A^T`` (each term solves the
+    equation individually because ``A^T u = conj(lambda) u`` and
+    ``Re lambda = 0``).
     """
     A = as_matrix(A, "A", square=True)
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    res = eig(A)
+    res = eig(A.T)
     scale = 1.0 + res.norm
     if np.any(np.abs(res.values.real) > 1e-7 * scale):
         worst = res.values[np.argmax(np.abs(res.values.real))]
@@ -293,8 +309,7 @@ def kernel_pd_solution(A):
             f"spectrum not purely imaginary: eigenvalue {worst}")
     if not res.semisimple:
         raise SpectrumError("defective purely imaginary eigenvalue")
-    resT = eig(A.T)
-    U = resT.vectors / np.linalg.norm(resT.vectors, axis=0, keepdims=True)
+    U = res.vectors / np.linalg.norm(res.vectors, axis=0, keepdims=True)
     P = np.real(U @ U.conj().T)
     P = (P + P.T) / 2.0
     residual = spectral_norm(A.T @ P + P @ A)

@@ -30,6 +30,11 @@ from .errors import (
 )
 from .linalg import as_matrix
 
+#: complex entries one stacked ``sI - A`` array of ``eval_tf``'s solve may
+#: hold: its points are solved in chunks of ``2**14 // n**2``, since the
+#: 400-point grid of a 64-state system would stack 26 MB of ``sI - A``
+SWEEP_ENTRIES = 2 ** 14
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -172,8 +177,9 @@ def eval_tf(sys, s):
     N points, giving the ``N x p x q`` stack of the responses; each slice
     equals the one-point call bit for bit.  The responses come from the
     modal form ``D + (C V) diag(1 / (s - lambda_k)) (V^{-1} B)`` in one
-    stacked product, or, when the eigenbasis is not trusted
-    (``modal_factors`` is None), from one stacked solve with ``sI - A``.
+    stacked product, whose largest array is ``N x p x n``, or, when the
+    eigenbasis is not trusted (``modal_factors`` is None), from stacked
+    solves with ``sI - A``, ``SWEEP_ENTRIES // n**2`` points at a time.
     Raises ``PoleProximityError`` when a point is ``near_pole`` (the first
     such point is named).
     """
@@ -192,8 +198,12 @@ def eval_tf(sys, s):
             f"{vals[k]}", pole=complex(vals[k]))
     factors = sys.modal_factors
     if factors is None:
-        shifted = stack[:, None, None] * np.eye(sys.n) - sys.A
-        R = sys.C @ np.linalg.solve(shifted, sys.B.astype(complex)) + sys.D
+        eye, B = np.eye(sys.n), sys.B.astype(complex)
+        step = max(1, SWEEP_ENTRIES // sys.n ** 2)
+        R = np.concatenate([
+            sys.C @ np.linalg.solve(chunk[:, None, None] * eye - sys.A, B)
+            for chunk in np.split(stack, range(step, len(stack), step))]) \
+            + sys.D
     else:
         CV, WB = factors
         resolvent = 1.0 / (stack[:, None] - vals[None, :])

@@ -86,9 +86,7 @@ def relative_degree_vector(sys):
     n = sys.n
     a_norm = spectral_norm(A)
     b_norm = spectral_norm(B)
-    powers = [np.eye(n)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ A)
+    powers = [np.eye(n)]  # A^j, extended when a row's search reaches j
     degrees = []
     h_rows = []
     notes = []
@@ -97,6 +95,8 @@ def relative_degree_vector(sys):
         c_norm = max(float(np.linalg.norm(ci)), 1e-300)
         found = None
         for j in range(n):
+            if j == len(powers):
+                powers.append(powers[-1] @ A)
             row = ci @ powers[j] @ B
             threshold = _markov_zero_threshold(c_norm, a_norm, b_norm, j)
             if float(np.linalg.norm(row)) > threshold:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from gen import (
     planted_system,
     random_hurwitz,
     random_skew_nonsingular,
+    well_conditioned,
 )
 
 
@@ -65,6 +68,52 @@ class TestEig:
         assert res.values.real.tolist() == [-3, -2, -2, -1, -1]
         assert res.algebraic.tolist() == [1, 2, 2, 2, 2]
         assert res.geometric.tolist() == [1, 2, 2, 1, 1]
+
+
+def _near_defective(rng):
+    """Random matrix of 2 to 6 states with one eigenvalue pair ``d`` apart
+    along a Jordan coupling, so ``kappa_2(V)`` is about ``1 / d``."""
+    n = int(rng.integers(2, 7))
+    J = np.diag(-rng.uniform(0.5, 3.0, n))
+    J[0, 1] = 1.0
+    J[1, 1] = J[0, 0] - 10.0 ** rng.uniform(-7.5, -5.0)
+    T = well_conditioned(rng, n)
+    return T @ J @ np.linalg.inv(T)
+
+
+class TestTrustGate:
+    """``EigenResult.left`` is ``inv(V)`` when ``kappa_2(V) <= 1e6`` and
+    None otherwise; the bounds ``max|W| <= kappa_2(V) <= ||V||_F ||W||_F``
+    settle most matrices without the SVD of ``V``."""
+
+    def test_matches_the_svd_rule_across_the_bound(self):
+        rng = np.random.default_rng(72)
+        kappas, routes = [], set()
+        for _ in range(400):
+            res = linalg.eig(_near_defective(rng))
+            V = res.vectors
+            s = np.linalg.svd(V, compute_uv=False)
+            trusted = bool(s[0] <= 1e6 * s[-1])
+            assert (res.left is not None) == trusted
+            W = np.linalg.inv(V)
+            if trusted:
+                assert res.left.tobytes() == W.tobytes()
+            kappas.append(s[0] / s[-1])
+            if np.abs(W).max() > 1e6:
+                routes.add("max")
+            elif np.linalg.norm(V) * np.linalg.norm(W) <= 1e6:
+                routes.add("frobenius")
+            else:
+                routes.add(("svd", trusted))
+        assert min(kappas) < 1e6 < max(kappas)
+        assert routes == {"max", "frobenius", ("svd", True), ("svd", False)}
+
+    def test_double_integrator_is_not_trusted_without_a_warning(self):
+        # inv(V) is finite but so large that its Frobenius norm overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = linalg.eig([[0.0, 1.0], [0.0, 0.0]])
+            assert res.left is None
 
 
 class TestRank:

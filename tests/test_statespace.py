@@ -18,7 +18,7 @@ from nisynth.errors import (
     SimulationDivergedError,
 )
 from nisynth.certify import FrequencyGrid
-from nisynth.statespace import load_system, near_pole
+from nisynth.statespace import SWEEP_ENTRIES, load_system, near_pole
 from nisynth.structure import to_normal_form
 from nisynth.synth import SynthesisConfig, synthesize_ni
 
@@ -97,6 +97,12 @@ class TestEvalTf:
         assert eval_tf(sys, points[[0, 2]]).shape == (2, 1, 1)
 
 
+#: the untrusted eigenbases of ``gen`` and a 7-state Jordan block, whose
+#: 402 points below span two chunks of the stacked solve
+UNTRUSTED_SWEEPS = dict(UNTRUSTED_EIGENBASES,
+                        **{"jordan-7": np.eye(7, k=1) - np.eye(7)})
+
+
 def stacked_solve(sys, s):
     """``R(s)`` from one stacked solve with ``sI - A``, as ``eval_tf``
     evaluated every point before the modal form: the independent reference
@@ -168,20 +174,22 @@ class TestModalEvalTf:
             diff = np.abs(eval_tf(sys, s) - stacked_solve(sys, s))
             assert np.all(diff.max(axis=(1, 2)) <= modal_error_bound(sys, s))
 
-    @pytest.mark.parametrize("name", sorted(UNTRUSTED_EIGENBASES))
+    @pytest.mark.parametrize("name", sorted(UNTRUSTED_SWEEPS))
     def test_untrusted_eigenbasis_takes_the_stacked_solve(self, name):
-        A = UNTRUSTED_EIGENBASES[name]
+        A = UNTRUSTED_SWEEPS[name]
         n = A.shape[0]
         rng = np.random.default_rng(n)
         sys = StateSpace(A=A, B=rng.standard_normal((n, 2)),
                          C=rng.standard_normal((2, n)),
                          D=rng.standard_normal((2, 2)))
         assert sys.modal_factors is None
-        s = np.concatenate([1j * np.logspace(-3, 3, 25), [0.0, 0.5 - 2j]])
-        assert eval_tf(sys, s).tobytes() == stacked_solve(sys, s).tobytes()
-        for point in s[[0, 12, -1]]:
-            assert eval_tf(sys, point).tobytes() == \
-                stacked_solve(sys, np.array([point]))[0].tobytes()
+        s = np.concatenate([1j * np.logspace(-3, 3, 400), [0.0, 0.5 - 2j]])
+        if n >= 7:
+            assert len(s) > SWEEP_ENTRIES // n ** 2
+        R = eval_tf(sys, s)
+        assert R.tobytes() == stacked_solve(sys, s).tobytes()
+        for k, point in enumerate(s):
+            assert eval_tf(sys, point).tobytes() == R[k].tobytes()
 
 
 class TestMinimality:
