@@ -291,8 +291,9 @@ def kernel_pd_solution(A):
     """Positive definite ``P`` with ``A^T P + P A = 0``.
 
     Requires every eigenvalue of ``A`` purely imaginary and semisimple,
-    which is checked on the spectrum of ``A^T`` (the same eigenvalues with
-    the same multiplicities).  ``P`` is assembled as ``sum Re(u u*)`` over
+    which is checked on the spectrum of ``A^T`` (in exact arithmetic the
+    same eigenvalues with the same multiplicities; the computed ones can
+    differ from those of ``A`` at rounding level).  ``P`` is assembled as ``sum Re(u u*)`` over
     a complete set of unit eigenvectors of ``A^T`` (each term solves the
     equation individually because ``A^T u = conj(lambda) u`` and
     ``Re lambda = 0``).

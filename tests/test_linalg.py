@@ -376,6 +376,40 @@ class TestKernelPdSolution:
         with pytest.raises(SpectrumError):
             linalg.kernel_pd_solution([[-1.0]])
 
+    def test_guards_on_the_transpose_decide_as_on_a(self):
+        # the guards read eig(A^T); they must reject exactly the matrices
+        # that eig(A) rejects: damped, defective, semisimple repeated
+        rng = np.random.default_rng(31)
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        outcomes = set()
+        for k in range(60):
+            w = rng.uniform(0.5, 3.0, 2)
+            if k % 3 == 0:      # one mode damped by 1e-4 .. 1e-1
+                J = np.kron(np.diag(w), rot)
+                J[0, 0] = J[1, 1] = -10.0 ** rng.uniform(-4, -1)
+            elif k % 3 == 1:    # a Jordan chain of two equal rotations
+                J = np.kron(np.diag([w[0], w[0]]), rot)
+                J[0:2, 2:4] = np.eye(2)
+            else:               # two equal rotations, semisimple
+                J = np.kron(np.diag([w[0], w[0]]), rot)
+            T = well_conditioned(rng, 4)
+            A = T @ J @ np.linalg.inv(T)
+            res = linalg.eig(A)
+            if np.any(np.abs(res.values.real) > 1e-7 * (1.0 + res.norm)):
+                expected = "spectrum not purely imaginary"
+            elif not res.semisimple:
+                expected = "defective purely imaginary eigenvalue"
+            else:
+                expected = None
+            if expected is None:
+                P = linalg.kernel_pd_solution(A)
+                assert np.linalg.eigvalsh(P).min() > 0
+            else:
+                with pytest.raises(SpectrumError, match=expected):
+                    linalg.kernel_pd_solution(A)
+            outcomes.add(expected)
+        assert len(outcomes) == 3
+
     def test_random_similarity_of_skew(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

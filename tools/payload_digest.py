@@ -11,8 +11,7 @@ same hashes.
 
 Usage (from the root of the repository)::
 
-    python3 tools/payload_digest.py            # per-op hashes, then the total
-    python3 tools/payload_digest.py --total    # the total only
+    python3 tools/payload_digest.py    # per-op hashes, then the total
 
 The last line is ``total <sha256>``.  Two checkouts whose totals match
 produce every output byte for byte alike on these ops.
@@ -24,7 +23,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import enum  # noqa: E402
 import hashlib  # noqa: E402
@@ -99,12 +97,7 @@ def op_digest(kind, result, workdir):
     return h.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--total", action="store_true",
-                        help="print the total only")
-    args = parser.parse_args(argv)
-
+def main():
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "bench"))
     import nisynth
@@ -125,9 +118,8 @@ def main(argv=None):
                         digest = op_digest(op.kind, op.result, workdir)
                         total.update(digest.encode())
                         count += 1
-                        if not args.total:
-                            print(f"{name} seed={seed} round={r} "
-                                  f"slot={slot} {op.kind} {digest}")
+                        print(f"{name} seed={seed} round={r} "
+                              f"slot={slot} {op.kind} {digest}")
     print(f"ops {count}")
     print(f"total {total.hexdigest()}")
     return 0
