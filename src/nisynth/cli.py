@@ -333,7 +333,9 @@ def build_parser():
                    help="output strictness level for osni")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="fixed-step simulation")
+    p = sub.add_parser(
+        "simulate",
+        help="zero-input simulation with the exact transition matrix")
     common(p)
     p.add_argument("--delta", help="uncertainty system JSON to interconnect")
     p.add_argument("--x0", required=True, help="comma-separated initial state")

@@ -336,6 +336,50 @@ def sqrtm_pd(P):
     return (S + S.T) / 2.0
 
 
+#: 1-norm up to which the degree-13 Pade approximant of e^M is accurate to
+#: unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
+THETA_13 = 5.371920351148152
+PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+
+def expm(M):
+    """Matrix exponential ``e^M`` by scaling and squaring with the
+    degree-13 Pade approximant (Higham 2005).
+
+    ``M`` is scaled by ``2^-s``, the least power that brings its 1-norm
+    to ``THETA_13``, and the approximant is squared ``s`` times.  An entry
+    that overflows in the squarings comes back inf or nan without a
+    warning, as does every entry when ``||M||_1`` itself is not finite:
+    the caller tests the result.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
+    if norm == 0.0:
+        return np.eye(n)
+    if not np.isfinite(norm):
+        return np.full((n, n), np.nan)
+    s = max(0, int(np.ceil(np.log2(norm / THETA_13))))
+    A = M / 2.0 ** s
+    b, eye = PADE_13, np.eye(n)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            E = E @ E
+    return E
+
+
 def pbh_failures(A, M, mode, spectrum):
     """PBH rank test at every eigenvalue of ``spectrum = eig(A)``.
 

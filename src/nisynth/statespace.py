@@ -1,4 +1,5 @@
-"""State-space systems: construction, evaluation, interconnection, simulation.
+"""State-space systems: construction, evaluation, interconnection and
+zero-input simulation with the exact transition matrix ``e^{A dt}``.
 
 The JSON schema for a system is::
 
@@ -285,72 +286,40 @@ class Trajectory:
     outputs: np.ndarray
 
 
-def _input_function(sys, input_signal):
-    p = sys.n_inputs
-    if input_signal is None:
-        u0 = np.zeros(p)
-        return lambda t: u0
-    if callable(input_signal):
-        return lambda t: np.asarray(input_signal(t), dtype=float).reshape(p)
-    if isinstance(input_signal, tuple) and len(input_signal) == 2:
-        ts, us = input_signal
-        ts = np.asarray(ts, dtype=float)
-        us = np.asarray(us, dtype=float)
-        if us.ndim == 1:
-            us = us.reshape(-1, 1)
-        if len(ts) != len(us) or us.shape[1] != p:
-            raise InputError("sampled input must align with times and width p")
+def simulate(sys, x0, t_end, dt):
+    """Zero-input response ``x(t) = e^{tA} x0``, sampled every ``dt``.
 
-        def zoh(t):
-            k = int(np.searchsorted(ts, t, side="right")) - 1
-            k = min(max(k, 0), len(ts) - 1)
-            return us[k]
-
-        return zoh
-    u = np.asarray(input_signal, dtype=float).reshape(-1)
-    if u.shape[0] != p:
-        raise InputError(f"constant input must have {p} entries")
-    return lambda t: u
-
-
-def simulate(sys, x0, input_signal=None, t_end=10.0, dt=0.01):
-    """Fixed-step RK4 integration of the system.
-
-    ``input_signal`` may be None (zero input), a constant vector, a
-    callable ``t -> u``, or a pair ``(times, samples)`` applied with
-    zero-order hold.
+    Each step multiplies the state by the exact transition matrix
+    ``e^{dt A}``; when ``dt`` does not divide ``t_end`` the last step is
+    shorter, with its own ``e^{hA}``, so the last sample is at ``t_end``
+    exactly.  ``outputs`` are ``C x``.  Raises ``InputError`` unless
+    ``t_end`` and ``dt`` are finite and positive, and
+    ``SimulationDivergedError`` at the first non-finite state.
     """
-    if dt <= 0 or t_end <= 0:
-        raise InputError("t_end and dt must be positive")
+    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
+        raise InputError("t_end and dt must be finite and positive")
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != sys.n:
         raise InputError(f"x0 must have {sys.n} entries, got {x.shape[0]}")
-    ufun = _input_function(sys, input_signal)
-    steps = int(np.ceil(t_end / dt - 1e-12))
-    A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    times = np.empty(steps + 1)
+    steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    times = np.arange(steps + 1) * dt
+    times[-1] = t_end
     states = np.empty((steps + 1, sys.n))
-    outputs = np.empty((steps + 1, sys.n_outputs))
-    t = 0.0
-    for k in range(steps + 1):
-        times[k] = t
-        states[k] = x
-        outputs[k] = C @ x + D @ ufun(t)
-        if not np.all(np.isfinite(x)):
-            raise SimulationDivergedError(
-                f"state became non-finite at t={t:.6g}", t_bad=t)
-        if k == steps:
-            break
-        h = min(dt, t_end - t)
-        u1, u2, u3 = ufun(t), ufun(t + h / 2), ufun(t + h)
-        # divergence is detected at the next step; silence the overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = A @ x + B @ u1
-            k2 = A @ (x + h / 2 * k1) + B @ u2
-            k3 = A @ (x + h / 2 * k2) + B @ u2
-            k4 = A @ (x + h * k3) + B @ u3
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = min(t + h, t_end)
+    # an overflow shows as a non-finite state, reported as a divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = phi_last = linalg.expm(sys.A * dt)
+        if steps - t_end / dt > 1e-12:
+            phi_last = linalg.expm(sys.A * (t_end - times[-2]))
+        for k in range(steps + 1):
+            states[k] = x
+            if not np.isfinite(x).all():
+                raise SimulationDivergedError(
+                    f"state became non-finite at t={times[k]:.6g}",
+                    t_bad=float(times[k]))
+            if k == steps:
+                break
+            x = (phi_last if k == steps - 1 else phi) @ x
+        outputs = states @ sys.C.T
     return Trajectory(times=times, states=states, outputs=outputs)
 
 

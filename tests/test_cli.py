@@ -222,6 +222,17 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", plant_path, "--x0", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "inf"), ("--t-end", "nan"), ("--dt", "inf")])
+    def test_non_finite_horizon_exits_two(self, capsys, plant_path, flag,
+                                          value):
+        code, rep = run_cli(capsys, "simulate", plant_path,
+                            "--x0", "1,1,1,1", flag, value)
+        assert code == 2
+        assert rep["error"]["kind"] == "input-error"
+        assert rep["error"]["message"] == \
+            "t_end and dt must be finite and positive"
+
 
 class TestUsage:
     def test_no_subcommand_exits_two(self, capsys):

@@ -442,6 +442,31 @@ class TestSqrtmPd:
             linalg.sqrtm_pd(np.diag([1.0, -1.0]))
 
 
+class TestExpm:
+    def test_matches_scipy_oracle(self):
+        # 1-norms from 1e-3 (no scaling) to 1e2 (five squarings); the odd
+        # draws are upper triangular, so far from normal
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(53)
+        for k, norm in enumerate(np.logspace(-3, 2, 40)):
+            n = 1 + k % 20
+            M = rng.standard_normal((n, n))
+            if k % 2:
+                M = np.triu(M) + np.triu(rng.standard_normal((n, n)), 1)
+            M *= norm / np.abs(M).sum(axis=0).max()
+            ref = scipy_linalg.expm(M)
+            assert np.abs(linalg.expm(M) - ref).sum(axis=0).max() <= \
+                1e-12 * np.abs(ref).sum(axis=0).max()
+
+    def test_empty_and_zero(self):
+        assert linalg.expm(np.zeros((0, 0))).shape == (0, 0)
+        assert np.array_equal(linalg.expm(np.zeros((3, 3))), np.eye(3))
+
+    def test_overflow_is_silent(self):
+        # e^5000 overflows in the squarings: inf, and no RuntimeWarning
+        assert np.array_equal(linalg.expm([[5000.0]]), [[np.inf]])
+
+
 def kalman_rank_controllable(A, B):
     n = A.shape[0]
     blocks = [B]

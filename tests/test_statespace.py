@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -322,19 +323,42 @@ class TestSimulate:
         assert norms.max() <= (1.0 + kappa) * np.linalg.norm(x0) * (1 + 1e-6)
 
     def test_divergence_reported(self):
+        # e^(50 t) overflows between t = 14 and 14.5; e^(50 * 100) already
+        # overflows in the transition matrix.  Neither may warn.
         sys = StateSpace(A=[[50.0]], B=[[1.0]], C=[[1.0]])
-        with pytest.raises(SimulationDivergedError) as exc:
-            simulate(sys, [1.0], t_end=100.0, dt=0.5)
-        assert exc.value.t_bad is not None
+        for dt, t_bad in ((0.5, 14.5), (100.0, 100.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationDivergedError) as exc:
+                    simulate(sys, [1.0], t_end=1000.0, dt=dt)
+            assert exc.value.t_bad == t_bad
 
-    def test_constant_and_sampled_inputs_agree(self):
-        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
-        t1 = simulate(sys, [0.0], input_signal=[2.0], t_end=1.0, dt=0.01)
-        ts = np.arange(0.0, 1.01, 0.01)
-        t2 = simulate(sys, [0.0], input_signal=(ts, 2.0 * np.ones((len(ts), 1))),
-                      t_end=1.0, dt=0.01)
-        assert np.allclose(t1.states, t2.states)
-        assert abs(t1.states[-1, 0] - 2.0 * (1 - np.exp(-1.0))) < 1e-6
+    def test_every_sample_is_the_modal_solution(self, demo_uncertainty):
+        loop = interconnect_positive_feedback(demo_nominal_closed(),
+                                              demo_uncertainty)
+        lam, V = np.linalg.eig(loop.A)
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            x0 = rng.standard_normal(6)
+            traj = simulate(loop, x0, t_end=20.0, dt=0.01)
+            exact = np.real((V @ (np.exp(np.outer(lam, traj.times))
+                                  * np.linalg.solve(V, x0)[:, None])).T)
+            assert traj.times[-1] == 20.0 and len(traj.times) == 2001
+            assert np.abs(traj.states - exact).max() <= \
+                1e-12 * np.linalg.norm(x0)
+            assert np.array_equal(traj.outputs, traj.states @ loop.C.T)
+
+    def test_short_last_step_ends_at_t_end(self):
+        sys = StateSpace(A=[[-1.0, 2.0], [0.0, -3.0]], B=np.zeros((2, 1)),
+                         C=[[1.0, 0.0]])
+        x0 = np.array([1.0, 1.0])
+        traj = simulate(sys, x0, t_end=1.005, dt=0.01)
+        assert len(traj.times) == 102 and traj.times[-1] == 1.005
+        assert np.array_equal(traj.times[:-1], 0.01 * np.arange(101))
+        # e^(tA) x0 for this triangular A, by hand
+        t = 1.005
+        exact = [2.0 * np.exp(-t) - np.exp(-3.0 * t), np.exp(-3.0 * t)]
+        assert np.abs(traj.states[-1] - exact).max() <= 1e-14
 
 
 class TestReadOnly:
