@@ -8,7 +8,6 @@ from .certify import (
     FrequencyGrid,
     Verdict,
     classify_freq,
-    dc_gain_interconnection_stable,
     residue_at_imaginary_pole,
     verify_certificate,
 )

@@ -299,9 +299,21 @@ def classify_freq(sys, ni_class, grid=None, eps=None):
                    notes=tuple(notes))
 
 
-def compute_certificate(sys, ni_class, Y, eps=None):
-    """Residual diagnostics of a certificate candidate (no verdict)."""
+def verify_certificate(sys, ni_class, Y, eps=None):
+    """Check the state-space certificate of NI/SSNI/OSNI membership.
+
+    Returns ``(Verdict, Certificate)``; the verdict's ``worst_margin`` is
+    the certificate's ``lyap_residual``.  Hypothesis failures (minimality,
+    ``det A != 0``, symmetric feedthrough, and for the strong class the
+    absence of observable uncontrollable modes) make the verdict fail with
+    an explanatory note rather than raising.
+    """
     ni_class = _check_class(ni_class)
+    if ni_class == "sni":
+        raise InputError(
+            "the certificate route covers ni/osni/ssni; use the frequency "
+            "test for sni")
+    sys.require_square("certificate verification")
     Y = symmetrize(linalg.as_matrix(Y, "Y", square=True), "Y")
     if Y.shape[0] != sys.n:
         raise InputError(f"Y must be {sys.n}x{sys.n}, got {Y.shape}")
@@ -313,29 +325,12 @@ def compute_certificate(sys, ni_class, Y, eps=None):
         CAY = C @ A @ Y
         M = M + eps * (CAY.T @ CAY)
     M = (M + M.T) / 2.0
-    lyap = float(np.linalg.eigvalsh(M)[-1]) if sys.n else 0.0
-    coupling = spectral_norm(B + A @ Y @ C.T)
-    pd = float(np.linalg.eigvalsh(Y)[0]) if sys.n else 0.0
-    return Certificate(Y=Y, epsilon=eps, ni_class=ni_class,
-                       lyap_residual=lyap, coupling_residual=coupling,
-                       pd_margin=pd)
-
-
-def verify_certificate(sys, ni_class, Y, eps=None):
-    """Check the state-space certificate of NI/SSNI/OSNI membership.
-
-    Returns ``(Verdict, Certificate)``.  Hypothesis failures (minimality,
-    ``det A != 0``, symmetric feedthrough, and for the strong class the
-    absence of observable uncontrollable modes) make the verdict fail with
-    an explanatory note rather than raising.
-    """
-    ni_class = _check_class(ni_class)
-    if ni_class == "sni":
-        raise InputError(
-            "the certificate route covers ni/osni/ssni; use the frequency "
-            "test for sni")
-    p = sys.require_square("certificate verification")
-    cert = compute_certificate(sys, ni_class, Y, eps)
+    lam_y = np.linalg.eigvalsh(Y)
+    cert = Certificate(
+        Y=Y, epsilon=eps, ni_class=ni_class,
+        lyap_residual=float(np.linalg.eigvalsh(M)[-1]) if sys.n else 0.0,
+        coupling_residual=spectral_norm(B + A @ Y @ C.T),
+        pd_margin=float(lam_y[0]) if sys.n else 0.0)
     notes = []
     holds = True
 
@@ -365,7 +360,8 @@ def verify_certificate(sys, ni_class, Y, eps=None):
                 f"{sys.poles()[np.argmax(hidden)]} "
                 "(certificate-test hypothesis)")
 
-    scale_y = max(1.0, spectral_norm(cert.Y))
+    # ||Y||_2 of the symmetric Y from the eigenvalues already at hand
+    scale_y = max(1.0, float(np.abs(lam_y).max(initial=0.0)))
     if cert.pd_margin <= sys.n * EPS * scale_y:
         holds = False
         notes.append(f"Y is not positive definite "
@@ -390,35 +386,3 @@ def verify_certificate(sys, ni_class, Y, eps=None):
     verdict = Verdict(holds=holds, ni_class=ni_class, worst_omega=None,
                       worst_margin=cert.lyap_residual, notes=tuple(notes))
     return verdict, cert
-
-
-def dc_gain_interconnection_stable(R, Rs):
-    """DC-gain internal-stability test of a positive feedback loop.
-
-    Checks the hypotheses ``R(inf) Rs(inf) = 0`` and ``Rs(inf) >= 0`` on
-    the feedthroughs, then ``lambda_max(R(0) Rs(0)) < 1``.
-    """
-    p = R.require_square("DC-gain test")
-    if Rs.require_square("DC-gain test") != p:
-        raise InputError("systems must share the input/output dimension")
-    notes = ["plant: asserted NI", "uncertainty: asserted SNI"]
-    holds = True
-    dprod = spectral_norm(R.D @ Rs.D)
-    if dprod > 1e-9 * (1.0 + spectral_norm(R.D)) * (1.0 + spectral_norm(Rs.D)):
-        holds = False
-        notes.append(f"R(inf) Rs(inf) = 0 fails (norm {dprod:.3e})")
-    if not linalg.definiteness(Rs.D + Rs.D.T, "psd"):
-        holds = False
-        notes.append("Rs(inf) >= 0 fails")
-    R0 = np.real(eval_tf(R, 0.0))
-    Rs0 = np.real(eval_tf(Rs, 0.0))
-    prod_eigs = np.linalg.eigvals(R0 @ Rs0)
-    if np.abs(prod_eigs.imag).max(initial=0.0) > 1e-7 * (1.0 + np.abs(prod_eigs).max(initial=0.0)):
-        notes.append("DC product has non-real eigenvalues; using max real part")
-    lam_max = float(prod_eigs.real.max()) if p else 0.0
-    notes.append(f"lambda_max(R(0) Rs(0)) = {lam_max:.6g}")
-    if lam_max >= 1.0 - 1e-9:
-        holds = False
-    return Verdict(holds=holds, ni_class="interconnection",
-                   worst_omega=0.0, worst_margin=1.0 - lam_max,
-                   notes=tuple(notes))

@@ -162,7 +162,8 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _gains_payload(gains, law):
+def _gains_payload(gains):
+    law = gains.law
     return {
         "K_x": law.K_x.tolist(),
         "K_v": law.K_v.tolist(),
@@ -184,13 +185,9 @@ def cmd_synthesize(args):
     synthesizer = {"ni": synth.synthesize_ni, "osni": synth.synthesize_osni,
                    "ssni": synth.synthesize_ssni}[args.target]
     gains = synthesizer(nf, cfg)
-    law = synth.compose_full_gain(gains)
-    closed, Y_orig, eps_orig = synth.original_coordinates_certificate(gains)
-    cert = certify.compute_certificate(closed, gains.ni_class, Y_orig,
-                                       eps_orig)
-    report["gains"] = _gains_payload(gains, law)
-    report["closed_loop"] = closed.to_dict()
-    report["certificate"] = cert.to_dict()
+    report["gains"] = _gains_payload(gains)
+    report["closed_loop"] = gains.nominal_closed.to_dict()
+    report["certificate"] = gains.certificate.to_dict()
     report["verdicts"] = {"certificate": gains.verdict.to_dict()}
     _emit(report, args)
     return EXIT_OK
@@ -207,12 +204,13 @@ def cmd_stabilize(args):
     result = synth.robust_stabilize(usys, cfg, T_y=overrides.get("T_y"),
                                     T_x=overrides.get("T_x"),
                                     T_u=overrides.get("T_u"))
-    report["gains"] = _gains_payload(result.gains, result.law)
-    report["closed_loop"] = result.nominal_closed.to_dict()
-    report["certificate"] = result.certificate_original.to_dict()
-    freq = certify.classify_freq(result.nominal_closed, "ni")
+    gains = result.gains
+    report["gains"] = _gains_payload(gains)
+    report["closed_loop"] = gains.nominal_closed.to_dict()
+    report["certificate"] = gains.certificate.to_dict()
+    freq = certify.classify_freq(gains.nominal_closed, "ni")
     report["verdicts"] = {
-        "certificate": result.gains.verdict.to_dict(),
+        "certificate": gains.verdict.to_dict(),
         "frequency_ni": freq.to_dict(),
     }
     report["dc"] = {"lam_max_R0": result.lam_max_R0,

@@ -36,6 +36,10 @@ from .linalg import as_matrix
 #: 400-point grid of a 64-state system would stack 26 MB of ``sI - A``
 SWEEP_ENTRIES = 2 ** 14
 
+#: entries ``simulate`` may store: ``(steps + 1) (1 + n + p)`` floats of
+#: times, states and outputs, 2**22 of them (32 MiB)
+SIMULATE_ENTRIES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -293,15 +297,23 @@ def simulate(sys, x0, t_end, dt):
     ``e^{dt A}``; when ``dt`` does not divide ``t_end`` the last step is
     shorter, with its own ``e^{hA}``, so the last sample is at ``t_end``
     exactly.  ``outputs`` are ``C x``.  Raises ``InputError`` unless
-    ``t_end`` and ``dt`` are finite and positive, and
-    ``SimulationDivergedError`` at the first non-finite state.
+    ``t_end`` and ``dt`` are finite and positive and the samples fit in
+    ``SIMULATE_ENTRIES`` stored entries, and ``SimulationDivergedError``
+    at the first non-finite state.
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise InputError("t_end and dt must be finite and positive")
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != sys.n:
         raise InputError(f"x0 must have {sys.n} entries, got {x.shape[0]}")
-    steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    # a float, infinite when t_end / dt overflows
+    steps = max(1.0, np.ceil(float(t_end) / float(dt) - 1e-12))
+    width = 1 + sys.n + sys.n_outputs
+    if not (steps + 1) * width <= SIMULATE_ENTRIES:
+        raise InputError(
+            f"t_end / dt asks for {steps + 1:.6g} samples of {width} "
+            f"entries; at most {SIMULATE_ENTRIES} entries are stored")
+    steps = int(steps)
     times = np.arange(steps + 1) * dt
     times[-1] = t_end
     states = np.empty((steps + 1, sys.n))

@@ -94,51 +94,6 @@ def _bind_matrix(value, rows, cols, name):
 
 
 @dataclass(frozen=True)
-class GainSet:
-    """Block gains, chosen free parameters, closed loop, and certificate.
-
-    The closed-loop realization lives in the split normal-form coordinates
-    (internal state transformed by ``split.S``).  ``K_tilde`` is the full
-    state-feedback gain expressed in the unsplit normal-form coordinates,
-    relative to the open-loop blocks.
-    """
-
-    ni_class: str
-    K10: np.ndarray
-    K11: np.ndarray
-    K12: np.ndarray
-    K13: np.ndarray
-    K20: np.ndarray
-    K21: np.ndarray
-    K22: np.ndarray
-    K23: np.ndarray
-    K_tilde: np.ndarray
-    closed_loop: StateSpace
-    Y: np.ndarray
-    certificate: Certificate
-    verdict: Verdict
-    free_parameters: dict
-    normal_form: NormalForm
-    split: ZeroDynamicsSplit
-    epsilon: float | None = None
-
-    # strongly-strict synthesis naming (single degree-1 block)
-    @property
-    def K1(self):
-        return self.K10
-
-    @property
-    def K2(self):
-        return self.K11
-
-    def gains_dict(self):
-        d = {f"K{k}": getattr(self, f"K{k}").tolist()
-             for k in ("10", "11", "12", "13", "20", "21", "22", "23")}
-        d["K_tilde"] = self.K_tilde.tolist()
-        return d
-
-
-@dataclass(frozen=True)
 class FeedbackLaw:
     """State feedback ``u = K_x x + K_v v`` in original coordinates.
 
@@ -155,6 +110,51 @@ class FeedbackLaw:
     @property
     def K_w(self):
         return self.K_v - np.eye(self.K_v.shape[0])
+
+
+@dataclass(frozen=True)
+class GainSet:
+    """Block gains, chosen free parameters, and the law they deliver.
+
+    ``closed_loop`` and ``Y`` are the construction's loop and certificate
+    in the split normal-form coordinates (internal state transformed by
+    ``split.S``).  ``K_tilde`` is the full state-feedback gain expressed in
+    the unsplit normal-form coordinates, relative to the open-loop blocks.
+    ``law`` is that gain in the plant's coordinates, ``nominal_closed`` its
+    loop ``(A + B K_x, B K_v, C)`` on the plant, and ``Y_original`` and
+    ``epsilon_original`` the certificate carried there; ``certificate``
+    and ``verdict`` are the check of ``Y_original`` on ``nominal_closed``,
+    which every emitted gain set has passed.
+    """
+
+    ni_class: str
+    K10: np.ndarray
+    K11: np.ndarray
+    K12: np.ndarray
+    K13: np.ndarray
+    K20: np.ndarray
+    K21: np.ndarray
+    K22: np.ndarray
+    K23: np.ndarray
+    K_tilde: np.ndarray
+    closed_loop: StateSpace
+    Y: np.ndarray
+    law: FeedbackLaw
+    nominal_closed: StateSpace
+    Y_original: np.ndarray
+    certificate: Certificate
+    verdict: Verdict
+    free_parameters: dict
+    normal_form: NormalForm
+    split: ZeroDynamicsSplit
+    epsilon: float | None = None
+    epsilon_original: float | None = None
+
+    def gains_dict(self):
+        d = {f"K{k}": getattr(self, f"K{k}").tolist()
+             for k in ("10", "11", "12", "13", "20", "21", "22", "23")}
+        d["K_tilde"] = self.K_tilde.tolist()
+        return d
 
 
 def _draw_h(rng, p2, m_b, Qb_sqrt, scale):
@@ -228,13 +228,44 @@ def _assemble_certificate(split, Y1b, Y2, Y3):
     return (Y + Y.T) / 2.0
 
 
-def _check_emitted(sys, Y, ni_class, eps):
-    verdict, cert = certify.verify_certificate(sys, ni_class, Y, eps)
+def _deliver(nf, S, K_tilde, Y, ni_class, eps):
+    """The law of ``K_tilde`` on the plant, gated by its certificate.
+
+    ``u = T_u^{-1} (K_tilde T_x x + T_y^{-T} v)``, so
+    ``K_x = T_u^{-1} K_tilde T_x`` and ``K_v = T_u^{-1} T_y^{-T}``, and the
+    nominal loop is ``(A + B K_x, B K_v, C)``.  It is similar to the
+    normal-form loop under ``T = diag(S, I) T_x``, so the certificate maps
+    by congruence, ``Y_orig = T^{-1} Y T^{-T}``, and the output-strictness
+    level rescales to ``eps / lambda_max(T_y^{-T} T_y^{-1})``.  Returns the
+    ``GainSet`` fields of these objects and of their verification; raises
+    ``NumericalError`` when the certificate fails on the nominal loop.
+    """
+    tf, src = nf.transforms, nf.source
+    law = FeedbackLaw(K_x=tf.T_u_inv @ K_tilde @ tf.T_x,
+                      K_v=tf.T_u_inv @ tf.T_y_inv.T)
+    closed = StateSpace(A=src.A + src.B @ law.K_x, B=src.B @ law.K_v,
+                        C=src.C,
+                        name=(src.name or "system") + ":nominal-closed")
+    n, m = nf.n, nf.m
+    T_hat = np.zeros((n, n))
+    T_hat[:m, :m] = S
+    T_hat[m:, m:] = np.eye(n - m)
+    Ti = np.linalg.inv(T_hat @ tf.T_x)
+    Y_orig = Ti @ Y @ Ti.T
+    Y_orig = (Y_orig + Y_orig.T) / 2.0
+    eps_orig = None
+    if eps is not None:
+        mu = float(np.linalg.eigvalsh(tf.T_y_inv.T @ tf.T_y_inv)[-1])
+        eps_orig = eps / mu
+    verdict, cert = certify.verify_certificate(closed, ni_class, Y_orig,
+                                               eps_orig)
     if not verdict.holds:
         raise NumericalError(
-            f"emitted {ni_class} certificate failed verification: "
-            f"{'; '.join(verdict.notes)}")
-    return verdict, cert
+            f"emitted {ni_class} certificate failed verification on the "
+            f"plant-coordinate loop: {'; '.join(verdict.notes)}")
+    return {"law": law, "nominal_closed": closed, "Y_original": Y_orig,
+            "epsilon_original": eps_orig, "certificate": cert,
+            "verdict": verdict}
 
 
 def _synthesize_deg12(nf, cfg, ni_class):
@@ -364,13 +395,13 @@ def _synthesize_deg12(nf, cfg, ni_class):
                         C=normal_form_output_matrix(m, p1, p2),
                         name=(nf.source.name or "system") + ":closed")
     Y = _assemble_certificate(split, Y1b, Y2, Y3)
-    verdict, cert = _check_emitted(closed, Y, ni_class, eps)
 
     S = split.S
     K_tilde = _block([
         [K10 @ S - nf.A10, K11 - nf.A11, K12 - nf.A12, K13 - nf.A13],
         [K20 @ S - nf.A30, K21 - nf.A31, K22 - nf.A32, K23 - nf.A33],
     ])
+    delivered = _deliver(nf, S, K_tilde, Y, ni_class, eps)
 
     free = {
         "Y2": Y2.tolist(), "Y3": Y3.tolist(), "y1a": 1.0,
@@ -387,8 +418,8 @@ def _synthesize_deg12(nf, cfg, ni_class):
     return GainSet(
         ni_class=ni_class, K10=K10, K11=K11, K12=K12, K13=K13,
         K20=K20, K21=K21, K22=K22, K23=K23, K_tilde=K_tilde,
-        closed_loop=closed, Y=Y, certificate=cert, verdict=verdict,
-        free_parameters=free, normal_form=nf, split=split, epsilon=eps)
+        closed_loop=closed, Y=Y, free_parameters=free, normal_form=nf,
+        split=split, epsilon=eps, **delivered)
 
 
 def synthesize_ni(nf, cfg=None):
@@ -397,8 +428,9 @@ def synthesize_ni(nf, cfg=None):
     Requires nonsingular, Lyapunov-stable internal dynamics and a
     controllable normal form.  Gains follow the closed-form construction;
     the randomized parameters are retried (seeded) until the closed loop
-    is minimal.  The emitted gain set carries the certificate and passes
-    verification before being returned.
+    is minimal.  The emitted gain set carries the law in the plant's
+    coordinates, whose certificate passes verification on the plant's
+    closed loop before the set is returned.
     """
     return _synthesize_deg12(nf, cfg or SynthesisConfig(), "ni")
 
@@ -458,95 +490,88 @@ def synthesize_ssni(nf, cfg=None):
     closed = StateSpace(A=A_cl, B=normal_form_input_matrix(m, p, 0),
                         C=normal_form_output_matrix(m, p, 0),
                         name=(nf.source.name or "system") + ":closed")
-    if linalg.stability_class(closed.spectrum) is not StabilityClass.HURWITZ:
-        raise NumericalError("emitted strongly-strict closed loop is not Hurwitz")
     Y = (Y + Y.T) / 2.0
-    verdict, cert = _check_emitted(closed, Y, "ssni", None)
+    K_tilde = np.hstack([K1 - nf.A10, K2 - nf.A11])
+    delivered = _deliver(nf, np.eye(m), K_tilde, Y, "ssni", None)
+    loop = delivered["nominal_closed"]
+    if linalg.stability_class(loop.spectrum) is not StabilityClass.HURWITZ:
+        raise NumericalError("emitted strongly-strict closed loop is not Hurwitz")
     # the strong-class certificate route tests neither hypothesis
-    if not is_minimal(closed).minimal:
+    if not is_minimal(loop).minimal:
         raise NumericalError("emitted closed loop is not minimal")
-    if np.linalg.svd(closed.A, compute_uv=False)[-1] <= 1e-10 * closed.a_norm:
+    if np.linalg.svd(loop.A, compute_uv=False)[-1] <= 1e-10 * loop.a_norm:
         raise NumericalError("emitted closed-loop state matrix is singular")
-    R0 = np.real(eval_tf(closed, 0.0))
-    if spectral_norm(R0 - Y2) > 1e-8 * (1.0 + spectral_norm(Y2)):
-        raise NumericalError("closed-loop DC gain does not equal Y2")
+    # the plant's outputs are T_y^{-1} times the normal form's
+    Tyi = nf.transforms.T_y_inv
+    R0 = np.real(eval_tf(loop, 0.0))
+    dc = Tyi @ Y2 @ Tyi.T
+    if spectral_norm(R0 - dc) > 1e-8 * (1.0 + spectral_norm(dc)):
+        raise NumericalError(
+            "closed-loop DC gain does not equal T_y^-1 Y2 T_y^-T")
 
     split = ZeroDynamicsSplit(
         stability=StabilityClass.HURWITZ,
         S=np.eye(m), S_inv=np.eye(m), A00a=np.zeros((0, 0)), A00b=A00,
         m_a=0, m_b=m, A01a=A01[:0], A01b=A01,
         A02a=nf.A02[:0], A02b=nf.A02, A03a=nf.A03[:0], A03b=nf.A03)
-    K_tilde = np.hstack([K1 - nf.A10, K2 - nf.A11])
     free = {"Y2": Y2.tolist(), "Y1": Y1.tolist(), "rng_seed": cfg.rng_seed}
     z = np.zeros((0, 0))
     return GainSet(
         ni_class="ssni", K10=K1, K11=K2, K12=np.zeros((p, 0)),
         K13=np.zeros((p, 0)), K20=np.zeros((0, m)), K21=np.zeros((0, p)),
         K22=z, K23=z, K_tilde=K_tilde, closed_loop=closed, Y=Y,
-        certificate=cert, verdict=verdict, free_parameters=free,
-        normal_form=nf, split=split)
+        free_parameters=free, normal_form=nf, split=split, **delivered)
 
 
 def compose_full_gain(gains):
-    """Map normal-form gains back to the original coordinates.
+    """The emitted law ``u = K_x x + K_v v`` in the plant's coordinates:
+    ``K_x = T_u^{-1} K_tilde T_x`` and ``K_v = T_u^{-1} T_y^{-T}``."""
+    return gains.law
 
-    ``u = T_u^{-1} (K_tilde T_x x + T_y^{-T} v)``, so
-    ``K_x = T_u^{-1} K_tilde T_x`` and ``K_v = T_u^{-1} T_y^{-T}``.
+
+def original_coordinates_certificate(gains):
+    """The emitted certificate in the plant's coordinates.
+
+    Returns ``(nominal_closed, Y_original, eps_original)`` where the
+    nominal closed loop is ``(A + B K_x, B K_v, C)`` of the source system.
+    The output-strictness level rescales under the output transformation:
+    the original-coordinates loop is output strict at
+    ``eps / lambda_max(T_y^-T T_y^-1)``.  Synthesis verified ``Y_original``
+    on this very loop before returning ``gains``.
     """
-    transforms = gains.normal_form.transforms
-    K_x = transforms.T_u_inv @ gains.K_tilde @ transforms.T_x
-    K_v = transforms.T_u_inv @ transforms.T_y_inv.T
-    return FeedbackLaw(K_x=K_x, K_v=K_v)
+    return gains.nominal_closed, gains.Y_original, gains.epsilon_original
 
 
 @dataclass(frozen=True)
 class StabilizationResult:
-    """Output of the robust stabilization pipeline."""
+    """Output of the robust stabilization pipeline.
 
-    law: FeedbackLaw
+    ``law``, ``nominal_closed`` and ``Y_original`` are those of ``gains``,
+    whose ``certificate`` and ``verdict`` check ``Y_original`` on
+    ``nominal_closed``; the DC fields record the loop-gain bound.
+    """
+
     gains: GainSet
-    nominal_closed: StateSpace
-    Y_original: np.ndarray
-    certificate_original: Certificate
     lam_max_R0: float
     dc_value: float
     dc_bound: float
     gamma: float
 
     @property
+    def law(self):
+        return self.gains.law
+
+    @property
+    def nominal_closed(self):
+        return self.gains.nominal_closed
+
+    @property
+    def Y_original(self):
+        return self.gains.Y_original
+
+    @property
     def dc_margin(self):
         return self.dc_bound - self.dc_value
-
-
-def original_coordinates_certificate(gains):
-    """Transform the emitted certificate into original coordinates.
-
-    Returns ``(nominal_closed, Y_original, eps_original)`` where the
-    nominal closed loop is ``(A + B K_x, B K_v, C)`` of the source system.
-    The output-strictness level rescales under the output transformation:
-    the original-coordinates loop is output strict at
-    ``eps / lambda_max(T_y^-T T_y^-1)``.
-    """
-    nf = gains.normal_form
-    law = compose_full_gain(gains)
-    src = nf.source
-    A_cl = src.A + src.B @ law.K_x
-    closed = StateSpace(A=A_cl, B=src.B @ law.K_v, C=src.C,
-                        name=(src.name or "system") + ":nominal-closed")
-    n = nf.n
-    T_hat = np.zeros((n, n))
-    m = nf.m
-    T_hat[:m, :m] = gains.split.S
-    T_hat[m:, m:] = np.eye(n - m)
-    T_total = T_hat @ nf.transforms.T_x
-    Ti = np.linalg.inv(T_total)
-    Y_orig = Ti @ gains.Y @ Ti.T
-    eps_orig = None
-    if gains.epsilon is not None:
-        Tyi = nf.transforms.T_y_inv
-        mu = float(np.linalg.eigvalsh(Tyi.T @ Tyi)[-1])
-        eps_orig = gains.epsilon / mu
-    return closed, (Y_orig + Y_orig.T) / 2.0, eps_orig
 
 
 def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
@@ -593,12 +618,8 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
             f"DC condition fails: lambda_max(T_y^-1 diag(Y2, Y3) T_y^-T) = "
             f"{dc_value:.6g} >= 1/gamma = {dc_bound:.6g}")
 
-    law = compose_full_gain(gains)
-    closed, Y_orig, _ = original_coordinates_certificate(gains)
-    cert = certify.compute_certificate(closed, "ni", Y_orig)
-    R0 = np.real(eval_tf(closed, 0.0))
+    R0 = np.real(eval_tf(gains.nominal_closed, 0.0))
     lam_max_R0 = float(np.linalg.eigvalsh((R0 + R0.T) / 2.0)[-1])
     return StabilizationResult(
-        law=law, gains=gains, nominal_closed=closed, Y_original=Y_orig,
-        certificate_original=cert, lam_max_R0=lam_max_R0,
-        dc_value=dc_value, dc_bound=dc_bound, gamma=usys.gamma)
+        gains=gains, lam_max_R0=lam_max_R0, dc_value=dc_value,
+        dc_bound=dc_bound, gamma=usys.gamma)

@@ -5,14 +5,19 @@
   parameter.
 * No private entry points: a module reaches another module only through
   its public names, so what one layer offers the others is its public API.
+* No public API without a caller: every name the package re-exports is
+  used by the library, the benchmark or the tools.
 """
 
 import ast
 import inspect
+from pathlib import Path
 
 from nisynth import certify, cli, errors, linalg, statespace, structure, synth
 
 MODULES = (linalg, statespace, structure, certify, synth)
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nisynth"
 
 
 def _functions(module):
@@ -57,3 +62,32 @@ def test_no_private_names_across_modules():
                 hits += [f"{own}: from .{node.module or ''} import {a.name}"
                          for a in node.names if _private(a.name)]
     assert hits == [], f"private names used across modules: {hits}"
+
+
+def _references(path):
+    """Every name a source file loads, reads as an attribute or imports;
+    a ``def`` or ``class`` statement is not a reference to its name."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+            refs.add((node.module or "").rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            refs.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return refs
+
+
+def test_every_export_has_a_caller():
+    init = PACKAGE / "__init__.py"
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = [path for path in sorted(PACKAGE.glob("*.py")) if path != init]
+    callers += sorted((ROOT / "bench").glob("*.py"))
+    callers += sorted((ROOT / "tools").glob("*.py"))
+    used = set().union(*map(_references, callers))
+    assert sorted(exported - used) == [], "re-exported names without a caller"

@@ -5,7 +5,6 @@ from nisynth import StateSpace, certify, eval_tf, is_minimal, linalg
 from nisynth.certify import (
     FrequencyGrid,
     classify_freq,
-    dc_gain_interconnection_stable,
     residue_at_imaginary_pole,
     verify_certificate,
 )
@@ -440,38 +439,6 @@ class TestVerifyCertificate:
     def test_sni_not_supported(self):
         with pytest.raises(InputError):
             verify_certificate(first_order_lag(), "sni", [[1.0]])
-
-
-class TestDcGain:
-    def test_demo_loop_with_sample_uncertainty(self, demo_uncertainty):
-        verdict = dc_gain_interconnection_stable(demo_nominal_closed(),
-                                                 demo_uncertainty)
-        assert verdict.holds
-        # lambda_max(R(0) Rs(0)) = 0.6545 * 0.5
-        assert np.isclose(verdict.worst_margin, 1.0 - 0.5 * 0.65450849718,
-                          atol=1e-6)
-
-    def test_large_uncertainty_fails(self):
-        # Rs = 2/(s+1) I: product DC gain 1.309 >= 1
-        Rs = StateSpace(A=-np.eye(2), B=np.eye(2), C=2.0 * np.eye(2))
-        verdict = dc_gain_interconnection_stable(demo_nominal_closed(), Rs)
-        assert not verdict.holds
-
-    def test_zero_dc_plant(self, demo_uncertainty):
-        # R with R(0) = 0 passes for any bounded Rs(0)
-        R = StateSpace(A=np.diag([-1.0, -1.0]), B=np.eye(2),
-                       C=np.zeros((2, 2)))
-        verdict = dc_gain_interconnection_stable(R, demo_uncertainty)
-        assert verdict.holds
-
-    def test_feedthrough_hypothesis(self, demo_uncertainty):
-        R = StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
-                       D=0.1 * np.eye(2))
-        Rs = StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
-                        D=0.1 * np.eye(2))
-        verdict = dc_gain_interconnection_stable(R, Rs)
-        assert not verdict.holds
-        assert any("R(inf)" in n for n in verdict.notes)
 
 
 class TestGrid:

@@ -14,6 +14,14 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def assert_verdict_checks_certificate(rep):
+    """The certificate verdict of a report is the check of its certificate."""
+    verdict, cert = rep["verdicts"]["certificate"], rep["certificate"]
+    assert verdict["holds"] is True
+    assert verdict["class"] == cert["class"]
+    assert verdict["worst_margin"] == cert["residuals"]["lyap_residual"]
+
+
 @pytest.fixture()
 def plant_path(sample_paths):
     return str(sample_paths["plant"])
@@ -115,6 +123,7 @@ class TestSynthesize:
     def test_certificate_round_trip(self, capsys, plant_path, tmp_path):
         code, rep = run_cli(capsys, "synthesize", plant_path, "--seed", "3")
         assert code == 0
+        assert_verdict_checks_certificate(rep)
         closed = tmp_path / "closed.json"
         closed.write_text(json.dumps(rep["closed_loop"]))
         cert = tmp_path / "cert.json"
@@ -158,6 +167,7 @@ class TestStabilize:
         assert rep["gains"]["K_w"] == [[0.0, 1.0], [0.0, -2.0]]
         assert abs(rep["dc"]["lam_max_R0"] - 0.6545) < 5e-4
         assert rep["verdicts"]["frequency_ni"]["holds"] is True
+        assert_verdict_checks_certificate(rep)
 
     def test_dc_violation_exits_one(self, capsys, plant_path):
         code, rep = run_cli(capsys, "stabilize", plant_path, "--gamma", "1",
@@ -222,16 +232,24 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", plant_path, "--x0", "1,2")
         assert code == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--t-end", "inf"), ("--t-end", "nan"), ("--dt", "inf")])
-    def test_non_finite_horizon_exits_two(self, capsys, plant_path, flag,
-                                          value):
+    FINITE = "t_end and dt must be finite and positive"
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("--t-end", "inf"), FINITE, id="--t-end-inf"),
+        pytest.param(("--t-end", "nan"), FINITE, id="--t-end-nan"),
+        pytest.param(("--dt", "inf"), FINITE, id="--dt-inf"),
+        # t_end / dt overflows: no step count, nothing allocated
+        pytest.param(("--t-end", "1e300", "--dt", "1e-300"),
+                     "t_end / dt asks for inf samples of 7 entries; at "
+                     "most 4194304 entries are stored",
+                     id="--t-end-1e300---dt-1e-300")])
+    def test_non_finite_horizon_exits_two(self, capsys, plant_path, argv,
+                                          message):
         code, rep = run_cli(capsys, "simulate", plant_path,
-                            "--x0", "1,1,1,1", flag, value)
+                            "--x0", "1,1,1,1", *argv)
         assert code == 2
         assert rep["error"]["kind"] == "input-error"
-        assert rep["error"]["message"] == \
-            "t_end and dt must be finite and positive"
+        assert rep["error"]["message"] == message
 
 
 class TestUsage:
@@ -249,6 +267,7 @@ class TestOsniRoundTrip:
                             "--epsilon", "0.3")
         assert code == 0
         assert 0 < rep["certificate"]["epsilon"] < 0.3
+        assert_verdict_checks_certificate(rep)
         closed = tmp_path / "closed.json"
         closed.write_text(json.dumps(rep["closed_loop"]))
         cert = tmp_path / "cert.json"

@@ -19,7 +19,12 @@ from nisynth.errors import (
     SimulationDivergedError,
 )
 from nisynth.certify import FrequencyGrid
-from nisynth.statespace import SWEEP_ENTRIES, load_system, near_pole
+from nisynth.statespace import (
+    SIMULATE_ENTRIES,
+    SWEEP_ENTRIES,
+    load_system,
+    near_pole,
+)
 from nisynth.structure import to_normal_form
 from nisynth.synth import SynthesisConfig, synthesize_ni
 
@@ -284,6 +289,13 @@ class TestSimulate:
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         traj = simulate(sys, [0.0], t_end=1.0, dt=0.01)
         assert np.all(traj.states == 0.0) and np.all(traj.outputs == 0.0)
+
+    def test_stored_entries_are_capped(self):
+        # a sample stores 1 + n + p = 3 entries; this horizon needs
+        # SIMULATE_ENTRIES // 3 + 1 samples, one more than the cap holds
+        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(InputError, match="samples of 3 entries"):
+            simulate(sys, [1.0], t_end=float(SIMULATE_ENTRIES // 3), dt=1.0)
 
     def test_demo_uncertain_loop_decay(self, demo_uncertainty):
         # oracle: asymptotic decay rate is the spectral abscissa of the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, UncertainSystem, eval_tf, linalg
+from nisynth import StateSpace, UncertainSystem, eval_tf, linalg, synth
 from nisynth.certify import classify_freq, verify_certificate
 from nisynth.errors import (
     DcGainConditionError,
@@ -137,11 +137,13 @@ class TestSynthesizeNi:
             T_y, _ = find_output_transformation(sys)
             nf = to_normal_form(sys, T_y)
             g = synthesize_ni(nf, SynthesisConfig(rng_seed=done))
+            # the normal-form certificate, scaled by its own loop
+            _, cert = verify_certificate(g.closed_loop, "ni", g.Y)
             scale = 1.0 + np.linalg.norm(g.closed_loop.B, 2) + \
                 np.linalg.norm(g.closed_loop.A, 2) * np.linalg.norm(g.Y, 2) \
                 * np.linalg.norm(g.closed_loop.C, 2)
-            assert g.certificate.coupling_residual <= 1e-9 * scale
-            assert g.certificate.pd_margin > 0
+            assert cert.coupling_residual <= 1e-9 * scale
+            assert cert.pd_margin > 0
             assert is_minimal(g.closed_loop).minimal
             smin = np.linalg.svd(g.closed_loop.A, compute_uv=False)[-1]
             assert smin > 1e-10 * np.linalg.norm(g.closed_loop.A, 2)
@@ -267,7 +269,7 @@ class TestSynthesizeSsni:
         blk = planted_normal_blocks(rng, 2, 0, 0, 0)
         nf = normal_form_from_blocks(blk, 2, 0, 0)
         g = synthesize_ssni(nf, SynthesisConfig(Y2=0.5))
-        assert np.allclose(g.K2, -2.0 * np.eye(2))
+        assert np.allclose(g.K11, -2.0 * np.eye(2))
         assert g.verdict.holds
 
     def test_uncontrollable_rejected(self):
@@ -321,10 +323,12 @@ class TestSynthesizeSsni:
 
         monkeypatch.setattr(linalg, "eig", recording_eig)
         g = synthesize_ssni(nf)
-        # the Hurwitz and PBH tests share one eig(A00); the closed loop's
-        # Hurwitz test, verify_certificate and is_minimal share its spectrum
-        for M in (nf.A00, g.closed_loop.A):
-            assert sum(np.array_equal(A, M) for A in calls) == 1
+        # the Hurwitz and PBH tests share one eig(A00); the plant loop's
+        # Hurwitz test, verify_certificate and is_minimal share its
+        # spectrum, and the normal-form loop is never decomposed
+        for M, count in ((nf.A00, 1), (g.nominal_closed.A, 1),
+                         (g.closed_loop.A, 0)):
+            assert sum(np.array_equal(A, M) for A in calls) == count
 
 
 class TestComposeFullGain:
@@ -350,9 +354,20 @@ class TestComposeFullGain:
         g = synthesize_ni(demo_nf, demo_config())
         closed, Y, eps = original_coordinates_certificate(g)
         assert eps is None
+        # the stored objects, which the gate verified
+        assert closed is g.nominal_closed and compose_full_gain(g) is g.law
         v, cert = verify_certificate(closed, "ni", Y)
         assert v.holds
         assert cert.coupling_residual <= 1e-9
+        assert g.verdict == v and g.certificate.ni_class == "ni"
+
+    def test_perturbed_law_fails_the_gate(self, demo_nf, monkeypatch):
+        # the gate checks the law as delivered, not the normal-form loop
+        law = synth.FeedbackLaw
+        monkeypatch.setattr(synth, "FeedbackLaw",
+                            lambda K_x, K_v: law(K_x=1.5 * K_x, K_v=K_v))
+        with pytest.raises(NumericalError, match="plant-coordinate loop"):
+            synthesize_ni(demo_nf, demo_config())
 
 
 class TestRobustStabilize:
