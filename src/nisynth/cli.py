@@ -69,6 +69,14 @@ def _base_report(args, sys_path):
     }
 
 
+def _number(value, name, kind=(int, float)):
+    """``value`` when JSON gave a number of ``kind`` (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _config_from_args(args):
     """Merge a --params file and direct flags into a SynthesisConfig."""
     params = {}
@@ -88,6 +96,10 @@ def _config_from_args(args):
     unknown = set(params) - known
     if unknown:
         raise InputError(f"unknown synthesis parameters: {sorted(unknown)}")
+    for key, val in params.items():  # matrix fields take lists and None too
+        if key in ("epsilon", "rng_seed") or \
+                not isinstance(val, (list, type(None))):
+            _number(val, key, int if key == "rng_seed" else (int, float))
     return synth.SynthesisConfig(**params), transforms
 
 
@@ -229,6 +241,10 @@ def cmd_verify(args):
     eps = args.epsilon
     if args.certificate:
         cert_data = _load_json(args.certificate, "certificate")
+        if not isinstance(cert_data, dict) or \
+                not isinstance(cert_data.get("class", ""), str):
+            raise InputError(
+                "certificate must be a JSON object whose 'class' is a string")
         cert_class = cert_data.get("class", args.ni_class).lower()
         if cert_class != args.ni_class:
             raise InputError(
@@ -236,8 +252,8 @@ def cmd_verify(args):
                 f"--class {args.ni_class}")
         if "Y" not in cert_data:
             raise InputError("certificate JSON must hold a matrix 'Y'")
-        if eps is None:
-            eps = cert_data.get("epsilon")
+        if eps is None and cert_data.get("epsilon") is not None:
+            eps = _number(cert_data["epsilon"], "certificate epsilon")
     verdicts = {}
     holds = True
     grid = certify.FrequencyGrid.default(system, points=args.grid_points)

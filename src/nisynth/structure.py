@@ -4,7 +4,8 @@ The central object is the normal form of a square system whose (possibly
 output-transformed) relative degrees are all 1 or 2.  State blocks are
 ``(z, x1, x2, x3)``: internal dynamics ``z``, the degree-1 outputs ``x1``,
 and the degree-2 output chain ``x2, x3 = x2dot``.  The input enters only
-the ``x1`` and ``x3`` rows, through an invertible input transform.
+the ``x1`` and ``x3`` rows, through an invertible input transform; the
+free ``z`` rows (Isidori, 1995) are taken in closed form.
 """
 
 from __future__ import annotations
@@ -290,103 +291,11 @@ def normal_form_output_matrix(m, p1, p2):
     return C
 
 
-def _bordered_sigma2(candidates, chosen, base, rows):
-    """``sigma_min^2`` of ``[c; chosen; base]`` for the candidate rows
-    ``c = candidates[rows]``: the Gram matrix of ``[chosen; base]``,
-    bordered by each candidate, and one stacked ``eigvalsh``."""
-    X = np.vstack([chosen, base])
-    r = X.shape[0]
-    cross = (candidates @ X.T)[rows]
-    gram = np.empty((len(rows), r + 1, r + 1))
-    gram[:, 0, 0] = (candidates * candidates).sum(axis=1)[rows]
-    gram[:, 0, 1:] = cross
-    gram[:, 1:, 0] = cross
-    gram[:, 1:, 1:] = X @ X.T
-    return np.linalg.eigvalsh(gram)[:, 0]
-
-
-def _complete_internal_rows(B, base, m, n):
-    """Choose ``m`` rows from the left null space of B completing ``base``.
-
-    Greedy selection from an orthonormal null-space basis: each step picks
-    the candidate ``c`` maximizing ``sigma_min^2`` of ``[c; chosen; base]``
-    (the first best candidate wins a tie), as a screen of every candidate
-    by the bordered Gram (``_bordered_sigma2``) would, bit for bit.
-
-    Reduced matrix.  The candidates and the chosen rows are orthonormal.
-    With ``q`` base rows, ``g_c = c base^T``, ``G_b = base base^T`` and a
-    ``q x q`` factor ``R`` with ``R^T R = F^T F``, ``F = chosen base^T``,
-    the ``(2q + 1)``-square ``[[I_q, 0, R], [0, 1, g_c], [R^T, g_c^T,
-    G_b]]`` and the bordered Gram both have ``lambda_min <= 1`` and the
-    same spectrum below 1, so the same ``sigma_min^2``, whatever the
-    number of rows chosen.  ``R`` is ``F`` itself, zero-padded, for the
-    first ``q`` picks, and after that one QR of ``[R; g_best]`` per pick.
-
-    Interlacing bound.  A candidate's ``sigma_min^2`` only falls as rows
-    are chosen (Cauchy interlacing), so its last value bounds it from
-    above.  A step evaluates the candidate of highest bound, then, in one
-    stacked ``eigvalsh``, those whose bound is within
-    ``tau = 1e-9 (1 + ||G_b||_2)`` of that value; no other can lead.
-
-    Arbitration.  When the screen cannot separate the leader (a second
-    value within ``tau`` of the top, or a top value ``<= tau``), the
-    bordered Gram decides among that shortlist in candidate order, and
-    raises when its best is not positive.  Rounding moves a value far less
-    than ``tau``, so the full screen's choice is always on the shortlist.
-    """
-    if m == 0:
-        return np.zeros((0, n))
-    p = B.shape[1]
-    candidates = np.linalg.svd(B, full_matrices=True)[0][:, p:].T
-    q = base.shape[0]
-    g = candidates @ base.T
-    G_b = base @ base.T
-    tau = 1e-9 * (1.0 + np.linalg.eigvalsh(G_b)[-1])
-    reduced = np.zeros((len(candidates), 2 * q + 1, 2 * q + 1))
-    reduced[:, :q, :q] = np.eye(q)
-    reduced[:, q, q] = 1.0
-    reduced[:, q, q + 1:] = g
-    reduced[:, q + 1:, q] = g
-    reduced[:, q + 1:, q + 1:] = G_b
-    stack = np.zeros((q + 1, q))     # [R; g_best]
-    bound = np.linalg.eigvalsh(reduced)[:, 0]
-    picks = []
-    for _ in range(m):
-        if picks:
-            row = min(len(picks), q + 1) - 1
-            stack[row] = g[picks[-1]]
-            if row == q:
-                stack[:q] = np.linalg.qr(stack, mode="r")
-            R = stack[:q]
-            reduced[:, :q, q + 1:] = R
-            reduced[:, q + 1:, :q] = R.T
-            top = bound.argmax()
-            bound[top] = np.linalg.eigvalsh(reduced[top])[0]
-            stale = bound >= bound[top] - tau
-            stale[top] = False
-            if stale.any():
-                bound[stale] = np.linalg.eigvalsh(reduced[stale])[:, 0]
-        lead = bound.argmax()
-        near = bound >= bound[lead] - tau
-        if bound[lead] > tau and np.count_nonzero(near) == 1:
-            best = int(lead)
-        else:
-            short = np.flatnonzero(near)
-            # the remaining candidates as the full screen holds them: the
-            # SVD's own view at the first step, a compact copy after it
-            live = np.delete(np.arange(len(candidates)), picks)
-            rest = candidates[live] if picks else candidates
-            sigma2 = _bordered_sigma2(rest, candidates[picks], base,
-                                      np.searchsorted(live, short))
-            i = int(np.argmax(sigma2))
-            if sigma2[i] <= 0.0:
-                raise NumericalError(
-                    "could not complete the state transform from the left "
-                    "null space of B")
-            best = int(short[i])
-        picks.append(best)
-        bound[best] = -np.inf
-    return candidates[picks]
+def _internal_rows(B, C_T):
+    """Orthonormal basis of the common left null space of ``B`` and
+    ``C_T^T``, from a complete Householder QR (Golub & Van Loan, 5.2)."""
+    k = B.shape[1] + C_T.shape[0]
+    return np.linalg.qr(np.hstack([B, C_T.T]), mode="complete")[0][:, k:].T
 
 
 def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
@@ -395,9 +304,12 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     ``T_y`` defaults to the one ``find_output_transformation`` finds.
     Rows are sorted so degree-1 outputs precede degree-2 (the permutation
     is folded into ``T_y``).  The state transform stacks the internal rows
-    (annihilating B) over ``[C_O; C_T; C_T A]``; the input transform is
-    ``[C_O; C_T A] B``.  Explicit ``T_x``/``T_u`` may be supplied to pin a
-    particular choice; they are validated against the same structure.
+    ``Cz`` (``_internal_rows``, smooth in ``B`` and ``C_T``) over
+    ``[C_O; C_T; C_T A]``; the input transform is ``T_u = [C_O; C_T A] B``.
+    ``T_x`` is nonsingular when ``T_u`` is: times ``B``, then ``C_T^T``, a
+    vanishing row combination leaves ``T_u`` and ``C_T C_T^T > 0``.
+    Explicit ``T_x``/``T_u`` may be supplied to pin a particular choice;
+    they are validated against the same structure.
     """
     p = sys.require_square("normal form")
     A, B = sys.A, sys.B
@@ -425,8 +337,7 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     if m < 0:
         raise InputError("state dimension too small for the degree structure")
     Ct = T_y_eff @ sys.C
-    C_O = Ct[:p1, :]
-    C_T = Ct[p1:, :]
+    C_O, C_T = Ct[:p1, :], Ct[p1:, :]
     base = np.vstack([C_O, C_T, C_T @ A])
 
     T_u_expected = np.vstack([C_O, C_T @ A]) @ B
@@ -440,8 +351,7 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
                 "T_y (it is determined by [C_O; C_T A] B)")
 
     if T_x is None:
-        Cz = _complete_internal_rows(B, base, m, n)
-        T_x = np.vstack([Cz, base])
+        T_x = np.vstack([_internal_rows(B, C_T), base])
     else:
         T_x = as_matrix(T_x, "T_x", square=True)
         if T_x.shape[0] != n:

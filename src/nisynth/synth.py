@@ -203,19 +203,13 @@ def _block(rows):
     return np.vstack([np.hstack(r) for r in rows])
 
 
-def _assemble_certificate(split, Y1b, Y2, Y3):
-    """Certificate blocks for the (z, x1, x2, x3) split coordinates."""
-    m_a, m_b = split.m_a, split.m_b
-    m = m_a + m_b
-    A00 = split.A00
-    A01 = np.vstack([split.A01a, split.A01b])
-    A02 = np.vstack([split.A02a, split.A02b])
-    iA00 = np.linalg.inv(A00) if m else A00
-    Y1 = np.zeros((m, m))
-    Y1[:m_a, :m_a] = np.eye(m_a)
+def _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3):
+    """Certificate blocks for the (z, x1, x2, x3) split coordinates, from
+    the split's ``A01``, ``A02`` and ``inv(A00)``."""
+    m = iA00.shape[0]
+    Y1 = np.eye(m)
     Y1[m_a:, m_a:] = Y1b
-    p1 = A01.shape[1]
-    p2 = A02.shape[1]
+    p1, p2 = A01.shape[1], A02.shape[1]
     G1 = iA00 @ A01          # m x p1
     G2 = iA00 @ A02          # m x p2
     Y11 = Y1 + G1 @ Y2 @ G1.T + G2 @ Y3 @ G2.T
@@ -394,7 +388,7 @@ def _synthesize_deg12(nf, cfg, ni_class):
     closed = StateSpace(A=A_cl, B=normal_form_input_matrix(m, p1, p2),
                         C=normal_form_output_matrix(m, p1, p2),
                         name=(nf.source.name or "system") + ":closed")
-    Y = _assemble_certificate(split, Y1b, Y2, Y3)
+    Y = _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3)
 
     S = split.S
     K_tilde = _block([

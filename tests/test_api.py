@@ -7,6 +7,8 @@
   its public names, so what one layer offers the others is its public API.
 * No public API without a caller: every name the package re-exports is
   used by the library, the benchmark or the tools.
+* No dead private code: every private function or class of the package
+  is used somewhere in it besides its own definition.
 """
 
 import ast
@@ -91,3 +93,13 @@ def test_every_export_has_a_caller():
     callers += sorted((ROOT / "tools").glob("*.py"))
     used = set().union(*map(_references, callers))
     assert sorted(exported - used) == [], "re-exported names without a caller"
+
+
+def test_every_private_definition_has_a_use():
+    paths = sorted(PACKAGE.glob("*.py"))
+    used = set().union(*map(_references, paths))
+    defined = {node.name for path in paths
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and _private(node.name)}
+    assert sorted(defined - used) == [], "private definitions without a use"

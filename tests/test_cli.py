@@ -260,6 +260,42 @@ class TestUsage:
         assert main(["analyze", plant_path, "--bogus"]) == 2
 
 
+class TestJsonTypes:
+    """A JSON value of the wrong type is an input error (exit 2), not a
+    traceback."""
+
+    @pytest.mark.parametrize("where, data", [
+        ("params", {"epsilon": "x"}),
+        ("params", {"rng_seed": "abc"}),
+        ("params", {"rng_seed": 1.5}),
+        ("params", {"Y2": "abc"}),
+        ("ni", [1]),
+        ("ni", {"class": 5}),
+        ("osni", {"class": "osni", "epsilon": "x"}),
+    ], ids=["epsilon-str", "seed-str", "seed-float", "Y2-str",
+            "certificate-list", "class-int", "certificate-epsilon-str"])
+    def test_wrong_type_exits_two(self, capsys, plant_path, tmp_path, where,
+                                  data):
+        path = tmp_path / "input.json"
+        if where == "params":
+            argv = ["synthesize", plant_path, "--target", "osni",
+                    "--params", str(path)]
+        else:
+            _, rep = run_cli(capsys, "synthesize", plant_path,
+                             "--target", "osni", "--seed", "5")
+            closed = tmp_path / "closed.json"
+            closed.write_text(json.dumps(rep["closed_loop"]))
+            if isinstance(data, dict):
+                data = {"Y": rep["certificate"]["Y"], **data}
+            argv = ["verify", str(closed), "--class", where,
+                    "--certificate", str(path)]
+        path.write_text(json.dumps(data))
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2
+        assert rep["error"]["kind"] == "input-error"
+        assert rep["error"]["type"] == "InputError"
+
+
 class TestOsniRoundTrip:
     def test_certificate_round_trip(self, capsys, plant_path, tmp_path):
         code, rep = run_cli(capsys, "synthesize", plant_path,

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, linalg, structure
+from nisynth import StateSpace, linalg
 from nisynth.errors import (
     InputError,
     NoRdLeqTwoError,
     NotControllableError,
     NotWeaklyMinimumPhaseError,
-    NumericalError,
 )
 from nisynth.linalg import StabilityClass
 from nisynth.structure import (
@@ -205,42 +204,6 @@ class TestToNormalForm:
             to_normal_form(demo_plant, np.eye(2))
 
 
-def greedy_svd_rows(B, base, m, n):
-    """Reference completion: one SVD per candidate per greedy step."""
-    p = B.shape[1]
-    U = np.linalg.svd(B, full_matrices=True)[0]
-    candidates = [U[:, p + k] for k in range(n - p)]
-    chosen = []
-    for _ in range(m):
-        best, best_sigma = None, -1.0
-        for idx, cand in enumerate(candidates):
-            trial = np.vstack([*(c.reshape(1, -1) for c in chosen),
-                               cand.reshape(1, -1), base])
-            sigma = np.linalg.svd(trial, compute_uv=False)[-1]
-            if sigma > best_sigma:
-                best, best_sigma = idx, sigma
-        chosen.append(candidates.pop(best))
-    return np.vstack(chosen) if chosen else np.zeros((0, n))
-
-
-def near_tie(rng, n, p, gap=1e-12):
-    """``(B, base)`` whose first two null-space candidates ``c1, c2`` tie.
-
-    The ``p`` base rows are orthogonal to ``c1 - c2``, so both candidates
-    have the same ``g = c base^T`` and, step for step, the same
-    ``sigma_min^2``; a component ``gap`` along ``c1 - c2`` then separates
-    them by about ``gap``, far above rounding and far below the screen's
-    margin (1e-9 relative), so the greedy SVD loop's pick is defined.
-    """
-    B = rng.standard_normal((n, p))
-    U = np.linalg.svd(B, full_matrices=True)[0]
-    d = U[:, p] - U[:, p + 1]
-    d /= np.linalg.norm(d)
-    base = rng.standard_normal((p, n))
-    base += np.outer(gap * rng.standard_normal(p) - base @ d, d)
-    return B, base
-
-
 def gen_shapes(max_p=3, max_n=8):
     """Every (p1, p2, m_a, m_b) that ``random_shape`` can draw."""
     for p1 in range(max_p + 1):
@@ -254,77 +217,73 @@ def gen_shapes(max_p=3, max_n=8):
                     yield p1, p2, m_a, m_b
 
 
-class TestCompleteInternalRows:
-    """The bordered-Gram completion picks the rows of the greedy
-    per-candidate SVD loop, so ``T_x`` is unchanged bit for bit."""
+def planted_tie(rng, n=7):
+    """A plant with ``p1 = p2 = 1`` whose base rows ``[C_O; C_T; C_T A]``
+    are orthogonal to ``c1 - c2``, where ``c1, c2`` are the first two left
+    null vectors of ``B`` from its SVD: in exact arithmetic the two are
+    equally good completions, a tie that only rounding could break."""
+    B = rng.standard_normal((n, 2))
+    null = np.linalg.svd(B, full_matrices=True)[0][:, 2:]
+    d = (null[:, 0] - null[:, 1]) / np.sqrt(2.0)
+    off_d = np.eye(n) - np.outer(d, d)
+    C_O = rng.standard_normal(n) @ off_d
+    C_T = null @ rng.standard_normal(n - 2) @ off_d      # C_T B = 0
+    A = rng.standard_normal((n, n))
+    C_TA = rng.standard_normal(n) @ off_d
+    A += np.outer(C_T, C_TA - C_T @ A) / (C_T @ C_T)
+    return StateSpace(A=A, B=B, C=np.vstack([C_O, C_T]))
+
+
+class TestInternalRows:
+    """``T_x`` stacks an orthonormal basis ``Cz`` of the common left null
+    space of ``B`` and ``C_T^T`` over the base rows ``[C_O; C_T; C_T A]``."""
 
     @staticmethod
-    def assert_same_completion(sys):
+    def assert_internal_rows(sys):
         nf = to_normal_form(sys)
         Ct = nf.transforms.T_y @ sys.C
-        base = np.vstack([Ct[:nf.p1], Ct[nf.p1:], Ct[nf.p1:] @ sys.A])
-        rows = structure._complete_internal_rows(sys.B, base, nf.m, sys.n)
-        expected = greedy_svd_rows(sys.B, base, nf.m, sys.n)
-        assert rows.tobytes() == expected.tobytes()
-        assert nf.transforms.T_x.tobytes() == \
-            np.vstack([expected, base]).tobytes()
+        C_T = Ct[nf.p1:]
+        base = np.vstack([Ct[:nf.p1], C_T, C_T @ sys.A])
+        T_x = nf.transforms.T_x
+        Cz = T_x[:nf.m]
+        assert np.abs(Cz @ Cz.T - np.eye(nf.m)).max(initial=0.0) <= 1e-12
+        assert linalg.spectral_norm(Cz @ sys.B) <= \
+            1e-12 * linalg.spectral_norm(sys.B)
+        assert linalg.spectral_norm(Cz @ C_T.T) <= \
+            1e-12 * linalg.spectral_norm(C_T)
+        assert linalg.rank(T_x) == sys.n
+        assert np.array_equal(T_x[nf.m:], base)
 
     def test_every_gen_shape(self):
         shapes = list(gen_shapes())
         assert len(shapes) > 50
         for k, shape in enumerate(shapes):
             sys, _ = planted_system(np.random.default_rng([71, k]), *shape)
-            self.assert_same_completion(sys)
+            self.assert_internal_rows(sys)
 
     def test_large_shapes(self):
         rng = np.random.default_rng(72)
         for shape in ((2, 1, 12, 10), (1, 2, 34, 25)):
             sys, _ = planted_system(rng, *shape)
-            self.assert_same_completion(sys)
+            self.assert_internal_rows(sys)
 
     def test_demo(self, demo_plant):
-        self.assert_same_completion(demo_plant)
+        self.assert_internal_rows(demo_plant)
 
-    def test_near_tie_goes_to_arbitration(self, monkeypatch):
-        # the reduced screen cannot separate the pair: the bordered Gram
-        # decides, and picks what the greedy SVD loop picks
-        calls = []
-        screen = structure._bordered_sigma2
-        monkeypatch.setattr(structure, "_bordered_sigma2",
-                            lambda *args: calls.append(1) or screen(*args))
-        for n, p in ((6, 2), (9, 3), (14, 4)):
-            for seed in range(3):
-                B, base = near_tie(np.random.default_rng([n, seed]), n, p)
-                calls.clear()
-                rows = structure._complete_internal_rows(B, base, n - p, n)
-                assert calls, (n, p, seed)
-                expected = greedy_svd_rows(B, base, n - p, n)
-                assert rows.tobytes() == expected.tobytes(), (n, p, seed)
-
-    def test_clear_leaders_skip_arbitration(self, monkeypatch):
-        # the 64-state shape of the benchmark: every step has a clear leader
-        calls = []
-        screen = structure._bordered_sigma2
-        monkeypatch.setattr(structure, "_bordered_sigma2",
-                            lambda *args: calls.append(1) or screen(*args))
-        rng = np.random.default_rng(73)
-        sys, _ = planted_system(rng, 1, 2, 34, 25)
-        nf = to_normal_form(sys)
-        assert nf.m == 59 and not calls
-
-    def test_base_no_candidate_completes(self):
-        # a zero base row makes every stack singular: every sigma_min^2 is
-        # exactly 0, and the completion fails as the full screen's does
-        rng = np.random.default_rng(74)
-        B = rng.standard_normal((6, 2))
-        base = rng.standard_normal((3, 6))
-        base[1] = 0.0
-        for m in (1, 3):
-            with pytest.raises(NumericalError) as err:
-                structure._complete_internal_rows(B, base, m, 6)
-            assert str(err.value) == (
-                "could not complete the state transform from the left "
-                "null space of B")
+    def test_rounding_level_ties_keep_rows(self):
+        # entries of B scaled by (1 +- 4 eps): Cz may move only at rounding
+        # level, however the plant ties
+        eps = np.finfo(float).eps
+        for seed in range(200):
+            rng = np.random.default_rng([75, seed])
+            sys = planted_tie(rng)
+            nudge = 1.0 + 4.0 * eps * rng.choice([-1.0, 1.0], sys.B.shape)
+            moved = StateSpace(A=sys.A, B=sys.B * nudge, C=sys.C)
+            nf, nf_moved = to_normal_form(sys), to_normal_form(moved)
+            assert (nf.p1, nf.p2, nf.m) == (nf_moved.p1, nf_moved.p2, 4)
+            shift = np.linalg.norm(nf_moved.transforms.T_x[:4]
+                                   - nf.transforms.T_x[:4])
+            assert shift <= 1e-12, (seed, shift)
 
 
 class TestSplitZeroDynamics:
