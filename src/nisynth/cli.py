@@ -111,8 +111,7 @@ def _transform_args(transforms):
     unknown = set(transforms) - {"T_y", "T_x", "T_u"}
     if unknown:
         raise InputError(f"unknown transform keys: {sorted(unknown)}")
-    return {key: np.asarray(val, dtype=float)
-            for key, val in transforms.items() if val is not None}
+    return {key: val for key, val in transforms.items() if val is not None}
 
 
 def _pipeline_normal_form(system, target, overrides):
@@ -262,8 +261,7 @@ def cmd_verify(args):
     holds &= freq.holds
     if cert_data is not None:
         verdict, cert = certify.verify_certificate(
-            system, args.ni_class, np.asarray(cert_data["Y"], dtype=float),
-            eps)
+            system, args.ni_class, cert_data["Y"], eps)
         verdicts["certificate"] = verdict.to_dict()
         report["certificate"] = cert.to_dict()
         holds &= verdict.holds

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from .statespace import StateSpace
 #: relative threshold below which a Markov-parameter row counts as zero
 MARKOV_ZERO_TOL = 1e-8
 
-#: relative |Re lambda| threshold for the imaginary-axis spectral split
-SPLIT_AXIS_TOL = 1e-7
+#: relative |Re lambda| threshold for the imaginary-axis spectral split,
+#: the one ``linalg.stability_class`` decides the phase with
+SPLIT_AXIS_TOL = 1e-8
 
 
 class RdKind(Enum):
@@ -231,7 +233,8 @@ class NormalForm:
     is the indicator of the (x1, x3) rows.  ``rd_info`` holds the relative
     degrees of ``T_y C`` for the given or found ``T_y``, before sorting;
     ``source_rd_info`` those of the source's own outputs when the ``T_y``
-    search ran, else None.
+    search ran, else None.  ``zero_spectrum`` caches ``eig(A00)`` for
+    the split and the syntheses.
     """
 
     p1: int
@@ -262,17 +265,11 @@ class NormalForm:
     def p(self):
         return self.p1 + self.p2
 
-    def assemble(self):
-        """Exact-pattern realization of the normal form."""
-        m, p1, p2 = self.m, self.p1, self.p2
-        A = np.block([
-            [self.A00, self.A01, self.A02, self.A03],
-            [self.A10, self.A11, self.A12, self.A13],
-            [np.zeros((p2, m)), np.zeros((p2, p1)), np.zeros((p2, p2)), np.eye(p2)],
-            [self.A30, self.A31, self.A32, self.A33]])
-        B = normal_form_input_matrix(m, p1, p2)
-        C = normal_form_output_matrix(m, p1, p2)
-        return StateSpace(A=A, B=B, C=C, name=self.source.name)
+    @cached_property
+    def zero_spectrum(self):
+        """``linalg.eig(A00)``, the spectrum of the internal dynamics,
+        computed once per normal form."""
+        return linalg.eig(self.A00)
 
 
 def normal_form_input_matrix(m, p1, p2):
@@ -423,59 +420,58 @@ class ZeroDynamicsSplit:
 def _real_eigenbasis(values, vectors, indices, tol):
     """Real basis of the invariant subspace spanned by selected eigenvectors.
 
-    Conjugate pairs contribute (Re v, Im v); real eigenvalues contribute
-    their (real) eigenvector.
+    A real eigenvalue contributes its (real) eigenvector.  A conjugate pair,
+    which ``linalg.eig`` returns as exact conjugates, contributes
+    (Re v, Im v) of its member with negative imaginary part.
     """
     cols = []
-    done = set()
     for k in indices:
-        if k in done:
-            continue
-        lam, v = values[k], vectors[:, k]
-        if abs(lam.imag) <= tol:
+        v = vectors[:, k]
+        if abs(values[k].imag) <= tol:
             cols.append(np.real(v))
-            done.add(k)
-            continue
-        partner = None
-        for j in indices:
-            if j not in done and j != k and abs(values[j] - lam.conjugate()) <= tol:
-                partner = j
-                break
-        if partner is None:
-            raise NumericalError("eigenvalues do not pair into conjugates")
-        cols.append(np.real(v))
-        cols.append(np.imag(v))
-        done.add(k)
-        done.add(partner)
+        elif values[k].imag < 0:
+            cols += [np.real(v), np.imag(v)]
+    if len(cols) != len(indices):
+        raise NumericalError("eigenvalues do not pair into conjugates")
     return np.column_stack(cols) if cols else np.zeros((vectors.shape[0], 0))
+
+
+def _complement_basis(U, k):
+    """Orthonormal basis of the ``k``-dimensional complement of span ``U``,
+    fixed by the subspace alone: Loewdin's ``P G (G^T P G)^(-1/2)``
+    (J. Chem. Phys. 1950) for the projector ``P = I - Q Q^T``, ``Q`` from
+    a QR of ``U``, and a constant Gaussian ``G``; it is the polar factor
+    ``W Z^T`` of the thin SVD ``P G = W Sigma Z^T``."""
+    Q = np.linalg.qr(U)[0]
+    G = np.random.default_rng(0).standard_normal((U.shape[0], k))
+    W, _, Zt = np.linalg.svd(G - Q @ (Q.T @ G), full_matrices=False)
+    return W @ Zt
 
 
 def split_zero_dynamics(nf):
     """Split the internal dynamics spectrum across the imaginary axis.
 
-    The critical block is rendered exactly skew-symmetric by a congruence
-    with the square root of the neutral Lyapunov solution; the Hurwitz
-    block is left as produced by the subspace split.  Requires the
-    internal dynamics nonsingular and Lyapunov stable.
+    Works from the cached ``nf.zero_spectrum``.  The critical block is
+    spanned by the right eigenvectors within ``SPLIT_AXIS_TOL`` of the
+    axis, the Hurwitz block by the complement of the left critical
+    subspace: ``U_a`` is the rows of ``EigenResult.left`` there
+    (``eig(A00^T)`` only when the eigenbasis is untrusted), and
+    ``_complement_basis`` fixes the basis, so no gain depends on which
+    basis of span ``U_a`` LAPACK returns.  The critical block is rendered
+    exactly skew-symmetric by a congruence with the square root of the
+    neutral Lyapunov solution.  Requires the internal dynamics
+    nonsingular and Lyapunov stable.
     """
     A00 = nf.A00
     m = nf.m
-    if m == 0:
-        S = np.zeros((0, 0))
-        return ZeroDynamicsSplit(
-            stability=StabilityClass.HURWITZ,
-            S=S, S_inv=S, A00a=S, A00b=S, m_a=0, m_b=0,
-            A01a=nf.A01[:0], A01b=nf.A01, A02a=nf.A02[:0], A02b=nf.A02,
-            A03a=nf.A03[:0], A03b=nf.A03)
-    res = linalg.eig(A00)
+    res = nf.zero_spectrum
     scale = 1.0 + res.norm
     tol = SPLIT_AXIS_TOL * scale
     klass = linalg.stability_class(res)
     if klass is StabilityClass.UNSTABLE:
         raise NotWeaklyMinimumPhaseError(
             "internal dynamics are not Lyapunov stable")
-    smin = np.linalg.svd(A00, compute_uv=False)[-1]
-    if smin <= 1e-10 * scale:
+    if m and np.linalg.svd(A00, compute_uv=False)[-1] <= 1e-10 * scale:
         raise SpectrumError(
             "internal dynamics are singular (the system has a zero at the "
             "origin)")
@@ -492,12 +488,14 @@ def split_zero_dynamics(nf):
         if m_b == 0:
             S0_inv = V_a
         else:
-            resT = linalg.eig(A00.T)
-            critT = [k for k in range(m) if abs(resT.values[k].real) <= tol]
-            U_a = _real_eigenbasis(resT.values, resT.vectors, critT, tol)
-            # the complement of the left critical subspace is invariant
-            Q_b = np.linalg.svd(U_a.T, full_matrices=True)[2][m_a:, :].T
-            S0_inv = np.hstack([V_a, Q_b])
+            if res.left is None:
+                resT = linalg.eig(A00.T)
+                critT = [k for k in range(m)
+                         if abs(resT.values[k].real) <= tol]
+                U_a = _real_eigenbasis(resT.values, resT.vectors, critT, tol)
+            else:
+                U_a = _real_eigenbasis(res.values, res.left.T, critical, tol)
+            S0_inv = np.hstack([V_a, _complement_basis(U_a, m_b)])
         if linalg.rank(S0_inv) < m:
             raise NumericalError("invariant-subspace basis is singular")
         S0 = np.linalg.inv(S0_inv)

@@ -286,10 +286,12 @@ def _synthesize_deg12(nf, cfg, ni_class):
     A02 = np.vstack([split.A02a, split.A02b])
     A03 = np.vstack([split.A03a, split.A03b])
 
-    res00 = linalg.eig(A00)
-    c1 = linalg.pbh_witness(A00, A01, "controllable", res00) is None
-    c2 = linalg.pbh_witness(A00, A00 @ A03 + A02, "controllable",
-                            res00) is None
+    # PBH tests are similarity invariant: on the unsplit A00, with K S for K
+    S = split.S
+    res00 = nf.zero_spectrum
+    c1 = linalg.pbh_witness(nf.A00, nf.A01, "controllable", res00) is None
+    c2 = linalg.pbh_witness(nf.A00, nf.A00 @ nf.A03 + nf.A02,
+                            "controllable", res00) is None
     if not (c1 or c2):
         raise NotControllableError(
             "the normal form is not controllable: neither (A00, A01) nor "
@@ -355,11 +357,11 @@ def _synthesize_deg12(nf, cfg, ni_class):
         K20 = np.hstack([K20a, K20b])
         ok = True
         if c1:
-            w = linalg.pbh_witness(A00, K10, "observable", res00)
+            w = linalg.pbh_witness(nf.A00, K10 @ S, "observable", res00)
             if w is not None:
                 ok, last_witness = False, w
         if c2 and ok:
-            w = linalg.pbh_witness(A00, K20, "observable", res00)
+            w = linalg.pbh_witness(nf.A00, K20 @ S, "observable", res00)
             if w is not None:
                 ok, last_witness = False, w
         if ok:
@@ -390,7 +392,6 @@ def _synthesize_deg12(nf, cfg, ni_class):
                         name=(nf.source.name or "system") + ":closed")
     Y = _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3)
 
-    S = split.S
     K_tilde = _block([
         [K10 @ S - nf.A10, K11 - nf.A11, K12 - nf.A12, K13 - nf.A13],
         [K20 @ S - nf.A30, K21 - nf.A31, K22 - nf.A32, K23 - nf.A33],
@@ -454,10 +455,11 @@ def synthesize_ssni(nf, cfg=None):
             f"(got p2={nf.p2})")
     p, m = nf.p1, nf.m
     A00, A01 = nf.A00, nf.A01
-    res00 = linalg.eig(A00)
+    res00 = nf.zero_spectrum
     if linalg.stability_class(res00) is not StabilityClass.HURWITZ:
         raise NotMinimumPhaseError(
             "internal dynamics are not asymptotically stable")
+    split = split_zero_dynamics(nf)
     if linalg.pbh_witness(A00, A01, "controllable", res00) is not None:
         raise NotControllableError("(A00, A01) is not controllable")
     Y2 = _bind_spd(cfg.Y2, p, "Y2")
@@ -503,11 +505,6 @@ def synthesize_ssni(nf, cfg=None):
         raise NumericalError(
             "closed-loop DC gain does not equal T_y^-1 Y2 T_y^-T")
 
-    split = ZeroDynamicsSplit(
-        stability=StabilityClass.HURWITZ,
-        S=np.eye(m), S_inv=np.eye(m), A00a=np.zeros((0, 0)), A00b=A00,
-        m_a=0, m_b=m, A01a=A01[:0], A01b=A01,
-        A02a=nf.A02[:0], A02b=nf.A02, A03a=nf.A03[:0], A03b=nf.A03)
     free = {"Y2": Y2.tolist(), "Y1": Y1.tolist(), "rng_seed": cfg.rng_seed}
     z = np.zeros((0, 0))
     return GainSet(

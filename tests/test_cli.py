@@ -272,14 +272,20 @@ class TestJsonTypes:
         ("ni", [1]),
         ("ni", {"class": 5}),
         ("osni", {"class": "osni", "epsilon": "x"}),
+        ("params", {"Y2": [[{}]]}),
+        ("ni", {"Y": {"a": 1}}),
+        ("transforms", {"T_y": {"a": 1}}),
     ], ids=["epsilon-str", "seed-str", "seed-float", "Y2-str",
-            "certificate-list", "class-int", "certificate-epsilon-str"])
+            "certificate-list", "class-int", "certificate-epsilon-str",
+            "Y2-object-entry", "certificate-Y-object", "T_y-object"])
     def test_wrong_type_exits_two(self, capsys, plant_path, tmp_path, where,
                                   data):
         path = tmp_path / "input.json"
         if where == "params":
             argv = ["synthesize", plant_path, "--target", "osni",
                     "--params", str(path)]
+        elif where == "transforms":
+            argv = ["analyze", plant_path, "--transforms", str(path)]
         else:
             _, rep = run_cli(capsys, "synthesize", plant_path,
                              "--target", "osni", "--seed", "5")

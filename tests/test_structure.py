@@ -9,17 +9,18 @@ from nisynth.errors import (
     NotWeaklyMinimumPhaseError,
 )
 from nisynth.linalg import StabilityClass
+from nisynth.synth import synthesize_ni, synthesize_ssni
 from nisynth.structure import (
     RdKind,
+    _complement_basis,
     find_output_transformation,
-    normal_form_input_matrix,
-    normal_form_output_matrix,
     relative_degree_vector,
     split_zero_dynamics,
     to_normal_form,
 )
 
 from gen import (
+    assemble_normal_realization,
     normal_form_from_blocks,
     planted_normal_blocks,
     planted_system,
@@ -190,9 +191,11 @@ class TestToNormalForm:
             T_y, _ = find_output_transformation(sys)
             nf = to_normal_form(sys, T_y)
             t = nf.transforms
-            At = nf.assemble().A
-            Bt = normal_form_input_matrix(nf.m, nf.p1, nf.p2)
-            Ct = normal_form_output_matrix(nf.m, nf.p1, nf.p2)
+            blk = {name: getattr(nf, name) for name in (
+                "A00", "A01", "A02", "A03", "A10", "A11", "A12", "A13",
+                "A30", "A31", "A32", "A33")}
+            nf_sys = assemble_normal_realization(blk, nf.p1, nf.p2, nf.m)
+            At, Bt, Ct = nf_sys.A, nf_sys.B, nf_sys.C
             # blocks were read off T_x A T_x^-1; round-trip must recover
             # the system (structural zeros included)
             assert np.allclose(t.T_x_inv @ At @ t.T_x, sys.A, atol=1e-8)
@@ -324,18 +327,77 @@ class TestSplitZeroDynamics:
         rng = np.random.default_rng(79)
         blk = planted_normal_blocks(rng, 1, 1, 2, 2)
         nf = normal_form_from_blocks(blk, 1, 1, 4)
-        on_a00 = []
+        calls = []
         eig = linalg.eig
 
-        def counting_eig(A):
-            on_a00.append(np.array_equal(A, nf.A00))
+        def recording_eig(A):
+            calls.append(np.array(A))
             return eig(A)
 
-        monkeypatch.setattr(linalg, "eig", counting_eig)
+        monkeypatch.setattr(linalg, "eig", recording_eig)
         split = split_zero_dynamics(nf)
         assert (split.m_a, split.m_b) == (2, 2)
         assert split.stability is StabilityClass.LYAPUNOV_STABLE
-        assert sum(on_a00) == 1
+        # the trusted eigenbasis gives U_a: A00^T is never decomposed
+        assert nf.zero_spectrum.left is not None
+        assert sum(np.array_equal(A, nf.A00) for A in calls) == 1
+        assert not any(np.array_equal(A, nf.A00.T) for A in calls)
+
+    def test_complement_basis_fixed_by_subspace(self):
+        # Q_b depends on span U_a only: U_a -> U_a M leaves it in place
+        rng = np.random.default_rng(89)
+        for m, m_a in ((3, 2), (7, 2), (22, 12), (59, 34)):
+            U = rng.standard_normal((m, m_a))
+            M = well_conditioned(rng, m_a)
+            Q = _complement_basis(U, m - m_a)
+            assert np.linalg.norm(Q.T @ Q - np.eye(m - m_a)) <= 1e-12
+            assert np.linalg.norm(U.T @ Q) <= 1e-12 * np.linalg.norm(U)
+            moved = np.linalg.norm(_complement_basis(U @ M, m - m_a) - Q)
+            assert moved <= 1e-12 * np.linalg.norm(Q), (m, moved)
+
+    def test_jordan_hurwitz_block_decomposes_transpose(self, monkeypatch):
+        # a skew pair and a 2x2 Jordan block at -1: V is numerically
+        # singular, so U_a comes from eig(A00^T)
+        rng = np.random.default_rng(83)
+        blk = planted_normal_blocks(rng, 1, 1, 2, 2)
+        canon = np.zeros((4, 4))
+        canon[:2, :2] = [[0.0, 1.5], [-1.5, 0.0]]
+        canon[2:, 2:] = [[-1.0, 1.0], [0.0, -1.0]]
+        Tz = well_conditioned(rng, 4)
+        blk["A00"] = np.linalg.solve(Tz, canon) @ Tz
+        nf = normal_form_from_blocks(blk, 1, 1, 4)
+        assert nf.zero_spectrum.left is None
+        on_transpose = []
+        eig = linalg.eig
+
+        def recording_eig(A):
+            on_transpose.append(np.array_equal(A, nf.A00.T))
+            return eig(A)
+
+        monkeypatch.setattr(linalg, "eig", recording_eig)
+        split = split_zero_dynamics(nf)
+        assert (split.m_a, split.m_b) == (2, 2)
+        assert sum(on_transpose) == 1
+        Ad = split.S @ nf.A00 @ split.S_inv
+        scale = 1.0 + np.linalg.norm(nf.A00, 2)
+        assert max(np.linalg.norm(Ad[:2, 2:], 2),
+                   np.linalg.norm(Ad[2:, :2], 2)) <= 1e-7 * scale
+        g = synthesize_ni(nf)
+        assert g.verdict.holds and g.certificate.Y.shape == (nf.n, nf.n)
+
+    def test_slow_hurwitz_pair_is_not_critical(self):
+        # Re lambda = -5e-8 is Hurwitz for the phase decision (its
+        # tolerance is 1e-8 (1 + ||A00||)), so the split must not make it
+        # a skew block: NI and SSNI synthesis both deliver a verified law
+        rng = np.random.default_rng(5)
+        blk = planted_normal_blocks(rng, 2, 0, 0, 2)
+        blk["A00"] = np.array([[-5e-8, 1.0], [-1.0, -5e-8]])
+        nf = normal_form_from_blocks(blk, 2, 0, 2)
+        split = split_zero_dynamics(nf)
+        assert split.stability is StabilityClass.HURWITZ
+        assert (split.m_a, split.m_b) == (0, 2)
+        assert synthesize_ni(nf).verdict.holds
+        assert synthesize_ssni(nf).verdict.holds
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(79)

@@ -150,6 +150,25 @@ class TestSynthesizeNi:
             assert classify_freq(g.closed_loop, "ni").holds
             done += 1
 
+    def test_each_matrix_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(167)
+        blk = planted_normal_blocks(rng, 1, 1, 2, 3)
+        nf = normal_form_from_blocks(blk, 1, 1, 5)
+        calls = []
+        eig = linalg.eig
+
+        def recording_eig(A):
+            calls.append(np.array(A, dtype=float))
+            return eig(A)
+
+        monkeypatch.setattr(linalg, "eig", recording_eig)
+        g = synthesize_ni(nf)
+        assert (g.split.m_a, g.split.m_b) == (2, 3)
+        # the split and the PBH tests share one eig(A00); the split's
+        # block-diagonal A00 and A00^T are never decomposed
+        for M, count in ((nf.A00, 1), (nf.A00.T, 0), (g.split.A00, 0)):
+            assert sum(np.array_equal(A, M) for A in calls) == count
+
 
 class TestSynthesizeOsni:
     def test_demo_shape_boundary(self, demo_nf):
