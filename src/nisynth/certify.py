@@ -28,6 +28,10 @@ NI_CLASSES = ("ni", "sni", "osni", "ssni")
 GRID_POINTS = 400
 GRID_RANGE = (1e-4, 1e4)
 
+#: entries a grid may bring to ``classify_freq``'s stacked arrays: ``points
+#: (1 + n) (1 + p)`` bounds the pole mask, the modal sweep and class matrices
+GRID_ENTRIES = 2 ** 22
+
 #: strict positivity floor for sampled strict inequalities
 STRICT_FLOOR = 1e-10
 
@@ -51,6 +55,11 @@ class FrequencyGrid:
         hi = GRID_RANGE[1] if hi is None else hi
         if not (0 < lo < hi) or points < 2:
             raise InputError("grid needs 0 < lo < hi and at least 2 points")
+        width = 1 if sys is None else (1 + sys.n) * (1 + sys.n_outputs)
+        if points * width > GRID_ENTRIES:
+            raise InputError(
+                f"{points} grid points of {width} entries exceed the "
+                f"{GRID_ENTRIES} entries a frequency sweep may hold")
         omegas = np.logspace(np.log10(lo), np.log10(hi), points)
         excluded = ()
         if sys is not None:

@@ -9,6 +9,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys as _sys
@@ -294,7 +295,9 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once on the first call; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="nisynth",
         description="Negative-imaginary analysis, synthesis and robust "

@@ -1,5 +1,6 @@
 """State-space systems: construction, evaluation, interconnection and
-zero-input simulation with the exact transition matrix ``e^{A dt}``.
+zero-input simulation with the exact transition matrix ``e^{A dt}``,
+whose samples are checked for finiteness once, after the last step.
 
 The JSON schema for a system is::
 
@@ -298,8 +299,9 @@ def simulate(sys, x0, t_end, dt):
     shorter, with its own ``e^{hA}``, so the last sample is at ``t_end``
     exactly.  ``outputs`` are ``C x``.  Raises ``InputError`` unless
     ``t_end`` and ``dt`` are finite and positive and the samples fit in
-    ``SIMULATE_ENTRIES`` stored entries, and ``SimulationDivergedError``
-    at the first non-finite state.
+    ``SIMULATE_ENTRIES`` stored entries.  The steps run without a test;
+    the stored samples are then checked once, and a non-finite one raises
+    ``SimulationDivergedError`` with the time of the first.
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise InputError("t_end and dt must be finite and positive")
@@ -322,15 +324,15 @@ def simulate(sys, x0, t_end, dt):
         phi = phi_last = linalg.expm(sys.A * dt)
         if steps - t_end / dt > 1e-12:
             phi_last = linalg.expm(sys.A * (t_end - times[-2]))
-        for k in range(steps + 1):
-            states[k] = x
-            if not np.isfinite(x).all():
-                raise SimulationDivergedError(
-                    f"state became non-finite at t={times[k]:.6g}",
-                    t_bad=float(times[k]))
-            if k == steps:
-                break
-            x = (phi_last if k == steps - 1 else phi) @ x
+        states[0] = x
+        for k in range(1, steps):
+            x = states[k] = phi @ x
+        states[steps] = phi_last @ x
+        bad = ~np.isfinite(states).all(axis=1)
+        if bad.any():
+            t_bad = float(times[bad.argmax()])
+            raise SimulationDivergedError(
+                f"state became non-finite at t={t_bad:.6g}", t_bad=t_bad)
         outputs = states @ sys.C.T
     return Trajectory(times=times, states=states, outputs=outputs)
 

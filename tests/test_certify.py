@@ -458,6 +458,22 @@ class TestGrid:
         assert len(grid.omegas) == 9
         assert all(abs(1j * w - 1j) >= 2e-6 for w in grid.omegas)
 
+    @pytest.mark.parametrize("with_system", [False, True])
+    def test_oversized_grid_refused_before_allocating(self, monkeypatch,
+                                                      demo_plant,
+                                                      with_system):
+        # the demo plant brings (1 + 4)(1 + 2) entries a point, no system 1
+        sys, width = (demo_plant, 15) if with_system else (None, 1)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "logspace", no_grid)
+        for points in (10 ** 15, certify.GRID_ENTRIES // width + 1):
+            with pytest.raises(InputError, match=f"{points} grid points of "
+                                                 f"{width} entries exceed"):
+                FrequencyGrid.default(sys, points=points)
+
     def test_fully_excluded_grid_rejected(self):
         sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
                          C=[[1.0, 0.0]])

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from nisynth import structure
+from nisynth import cli, structure
 from nisynth.cli import main
 from nisynth.statespace import load_system
 
@@ -192,6 +193,19 @@ class TestVerify:
         assert code2 == 0
         assert "50 points" in " ".join(rep2["verdicts"]["frequency"]["notes"])
 
+    def test_huge_grid_exits_two(self, capsys, monkeypatch, plant_path):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "logspace", no_grid)
+        code, rep = run_cli(capsys, "verify", plant_path, "--class", "ni",
+                            "--grid-points", str(10 ** 15))
+        assert code == 2
+        assert rep["error"]["kind"] == "input-error"
+        assert rep["error"]["message"] == (
+            f"{10 ** 15} grid points of 15 entries exceed the 4194304 "
+            "entries a frequency sweep may hold")
+
     def test_mismatched_certificate_class(self, capsys, plant_path, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"Y": [[1.0]], "class": "ssni"}))
@@ -232,6 +246,21 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", plant_path, "--x0", "1,2")
         assert code == 2
 
+    def test_divergence_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({"A": [[50.0]], "B": [[1.0]],
+                                    "C": [[1.0]]}))
+        code = main(["simulate", str(path), "--x0", "1", "--t-end", "1000",
+                     "--dt", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err == "" and "Traceback" not in out
+        rep = json.loads(out)
+        assert rep["error"] == {"kind": "numerical-failure",
+                                "type": "SimulationDivergedError",
+                                "message": "state became non-finite at "
+                                           "t=14.5"}
+
     FINITE = "t_end and dt must be finite and positive"
 
     @pytest.mark.parametrize("argv, message", [
@@ -258,6 +287,47 @@ class TestUsage:
 
     def test_unknown_flag_exits_two(self, capsys, plant_path):
         assert main(["analyze", plant_path, "--bogus"]) == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(
+            self, capsys, monkeypatch, plant_path, params_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        calls = [
+            (0, ("analyze", plant_path)),
+            (2, ("analyze", plant_path, "--bogus")),
+            (0, ("stabilize", plant_path, "--gamma", "1",
+                 "--params", params_path)),
+            (0, ("--version",)),
+            (0, ("synthesize", plant_path, "--seed", "3")),
+            (0, ("--help",)),
+            (0, ("simulate", plant_path, "--x0", "1,0,0,1", "--t-end", "1")),
+        ]
+
+        def run(argv):
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            if out.startswith("{"):
+                out = json.loads(out)
+                del out["timings"]
+            return code, out, err
+
+        cli.build_parser.cache_clear()
+        shared, counts = [], []
+        for code, argv in calls:
+            shared.append(run(argv))
+            counts.append(len(built))
+            assert shared[-1][0] == code
+        # the first call builds the parser and its five subcommands
+        assert counts == [6] * len(calls)
+        for (_, argv), result in zip(calls, shared):
+            cli.build_parser.cache_clear()
+            assert run(argv) == result
 
 
 class TestJsonTypes:

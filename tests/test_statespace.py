@@ -345,6 +345,40 @@ class TestSimulate:
                     simulate(sys, [1.0], t_end=1000.0, dt=dt)
             assert exc.value.t_bad == t_bad
 
+    @pytest.mark.parametrize("x0, t_bad", [
+        # 1e300 e^t overflows between t = 19 and 19.5: the run to 19.5 in
+        # steps of 1 first goes non-finite at its short last step
+        ([1e300], 19.5),
+        # a non-finite x0 is the sample at t = 0
+        ([np.inf], 0.0), ([np.nan], 0.0)])
+    def test_first_non_finite_sample_is_named(self, x0, t_bad):
+        sys = StateSpace(A=[[1.0]], B=[[1.0]], C=[[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergedError) as exc:
+                simulate(sys, x0, t_end=19.5, dt=1.0)
+        assert exc.value.t_bad == t_bad
+
+    @pytest.mark.parametrize("case", ["demo-robust-loop", "short-last-step"])
+    def test_states_equal_a_per_step_loop(self, demo_uncertainty, case):
+        # x <- e^(dt A) x, the last step with its own e^(h A) when it is short
+        if case == "demo-robust-loop":
+            sys = interconnect_positive_feedback(demo_nominal_closed(),
+                                                 demo_uncertainty)
+            x0, t_end, steps, h = np.arange(1.0, 7.0), 20.0, 2000, 0.01
+        else:
+            sys = StateSpace(A=[[-1.0, 2.0], [0.0, -3.0]],
+                             B=np.zeros((2, 1)), C=[[1.0, 0.0]])
+            x0, t_end, steps, h = np.array([1.0, 1.0]), 1.005, 101, 1.005 - 1.0
+        dt = 0.01
+        phi, phi_last = linalg.expm(sys.A * dt), linalg.expm(sys.A * h)
+        x, expected = x0, [x0]
+        for k in range(steps):
+            x = (phi_last if k == steps - 1 else phi) @ x
+            expected.append(x)
+        traj = simulate(sys, x0, t_end=t_end, dt=dt)
+        assert np.array_equal(traj.states, np.array(expected))
+
     def test_every_sample_is_the_modal_solution(self, demo_uncertainty):
         loop = interconnect_positive_feedback(demo_nominal_closed(),
                                               demo_uncertainty)
