@@ -252,8 +252,8 @@ def classify_freq(sys, ni_class, grid=None, eps=None):
     if ni_class == "osni":
         if eps is None:
             raise InputError("osni test needs a strictness level eps")
-        if eps <= 0:
-            raise InputError("eps must be positive")
+        if not 0 < eps < np.inf:
+            raise InputError("eps must be finite and positive")
     if grid is None:
         grid = FrequencyGrid.default(sys)
     notes = [f"grid: {len(grid.omegas)} points in [{grid.lo:g}, {grid.hi:g}]"]
@@ -329,8 +329,8 @@ def verify_certificate(sys, ni_class, Y, eps=None):
     A, B, C = sys.A, sys.B, sys.C
     M = A @ Y + Y @ A.T
     if ni_class == "osni":
-        if eps is None or eps <= 0:
-            raise InputError("osni certificate needs a positive eps")
+        if eps is None or not 0 < eps < np.inf:
+            raise InputError("osni certificate needs a finite positive eps")
         CAY = C @ A @ Y
         M = M + eps * (CAY.T @ CAY)
     M = (M + M.T) / 2.0

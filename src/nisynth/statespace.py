@@ -352,5 +352,5 @@ class UncertainSystem:
 
     def __post_init__(self):
         self.plant.require_square("uncertain system")
-        if not (self.gamma > 0):
-            raise InputError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise InputError("gamma must be finite and positive")

@@ -1,12 +1,13 @@
 """Constructive state-feedback synthesis of negative-imaginary closed loops.
 
 Given the normal form of a degree-(1,2) system with Lyapunov-stable,
-nonsingular internal dynamics, explicit gain formulas render the closed
-loop negative imaginary (or output-strictly / strongly-strictly NI) and
-produce the certificate matrix in closed form.  The free parameters are
-collected in ``SynthesisConfig``; randomized choices are seeded and
-retried until the observability targets that make the closed loop minimal
-are met.
+nonsingular internal dynamics, one construction's explicit gain formulas
+render the closed loop negative imaginary and produce the certificate
+matrix in closed form.  Output strictness shrinks its free parameters;
+strong strictness is its ``p2 = 0``, Hurwitz case with the stricter
+Lyapunov right-hand side ``Qb``.  The free parameters are collected in
+``SynthesisConfig``; randomized choices are seeded and retried until the
+observability targets that make the closed loop minimal are met.
 """
 
 from __future__ import annotations
@@ -73,15 +74,16 @@ def _bind_spd(value, dim, name):
     if value is None:
         return np.eye(dim)
     if np.isscalar(value):
-        if value <= 0:
-            raise InputError(f"{name} must be positive")
+        if not 0 < value < np.inf:
+            raise InputError(f"{name} must be finite and positive")
         return float(value) * np.eye(dim)
     M = as_matrix(value, name, square=True)
     if M.shape[0] != dim:
         raise InputError(f"{name} must be {dim}x{dim}, got {M.shape}")
+    M = linalg.symmetrize(M, name)
     if dim and not linalg.definiteness(M, "pd"):
         raise InputError(f"{name} must be symmetric positive definite")
-    return linalg.symmetrize(M, name)
+    return M
 
 
 def _bind_matrix(value, rows, cols, name):
@@ -158,24 +160,15 @@ class GainSet:
 
 
 def _draw_h(rng, p2, m_b, Qb_sqrt, scale):
-    if p2 == 0 or m_b == 0 or scale == 0.0:
-        return np.zeros((p2, m_b))
     G = rng.standard_normal((p2, m_b))
     smax = max(spectral_norm(G), 1e-300)
     return THETA * scale * (G / smax) @ Qb_sqrt
 
 
 def _draw_k13(rng, p1, p2, policy):
-    if p1 == 0 or p2 == 0:
-        return np.zeros((p1, p2))
     G = rng.standard_normal((p1, p2))
-    if policy == "orthonormal":
-        if p2 > p1:
-            raise InputError(
-                "orthonormal K13 columns require p2 <= p1 "
-                f"(got p1={p1}, p2={p2})")
-        Q = np.linalg.qr(G)[0]
-        return Q[:, :p2]
+    if policy == "orthonormal":  # p2 <= p1, by the output-strict shape gate
+        return np.linalg.qr(G)[0][:, :p2]
     smax = max(spectral_norm(G), 1e-300)
     return np.sqrt(2.0) * THETA * G / smax
 
@@ -262,8 +255,9 @@ def _deliver(nf, S, K_tilde, Y, ni_class, eps):
             "verdict": verdict}
 
 
-def _synthesize_deg12(nf, cfg, ni_class):
-    """Shared core of the NI and output-strict syntheses."""
+def _synthesize(nf, cfg, ni_class):
+    """The one gain construction of ``synthesize_ni``, ``_osni`` and
+    ``_ssni``; the two strict classes differ only in data and gates."""
     p1, p2, m = nf.p1, nf.p2, nf.m
 
     eps = None
@@ -274,10 +268,19 @@ def _synthesize_deg12(nf, cfg, ni_class):
                 f"output-strict synthesis needs p2 <= p1 with p1 > 0 "
                 f"(got p1={p1}, p2={p2}); plain NI synthesis remains "
                 "available for this shape")
-        if cfg.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        if not 0 < cfg.epsilon < np.inf:
+            raise InputError("epsilon must be finite and positive")
         eps = min(cfg.epsilon, OSNI_EPS_MAX)
         h_scale = _osni_h_shrink(eps)
+    elif ni_class == "ssni":
+        if p2 != 0:
+            raise RelativeDegreeNotOneError(
+                f"strongly-strict synthesis needs relative degree "
+                f"{{1,...,1}} (got p2={p2})")
+        if linalg.stability_class(nf.zero_spectrum) is not \
+                StabilityClass.HURWITZ:
+            raise NotMinimumPhaseError(
+                "internal dynamics are not asymptotically stable")
 
     split = split_zero_dynamics(nf)
     m_a, m_b = split.m_a, split.m_b
@@ -290,8 +293,8 @@ def _synthesize_deg12(nf, cfg, ni_class):
     S = split.S
     res00 = nf.zero_spectrum
     c1 = linalg.pbh_witness(nf.A00, nf.A01, "controllable", res00) is None
-    c2 = linalg.pbh_witness(nf.A00, nf.A00 @ nf.A03 + nf.A02,
-                            "controllable", res00) is None
+    c2 = p2 > 0 and linalg.pbh_witness(nf.A00, nf.A00 @ nf.A03 + nf.A02,
+                                       "controllable", res00) is None
     if not (c1 or c2):
         raise NotControllableError(
             "the normal form is not controllable: neither (A00, A01) nor "
@@ -299,19 +302,30 @@ def _synthesize_deg12(nf, cfg, ni_class):
 
     Y2 = _bind_spd(cfg.Y2, p1, "Y2")
     Y3 = _bind_spd(cfg.Y3, p2, "Y3")
+    iA00 = np.linalg.inv(A00) if m else A00
+    # the strong class asks for -(A00b Y1b + Y1b A00b^T) > corr; it has
+    # m_a = 0, so A00 and A01 are its Hurwitz blocks
+    corr = 0.5 * iA00 @ A01 @ A01.T @ iA00.T if ni_class == "ssni" else 0.0
     if cfg.Y1b is not None:
         Y1b = _bind_spd(cfg.Y1b, m_b, "Y1b")
         Qb = -(split.A00b @ Y1b + Y1b @ split.A00b.T)
-        if m_b and not linalg.definiteness(Qb, "pd"):
+        if m_b and not linalg.definiteness(Qb - corr, "pd"):
             raise InputError(
                 "Y1b is not a Lyapunov solution for the Hurwitz block: "
-                "-(A00b Y1b + Y1b A00b^T) is not positive definite")
+                "-(A00b Y1b + Y1b A00b^T)"
+                f"{' - corr' if ni_class == 'ssni' else ''} is not positive "
+                "definite")
     else:
-        Qb = np.eye(m_b)
+        Qb = np.eye(m_b) + corr
         Y1b = linalg.solve_lyapunov(split.A00b.T, Qb)
-    Qb_sqrt = linalg.sqrtm_pd(Qb) if m_b else np.zeros((0, 0))
+    if ni_class == "ssni" and m:
+        resid = A00 @ Y1b + Y1b @ A00.T + corr
+        if float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[-1]) > \
+                -1e-8 * spectral_norm(A00):
+            raise NumericalError("could not reach the strict Lyapunov margin")
 
-    H_fixed = None
+    # an empty or zero-scaled draw is fixed at zero: it takes no randomness,
+    # and when both are fixed every attempt repeats the first
     if cfg.H is not None:
         H_fixed = _bind_matrix(cfg.H, p2, m_b, "H")
         # the admissible set shrinks with the output-strictness level
@@ -321,7 +335,11 @@ def _synthesize_deg12(nf, cfg, ni_class):
             raise InputError("H violates its admissible set H^T H <= Qb"
                              + (" (shrunk for the output-strict level)"
                                 if ni_class == "osni" else ""))
-    K13_fixed = None
+    elif p2 == 0 or m_b == 0 or h_scale == 0.0:
+        H_fixed = np.zeros((p2, m_b))
+    else:
+        H_fixed = None
+        Qb_sqrt = linalg.sqrtm_pd(Qb)
     if cfg.K13 is not None:
         K13_fixed = _bind_matrix(cfg.K13, p1, p2, "K13")
         if p2 and not linalg.definiteness(
@@ -332,11 +350,14 @@ def _synthesize_deg12(nf, cfg, ni_class):
             raise InputError(
                 "output-strict synthesis requires K13 with orthonormal "
                 "columns (K13^T K13 = I)")
+    elif p1 == 0 or p2 == 0:
+        K13_fixed = np.zeros((p1, p2))
+    else:
+        K13_fixed = None
 
     iA00a_T = np.linalg.inv(split.A00a.T) if m_a else split.A00a
     iA00b_T = np.linalg.inv(split.A00b.T) if m_b else split.A00b
     iY1b = np.linalg.inv(Y1b) if m_b else Y1b
-    iA00 = np.linalg.inv(A00) if m else A00
 
     K20a = -split.A02a.T @ iA00a_T - split.A03a.T
     K10a = -split.A01a.T @ iA00a_T
@@ -368,8 +389,9 @@ def _synthesize_deg12(nf, cfg, ni_class):
             break
         if H_fixed is not None and K13_fixed is not None:
             raise RetryExhaustedError(
-                "fixed H/K13 do not achieve the observability targets "
-                f"(failing eigenvalue {last_witness})", witness=last_witness)
+                "H and K13 are fixed or empty and do not achieve the "
+                f"observability targets (failing eigenvalue {last_witness})",
+                witness=last_witness)
     else:
         raise RetryExhaustedError(
             f"observability targets not met in {MAX_RETRIES} draws "
@@ -397,6 +419,25 @@ def _synthesize_deg12(nf, cfg, ni_class):
         [K20 @ S - nf.A30, K21 - nf.A31, K22 - nf.A32, K23 - nf.A33],
     ])
     delivered = _deliver(nf, S, K_tilde, Y, ni_class, eps)
+    if ni_class == "ssni":
+        loop = delivered["nominal_closed"]
+        if linalg.stability_class(loop.spectrum) is not \
+                StabilityClass.HURWITZ:
+            raise NumericalError(
+                "emitted strongly-strict closed loop is not Hurwitz")
+        # the strong-class certificate route tests neither hypothesis
+        if not is_minimal(loop).minimal:
+            raise NumericalError("emitted closed loop is not minimal")
+        if np.linalg.svd(loop.A, compute_uv=False)[-1] <= \
+                1e-10 * loop.a_norm:
+            raise NumericalError("emitted closed-loop state matrix is singular")
+        # the plant's outputs are T_y^{-1} times the normal form's
+        Tyi = nf.transforms.T_y_inv
+        R0 = np.real(eval_tf(loop, 0.0))
+        dc = Tyi @ Y2 @ Tyi.T
+        if spectral_norm(R0 - dc) > 1e-8 * (1.0 + spectral_norm(dc)):
+            raise NumericalError(
+                "closed-loop DC gain does not equal T_y^-1 Y2 T_y^-T")
 
     free = {
         "Y2": Y2.tolist(), "Y3": Y3.tolist(), "y1a": 1.0,
@@ -427,7 +468,7 @@ def synthesize_ni(nf, cfg=None):
     coordinates, whose certificate passes verification on the plant's
     closed loop before the set is returned.
     """
-    return _synthesize_deg12(nf, cfg or SynthesisConfig(), "ni")
+    return _synthesize(nf, cfg or SynthesisConfig(), "ni")
 
 
 def synthesize_osni(nf, cfg=None):
@@ -437,81 +478,19 @@ def synthesize_osni(nf, cfg=None):
     the certificate holds at the requested strictness level, which is
     clamped to the constructive maximum ``(3 - sqrt 5)/2``.
     """
-    return _synthesize_deg12(nf, cfg or SynthesisConfig(), "osni")
+    return _synthesize(nf, cfg or SynthesisConfig(), "osni")
 
 
 def synthesize_ssni(nf, cfg=None):
-    """Strongly-strict synthesis for relative degree {1,...,1}.
-
-    Requires ``p2 = 0``, asymptotically stable internal dynamics and
-    ``(A00, A01)`` controllable.  The Lyapunov parameter is computed from
-    a correction-augmented Lyapunov solve, whose residual (``-I`` up to
-    rounding) must reach the strict margin ``-1e-8 ||A00||``.
+    """Strongly-strict variant of ``synthesize_ni``: its ``p2 = 0`` case
+    (relative degree {1,...,1}) with asymptotically stable internal
+    dynamics, so ``m_a = 0``, and the stricter Lyapunov right-hand side
+    ``Qb = I + A00^-1 A01 A01^T A00^-T / 2``.  The residual (``-I`` up to
+    rounding) must reach the strict margin ``-1e-8 ||A00||``, and the
+    delivered loop must be Hurwitz, minimal, nonsingular and of DC gain
+    ``T_y^-1 Y2 T_y^-T``.
     """
-    cfg = cfg or SynthesisConfig()
-    if nf.p2 != 0:
-        raise RelativeDegreeNotOneError(
-            f"strongly-strict synthesis needs relative degree {{1,...,1}} "
-            f"(got p2={nf.p2})")
-    p, m = nf.p1, nf.m
-    A00, A01 = nf.A00, nf.A01
-    res00 = nf.zero_spectrum
-    if linalg.stability_class(res00) is not StabilityClass.HURWITZ:
-        raise NotMinimumPhaseError(
-            "internal dynamics are not asymptotically stable")
-    split = split_zero_dynamics(nf)
-    if linalg.pbh_witness(A00, A01, "controllable", res00) is not None:
-        raise NotControllableError("(A00, A01) is not controllable")
-    Y2 = _bind_spd(cfg.Y2, p, "Y2")
-    iY2 = np.linalg.inv(Y2)
-    if m:
-        iA00 = np.linalg.inv(A00)
-        corr = 0.5 * iA00 @ A01 @ A01.T @ iA00.T
-        Y1 = linalg.solve_lyapunov(A00.T, np.eye(m) + corr)
-        resid = A00 @ Y1 + Y1 @ A00.T + corr
-        if float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[-1]) > \
-                -1e-8 * spectral_norm(A00):
-            raise NumericalError("could not reach the strict Lyapunov margin")
-        K1 = -A01.T @ iA00.T @ np.linalg.inv(Y1)
-        G1 = iA00 @ A01
-        K2 = K1 @ G1 - iY2
-        Y = _block([[Y1 + G1 @ Y2 @ G1.T, -G1 @ Y2],
-                    [-Y2 @ G1.T, Y2]])
-    else:
-        Y1 = np.zeros((0, 0))
-        K1 = np.zeros((p, 0))
-        K2 = -iY2
-        Y = Y2.copy()
-    A_cl = _block([[A00, A01], [K1, K2]])
-    closed = StateSpace(A=A_cl, B=normal_form_input_matrix(m, p, 0),
-                        C=normal_form_output_matrix(m, p, 0),
-                        name=(nf.source.name or "system") + ":closed")
-    Y = (Y + Y.T) / 2.0
-    K_tilde = np.hstack([K1 - nf.A10, K2 - nf.A11])
-    delivered = _deliver(nf, np.eye(m), K_tilde, Y, "ssni", None)
-    loop = delivered["nominal_closed"]
-    if linalg.stability_class(loop.spectrum) is not StabilityClass.HURWITZ:
-        raise NumericalError("emitted strongly-strict closed loop is not Hurwitz")
-    # the strong-class certificate route tests neither hypothesis
-    if not is_minimal(loop).minimal:
-        raise NumericalError("emitted closed loop is not minimal")
-    if np.linalg.svd(loop.A, compute_uv=False)[-1] <= 1e-10 * loop.a_norm:
-        raise NumericalError("emitted closed-loop state matrix is singular")
-    # the plant's outputs are T_y^{-1} times the normal form's
-    Tyi = nf.transforms.T_y_inv
-    R0 = np.real(eval_tf(loop, 0.0))
-    dc = Tyi @ Y2 @ Tyi.T
-    if spectral_norm(R0 - dc) > 1e-8 * (1.0 + spectral_norm(dc)):
-        raise NumericalError(
-            "closed-loop DC gain does not equal T_y^-1 Y2 T_y^-T")
-
-    free = {"Y2": Y2.tolist(), "Y1": Y1.tolist(), "rng_seed": cfg.rng_seed}
-    z = np.zeros((0, 0))
-    return GainSet(
-        ni_class="ssni", K10=K1, K11=K2, K12=np.zeros((p, 0)),
-        K13=np.zeros((p, 0)), K20=np.zeros((0, m)), K21=np.zeros((0, p)),
-        K22=z, K23=z, K_tilde=K_tilde, closed_loop=closed, Y=Y,
-        free_parameters=free, normal_form=nf, split=split, **delivered)
+    return _synthesize(nf, cfg or SynthesisConfig(), "ssni")
 
 
 def compose_full_gain(gains):

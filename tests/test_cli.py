@@ -281,6 +281,35 @@ class TestSimulate:
         assert rep["error"]["message"] == message
 
 
+class TestNonFiniteScalars:
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(("synthesize", "{plant}", "--target", "osni",
+                      "--epsilon", "inf"), "epsilon", id="synthesize-eps-inf"),
+        pytest.param(("synthesize", "{plant}", "--y2", "nan"), "Y2",
+                     id="synthesize-y2-nan"),
+        pytest.param(("synthesize", "{plant}", "--y2", "inf"), "Y2",
+                     id="synthesize-y2-inf"),
+        pytest.param(("verify", "{stable}", "--class", "osni",
+                      "--epsilon", "inf"), "eps", id="verify-eps-inf"),
+        pytest.param(("verify", "{stable}", "--class", "osni",
+                      "--epsilon", "nan"), "eps", id="verify-eps-nan"),
+        pytest.param(("stabilize", "{plant}", "--gamma", "inf"), "gamma",
+                     id="stabilize-gamma-inf")])
+    def test_exits_two_naming_the_parameter(self, capsys, tmp_path,
+                                            plant_path, argv, name):
+        stable = tmp_path / "stable.json"
+        stable.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]],
+                                      "C": [[1.0]]}))
+        code = main([a.format(plant=plant_path, stable=stable)
+                     for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["error"]["kind"] == "input-error"
+        assert rep["error"]["message"].startswith(f"{name} ")
+
+
 class TestUsage:
     def test_no_subcommand_exits_two(self, capsys):
         assert main([]) == 2

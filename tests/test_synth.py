@@ -4,6 +4,7 @@ import pytest
 from nisynth import StateSpace, UncertainSystem, eval_tf, linalg, synth
 from nisynth.certify import classify_freq, verify_certificate
 from nisynth.errors import (
+    AsymmetricMatrixError,
     DcGainConditionError,
     InputError,
     NoRdLeqTwoError,
@@ -99,6 +100,52 @@ class TestSynthesizeNi:
         with pytest.raises(RetryExhaustedError) as exc:
             synthesize_ni(demo_nf, cfg)
         assert exc.value.witness is not None
+
+    def test_asymmetric_y2_is_named(self):
+        sys, _ = planted_system(np.random.default_rng(181), 2, 0, 0, 2)
+        nf = to_normal_form(sys, np.eye(2))
+        with pytest.raises(AsymmetricMatrixError, match="^Y2 "):
+            synthesize_ni(nf, SynthesisConfig(Y2=[[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_empty_second_pair_takes_no_rank_test(self, monkeypatch):
+        # with p2 = 0 the pair (A00, A00 A03 + A02) has no columns and
+        # would fail the PBH rank test at every eigenvalue; it is not run
+        sys, _ = planted_system(np.random.default_rng(179), 2, 0, 0, 4)
+        nf = to_normal_form(sys, np.eye(2))
+        nf.zero_spectrum
+        calls = []
+        rank = linalg.rank
+
+        def counting_rank(*args, **kwargs):
+            calls.append(args)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        g = synthesize_ni(nf)
+        assert g.verdict.holds
+        assert calls == []
+
+    @pytest.mark.parametrize("synthesize", [synthesize_ni, synthesize_ssni])
+    def test_nothing_drawn_raises_at_first_failure(self, monkeypatch,
+                                                   synthesize):
+        # with p2 = 0, H and K13 are empty: every attempt would repeat the
+        # first, so a failing observability test ends the synthesis
+        sys, _ = planted_system(np.random.default_rng(173), 2, 0, 0, 3)
+        nf = to_normal_form(sys, np.eye(2))
+        observable = []
+        pbh_witness = linalg.pbh_witness
+
+        def failing(A, M, mode, spectrum):
+            if mode == "observable":
+                observable.append(M)
+                return complex(spectrum.values[0])
+            return pbh_witness(A, M, mode, spectrum)
+
+        monkeypatch.setattr(linalg, "pbh_witness", failing)
+        with pytest.raises(RetryExhaustedError) as exc:
+            synthesize(nf)
+        assert len(observable) == 1
+        assert exc.value.witness == complex(nf.zero_spectrum.values[0])
 
     def test_inadmissible_h_rejected(self, demo_nf):
         with pytest.raises(InputError):
@@ -261,6 +308,51 @@ class TestSynthesizeSsni:
         v, _ = verify_certificate(
             StateSpace(A=A, B=[[0.0], [1.0]], C=[[0.0, 1.0]]), "ssni", Y)
         assert v.holds
+
+    @staticmethod
+    def paper_k1(nf, q):
+        """The paper's K1 = -A01^T A00^-T Y1^-1 and its Y1, solving
+        A00 Y1 + Y1 A00^T = -(q I + A00^-1 A01 A01^T A00^-T / 2) in
+        Kronecker form."""
+        A00, A01, m = nf.A00, nf.A01, nf.m
+        iA00 = np.linalg.inv(A00)
+        Q = q * np.eye(m) + 0.5 * iA00 @ A01 @ A01.T @ iA00.T
+        L = np.kron(np.eye(m), A00) + np.kron(A00, np.eye(m))
+        Y1 = np.linalg.solve(L, -Q.reshape(-1)).reshape(m, m)
+        Y1 = (Y1 + Y1.T) / 2.0
+        return -A01.T @ iA00.T @ np.linalg.inv(Y1), Y1
+
+    def test_gains_match_the_paper_formulas(self):
+        # K1 with Qb = I + corr, and K2 = K1 A00^-1 A01 - Y2^-1
+        rng = np.random.default_rng(167)
+        for seed in range(20):
+            p1, _, _, m = random_shape(rng, max_p=3, max_n=6, force_p2=0,
+                                       force_ma=0)
+            sys, _ = planted_system(rng, p1, 0, 0, m)
+            nf = to_normal_form(sys, np.eye(p1))
+            y2 = float(rng.uniform(0.2, 2.0))
+            g = synthesize_ssni(nf, SynthesisConfig(Y2=y2, rng_seed=seed))
+            K1, _ = self.paper_k1(nf, 1.0)
+            K2 = K1 @ np.linalg.inv(nf.A00) @ nf.A01 - np.eye(p1) / y2
+            for got, want in ((g.K10, K1), (g.K11, K2)):
+                assert np.linalg.norm(got - want) <= \
+                    1e-12 * np.linalg.norm(want)
+
+    def test_explicit_y1b(self):
+        # a Lyapunov solution for Qb = 2I + corr is taken as given
+        sys, _ = planted_system(np.random.default_rng(191), 2, 0, 0, 3)
+        nf = to_normal_form(sys, np.eye(2))
+        K1, Y1 = self.paper_k1(nf, 2.0)
+        g = synthesize_ssni(nf, SynthesisConfig(Y1b=Y1))
+        assert np.linalg.norm(g.K10 - K1) <= 1e-12 * np.linalg.norm(K1)
+        assert g.verdict.holds
+
+    def test_y1b_below_the_strict_bound_rejected(self):
+        # A00 = -1, A01 = 2: corr = 2 exceeds Qb = -2 A00 Y1b = 1
+        nf = normal_form_from_blocks(self.scalar_blocks(a01=2.0), 1, 0, 1)
+        with pytest.raises(InputError, match="- corr is not positive"):
+            synthesize_ssni(nf, SynthesisConfig(Y1b=0.5))
+        synthesize_ni(nf, SynthesisConfig(Y1b=0.5))
 
     def test_scalar_synthesis(self):
         nf = normal_form_from_blocks(self.scalar_blocks(), 1, 0, 1)
