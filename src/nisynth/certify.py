@@ -353,11 +353,9 @@ def verify_certificate(sys, ni_class, Y, eps=None):
         if not minim.minimal:
             holds = False
             notes.append("realization is not minimal (certificate-test hypothesis)")
-        if sys.n:
-            smin = np.linalg.svd(sys.A, compute_uv=False)[-1]
-            if smin <= 1e-10 * (1.0 + sys.a_norm):
-                holds = False
-                notes.append("A is singular (certificate-test hypothesis det(A) != 0)")
+        if sys.n and sys.spectrum.smin <= 1e-10 * (1.0 + sys.a_norm):
+            holds = False
+            notes.append("A is singular (certificate-test hypothesis det(A) != 0)")
     else:  # ssni
         hidden = linalg.pbh_failures(sys.A, sys.B, "controllable",
                                      sys.spectrum) & \

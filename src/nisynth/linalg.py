@@ -81,8 +81,9 @@ class EigenResult:
 
     ``values`` are sorted by (real, imag); ``vectors[:, k]`` is the right
     eigenvector of ``values[k]``.  ``algebraic``/``geometric`` hold the
-    multiplicities of the cluster each eigenvalue belongs to; ``norm`` is
-    the spectral norm of the decomposed matrix.  ``left`` holds the left
+    multiplicities of the cluster each eigenvalue belongs to; ``norm`` and
+    ``smin`` are the largest and smallest singular values of the decomposed
+    matrix, from one SVD.  ``left`` holds the left
     eigenvectors, computed once on first use when the eigenbasis is
     trusted; the hot paths that work in the eigenbasis key on it.
     """
@@ -92,6 +93,7 @@ class EigenResult:
     algebraic: np.ndarray
     geometric: np.ndarray
     norm: float
+    smin: float
 
     @property
     def semisimple(self):
@@ -164,7 +166,7 @@ def eig(A):
     if n == 0:
         empty = np.zeros(0)
         return EigenResult(empty.astype(complex), empty.reshape(0, 0).astype(complex),
-                           empty.astype(int), empty.astype(int), 0.0)
+                           empty.astype(int), empty.astype(int), 0.0, 0.0)
     try:
         values, vectors = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -172,7 +174,9 @@ def eig(A):
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = vectors[:, order]
-    norm = spectral_norm(A)
+    # sorted singular values: the first is spectral_norm's, bit for bit
+    sv = np.linalg.svd(A, compute_uv=False)
+    norm, smin = float(sv[0]), float(sv[-1])
     alg = np.ones(n, dtype=int)
     geo = np.ones(n, dtype=int)
     for members in _cluster(values, CLUSTER_TOL * norm):
@@ -183,7 +187,7 @@ def eig(A):
         # every eigenvalue has an eigenvector, and the rank tolerance
         # can swallow a nearby cluster: keep g within [1, cluster size]
         geo[members] = min(max(n - rank(A - mu * np.eye(n)), 1), len(members))
-    return EigenResult(values, vectors, alg, geo, norm)
+    return EigenResult(values, vectors, alg, geo, norm, smin)
 
 
 def rank(M):

@@ -207,11 +207,14 @@ class TransformSet:
         mats = {}
         for name, M in (("T_y", T_y), ("T_x", T_x), ("T_u", T_u)):
             M = as_matrix(M, name, square=True)
-            if M.shape[0] and linalg.rank(M) < M.shape[0]:
+            # one SVD: rank(M) < k exactly when the smallest singular
+            # value is at or under rank's threshold k eps ||M||_2
+            sv = np.linalg.svd(M, compute_uv=False) if M.size else [0.0]
+            if M.shape[0] and sv[-1] <= M.shape[0] * linalg.EPS * sv[0]:
                 raise InputError(f"{name} is singular")
             Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
             residual = spectral_norm(M @ Minv - np.eye(M.shape[0]))
-            if residual > 1e-8 * max(1.0, spectral_norm(M)):
+            if residual > 1e-8 * max(1.0, float(sv[0])):
                 raise NumericalError(
                     f"{name} inverse residual {residual:.3e} too large")
             mats[name] = (M, Minv)
@@ -471,7 +474,7 @@ def split_zero_dynamics(nf):
     if klass is StabilityClass.UNSTABLE:
         raise NotWeaklyMinimumPhaseError(
             "internal dynamics are not Lyapunov stable")
-    if m and np.linalg.svd(A00, compute_uv=False)[-1] <= 1e-10 * scale:
+    if m and res.smin <= 1e-10 * scale:
         raise SpectrumError(
             "internal dynamics are singular (the system has a zero at the "
             "origin)")

@@ -69,6 +69,26 @@ class TestEig:
         assert res.algebraic.tolist() == [1, 2, 2, 2, 2]
         assert res.geometric.tolist() == [1, 2, 2, 1, 1]
 
+    def test_norm_and_smin_from_one_svd(self, monkeypatch):
+        # sigma_max and sigma_min of A, bit for bit as the two-norm and a
+        # second SVD give them, from the one SVD eig takes
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 8):
+            A = rng.standard_normal((n, n))
+            s = np.linalg.svd(A, compute_uv=False)
+            calls = []
+            svd = np.linalg.svd
+            monkeypatch.setattr(np.linalg, "svd",
+                                lambda *a, **k: calls.append(1) or svd(*a, **k))
+            res = linalg.eig(A)
+            monkeypatch.undo()
+            assert calls == [1]
+            assert np.float64(res.norm).tobytes() == \
+                np.float64(np.linalg.norm(A, 2)).tobytes()
+            assert np.float64(res.smin).tobytes() == \
+                np.float64(s[-1]).tobytes()
+        assert linalg.eig(np.zeros((0, 0))).smin == 0.0
+
 
 def _near_defective(rng):
     """Random matrix of 2 to 6 states with one eigenvalue pair ``d`` apart
