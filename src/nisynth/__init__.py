@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from . import certify, errors, linalg, statespace, structure, synth
 from .certify import (
     Certificate,
-    FrequencyGrid,
     Verdict,
     classify_freq,
     residue_at_imaginary_pole,

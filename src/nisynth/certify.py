@@ -2,10 +2,12 @@
 
 Two independent routes are provided and kept independent on purpose:
 
-* ``classify_freq`` samples the defining Hermitian matrix of the class on
-  a log frequency grid, the whole grid in one stacked evaluation (plus
-  residue checks at imaginary-axis poles and finite proxies for the
-  frequency-limit conditions),
+* ``classify_freq`` decides the defining Hermitian matrix of the class at
+  exact decision points: the crossing frequencies of a level-set
+  Hamiltonian, a point inside every interval they and the imaginary-axis
+  poles bound, and the pole frequencies, all in one stacked evaluation
+  (plus residue checks at imaginary-axis poles and the exact
+  frequency-limit conditions of SSNI),
 * ``verify_certificate`` checks the state-space certificate inequalities
   ``A Y + Y A^T (+ eps (C A Y)^T C A Y) <= 0`` and ``B + A Y C^T = 0``
   for a supplied symmetric positive definite ``Y``.
@@ -18,60 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InputError, PoleInForbiddenRegionError
+from .errors import InputError, NumericalError, PoleInForbiddenRegionError
 from .linalg import EPS, spectral_norm, symmetrize
 from .statespace import eval_tf, is_minimal, near_pole
 
 NI_CLASSES = ("ni", "sni", "osni", "ssni")
 
-#: default grid extent and size
-GRID_POINTS = 400
-GRID_RANGE = (1e-4, 1e4)
+#: level of the level-set Hamiltonian: its imaginary eigenvalues are the
+#: frequencies where an eigenvalue of ``F + F*`` (or of the Popov function)
+#: crosses ``-2 LEVEL_DELTA``, and ``W`` stays nonsingular when ``C B`` is
+LEVEL_DELTA = 1e-8
 
-#: entries a grid may bring to ``classify_freq``'s stacked arrays: ``points
-#: (1 + n) (1 + p)`` bounds the pole mask, the modal sweep and class matrices
-GRID_ENTRIES = 2 ** 22
+#: widest spread of ``|eigenvalues|`` of ``W`` the Hamiltonian is formed
+#: with: its smallest eigenvalue, as small as ``2 LEVEL_DELTA``, is known to
+#: ``eps ||W||``, under 0.3 % of itself; a wider ``W`` is a ``NumericalError``
+W_CONDITION_LIMIT = 1e13
 
-#: strict positivity floor for sampled strict inequalities
+#: strict positivity floor of the strict classes at the decision points
 STRICT_FLOOR = 1e-10
-
-#: finite proxies for the zero/infinity frequency limits
-OMEGA_LOW = 1e-6
-OMEGA_HIGH = 1e6
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Sorted positive frequencies with pole-exclusion bookkeeping."""
-
-    omegas: np.ndarray
-    lo: float
-    hi: float
-    excluded: tuple = ()
-
-    @classmethod
-    def default(cls, sys=None, points=GRID_POINTS, lo=None, hi=None):
-        lo = GRID_RANGE[0] if lo is None else lo
-        hi = GRID_RANGE[1] if hi is None else hi
-        if not (0 < lo < hi) or points < 2:
-            raise InputError("grid needs 0 < lo < hi and at least 2 points")
-        width = 1 if sys is None else (1 + sys.n) * (1 + sys.n_outputs)
-        if points * width > GRID_ENTRIES:
-            raise InputError(
-                f"{points} grid points of {width} entries exceed the "
-                f"{GRID_ENTRIES} entries a frequency sweep may hold")
-        omegas = np.logspace(np.log10(lo), np.log10(hi), points)
-        excluded = ()
-        if sys is not None:
-            poles = sys.poles()
-            radius = 1e-6 * (1.0 + np.abs(poles))
-            keep = (np.abs((1j * omegas)[:, None] - poles) >= radius).all(
-                axis=1)
-            excluded = tuple(float(w) for w in omegas[~keep])
-            omegas = omegas[keep]
-        if len(omegas) == 0:
-            raise InputError("frequency grid is empty after pole exclusion")
-        return cls(omegas=omegas, lo=lo, hi=hi, excluded=excluded)
 
 
 @dataclass(frozen=True)
@@ -232,16 +198,116 @@ def _class_matrix(R, D, omega, ni_class, eps):
     return (M + _hermitian(M)) / 2.0
 
 
-def classify_freq(sys, ni_class, grid=None, eps=None):
-    """Sampled frequency-domain test of NI/SNI/OSNI/SSNI membership.
+def _crossings(sys, ni_class, eps):
+    """Sorted positive frequencies where ``Phi + 2 delta I`` is singular.
 
-    The grid points within the pole distance of ``eval_tf`` are skipped;
-    the rest are evaluated by one stacked ``eval_tf`` call and their class
-    matrices decomposed by one stacked ``eigvalsh``.  NI additionally
-    runs residue checks at detected simple imaginary-axis poles; SSNI
-    additionally evaluates finite proxies of the two frequency limit
-    conditions.  Raises ``PoleInForbiddenRegionError`` when the pole
-    precondition of the class fails.
+    ``F(s) = s (R(s) - D)`` is realized as ``(A, B, C A, C B)``; for
+    ``w > 0`` and symmetric ``D``, ``F + F* = w j(R - R*)``.  ``Phi`` is
+    ``F + F*`` (NI, SNI, SSNI) or the Popov function ``F + F* - eps F* F``
+    (OSNI), written as ``[x; u]* [[Q, S], [S^T, W]] [x; u]`` with
+    ``x = (jw I - A)^{-1} B u`` and ``delta = LEVEL_DELTA`` added to ``W``.
+    The candidates are the imaginary eigenvalues ``j w`` of the level-set
+    Hamiltonian ``[[E, -B W^{-1} B^T], [S W^{-1} S^T - Q, -E^T]]``,
+    ``E = A - B W^{-1} S^T``; an eigenvalue ``lambda`` counts as imaginary
+    when ``|Re lambda| <= 1e-6 |lambda| + 1e-10 ||H||_F``, loose on
+    purpose: a spurious candidate costs one more decision point, a missed
+    one a band.  Between two consecutive true crossings the inertia of
+    ``Phi + 2 delta I`` is constant.  Raises ``NumericalError`` when the
+    spread of ``W`` exceeds ``W_CONDITION_LIMIT``.
+    """
+    A, B = sys.A, sys.B
+    n = len(A)
+    Ct, Dt = sys.C @ A, sys.C @ B
+    W, S = Dt + Dt.T, Ct.T
+    if ni_class == "osni":
+        W = W - eps * (Dt.T @ Dt)
+        S = S - eps * (Ct.T @ Dt)
+    lam, U = np.linalg.eigh(W + 2.0 * LEVEL_DELTA * np.eye(len(W)))
+    size = np.abs(lam)
+    if not size.min() > size.max() / W_CONDITION_LIMIT:
+        raise NumericalError(
+            f"level-set Hamiltonian: W has eigenvalues {lam.min():.3e} .. "
+            f"{lam.max():.3e}, too ill-conditioned to invert")
+    Winv = (U / lam) @ U.T
+    WS = Winv @ S.T
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A - B @ WS
+    H[:n, n:] = -(B @ Winv @ B.T)
+    H[n:, :n] = S @ WS
+    if ni_class == "osni":
+        H[n:, :n] += eps * (Ct.T @ Ct)      # -Q
+    H[n:, n:] = -H[:n, :n].T
+    vals = np.linalg.eigvals(H)
+    on_axis = np.abs(vals.real) <= 1e-6 * np.abs(vals) + \
+        1e-10 * np.linalg.norm(H)
+    return np.sort(vals.imag[on_axis & (vals.imag > 0)])
+
+
+def _decision_points(sys, crossings, axis_poles):
+    """Sorted frequencies at which the class matrix decides the verdict:
+    every crossing, every band midpoint, one point inside each interval
+    between the sorted crossings and imaginary-axis pole frequencies
+    (``b/2`` and ``2b`` for the two unbounded ones, ``1`` when there is
+    no break at all), and ``|Im lambda|`` of every pole whose imaginary
+    part exceeds the pole tolerance ``1e-8 (1 + ||A||)`` (a real pole
+    split by rounding adds no frequency); points within the pole distance
+    of ``eval_tf`` are dropped."""
+    breaks = np.sort(np.concatenate([crossings, axis_poles]))
+    inside = [[1.0]] if not len(breaks) else [
+        (breaks[:-1] + breaks[1:]) / 2.0, [breaks[0] / 2.0, 2.0 * breaks[-1]]]
+    pole_w = np.abs(sys.poles().imag)
+    points = np.unique(np.concatenate(
+        [crossings, (crossings[:-1] + crossings[1:]) / 2.0, *inside,
+         pole_w[pole_w > 1e-8 * (1.0 + sys.a_norm)]]))
+    return points[~near_pole(sys, 1j * points)]
+
+
+def _ssni_limits(sys):
+    """The two frequency-limit conditions of SSNI, exactly: ``lambda_min``
+    of ``lim_{w->inf} w j(R - R*) = C B + B^T C^T`` and of
+    ``lim_{w->0} j(R - R*) / w = C A^-2 B + (C A^-2 B)^T``, and the
+    asymmetry ``||R(0) - R(0)^T||_2`` the second limit presumes zero."""
+    CB = sys.C @ sys.B
+    AiB = np.linalg.solve(sys.A, sys.B)
+    CA2B = sys.C @ np.linalg.solve(sys.A, AiB)
+    R0 = sys.D - sys.C @ AiB
+    return (float(np.linalg.eigvalsh(CB + CB.T)[0]),
+            float(np.linalg.eigvalsh(CA2B + CA2B.T)[0]),
+            spectral_norm(R0 - R0.T), spectral_norm(R0))
+
+
+def classify_freq(sys, ni_class, eps=None):
+    """Frequency-domain test of NI/SNI/OSNI/SSNI membership, decided at
+    exact decision points instead of a sampling grid.
+
+    The class matrix is ``j(R - R*)`` (NI, SNI, SSNI) or
+    ``w j(R - R*) - eps w^2 (R - D)* (R - D)`` (OSNI).  The level-set
+    Hamiltonian of ``F + F*`` (or of the Popov function), ``F(s) =
+    s (R(s) - D)``, gives every frequency where an eigenvalue of
+    ``Phi = F + F*`` (``w`` times the NI class matrix) or of the Popov
+    function (the OSNI class matrix) crosses ``-2 LEVEL_DELTA``
+    (``_crossings``).  Crossings on imaginary-axis poles are dropped; the
+    residue checks cover those poles.  The class matrix is evaluated at
+    the decision points (``_decision_points``) by one stacked ``eval_tf``
+    and one stacked ``eigvalsh``, and the verdict holds when the smallest
+    eigenvalue at every point is at least the floor (``-1e-8``, or
+    ``STRICT_FLOOR`` for the strict classes).
+
+    What the route guarantees: wherever ``Phi + 2 delta I`` is indefinite,
+    up to the accuracy of the Hamiltonian's eigenvalues, the band it is
+    indefinite on holds a decision point, so no band is missed for lying
+    between samples; the margin is read at that point, not minimized
+    over the band.  ``worst_omega`` is the decision point of the smallest
+    margin, the lowest such frequency on a tie, and the notes list the
+    crossings.
+
+    ``D`` is taken as symmetric when ``||D - D^T||_2 <= 1e-8``; otherwise
+    the verdict fails, since ``j(R - R*)`` tends to the indefinite
+    ``j(D - D^T)`` as ``w -> inf``.  NI additionally runs residue checks
+    at simple imaginary-axis poles.  SSNI additionally tests its two
+    frequency limits exactly (``_ssni_limits``).  Raises
+    ``PoleInForbiddenRegionError`` when the pole precondition of the class
+    fails, and ``NumericalError`` when the Hamiltonian cannot be formed.
     """
     ni_class = _check_class(ni_class)
     p = sys.require_square("class test")
@@ -254,29 +320,37 @@ def classify_freq(sys, ni_class, grid=None, eps=None):
             raise InputError("osni test needs a strictness level eps")
         if not 0 < eps < np.inf:
             raise InputError("eps must be finite and positive")
-    if grid is None:
-        grid = FrequencyGrid.default(sys)
-    notes = [f"grid: {len(grid.omegas)} points in [{grid.lo:g}, {grid.hi:g}]"]
-    if grid.excluded:
-        notes.append(f"excluded {len(grid.excluded)} frequencies near "
-                     "imaginary-axis poles")
-    omegas = grid.omegas[~near_pole(sys, 1j * grid.omegas)]
+    axis_poles = np.array(_imaginary_axis_pole_frequencies(sys))
+    crossings = np.zeros(0)
+    if p and sys.n:
+        crossings = _crossings(sys, ni_class, eps)
+        if len(axis_poles):
+            crossings = crossings[~near_pole(sys, 1j * crossings)]
+    omegas = _decision_points(sys, crossings, axis_poles)
+    notes = [f"level-set crossings at -2*{LEVEL_DELTA:g}: "
+             + (", ".join(f"{w:.9g}" for w in crossings) or "none"),
+             f"decision points: {len(omegas)}"]
     margins = np.zeros(len(omegas))
-    if p and len(omegas):
+    if p:
         R = eval_tf(sys, 1j * omegas)
         margins = np.linalg.eigvalsh(
             _class_matrix(R, sys.D, omegas, ni_class, eps))[:, 0]
-    if np.isnan(margins).all():
-        raise InputError("no usable grid points (all near poles)")
-    k = int(np.nanargmin(margins))
+    # the points are sorted: a tie goes to the lowest frequency
+    k = int(np.argmin(margins))
     worst_margin, worst_omega = float(margins[k]), float(omegas[k])
     floor = -1e-8 if ni_class in ("ni", "osni") else STRICT_FLOOR
     holds = worst_margin >= floor
     if ni_class in ("sni", "ssni"):
         notes.append(f"strict test floor {STRICT_FLOOR:g}")
+    if not np.array_equal(sys.D, sys.D.T):
+        lam_inf = float(np.linalg.eigvalsh(1j * (sys.D - sys.D.T))[0])
+        if lam_inf < -1e-8:
+            holds = False
+            notes.append(f"D is not symmetric: the limit j(D - D^T) of "
+                         f"j(R - R*) fails (lambda_min {lam_inf:.3e})")
 
     if ni_class == "ni":
-        for w0 in _imaginary_axis_pole_frequencies(sys):
+        for w0 in axis_poles:
             rr = residue_at_imaginary_pole(sys, w0)
             if not rr.psd:
                 holds = False
@@ -289,19 +363,16 @@ def classify_freq(sys, ni_class, grid=None, eps=None):
                              f"(cluster tolerance {1e-7:g} relative)")
 
     if ni_class == "ssni" and holds:
-        R_hi = eval_tf(sys, 1j * OMEGA_HIGH)
-        M_hi = OMEGA_HIGH * _class_matrix(R_hi, sys.D, OMEGA_HIGH, "ssni",
-                                          None)
-        lam_hi = float(np.linalg.eigvalsh(M_hi)[0])
-        R_lo = eval_tf(sys, 1j * OMEGA_LOW)
-        M_lo = _class_matrix(R_lo, sys.D, OMEGA_LOW, "ssni", None) / OMEGA_LOW
-        lam_lo = float(np.linalg.eigvalsh(M_lo)[0])
-        notes.append(
-            f"limit proxies at omega={OMEGA_HIGH:g}/{OMEGA_LOW:g}: "
-            f"lambda_min {lam_hi:.3e} / {lam_lo:.3e}")
-        if lam_hi <= STRICT_FLOOR or lam_lo <= STRICT_FLOOR:
+        lam_hi, lam_lo, r0_defect, r0_norm = _ssni_limits(sys)
+        notes.append(f"limits: lambda_min(C B + B^T C^T) {lam_hi:.3e}, "
+                     f"lambda_min(C A^-2 B + (C A^-2 B)^T) {lam_lo:.3e}")
+        if r0_defect > 1e-8 * max(1.0, r0_norm):
             holds = False
-            notes.append("a frequency-limit condition fails at its proxy")
+            notes.append(f"R(0) is not symmetric (defect {r0_defect:.3e}): "
+                         "the low-frequency limit fails")
+        elif lam_hi <= STRICT_FLOOR or lam_lo <= STRICT_FLOOR:
+            holds = False
+            notes.append("a frequency-limit condition fails")
 
     return Verdict(holds=bool(holds), ni_class=ni_class,
                    worst_omega=worst_omega, worst_margin=worst_margin,

@@ -256,8 +256,7 @@ def cmd_verify(args):
             eps = _number(cert_data["epsilon"], "certificate epsilon")
     verdicts = {}
     holds = True
-    grid = certify.FrequencyGrid.default(system, points=args.grid_points)
-    freq = certify.classify_freq(system, args.ni_class, grid=grid, eps=eps)
+    freq = certify.classify_freq(system, args.ni_class, eps=eps)
     verdicts["frequency"] = freq.to_dict()
     holds &= freq.holds
     if cert_data is not None:
@@ -343,7 +342,6 @@ def build_parser():
     p.add_argument("--class", dest="ni_class",
                    choices=("ni", "sni", "osni", "ssni"), required=True)
     p.add_argument("--certificate", help="certificate JSON to check")
-    p.add_argument("--grid-points", type=int, default=certify.GRID_POINTS)
     p.add_argument("--epsilon", type=float,
                    help="output strictness level for osni")
     p.set_defaults(func=cmd_verify)

@@ -34,7 +34,7 @@ from .linalg import as_matrix
 
 #: complex entries one stacked ``sI - A`` array of ``eval_tf``'s solve may
 #: hold: its points are solved in chunks of ``2**14 // n**2``, since the
-#: 400-point grid of a 64-state system would stack 26 MB of ``sI - A``
+#: 400 points of a 64-state system would stack 26 MB of ``sI - A``
 SWEEP_ENTRIES = 2 ** 14
 
 #: entries ``simulate`` may store: ``(steps + 1) (1 + n + p)`` floats of

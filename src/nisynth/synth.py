@@ -296,9 +296,12 @@ def _synthesize(nf, cfg, ni_class):
     c2 = p2 > 0 and linalg.pbh_witness(nf.A00, nf.A00 @ nf.A03 + nf.A02,
                                        "controllable", res00) is None
     if not (c1 or c2):
+        # with p2 = 0 the second pair has no columns and is not tested
         raise NotControllableError(
             "the normal form is not controllable: neither (A00, A01) nor "
-            "(A00, A00 A03 + A02) is controllable")
+            "(A00, A00 A03 + A02) is controllable" if p2 else
+            "the normal form is not controllable: (A00, A01) is not "
+            "controllable")
 
     Y2 = _bind_spd(cfg.Y2, p1, "Y2")
     Y3 = _bind_spd(cfg.Y3, p2, "Y3")

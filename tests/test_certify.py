@@ -3,17 +3,17 @@ import pytest
 
 from nisynth import StateSpace, certify, eval_tf, is_minimal, linalg
 from nisynth.certify import (
-    FrequencyGrid,
     classify_freq,
     residue_at_imaginary_pole,
     verify_certificate,
 )
 from nisynth.errors import (
     InputError,
+    NumericalError,
     PoleInForbiddenRegionError,
     PoleProximityError,
 )
-from nisynth.statespace import UncertainSystem
+from nisynth.statespace import UncertainSystem, near_pole
 from nisynth.structure import find_output_transformation, to_normal_form
 from nisynth.synth import (
     SynthesisConfig,
@@ -93,6 +93,41 @@ class TestClassifyFreq:
         assert classify_freq(sys, "ni").holds
         assert sum(on_sys) == 1
 
+    def test_tie_goes_to_the_lowest_frequency(self):
+        # R = 0 behind poles -1 +- 2j: every decision point (1, the
+        # interval point, and 2, the pole frequency) has margin 0
+        A = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        sys = StateSpace(A=A, B=np.ones((3, 1)), C=np.zeros((1, 3)))
+        verdict, omegas = decided(sys, "ni")
+        assert np.allclose(omegas, [1.0, 2.0], rtol=1e-12)
+        assert verdict.holds and verdict.worst_margin == 0.0
+        assert verdict.worst_omega == omegas[0]
+
+    def test_singular_level_set_weight_is_a_numerical_error(self):
+        # C B + B^T C^T = -2e-8 cancels the level 2e-8: W = 0 cannot be
+        # inverted, and no verdict is returned
+        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[-1e-8]])
+        with pytest.raises(NumericalError, match="too ill-conditioned"):
+            classify_freq(sys, "ni")
+
+    def test_nonsymmetric_feedthrough_fails(self):
+        # j(R - R*) tends to j(D - D^T), eigenvalues +-1e-3
+        sys = StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
+                         D=[[0.0, 1e-3], [0.0, 0.0]])
+        verdict = classify_freq(sys, "ni")
+        assert verdict.worst_margin > 0 and not verdict.holds
+        assert "D is not symmetric" in verdict.notes[-1]
+
+    def test_nonsymmetric_dc_gain_fails(self):
+        # R(0) = [[1, 1e-3], [0, 1]]: j(R - R*) tends to an indefinite
+        # matrix as w -> 0, found by a crossing near 2e-5
+        sys = StateSpace(A=-np.eye(2), B=np.eye(2), C=[[1.0, 1e-3],
+                                                        [0.0, 1.0]])
+        verdict = classify_freq(sys, "ni")
+        assert not verdict.holds
+        assert verdict.worst_omega < 1e-4
+        assert np.isclose(verdict.worst_margin, -1e-3, rtol=0.05)
+
     def test_osni_needs_eps(self):
         with pytest.raises(InputError):
             classify_freq(first_order_lag(), "osni")
@@ -125,17 +160,14 @@ class TestClassifyFreq:
             cases += 1
 
 
-def per_point_sweep(sys, ni_class, grid, eps=None):
-    """Reference: the sampled part of the class test, one frequency at a
-    time; points within the pole distance of ``eval_tf`` are skipped and
-    the first strictly smallest margin wins.  Returns
+def per_point_sweep(sys, ni_class, omegas, eps=None):
+    """Reference: the class matrix one frequency at a time over
+    ``omegas``; the first strictly smallest margin wins, so a tie goes to
+    the lowest of sorted frequencies.  Returns
     ``(worst_omega, worst_margin)``."""
     worst_margin, worst_omega = np.inf, None
-    for w in grid.omegas:
-        try:
-            R = eval_tf(sys, 1j * w)
-        except PoleProximityError:
-            continue
+    for w in omegas:
+        R = eval_tf(sys, 1j * w)
         M = 1j * (R - R.conj().T)
         if ni_class == "osni":
             Rb = R - sys.D
@@ -147,16 +179,49 @@ def per_point_sweep(sys, ni_class, grid, eps=None):
     return worst_omega, worst_margin
 
 
-def assert_sweep_matches(sys, ni_class, eps=None, grid=None):
-    grid = grid or FrequencyGrid.default(sys)
-    verdict = classify_freq(sys, ni_class, grid=grid, eps=eps)
-    omega, margin = per_point_sweep(sys, ni_class, grid, eps)
+def decided(sys, ni_class, eps=None):
+    """``classify_freq``'s verdict and the frequencies of its one stacked
+    ``eval_tf`` call."""
+    calls = []
+    inner = certify.eval_tf
+
+    def recording(system, s):
+        calls.append(np.asarray(s))
+        return inner(system, s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "eval_tf", recording)
+        verdict = classify_freq(sys, ni_class, eps=eps)
+    assert len(calls) == 1
+    assert np.all(calls[0].real == 0.0)
+    return verdict, calls[0].imag
+
+
+def assert_sweep_matches(sys, ni_class, eps=None):
+    """The verdict's worst point is the per-point loop's over the decision
+    points, bit for bit, and the points are the ones the route promises:
+    sorted, positive, clear of the poles, holding every crossing and
+    every pole frequency ``|Im lambda|`` that is not on a pole."""
+    verdict, omegas = decided(sys, ni_class, eps)
+    assert np.all(omegas > 0) and np.all(np.diff(omegas) > 0)
+    assert not near_pole(sys, 1j * omegas).any()
+    axis = np.array(certify._imaginary_axis_pole_frequencies(sys))
+    crossings = certify._crossings(sys, ni_class, eps)
+    if len(axis):
+        crossings = crossings[~near_pole(sys, 1j * crossings)]
+    pole_w = np.abs(sys.poles().imag)
+    pole_w = pole_w[(pole_w > 1e-8 * (1.0 + sys.a_norm))
+                    & ~near_pole(sys, 1j * pole_w)]
+    assert np.isin(crossings, omegas).all()
+    assert np.isin(pole_w, omegas).all()
+    assert f"decision points: {len(omegas)}" in verdict.notes
+    omega, margin = per_point_sweep(sys, ni_class, omegas, eps)
     assert verdict.worst_omega == omega
     assert np.float64(verdict.worst_margin).tobytes() == \
         np.float64(margin).tobytes()
     floor = -1e-8 if ni_class in ("ni", "osni") else 1e-10
     # residue and frequency-limit failures are noted; they can only
-    # turn a sampled pass into a failure
+    # turn a pass at the decision points into a failure
     other_failure = any("fails" in note or "not simple" in note
                         for note in verdict.notes)
     assert verdict.holds == (margin >= floor and not other_failure)
@@ -174,9 +239,33 @@ def _closed_loops(rng, count, shape_of, synthesize):
     return loops
 
 
+def resonance_plant(w0, zeta=1e-4, k=0.01):
+    """R(s) = 1/(s+1) - k/(s^2 + 2 zeta w0 s + w0^2), in companion form."""
+    return StateSpace(A=[[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                         [0.0, -w0 ** 2, -2.0 * zeta * w0]],
+                      B=[[1.0], [0.0], [1.0]], C=[[1.0, -k, 0.0]])
+
+
+def above_grid_plant(w1=3e4, zeta=1e-4, k=100.0):
+    """R(s) = 1/(s+1) - k/(s^2 + 2 zeta w1 s + w1^2) in a balanced modal
+    realization: the resonance block [[s, w], [-w, s]] (s = -zeta w1,
+    w = w1 sqrt(1 - zeta^2)) with input and output weights of equal size,
+    sqrt(k / w)."""
+    s, w = -zeta * w1, w1 * np.sqrt(1.0 - zeta ** 2)
+    g = np.sqrt(k / w)
+    return StateSpace(A=[[-1.0, 0.0, 0.0], [0.0, s, w], [0.0, -w, s]],
+                      B=[[1.0], [0.0], [g]], C=[[1.0, -g, 0.0]])
+
+
+def margin_at(sys, w):
+    R = eval_tf(sys, 1j * w)
+    return float(np.linalg.eigvalsh(1j * (R - R.conj().T))[0])
+
+
 class TestBatchedSweep:
-    """The stacked sweep of ``classify_freq`` gives the verdict,
-    worst frequency and worst margin of the per-point loop bit for bit."""
+    """The one stacked evaluation of ``classify_freq`` at its decision
+    points gives the verdict, worst frequency and worst margin of the
+    per-point loop over the same points, bit for bit."""
 
     def test_ni_on_planted_closed_loops_and_demo(self):
         rng = np.random.default_rng(61)
@@ -236,10 +325,10 @@ class TestBatchedSweep:
         verdicts = [assert_sweep_matches(sys, ni_class)
                     for ni_class in ("ni", "sni", "ssni")]
         verdicts.append(assert_sweep_matches(sys, "osni", eps=0.3))
-        # one modal call per verdict holds the whole grid; an SSNI pass
-        # would add the two limit proxies
+        # one modal call per verdict holds every decision point; the SSNI
+        # limits are exact and evaluate no transfer function
         assert not verdicts[2].holds
-        assert calls == [len(FrequencyGrid.default(sys).omegas)] * 4
+        assert calls == [int(v.notes[1].rsplit(" ", 1)[1]) for v in verdicts]
 
     def test_64_state_robust_loop(self):
         rng = np.random.default_rng(66)
@@ -248,27 +337,165 @@ class TestBatchedSweep:
         assert assert_sweep_matches(res.nominal_closed, "ni").holds
 
     def test_points_at_a_pole_are_skipped(self):
-        # R(s) = 1/(s^2 + 1); the grid point 1.0 sits on the pole j
+        # R(s) = 1/(s^2 + 1): the pole frequency 1 is a break, not a
+        # decision point, and the intervals on either side get points;
+        # the residue check decides the pole itself
         sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
                          C=[[1.0, 0.0]])
-        grid = FrequencyGrid(omegas=np.array([0.5, 1.0, 2.0]), lo=0.5,
-                             hi=2.0)
-        assert assert_sweep_matches(sys, "ni", grid=grid).holds
-        only_pole = FrequencyGrid(omegas=np.array([1.0]), lo=0.5, hi=2.0)
-        with pytest.raises(InputError, match="no usable grid points"):
-            classify_freq(sys, "ni", grid=only_pole)
+        verdict = assert_sweep_matches(sys, "ni")
+        assert verdict.holds
+        assert any(note.startswith("residue at j*1: PSD")
+                   for note in verdict.notes)
+        _, omegas = decided(sys, "ni")
+        assert 1.0 not in omegas
+        assert omegas.min() < 1.0 < omegas.max()
 
-    def test_resonance_between_grid_points_still_missed(self):
-        # known fault (ROADMAP item 1): a resonance between two grid
-        # points is not NI, yet the sampled test says it holds
-        grid = FrequencyGrid.default()
-        w0 = float(np.sqrt(grid.omegas[200] * grid.omegas[201]))
-        sys = StateSpace(A=[[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                            [0.0, -w0 ** 2, -2e-4 * w0]],
-                         B=[[1.0], [0.0], [1.0]], C=[[1.0, -0.01, 0.0]])
-        R = eval_tf(sys, 1j * w0)
-        assert np.linalg.eigvalsh(1j * (R - R.conj().T))[0] < -1.0
-        assert assert_sweep_matches(sys, "ni").holds
+    def test_resonance_between_grid_points_rejected(self):
+        # the old 400-point grid on [1e-4, 1e4] missed a resonance between
+        # its points 200 and 201 and said the plant holds
+        grid = np.logspace(-4.0, 4.0, 400)
+        w0 = float(np.sqrt(grid[200] * grid[201]))
+        sys = resonance_plant(w0)
+        assert margin_at(sys, w0) < -1.0
+        verdict = assert_sweep_matches(sys, "ni")
+        assert not verdict.holds
+        assert verdict.worst_margin < -1.0
+        # the two crossings bracket w0, and the band midpoint decides
+        lo, hi = certify._crossings(sys, "ni", None)
+        assert lo < w0 < hi and hi - lo < 1e-2
+        assert lo <= verdict.worst_omega <= hi
+        assert f"{lo:.9g}, {hi:.9g}" in verdict.notes[0]
+
+
+class TestGridFalsePositives:
+    """Plants the old sampling grid accepted although they are not NI;
+    the decision points reject both."""
+
+    def test_resonance_plant_of_every_bench_round(self):
+        # the benchmark's resonance op: w0 between adjacent grid points,
+        # 70 values over [1.32, 31.9]
+        grid = np.logspace(-4.0, 4.0, 400)
+        for k in range(205, 275):
+            w0 = float(np.sqrt(grid[k] * grid[k + 1]))
+            sys = resonance_plant(w0)
+            assert margin_at(sys, w0) < -0.03
+            verdict = classify_freq(sys, "ni")
+            assert not verdict.holds
+            assert abs(verdict.worst_omega - w0) <= 1e-3 * w0
+
+    def test_resonance_above_the_grid(self):
+        # w1 = 3e4 lies above the old grid's 1e4
+        sys = above_grid_plant()
+        assert sys.a_norm < 1e5
+        assert np.isclose(margin_at(sys, 3e4), -1.04e-3, rtol=0.01)
+        verdict = assert_sweep_matches(sys, "ni")
+        assert not verdict.holds
+        assert verdict.worst_margin < -1e-3
+        lo, hi = certify._crossings(sys, "ni", None)
+        assert 29980 < lo < 3e4 < hi < 30020
+        assert lo <= verdict.worst_omega <= hi
+
+    def test_damped_copies_pass(self):
+        # the same plants with a resonance too weak to break the NI
+        # inequality, k = 0 (a first-order lag) and a well-damped mode
+        assert classify_freq(resonance_plant(1.047, k=0.0), "ni").holds
+        assert classify_freq(above_grid_plant(k=1e-9), "ni").holds
+
+
+#: the dense oracle's log-spaced frequencies
+DENSE_OMEGAS = np.logspace(-5.0, 5.0, 4000)
+
+
+def dense_oracle(sys, ni_class, eps=None):
+    """Test-only verdict, independent of ``classify_freq``: the class
+    matrix from ``C (jw I - A)^{-1} B + D`` by stacked solves at
+    ``DENSE_OMEGAS`` and every pole frequency ``|Im lambda|``, against the
+    class floor; SSNI adds its two frequency limits from explicit
+    inverses.  Points within 1e-6 relative of a pole are skipped.
+    Returns ``(holds, smallest margin)``."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n = A.shape[0]
+    poles = np.linalg.eigvals(A)
+    w = np.concatenate([DENSE_OMEGAS, np.abs(poles.imag[poles.imag > 0])])
+    dist = np.abs(1j * w[:, None] - poles[None, :])
+    w = w[np.all(dist >= 1e-6 * (1.0 + np.abs(poles)), axis=1)]
+    R = C @ np.linalg.solve(1j * w[:, None, None] * np.eye(n) - A,
+                            B.astype(complex)) + D
+    RH = R.conj().transpose(0, 2, 1)
+    M = 1j * (R - RH)
+    if ni_class == "osni":
+        w2 = (w ** 2)[:, None, None]
+        M = w[:, None, None] * M - eps * w2 * ((RH - D.T) @ (R - D))
+    margin = float(np.linalg.eigvalsh((M + M.conj().transpose(0, 2, 1))
+                                      / 2.0)[:, 0].min())
+    floor = -1e-8 if ni_class in ("ni", "osni") else 1e-10
+    holds = margin >= floor
+    if ni_class == "ssni":
+        CB = C @ B
+        Ai = np.linalg.inv(A)
+        X = C @ Ai @ Ai @ B
+        holds = holds and np.linalg.eigvalsh(CB + CB.T)[0] > floor \
+            and np.linalg.eigvalsh(X + X.T)[0] > floor
+    return holds, margin
+
+
+class TestDenseOracle:
+    """``classify_freq`` agrees with a 4 000-point oracle on seeded planted
+    closed loops, each also negated, ``-R``, and in parallel with a narrow
+    resonance ``-0.01 w0^2 I / (s^2 + 2e-4 w0 s + w0^2)``, whose
+    ``j(R - R*)`` at ``w0`` is ``-100 I``; both break the class."""
+
+    @staticmethod
+    def variants(sys, w0):
+        p = sys.n_outputs
+        A_r = np.kron(np.eye(p), [[0.0, 1.0], [-w0 ** 2, -2e-4 * w0]])
+        B_r = np.kron(np.eye(p), [[0.0], [1.0]])
+        C_r = np.kron(np.eye(p), [[-0.01 * w0 ** 2, 0.0]])
+        resonant = StateSpace(
+            A=np.block([[sys.A, np.zeros((sys.n, 2 * p))],
+                        [np.zeros((2 * p, sys.n)), A_r]]),
+            B=np.vstack([sys.B, B_r]), C=np.hstack([sys.C, C_r]))
+        return sys, StateSpace(A=sys.A, B=sys.B, C=-sys.C), resonant
+
+    def assert_agrees(self, loops, ni_class, eps_of=lambda g: None):
+        rng = np.random.default_rng(len(loops))
+        outcomes = []
+        for gains in loops:
+            w0 = float(rng.uniform(0.1, 100.0))
+            for sys in self.variants(gains.closed_loop, w0):
+                eps = eps_of(gains)
+                expected, margin = dense_oracle(sys, ni_class, eps)
+                verdict = classify_freq(sys, ni_class, eps=eps)
+                assert verdict.holds == expected, (ni_class, margin,
+                                                   verdict)
+                outcomes.append(expected)
+        # the planted loops hold and both of their variants fail
+        assert outcomes[0::3] == [True] * len(loops)
+        assert not any(outcomes[1::3] + outcomes[2::3])
+
+    def test_ni(self):
+        rng = np.random.default_rng(71)
+        self.assert_agrees(_closed_loops(
+            rng, 8, lambda r: random_shape(r, 3, 8), synthesize_ni), "ni")
+
+    def test_osni(self):
+        rng = np.random.default_rng(72)
+
+        def shape(r):
+            while True:
+                p1, p2, m_a, m_b = random_shape(r, 3, 8)
+                if p1 > 0 and p2 <= p1:
+                    return p1, p2, m_a, m_b
+
+        self.assert_agrees(_closed_loops(rng, 6, shape, synthesize_osni),
+                           "osni", lambda g: g.epsilon)
+
+    def test_ssni(self):
+        rng = np.random.default_rng(73)
+        self.assert_agrees(_closed_loops(
+            rng, 6,
+            lambda r: random_shape(r, 3, 8, force_p2=0, force_ma=0),
+            synthesize_ssni), "ssni")
 
 
 class TestResidue:
@@ -439,44 +666,3 @@ class TestVerifyCertificate:
     def test_sni_not_supported(self):
         with pytest.raises(InputError):
             verify_certificate(first_order_lag(), "sni", [[1.0]])
-
-
-class TestGrid:
-    def test_default_grid_shape(self):
-        grid = FrequencyGrid.default()
-        assert len(grid.omegas) == 400
-        assert np.isclose(grid.omegas[0], 1e-4)
-        assert np.isclose(grid.omegas[-1], 1e4)
-        assert np.all(np.diff(grid.omegas) > 0)
-
-    def test_pole_exclusion(self):
-        sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
-                         C=[[1.0, 0.0]])
-        # the first grid point sits exactly on the pole frequency
-        grid = FrequencyGrid.default(sys, points=10, lo=1.0, hi=10.0)
-        assert 1.0 in grid.excluded
-        assert len(grid.omegas) == 9
-        assert all(abs(1j * w - 1j) >= 2e-6 for w in grid.omegas)
-
-    @pytest.mark.parametrize("with_system", [False, True])
-    def test_oversized_grid_refused_before_allocating(self, monkeypatch,
-                                                      demo_plant,
-                                                      with_system):
-        # the demo plant brings (1 + 4)(1 + 2) entries a point, no system 1
-        sys, width = (demo_plant, 15) if with_system else (None, 1)
-
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "logspace", no_grid)
-        for points in (10 ** 15, certify.GRID_ENTRIES // width + 1):
-            with pytest.raises(InputError, match=f"{points} grid points of "
-                                                 f"{width} entries exceed"):
-                FrequencyGrid.default(sys, points=points)
-
-    def test_fully_excluded_grid_rejected(self):
-        sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
-                         C=[[1.0, 0.0]])
-        with pytest.raises(InputError):
-            FrequencyGrid.default(sys, points=5, lo=1.0 - 1e-9,
-                                  hi=1.0 + 1e-9)

@@ -184,27 +184,41 @@ class TestVerify:
         assert rep["error"]["type"] == "PoleInForbiddenRegionError"
 
     def test_grid_points_flag(self, capsys, plant_path, params_path, tmp_path):
+        # the decision points replace the grid: the report counts them,
+        # and the old --grid-points option is a usage error
         code, rep = run_cli(capsys, "stabilize", plant_path, "--gamma", "1",
                             "--params", params_path)
         closed = tmp_path / "closed.json"
         closed.write_text(json.dumps(rep["closed_loop"]))
-        code2, rep2 = run_cli(capsys, "verify", str(closed), "--class", "ni",
-                              "--grid-points", "50")
+        code2, rep2 = run_cli(capsys, "verify", str(closed), "--class", "ni")
         assert code2 == 0
-        assert "50 points" in " ".join(rep2["verdicts"]["frequency"]["notes"])
+        notes = rep2["verdicts"]["frequency"]["notes"]
+        assert notes[0].startswith("level-set crossings at -2*1e-08: ")
+        assert notes[1].startswith("decision points: ")
+        code3 = main(["verify", str(closed), "--class", "ni",
+                      "--grid-points", "50"])
+        captured = capsys.readouterr()
+        assert code3 == 2 and captured.out == ""
+        assert "unrecognized arguments: --grid-points 50" in captured.err
 
     def test_huge_grid_exits_two(self, capsys, monkeypatch, plant_path):
         def no_grid(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
+            raise AssertionError("a grid was allocated")
 
         monkeypatch.setattr(np, "logspace", no_grid)
-        code, rep = run_cli(capsys, "verify", plant_path, "--class", "ni",
-                            "--grid-points", str(10 ** 15))
+        code = main(["verify", plant_path, "--class", "ni",
+                     "--grid-points", str(10 ** 15)])
         assert code == 2
-        assert rep["error"]["kind"] == "input-error"
-        assert rep["error"]["message"] == (
-            f"{10 ** 15} grid points of 15 entries exceed the 4194304 "
-            "entries a frequency sweep may hold")
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_singular_level_set_weight_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]],
+                                    "C": [[-1e-8]]}))
+        code, rep = run_cli(capsys, "verify", str(path), "--class", "ni")
+        assert code == 3
+        assert rep["error"]["kind"] == "numerical-failure"
+        assert rep["error"]["type"] == "NumericalError"
 
     def test_mismatched_certificate_class(self, capsys, plant_path, tmp_path):
         cert = tmp_path / "cert.json"

@@ -6,6 +6,7 @@ import pytest
 
 from nisynth import (
     StateSpace,
+    certify,
     eval_tf,
     has_zero_at_origin,
     interconnect_positive_feedback,
@@ -18,7 +19,6 @@ from nisynth.errors import (
     PoleProximityError,
     SimulationDivergedError,
 )
-from nisynth.certify import FrequencyGrid
 from nisynth.statespace import (
     SIMULATE_ENTRIES,
     SWEEP_ENTRIES,
@@ -174,7 +174,11 @@ class TestModalEvalTf:
             C=rng.standard_normal((2, 6)), D=rng.standard_normal((2, 2)))
         for sys in [demo_nominal_closed(), with_feedthrough] + gen_loops():
             assert sys.modal_factors is not None
-            omegas = FrequencyGrid.default(sys).omegas
+            # the old 400-point grid and the decision points of the NI test
+            omegas = np.concatenate([
+                np.logspace(-4.0, 4.0, 400),
+                certify._decision_points(sys, certify._crossings(
+                    sys, "ni", None), np.zeros(0))])
             s = np.concatenate([1j * omegas, [0.0, 0.5 - 2j]])
             s = s[~near_pole(sys, s)]
             diff = np.abs(eval_tf(sys, s) - stacked_solve(sys, s))

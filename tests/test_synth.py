@@ -93,6 +93,17 @@ class TestSynthesizeNi:
         with pytest.raises(NotControllableError):
             synthesize_ni(nf)
 
+    def test_uncontrollable_names_both_pairs_when_p2_is_positive(self):
+        rng = np.random.default_rng(110)
+        blk = planted_normal_blocks(rng, 1, 1, 0, 1)
+        blk["A01"] = np.zeros((1, 1))
+        blk["A02"] = -blk["A00"] @ blk["A03"]
+        nf = normal_form_from_blocks(blk, 1, 1, 1)
+        with pytest.raises(NotControllableError) as exc:
+            synthesize_ni(nf)
+        assert str(exc.value).endswith(
+            "neither (A00, A01) nor (A00, A00 A03 + A02) is controllable")
+
     def test_retry_exhausted_with_fixed_blockers(self, demo_nf):
         # with Y1b = 4 (so Qb = 8), K13 H = 2 zeroes K10 from inside the
         # admissible sets, defeating the required observability target
@@ -384,10 +395,13 @@ class TestSynthesizeSsni:
         assert g.verdict.holds
 
     def test_uncontrollable_rejected(self):
+        # p2 = 0: the message names the one pair that exists
         blk = self.scalar_blocks(a01=0.0)
         nf = normal_form_from_blocks(blk, 1, 0, 1)
-        with pytest.raises(NotControllableError):
+        with pytest.raises(NotControllableError) as exc:
             synthesize_ssni(nf)
+        assert str(exc.value) == ("the normal form is not controllable: "
+                                  "(A00, A01) is not controllable")
 
     def test_stiff_internal_dynamics_miss_the_margin(self):
         # the Lyapunov residual is -I up to rounding, below the required
