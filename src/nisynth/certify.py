@@ -28,7 +28,8 @@ NI_CLASSES = ("ni", "sni", "osni", "ssni")
 
 #: level of the level-set Hamiltonian: its imaginary eigenvalues are the
 #: frequencies where an eigenvalue of ``F + F*`` (or of the Popov function)
-#: crosses ``-2 LEVEL_DELTA``, and ``W`` stays nonsingular when ``C B`` is
+#: crosses ``-2 LEVEL_DELTA``, and the ``2 LEVEL_DELTA I`` added to ``W``
+#: keeps it nonsingular when ``C B`` is singular (degree-2 outputs)
 LEVEL_DELTA = 1e-8
 
 #: widest spread of ``|eigenvalues|`` of ``W`` the Hamiltonian is formed
@@ -199,13 +200,16 @@ def _class_matrix(R, D, omega, ni_class, eps):
 
 
 def _crossings(sys, ni_class, eps):
-    """Sorted positive frequencies where ``Phi + 2 delta I`` is singular.
+    """Sorted candidate frequencies where ``Phi + 2 delta I`` is singular.
 
     ``F(s) = s (R(s) - D)`` is realized as ``(A, B, C A, C B)``; for
     ``w > 0`` and symmetric ``D``, ``F + F* = w j(R - R*)``.  ``Phi`` is
     ``F + F*`` (NI, SNI, SSNI) or the Popov function ``F + F* - eps F* F``
     (OSNI), written as ``[x; u]* [[Q, S], [S^T, W]] [x; u]`` with
-    ``x = (jw I - A)^{-1} B u`` and ``delta = LEVEL_DELTA`` added to ``W``.
+    ``x = (jw I - A)^{-1} B u``: ``(Q, S, W)`` is ``(0, (C A)^T, C B +
+    B^T C^T)``, and for OSNI ``(-eps (C A)^T C A, (C A)^T (I - eps C B),
+    C B + B^T C^T - eps (C B)^T C B)``; ``delta = LEVEL_DELTA`` is added
+    to ``W``.
     The candidates are the imaginary eigenvalues ``j w`` of the level-set
     Hamiltonian ``[[E, -B W^{-1} B^T], [S W^{-1} S^T - Q, -E^T]]``,
     ``E = A - B W^{-1} S^T``; an eigenvalue ``lambda`` counts as imaginary
@@ -298,8 +302,9 @@ def classify_freq(sys, ni_class, eps=None):
     indefinite on holds a decision point, so no band is missed for lying
     between samples; the margin is read at that point, not minimized
     over the band.  ``worst_omega`` is the decision point of the smallest
-    margin, the lowest such frequency on a tie, and the notes list the
-    crossings.
+    margin, the lowest such frequency on a tie.  The notes list the
+    crossings, the candidates at which ``Phi + 2 delta I`` is singular to
+    within ``delta``, and the number of candidates.
 
     ``D`` is taken as symmetric when ``||D - D^T||_2 <= 1e-8``; otherwise
     the verdict fails, since ``j(R - R*)`` tends to the indefinite
@@ -327,14 +332,22 @@ def classify_freq(sys, ni_class, eps=None):
         if len(axis_poles):
             crossings = crossings[~near_pole(sys, 1j * crossings)]
     omegas = _decision_points(sys, crossings, axis_poles)
-    notes = [f"level-set crossings at -2*{LEVEL_DELTA:g}: "
-             + (", ".join(f"{w:.9g}" for w in crossings) or "none"),
-             f"decision points: {len(omegas)}"]
-    margins = np.zeros(len(omegas))
+    margins, crossed = np.zeros(len(omegas)), crossings
     if p:
         R = eval_tf(sys, 1j * omegas)
-        margins = np.linalg.eigvalsh(
-            _class_matrix(R, sys.D, omegas, ni_class, eps))[:, 0]
+        lam = np.linalg.eigvalsh(
+            _class_matrix(R, sys.D, omegas, ni_class, eps))
+        margins = lam[:, 0]
+        # a candidate is a crossing where Phi + 2 delta I is singular to
+        # within delta: Phi is w times the class matrix, or the OSNI one
+        at = np.isin(omegas, crossings)
+        phi = lam[at] if ni_class == "osni" else omegas[at, None] * lam[at]
+        crossed = omegas[at][
+            np.abs(phi + 2.0 * LEVEL_DELTA).min(axis=1) <= LEVEL_DELTA]
+    notes = [f"level-set crossings at -2*{LEVEL_DELTA:g}: "
+             + (", ".join(f"{w:.9g}" for w in crossed) or "none")
+             + f" (of {len(crossings)} candidates)",
+             f"decision points: {len(omegas)}"]
     # the points are sorted: a tie goes to the lowest frequency
     k = int(np.argmin(margins))
     worst_margin, worst_omega = float(margins[k]), float(omegas[k])

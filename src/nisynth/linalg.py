@@ -83,9 +83,9 @@ class EigenResult:
     eigenvector of ``values[k]``.  ``algebraic``/``geometric`` hold the
     multiplicities of the cluster each eigenvalue belongs to; ``norm`` and
     ``smin`` are the largest and smallest singular values of the decomposed
-    matrix, from one SVD.  ``left`` holds the left
-    eigenvectors, computed once on first use when the eigenbasis is
-    trusted; the hot paths that work in the eigenbasis key on it.
+    matrix, from one SVD.  ``left`` holds the left eigenvectors, computed
+    once on first use when the eigenbasis is trusted; the hot paths that
+    work in the eigenbasis key on it.
     """
 
     values: np.ndarray

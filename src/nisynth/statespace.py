@@ -33,7 +33,7 @@ from .errors import (
 from .linalg import as_matrix
 
 #: complex entries one stacked ``sI - A`` array of ``eval_tf``'s solve may
-#: hold: its points are solved in chunks of ``2**14 // n**2``, since the
+#: hold: its points are solved in chunks of ``2**14 // n**2``, since
 #: 400 points of a 64-state system would stack 26 MB of ``sI - A``
 SWEEP_ENTRIES = 2 ** 14
 

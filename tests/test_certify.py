@@ -215,6 +215,18 @@ def assert_sweep_matches(sys, ni_class, eps=None):
     assert np.isin(crossings, omegas).all()
     assert np.isin(pole_w, omegas).all()
     assert f"decision points: {len(omegas)}" in verdict.notes
+    # the listed crossings are candidates where Phi + 2 delta I, Phi = F + F*
+    # or the Popov function, is singular to within delta
+    listed, of = verdict.notes[0].split(": ", 1)[1].rsplit(" (of ", 1)
+    assert of == f"{len(crossings)} candidates)"
+    for text in ([] if listed == "none" else listed.split(", ")):
+        w = float(crossings[np.argmin(np.abs(crossings - float(text)))])
+        assert f"{w:.9g}" == text
+        F = 1j * w * (eval_tf(sys, 1j * w) - sys.D)
+        phi = F + F.conj().T
+        if ni_class == "osni":
+            phi = phi - eps * F.conj().T @ F
+        assert np.abs(np.linalg.eigvalsh(phi) + 2e-8).min() <= 1e-8
     omega, margin = per_point_sweep(sys, ni_class, omegas, eps)
     assert verdict.worst_omega == omega
     assert np.float64(verdict.worst_margin).tobytes() == \
