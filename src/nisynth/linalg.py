@@ -195,8 +195,13 @@ def rank(M):
     M = np.asarray(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > max(M.shape) * EPS * s[0]))
+    return sv_rank(np.linalg.svd(M, compute_uv=False), M.shape)
+
+
+def sv_rank(s, shape):
+    """``rank`` of a matrix of ``shape`` from its sorted singular values
+    ``s``, for callers that use the SVD for more than the rank."""
+    return int(np.sum(s > max(shape) * EPS * s[0]))
 
 
 def symmetrize(M, name="matrix"):

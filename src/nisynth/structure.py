@@ -207,14 +207,15 @@ class TransformSet:
         mats = {}
         for name, M in (("T_y", T_y), ("T_x", T_x), ("T_u", T_u)):
             M = as_matrix(M, name, square=True)
-            # one SVD: rank(M) < k exactly when the smallest singular
-            # value is at or under rank's threshold k eps ||M||_2
-            sv = np.linalg.svd(M, compute_uv=False) if M.size else [0.0]
-            if M.shape[0] and sv[-1] <= M.shape[0] * linalg.EPS * sv[0]:
-                raise InputError(f"{name} is singular")
+            norm = 0.0
+            if M.shape[0]:
+                sv = np.linalg.svd(M, compute_uv=False)
+                if linalg.sv_rank(sv, M.shape) < M.shape[0]:
+                    raise InputError(f"{name} is singular")
+                norm = float(sv[0])
             Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
             residual = spectral_norm(M @ Minv - np.eye(M.shape[0]))
-            if residual > 1e-8 * max(1.0, float(sv[0])):
+            if residual > 1e-8 * max(1.0, norm):
                 raise NumericalError(
                     f"{name} inverse residual {residual:.3e} too large")
             mats[name] = (M, Minv)
