@@ -3,10 +3,11 @@
 Two independent routes are provided and kept independent on purpose:
 
 * ``classify_freq`` decides the defining Hermitian matrix of the class at
-  exact decision points: the crossing frequencies of a level-set
-  Hamiltonian, a point inside every interval they and the imaginary-axis
-  poles bound, and the pole frequencies, all in one stacked evaluation
-  (plus residue checks at imaginary-axis poles and the exact
+  exact decision points: a point inside every interval bounded by the
+  frequencies where the matrix crosses its floor (the imaginary
+  eigenvalues of a level-set Hamiltonian or of a zero matrix) and by the
+  imaginary-axis poles, and the pole frequencies, all in one stacked
+  evaluation (plus residue checks at imaginary-axis poles and the exact
   frequency-limit conditions of SSNI),
 * ``verify_certificate`` checks the state-space certificate inequalities
   ``A Y + Y A^T (+ eps (C A Y)^T C A Y) <= 0`` and ``B + A Y C^T = 0``
@@ -26,19 +27,22 @@ from .statespace import eval_tf, is_minimal, near_pole
 
 NI_CLASSES = ("ni", "sni", "osni", "ssni")
 
-#: level of the level-set Hamiltonian: its imaginary eigenvalues are the
-#: frequencies where an eigenvalue of ``F + F*`` (or of the Popov function)
-#: crosses ``-2 LEVEL_DELTA``, and the ``2 LEVEL_DELTA I`` added to ``W``
-#: keeps it nonsingular when ``C B`` is singular (degree-2 outputs)
-LEVEL_DELTA = 1e-8
-
-#: widest spread of ``|eigenvalues|`` of ``W`` the Hamiltonian is formed
-#: with: its smallest eigenvalue, as small as ``2 LEVEL_DELTA``, is known to
-#: ``eps ||W||``, under 0.3 % of itself; a wider ``W`` is a ``NumericalError``
-W_CONDITION_LIMIT = 1e13
+#: floor of the NI and OSNI class matrices at the decision points
+NI_FLOOR = -1e-8
 
 #: strict positivity floor of the strict classes at the decision points
 STRICT_FLOOR = 1e-10
+
+#: widest spread of ``|eigenvalues|`` of the feedthrough ``W - level I`` a
+#: level-set Hamiltonian is formed with: its smallest eigenvalue, as small
+#: as ``|level|``, is known to ``eps ||W||``, under 0.3 % of itself
+W_CONDITION_LIMIT = 1e13
+
+#: largest ``||R(0) - R(0)^T||_2`` the NI route through ``Gamma`` accepts:
+#: the asymmetry shifts ``Gamma`` by up to half of it over ``w``, which
+#: loosens the floor by at most half of it (0.5 %) near ``w = 1``; the
+#: rounding of ``R(0)`` of a 26-state loop is about 4e-12
+DC_ASYMMETRY_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -199,70 +203,109 @@ def _class_matrix(R, D, omega, ni_class, eps):
     return (M + _hermitian(M)) / 2.0
 
 
-def _crossings(sys, ni_class, eps):
-    """Sorted candidate frequencies where ``Phi + 2 delta I`` is singular.
+def _on_axis(vals, M):
+    """Signed imaginary parts of the eigenvalues ``vals`` of ``M`` that
+    count as imaginary: ``|Re lambda| <= 1e-6 |lambda| + 1e-10 ||M||_F``,
+    loose on purpose: a spurious candidate costs one more decision point,
+    a missed one a band."""
+    keep = np.abs(vals.real) <= 1e-6 * np.abs(vals) + 1e-10 * np.linalg.norm(M)
+    return vals.imag[keep]
 
-    ``F(s) = s (R(s) - D)`` is realized as ``(A, B, C A, C B)``; for
-    ``w > 0`` and symmetric ``D``, ``F + F* = w j(R - R*)``.  ``Phi`` is
-    ``F + F*`` (NI, SNI, SSNI) or the Popov function ``F + F* - eps F* F``
-    (OSNI), written as ``[x; u]* [[Q, S], [S^T, W]] [x; u]`` with
-    ``x = (jw I - A)^{-1} B u``: ``(Q, S, W)`` is ``(0, (C A)^T, C B +
-    B^T C^T)``, and for OSNI ``(-eps (C A)^T C A, (C A)^T (I - eps C B),
-    C B + B^T C^T - eps (C B)^T C B)``; ``delta = LEVEL_DELTA`` is added
-    to ``W``.
-    The candidates are the imaginary eigenvalues ``j w`` of the level-set
-    Hamiltonian ``[[E, -B W^{-1} B^T], [S W^{-1} S^T - Q, -E^T]]``,
-    ``E = A - B W^{-1} S^T``; an eigenvalue ``lambda`` counts as imaginary
-    when ``|Re lambda| <= 1e-6 |lambda| + 1e-10 ||H||_F``, loose on
-    purpose: a spurious candidate costs one more decision point, a missed
-    one a band.  Between two consecutive true crossings the inertia of
-    ``Phi + 2 delta I`` is constant.  Raises ``NumericalError`` when the
-    spread of ``W`` exceeds ``W_CONDITION_LIMIT``.
-    """
-    A, B = sys.A, sys.B
+
+def _popov_crossings(A, B, Q, S, W, level):
+    """Sorted ``w > 0`` at which an eigenvalue of the para-Hermitian
+    ``Phi(jw) = [x; u]* [[Q, S], [S^T, W]] [x; u]``, ``x = (jw I - A)^{-1}
+    B u``, equals ``level``: the positive imaginary eigenvalues ``j w`` of
+    the level-set Hamiltonian ``[[E, -B V^{-1} B^T], [S V^{-1} S^T - Q,
+    -E^T]]``, ``V = W - level I``, ``E = A - B V^{-1} S^T``.  Between two
+    consecutive crossings the inertia of ``Phi - level I`` is constant.
+    Returns ``None`` when the spread of ``V`` exceeds
+    ``W_CONDITION_LIMIT``."""
     n = len(A)
-    Ct, Dt = sys.C @ A, sys.C @ B
-    W, S = Dt + Dt.T, Ct.T
-    if ni_class == "osni":
-        W = W - eps * (Dt.T @ Dt)
-        S = S - eps * (Ct.T @ Dt)
-    lam, U = np.linalg.eigh(W + 2.0 * LEVEL_DELTA * np.eye(len(W)))
+    lam, U = np.linalg.eigh(W - level * np.eye(len(W)))
     size = np.abs(lam)
     if not size.min() > size.max() / W_CONDITION_LIMIT:
-        raise NumericalError(
-            f"level-set Hamiltonian: W has eigenvalues {lam.min():.3e} .. "
-            f"{lam.max():.3e}, too ill-conditioned to invert")
-    Winv = (U / lam) @ U.T
-    WS = Winv @ S.T
+        return None
+    VS = (U / lam) @ U.T @ S.T
     H = np.empty((2 * n, 2 * n))
-    H[:n, :n] = A - B @ WS
-    H[:n, n:] = -(B @ Winv @ B.T)
-    H[n:, :n] = S @ WS
-    if ni_class == "osni":
-        H[n:, :n] += eps * (Ct.T @ Ct)      # -Q
+    H[:n, :n] = A - B @ VS
+    H[:n, n:] = -(B @ ((U / lam) @ U.T) @ B.T)
+    H[n:, :n] = S @ VS - Q
     H[n:, n:] = -H[:n, :n].T
-    vals = np.linalg.eigvals(H)
-    on_axis = np.abs(vals.real) <= 1e-6 * np.abs(vals) + \
-        1e-10 * np.linalg.norm(H)
-    return np.sort(vals.imag[on_axis & (vals.imag > 0)])
+    w = _on_axis(np.linalg.eigvals(H), H)
+    return np.sort(w[w > 0])
+
+
+def _gamma_crossings(sys):
+    """NI candidates from the real level-set Hamiltonian of ``Gamma(w) =
+    (w + 1/w) j(R - R*) / 2`` at ``NI_FLOOR``, or ``None`` when that route
+    does not apply.
+
+    ``Gamma = K + K*`` for ``K(s) = (s (R(s) - D) - (R(s) - R(0)) / s) / 2
+    = (C B + C (A - A^{-1}) (s I - A)^{-1} B) / 2``, which needs ``D`` and
+    ``R(0)`` symmetric (``D`` exactly, ``R(0)`` to within
+    ``DC_ASYMMETRY_LIMIT``).  Since ``(w + 1/w) / 2 >= 1``, every ``w``
+    with ``lambda_min(j(R - R*)) < NI_FLOOR < 0`` has ``lambda_min(Gamma)
+    < NI_FLOOR``: the bands of ``Gamma`` contain every violation, so a
+    verdict none of whose decision points lies in such a band holds.
+    ``Gamma`` is real, the same size as the OSNI Hamiltonian and about a
+    third of the cost of the exact route's complex zero matrix."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    if not np.array_equal(D, D.T):
+        return None
+    CAi = np.linalg.solve(A.T, C.T).T
+    R0 = D - CAi @ B
+    if spectral_norm(R0 - R0.T) > DC_ASYMMETRY_LIMIT:
+        return None
+    Ct, Dt = (C @ A - CAi) / 2.0, C @ B / 2.0
+    return _popov_crossings(A, B, np.zeros_like(A), Ct.T, Dt + Dt.T, NI_FLOOR)
+
+
+def _exact_crossings(sys, level):
+    """Signed frequencies at which an eigenvalue of ``j(R - R*)`` equals
+    ``level`` (``w > 0``) or ``-level`` (``-w``).
+
+    ``M(w) = j(R(jw) - R(jw)*)`` has the eigenvalue ``level`` exactly when
+    ``G(jw) + j level I`` is singular, ``G(s) = R(s) - R(-s)^T`` realized
+    by ``([[A, 0], [0, -A^T]], [B; C^T], [C, B^T], D - D^T)``; the
+    imaginary eigenvalues of its zero matrix ``Z = A_G - B_G (D - D^T +
+    j level I)^{-1} C_G`` are the candidates, and ``M(-w) = -M(w)^T`` puts
+    those of ``-level`` on the negative axis.  Complex, about three times
+    the cost of a real Hamiltonian of the same size.  Raises
+    ``NumericalError`` when ``level`` is within 1e-3 of itself of a
+    singular value of ``D - D^T``."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n, p = sys.n, len(D)
+    BG, CG = np.vstack([B, C.T]), np.hstack([C, B.T])
+    DZ = (D - D.T) + 1j * level * np.eye(p)
+    if (D - D.T).any():
+        if np.linalg.svd(DZ, compute_uv=False)[-1] <= 1e-3 * abs(level):
+            raise NumericalError(
+                f"the level {level:g} is a singular value of D - D^T")
+        Z = -(BG @ np.linalg.solve(DZ, CG))
+    else:
+        Z = (1j / level) * (BG @ CG)
+    Z[:n, :n] += A
+    Z[n:, n:] -= A.T
+    return _on_axis(np.linalg.eigvals(Z), Z)
 
 
 def _decision_points(sys, crossings, axis_poles):
     """Sorted frequencies at which the class matrix decides the verdict:
-    every crossing, every band midpoint, one point inside each interval
-    between the sorted crossings and imaginary-axis pole frequencies
-    (``b/2`` and ``2b`` for the two unbounded ones, ``1`` when there is
-    no break at all), and ``|Im lambda|`` of every pole whose imaginary
-    part exceeds the pole tolerance ``1e-8 (1 + ||A||)`` (a real pole
-    split by rounding adds no frequency); points within the pole distance
-    of ``eval_tf`` are dropped."""
+    one point inside each interval between the sorted crossings and
+    imaginary-axis pole frequencies (``b/2`` and ``2b`` for the two
+    unbounded ones, ``1`` when there is no break at all), and
+    ``|Im lambda|`` of every pole whose imaginary part exceeds the pole
+    tolerance ``1e-8 (1 + ||A||)`` (a real pole split by rounding adds no
+    frequency); points within the pole distance of ``eval_tf`` are
+    dropped.  A crossing itself is no point: its margin is the level, up
+    to rounding."""
     breaks = np.sort(np.concatenate([crossings, axis_poles]))
     inside = [[1.0]] if not len(breaks) else [
         (breaks[:-1] + breaks[1:]) / 2.0, [breaks[0] / 2.0, 2.0 * breaks[-1]]]
     pole_w = np.abs(sys.poles().imag)
     points = np.unique(np.concatenate(
-        [crossings, (crossings[:-1] + crossings[1:]) / 2.0, *inside,
-         pole_w[pole_w > 1e-8 * (1.0 + sys.a_norm)]]))
+        [*inside, pole_w[pole_w > 1e-8 * (1.0 + sys.a_norm)]]))
     return points[~near_pole(sys, 1j * points)]
 
 
@@ -280,39 +323,81 @@ def _ssni_limits(sys):
             spectral_norm(R0 - R0.T), spectral_norm(R0))
 
 
+def _candidates(sys, ni_class, eps, exact=False):
+    """Crossing candidates of the class's level set, the note that names
+    them, and whether they are ``Gamma``'s.  OSNI: ``NI_FLOOR`` crossings
+    of the Popov function ``F + F* - eps F* F``, ``F(s) = s (R(s) - D)``
+    realized as ``(A, B, C A, C B)``.  NI: of ``Gamma`` unless ``exact``
+    or ``_gamma_crossings`` does not apply, then of ``j(R - R*)`` itself.
+    SNI and SSNI: ``+-STRICT_FLOOR`` crossings of ``j(R - R*)``, the
+    ``-`` ones negated.  Raises ``NumericalError`` when the OSNI
+    Hamiltonian cannot be formed."""
+    if ni_class == "osni":
+        A, B = sys.A, sys.B
+        Ct, Dt = sys.C @ A, sys.C @ B
+        w = _popov_crossings(
+            A, B, -eps * (Ct.T @ Ct), (Ct.T - eps * (Ct.T @ Dt)),
+            Dt + Dt.T - eps * (Dt.T @ Dt), NI_FLOOR)
+        if w is None:
+            raise NumericalError(
+                "level-set Hamiltonian: C B + B^T C^T - eps (C B)^T C B is "
+                "too ill-conditioned at the level to invert")
+        return w, f"candidates for {NI_FLOOR:g} of the Popov function", False
+    if ni_class == "ni":
+        w = None if exact else _gamma_crossings(sys)
+        if w is not None:
+            return w, (f"candidates for {NI_FLOOR:g} of "
+                       "(w + 1/w) j(R - R*) / 2"), True
+        w = _exact_crossings(sys, NI_FLOOR)
+        return (np.sort(w[w > 0]), f"candidates for {NI_FLOOR:g} of j(R - R*)",
+                False)
+    w = _exact_crossings(sys, STRICT_FLOOR)
+    return (w[np.argsort(np.abs(w))],
+            f"candidates for +-{STRICT_FLOOR:g} of j(R - R*)", False)
+
+
 def classify_freq(sys, ni_class, eps=None):
     """Frequency-domain test of NI/SNI/OSNI/SSNI membership, decided at
     exact decision points instead of a sampling grid.
 
-    The class matrix is ``j(R - R*)`` (NI, SNI, SSNI) or
-    ``w j(R - R*) - eps w^2 (R - D)* (R - D)`` (OSNI).  The level-set
-    Hamiltonian of ``F + F*`` (or of the Popov function), ``F(s) =
-    s (R(s) - D)``, gives every frequency where an eigenvalue of
-    ``Phi = F + F*`` (``w`` times the NI class matrix) or of the Popov
-    function (the OSNI class matrix) crosses ``-2 LEVEL_DELTA``
-    (``_crossings``).  Crossings on imaginary-axis poles are dropped; the
-    residue checks cover those poles.  The class matrix is evaluated at
-    the decision points (``_decision_points``) by one stacked ``eval_tf``
-    and one stacked ``eigvalsh``, and the verdict holds when the smallest
-    eigenvalue at every point is at least the floor (``-1e-8``, or
-    ``STRICT_FLOOR`` for the strict classes).
+    The class matrix is ``j(R - R*)`` (NI, SNI, SSNI) or the Popov
+    function ``w j(R - R*) - eps w^2 (R - D)* (R - D)`` (OSNI); the
+    verdict holds when its smallest eigenvalue, the margin, is at least
+    the class floor (``NI_FLOOR``, or ``STRICT_FLOOR`` for the strict
+    classes) at every decision point.  The candidates (``_candidates``)
+    are the frequencies where an eigenvalue of the class matrix, or of a
+    function whose bands contain its, crosses the floor; those on
+    imaginary-axis poles are dropped, since the residue checks cover
+    those poles.  The class matrix is evaluated at the decision points
+    (``_decision_points``) by one stacked ``eval_tf`` and one stacked
+    ``eigvalsh``.
 
-    What the route guarantees: wherever ``Phi + 2 delta I`` is indefinite,
-    up to the accuracy of the Hamiltonian's eigenvalues, the band it is
-    indefinite on holds a decision point, so no band is missed for lying
-    between samples; the margin is read at that point, not minimized
-    over the band.  ``worst_omega`` is the decision point of the smallest
-    margin, the lowest such frequency on a tie.  The notes list the
-    crossings, the candidates at which ``Phi + 2 delta I`` is singular to
-    within ``delta``, and the number of candidates.
+    What the route guarantees: every band of frequencies on which the
+    margin is below the floor, up to the accuracy of the candidates,
+    holds a decision point, and for OSNI, SNI, SSNI and the exact NI route
+    the margin is below the floor at that point.  NI first takes the
+    bands of ``Gamma`` (``_gamma_crossings``), a real Hamiltonian of half
+    the size, which contain the bands of ``j(R - R*)``: when no decision
+    point has ``Gamma`` below the floor, or one has ``j(R - R*)`` below
+    it, the verdict is exact; otherwise the exact crossings of
+    ``j(R - R*)`` decide (a second evaluation).  The margin is read at the
+    points, not minimized over a band.  The strict floor cannot hold as
+    ``w -> 0`` or ``w -> inf``, where ``j(R - R*)`` of a proper plant
+    tends to 0: it applies from the lowest to the highest decision point
+    whose margin reaches it (to every point when none does), and outside,
+    in the roll-off, the margin must be at least ``-STRICT_FLOOR``, the
+    crossings of which are candidates too; SSNI tests its two limits exactly
+    (``_ssni_limits``).  ``worst_omega`` is the decision point of the
+    smallest margin among those the strict floor applies to and those
+    that fail, the lowest such frequency on a tie.  The notes list the
+    candidates and the number of decision points.
 
     ``D`` is taken as symmetric when ``||D - D^T||_2 <= 1e-8``; otherwise
     the verdict fails, since ``j(R - R*)`` tends to the indefinite
     ``j(D - D^T)`` as ``w -> inf``.  NI additionally runs residue checks
-    at simple imaginary-axis poles.  SSNI additionally tests its two
-    frequency limits exactly (``_ssni_limits``).  Raises
-    ``PoleInForbiddenRegionError`` when the pole precondition of the class
-    fails, and ``NumericalError`` when the Hamiltonian cannot be formed.
+    at simple imaginary-axis poles.  Raises ``PoleInForbiddenRegionError``
+    when the pole precondition of the class fails, and ``NumericalError``
+    when the candidates cannot be computed.
     """
     ni_class = _check_class(ni_class)
     p = sys.require_square("class test")
@@ -326,35 +411,49 @@ def classify_freq(sys, ni_class, eps=None):
         if not 0 < eps < np.inf:
             raise InputError("eps must be finite and positive")
     axis_poles = np.array(_imaginary_axis_pole_frequencies(sys))
-    crossings = np.zeros(0)
-    if p and sys.n:
-        crossings = _crossings(sys, ni_class, eps)
-        if len(axis_poles):
-            crossings = crossings[~near_pole(sys, 1j * crossings)]
-    omegas = _decision_points(sys, crossings, axis_poles)
-    margins, crossed = np.zeros(len(omegas)), crossings
-    if p:
-        R = eval_tf(sys, 1j * omegas)
-        lam = np.linalg.eigvalsh(
-            _class_matrix(R, sys.D, omegas, ni_class, eps))
-        margins = lam[:, 0]
-        # a candidate is a crossing where Phi + 2 delta I is singular to
-        # within delta: Phi is w times the class matrix, or the OSNI one
-        at = np.isin(omegas, crossings)
-        phi = lam[at] if ni_class == "osni" else omegas[at, None] * lam[at]
-        crossed = omegas[at][
-            np.abs(phi + 2.0 * LEVEL_DELTA).min(axis=1) <= LEVEL_DELTA]
-    notes = [f"level-set crossings at -2*{LEVEL_DELTA:g}: "
-             + (", ".join(f"{w:.9g}" for w in crossed) or "none")
-             + f" (of {len(crossings)} candidates)",
+    floor = NI_FLOOR if ni_class in ("ni", "osni") else STRICT_FLOOR
+
+    def decide(exact):
+        signed, what, superset = np.zeros(0), "candidates", False
+        if p and sys.n:
+            signed, what, superset = _candidates(sys, ni_class, eps, exact)
+            if len(axis_poles):
+                signed = signed[~near_pole(sys, 1j * np.abs(signed))]
+            # candidates within 1e-8 of each other, relative, are one: the
+            # copies of a multiple crossing bound no interval
+            signed = signed[np.argsort(np.abs(signed), kind="stable")]
+            apart = np.diff(np.abs(signed)) > 1e-8 * np.abs(signed[1:])
+            signed = signed[np.concatenate([[True], apart])[:len(signed)]]
+        omegas = _decision_points(sys, np.abs(signed), axis_poles)
+        margins = np.zeros(len(omegas))
+        if p:
+            R = eval_tf(sys, 1j * omegas)
+            margins = np.linalg.eigvalsh(
+                _class_matrix(R, sys.D, omegas, ni_class, eps))[:, 0]
+        floors = np.full(len(omegas), floor)
+        reach = np.flatnonzero(margins >= floor)
+        if ni_class in ("sni", "ssni") and len(reach):
+            # the roll-off below and above the points that reach the floor
+            floors[:reach[0]] = floors[reach[-1] + 1:] = -floor
+        return signed, what, superset, omegas, margins, floors
+
+    signed, what, superset, omegas, margins, floors = decide(False)
+    if superset and (margins >= floor).all() and \
+            (margins * (omegas + 1.0 / omegas) / 2.0 < floor).any():
+        # a band of Gamma without a violation in it: decide exactly
+        signed, what, _, omegas, margins, floors = decide(True)
+    notes = [f"{what}: " + (", ".join(f"{w:.9g}" for w in signed) or "none"),
              f"decision points: {len(omegas)}"]
+    fails = margins < floors
     # the points are sorted: a tie goes to the lowest frequency
-    k = int(np.argmin(margins))
+    k = int(np.argmin(np.where((floors == floor) | fails, margins, np.inf)))
     worst_margin, worst_omega = float(margins[k]), float(omegas[k])
-    floor = -1e-8 if ni_class in ("ni", "osni") else STRICT_FLOOR
-    holds = worst_margin >= floor
+    holds = not fails.any()
     if ni_class in ("sni", "ssni"):
-        notes.append(f"strict test floor {STRICT_FLOOR:g}")
+        core = omegas[floors == floor]
+        notes.append(f"strict test floor {STRICT_FLOOR:g} from "
+                     f"{core[0]:.9g} to {core[-1]:.9g}, {-STRICT_FLOOR:g} "
+                     "outside")
     if not np.array_equal(sys.D, sys.D.T):
         lam_inf = float(np.linalg.eigvalsh(1j * (sys.D - sys.D.T))[0])
         if lam_inf < -1e-8:

@@ -103,30 +103,79 @@ class TestClassifyFreq:
         assert verdict.holds and verdict.worst_margin == 0.0
         assert verdict.worst_omega == omegas[0]
 
-    def test_singular_level_set_weight_is_a_numerical_error(self):
-        # C B + B^T C^T = -2e-8 cancels the level 2e-8: W = 0 cannot be
-        # inverted, and no verdict is returned
-        sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[-1e-8]])
+    def test_mixed_degree_plant_with_a_large_weight(self):
+        # a degree-2 output makes C B singular: for g = 1e6 the Popov
+        # function's W - level I spreads from 1e-8 to 2e6, too wide for
+        # the OSNI Hamiltonian, and no verdict is returned; NI needs no W
+        # inverse on its exact route and decides every g
+        def plant(g):
+            return StateSpace(A=[[-1.0, 0, 0], [0, -1, 1], [0, -1, -1]],
+                              B=[[1.0, 0], [0, 0], [0, 1]],
+                              C=[[g, 0, 0], [0, 1, 0]])
+
+        for g in (1.0, 1e4, 1e6, 1e9):
+            expected, _ = dense_oracle(plant(g), "ni")
+            assert classify_freq(plant(g), "ni").holds == expected
+        assert "of j(R - R*)" in classify_freq(plant(1e6), "ni").notes[0]
+        assert classify_freq(plant(1e4), "osni", eps=1e-7).holds == \
+            dense_oracle(plant(1e4), "osni", 1e-7)[0]
         with pytest.raises(NumericalError, match="too ill-conditioned"):
-            classify_freq(sys, "ni")
+            classify_freq(plant(1e6), "osni", eps=1e-7)
+
+    def test_shallow_low_frequency_violation(self):
+        # R(s) = 1/(s+1) - 2.01e-8/(s+1e-4): j(R - R*) < 0 below 1.005e-4
+        # and about -1e-6 at 1e-4, while w j(R - R*) stays above -3.4e-9:
+        # a level on w j(R - R*) near the floor finds no band
+        sys = StateSpace(A=np.diag([-1.0, -1e-4]), B=np.ones((2, 1)),
+                         C=[[1.0, -2.01e-8]])
+        assert margin_at(sys, 1e-4) < -9e-7
+        assert not dense_oracle(sys, "ni")[0]
+        verdict = assert_sweep_matches(sys, "ni")
+        assert not verdict.holds and verdict.worst_margin < -1e-6
+        assert verdict.worst_omega < 1.005e-4
+
+    def test_strict_dip_just_under_the_floor(self):
+        for dip, holds in ((0.9e-10, False), (1.1e-10, True)):
+            sys = three_lags(dip)
+            assert abs(margin_at(sys, 10.0) - dip) < 1e-15
+            for ni_class in ("sni", "ssni"):
+                assert dense_oracle(sys, ni_class, extra=[10.0])[0] == holds
+                assert assert_sweep_matches(sys, ni_class).holds == holds
+
+    def test_gamma_band_without_violation_is_decided_exactly(self):
+        # the three-lag plant with a dip of -5e-9 at w = 10 is NI within
+        # the floor, but (w + 1/w)/2 = 5.05 takes Gamma to -2.5e-8: the
+        # band of Gamma holds no violation, and the exact crossings of
+        # j(R - R*) decide in a second evaluation; a dip of -1.5e-8 fails
+        for dip, holds in ((-5e-9, True), (-1.5e-8, False)):
+            sys = three_lags(dip)
+            assert dense_oracle(sys, "ni", extra=[10.0])[0] == holds
+            verdict = assert_sweep_matches(sys, "ni")
+            assert verdict.holds == holds
+            assert ("(w + 1/w)" in verdict.notes[0]) != holds
 
     def test_nonsymmetric_feedthrough_fails(self):
         # j(R - R*) tends to j(D - D^T), eigenvalues +-1e-3
         sys = StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
                          D=[[0.0, 1e-3], [0.0, 0.0]])
         verdict = classify_freq(sys, "ni")
-        assert verdict.worst_margin > 0 and not verdict.holds
+        assert not verdict.holds
         assert "D is not symmetric" in verdict.notes[-1]
+        # the exact route, which keeps D - D^T, finds the high band
+        assert "of j(R - R*)" in verdict.notes[0]
+        assert verdict.worst_omega > 1e3 and verdict.worst_margin < -1e-4
 
     def test_nonsymmetric_dc_gain_fails(self):
         # R(0) = [[1, 1e-3], [0, 1]]: j(R - R*) tends to an indefinite
-        # matrix as w -> 0, found by a crossing near 2e-5
+        # matrix, lambda_min -1e-3, as w -> 0; the exact route's crossing
+        # near 5e-4 bounds the low band, read at half its frequency
         sys = StateSpace(A=-np.eye(2), B=np.eye(2), C=[[1.0, 1e-3],
                                                         [0.0, 1.0]])
         verdict = classify_freq(sys, "ni")
         assert not verdict.holds
-        assert verdict.worst_omega < 1e-4
-        assert np.isclose(verdict.worst_margin, -1e-3, rtol=0.05)
+        assert "of j(R - R*): 0.00049999" in verdict.notes[0]
+        assert verdict.worst_omega < 5e-4
+        assert -1e-3 < verdict.worst_margin < -4e-4
 
     def test_osni_needs_eps(self):
         with pytest.raises(InputError):
@@ -180,8 +229,9 @@ def per_point_sweep(sys, ni_class, omegas, eps=None):
 
 
 def decided(sys, ni_class, eps=None):
-    """``classify_freq``'s verdict and the frequencies of its one stacked
-    ``eval_tf`` call."""
+    """``classify_freq``'s verdict and the frequencies of its stacked
+    ``eval_tf`` call: one, or two when NI's bands of ``Gamma`` held no
+    violation and the exact crossings decided."""
     calls = []
     inner = certify.eval_tf
 
@@ -192,51 +242,68 @@ def decided(sys, ni_class, eps=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certify, "eval_tf", recording)
         verdict = classify_freq(sys, ni_class, eps=eps)
-    assert len(calls) == 1
-    assert np.all(calls[0].real == 0.0)
-    return verdict, calls[0].imag
+    redecided = ni_class == "ni" and "(w + 1/w)" not in verdict.notes[0] \
+        and certify._gamma_crossings(sys) is not None
+    assert len(calls) == (2 if redecided else 1)
+    assert np.all(calls[-1].real == 0.0)
+    return verdict, calls[-1].imag
+
+
+def listed_candidates(verdict):
+    listed = verdict.notes[0].split(": ", 1)[1]
+    return np.array([] if listed == "none" else
+                    [float(w) for w in listed.split(", ")])
 
 
 def assert_sweep_matches(sys, ni_class, eps=None):
     """The verdict's worst point is the per-point loop's over the decision
     points, bit for bit, and the points are the ones the route promises:
-    sorted, positive, clear of the poles, holding every crossing and
-    every pole frequency ``|Im lambda|`` that is not on a pole."""
+    sorted, positive, clear of the poles, the notes listing every
+    candidate the route computes (to nine digits), a point inside every
+    interval the candidates and imaginary-axis poles bound, and every pole
+    frequency ``|Im lambda|`` that is not on a pole."""
     verdict, omegas = decided(sys, ni_class, eps)
     assert np.all(omegas > 0) and np.all(np.diff(omegas) > 0)
     assert not near_pole(sys, 1j * omegas).any()
-    axis = np.array(certify._imaginary_axis_pole_frequencies(sys))
-    crossings = certify._crossings(sys, ni_class, eps)
-    if len(axis):
-        crossings = crossings[~near_pole(sys, 1j * crossings)]
+    exact = ni_class == "ni" and "(w + 1/w)" not in verdict.notes[0]
+    signed = certify._candidates(sys, ni_class, eps, exact)[0]
+    if len(signed):
+        signed = signed[~near_pole(sys, 1j * np.abs(signed))]
+    raw = np.abs(signed)
+    listed = listed_candidates(verdict)
+    for w in raw:
+        assert np.abs(np.abs(listed) - w).min() <= 1e-8 * w
+    axis = certify._imaginary_axis_pole_frequencies(sys)
+    breaks = np.unique(np.concatenate([np.abs(listed), axis]))
+    edges = np.concatenate([[0.0], breaks, [np.inf]])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo * (1.0 + 1e-8):
+            assert ((omegas > lo) & (omegas < hi)).any(), (lo, hi)
     pole_w = np.abs(sys.poles().imag)
     pole_w = pole_w[(pole_w > 1e-8 * (1.0 + sys.a_norm))
                     & ~near_pole(sys, 1j * pole_w)]
-    assert np.isin(crossings, omegas).all()
     assert np.isin(pole_w, omegas).all()
     assert f"decision points: {len(omegas)}" in verdict.notes
-    # the listed crossings are candidates where Phi + 2 delta I, Phi = F + F*
-    # or the Popov function, is singular to within delta
-    listed, of = verdict.notes[0].split(": ", 1)[1].rsplit(" (of ", 1)
-    assert of == f"{len(crossings)} candidates)"
-    for text in ([] if listed == "none" else listed.split(", ")):
-        w = float(crossings[np.argmin(np.abs(crossings - float(text)))])
-        assert f"{w:.9g}" == text
-        F = 1j * w * (eval_tf(sys, 1j * w) - sys.D)
-        phi = F + F.conj().T
-        if ni_class == "osni":
-            phi = phi - eps * F.conj().T @ F
-        assert np.abs(np.linalg.eigvalsh(phi) + 2e-8).min() <= 1e-8
-    omega, margin = per_point_sweep(sys, ni_class, omegas, eps)
+    floor = -1e-8 if ni_class in ("ni", "osni") else 1e-10
+    margins = np.array([per_point_sweep(sys, ni_class, [w], eps)[1]
+                        for w in omegas])
+    floors = np.full(len(omegas), floor)
+    reach = np.flatnonzero(margins >= floor)
+    if ni_class in ("sni", "ssni") and len(reach):
+        # the roll-off below and above the points that reach the floor
+        floors[:reach[0]] = -floor
+        floors[reach[-1] + 1:] = -floor
+    fails = margins < floors
+    kept = (floors == floor) | fails
+    omega, margin = per_point_sweep(sys, ni_class, omegas[kept], eps)
     assert verdict.worst_omega == omega
     assert np.float64(verdict.worst_margin).tobytes() == \
         np.float64(margin).tobytes()
-    floor = -1e-8 if ni_class in ("ni", "osni") else 1e-10
     # residue and frequency-limit failures are noted; they can only
     # turn a pass at the decision points into a failure
     other_failure = any("fails" in note or "not simple" in note
                         for note in verdict.notes)
-    assert verdict.holds == (margin >= floor and not other_failure)
+    assert verdict.holds == (not fails.any() and not other_failure)
     return verdict
 
 
@@ -267,6 +334,21 @@ def above_grid_plant(w1=3e4, zeta=1e-4, k=100.0):
     g = np.sqrt(k / w)
     return StateSpace(A=[[-1.0, 0.0, 0.0], [0.0, s, w], [0.0, -w, s]],
                       B=[[1.0], [0.0], [g]], C=[[1.0, -g, 0.0]])
+
+
+def three_lags(dip):
+    """Lags ``c b/(s + b)`` peak at ``w = b`` with ``j(R - R*) = c``: at
+    ``w = 10`` the lags at 1 and 100 give 20/101 each, and the one at 10
+    takes ``40/101 - dip`` away.  The plant is symmetric in ``log w``
+    about 10, so ``j(R - R*)`` has its local minimum, ``dip``, there."""
+    c2 = 40.0 / 101.0 - dip
+    return StateSpace(A=np.diag([-1.0, -10.0, -100.0]), B=np.ones((3, 1)),
+                      C=[[1.0, -10.0 * c2, 100.0]])
+
+
+def bracket(candidates, w0):
+    """The candidates next below and above ``w0``."""
+    return candidates[candidates < w0].max(), candidates[candidates > w0].min()
 
 
 def margin_at(sys, w):
@@ -372,11 +454,10 @@ class TestBatchedSweep:
         verdict = assert_sweep_matches(sys, "ni")
         assert not verdict.holds
         assert verdict.worst_margin < -1.0
-        # the two crossings bracket w0, and the band midpoint decides
-        lo, hi = certify._crossings(sys, "ni", None)
-        assert lo < w0 < hi and hi - lo < 1e-2
+        # two crossings bracket w0, and the point between them decides
+        lo, hi = bracket(listed_candidates(verdict), w0)
+        assert hi - lo < 1e-2
         assert lo <= verdict.worst_omega <= hi
-        assert f"{lo:.9g}, {hi:.9g}" in verdict.notes[0]
 
 
 class TestGridFalsePositives:
@@ -403,7 +484,7 @@ class TestGridFalsePositives:
         verdict = assert_sweep_matches(sys, "ni")
         assert not verdict.holds
         assert verdict.worst_margin < -1e-3
-        lo, hi = certify._crossings(sys, "ni", None)
+        lo, hi = bracket(listed_candidates(verdict), 3e4)
         assert 29980 < lo < 3e4 < hi < 30020
         assert lo <= verdict.worst_omega <= hi
 
@@ -418,17 +499,18 @@ class TestGridFalsePositives:
 DENSE_OMEGAS = np.logspace(-5.0, 5.0, 4000)
 
 
-def dense_oracle(sys, ni_class, eps=None):
+def dense_oracle(sys, ni_class, eps=None, extra=()):
     """Test-only verdict, independent of ``classify_freq``: the class
     matrix from ``C (jw I - A)^{-1} B + D`` by stacked solves at
-    ``DENSE_OMEGAS`` and every pole frequency ``|Im lambda|``, against the
-    class floor; SSNI adds its two frequency limits from explicit
-    inverses.  Points within 1e-6 relative of a pole are skipped.
+    ``DENSE_OMEGAS``, every pole frequency ``|Im lambda|`` and the
+    frequencies ``extra``, against the class floor; SSNI adds its two
+    frequency limits from explicit inverses.  Points within 1e-6 relative of a pole are skipped.
     Returns ``(holds, smallest margin)``."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n = A.shape[0]
     poles = np.linalg.eigvals(A)
-    w = np.concatenate([DENSE_OMEGAS, np.abs(poles.imag[poles.imag > 0])])
+    w = np.concatenate([DENSE_OMEGAS, np.abs(poles.imag[poles.imag > 0]),
+                        extra])
     dist = np.abs(1j * w[:, None] - poles[None, :])
     w = w[np.all(dist >= 1e-6 * (1.0 + np.abs(poles)), axis=1)]
     R = C @ np.linalg.solve(1j * w[:, None, None] * np.eye(n) - A,

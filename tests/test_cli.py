@@ -193,7 +193,7 @@ class TestVerify:
         code2, rep2 = run_cli(capsys, "verify", str(closed), "--class", "ni")
         assert code2 == 0
         notes = rep2["verdicts"]["frequency"]["notes"]
-        assert notes[0].startswith("level-set crossings at -2*1e-08: ")
+        assert notes[0].startswith("candidates for -1e-08 of ")
         assert notes[1].startswith("decision points: ")
         code3 = main(["verify", str(closed), "--class", "ni",
                       "--grid-points", "50"])
@@ -212,10 +212,14 @@ class TestVerify:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_singular_level_set_weight_exits_three(self, capsys, tmp_path):
+        # a degree-2 output and C B = diag(1e6, 0): the OSNI Hamiltonian's
+        # W - level I spreads from 1e-8 to 2e6
         path = tmp_path / "tight.json"
-        path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]],
-                                    "C": [[-1e-8]]}))
-        code, rep = run_cli(capsys, "verify", str(path), "--class", "ni")
+        path.write_text(json.dumps({
+            "A": [[-1.0, 0, 0], [0, -1, 1], [0, -1, -1]],
+            "B": [[1.0, 0], [0, 0], [0, 1]], "C": [[1e6, 0, 0], [0, 1, 0]]}))
+        code, rep = run_cli(capsys, "verify", str(path), "--class", "osni",
+                            "--epsilon", "1e-7")
         assert code == 3
         assert rep["error"]["kind"] == "numerical-failure"
         assert rep["error"]["type"] == "NumericalError"

@@ -177,8 +177,8 @@ class TestModalEvalTf:
             # the old 400-point grid and the decision points of the NI test
             omegas = np.concatenate([
                 np.logspace(-4.0, 4.0, 400),
-                certify._decision_points(sys, certify._crossings(
-                    sys, "ni", None), np.zeros(0))])
+                certify._decision_points(sys, certify._candidates(
+                    sys, "ni", None)[0], np.zeros(0))])
             s = np.concatenate([1j * omegas, [0.0, 0.5 - 2j]])
             s = s[~near_pole(sys, s)]
             diff = np.abs(eval_tf(sys, s) - stacked_solve(sys, s))
