@@ -38,7 +38,7 @@ STRICT_FLOOR = 1e-10
 #: as ``|level|``, is known to ``eps ||W||``, under 0.3 % of itself
 W_CONDITION_LIMIT = 1e13
 
-#: largest ``||R(0) - R(0)^T||_2`` the NI route through ``Gamma`` accepts:
+#: largest ``||R(0) - R(0)^T||_F`` the NI route through ``Gamma`` accepts:
 #: the asymmetry shifts ``Gamma`` by up to half of it over ``w``, which
 #: loosens the floor by at most half of it (0.5 %) near ``w = 1``; the
 #: rounding of ``R(0)`` of a 26-state loop is about 4e-12
@@ -255,7 +255,7 @@ def _gamma_crossings(sys):
         return None
     CAi = np.linalg.solve(A.T, C.T).T
     R0 = D - CAi @ B
-    if spectral_norm(R0 - R0.T) > DC_ASYMMETRY_LIMIT:
+    if np.linalg.norm(R0 - R0.T) > DC_ASYMMETRY_LIMIT:
         return None
     Ct, Dt = (C @ A - CAi) / 2.0, C @ B / 2.0
     return _popov_crossings(A, B, np.zeros_like(A), Ct.T, Dt + Dt.T, NI_FLOOR)
