@@ -165,6 +165,18 @@ class TestClassifyFreq:
         assert "of j(R - R*)" in verdict.notes[0]
         assert verdict.worst_omega > 1e3 and verdict.worst_margin < -1e-4
 
+    def test_level_on_a_singular_value_of_the_asymmetry(self):
+        # j(D - D^T) has the eigenvalues +-1e-8, one of them the NI floor:
+        # D - D^T + j level I is singular, the zero matrix cannot be
+        # formed, and no verdict is returned; 4e-9 leaves it invertible
+        def plant(d):
+            return StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
+                              D=[[0.0, d], [-d, 0.0]])
+
+        with pytest.raises(NumericalError, match="singular value of D"):
+            classify_freq(plant(5e-9), "ni")
+        assert classify_freq(plant(4e-9), "ni").holds
+
     def test_nonsymmetric_dc_gain_fails(self):
         # R(0) = [[1, 1e-3], [0, 1]]: j(R - R*) tends to an indefinite
         # matrix, lambda_min -1e-3, as w -> 0; the exact route's crossing
