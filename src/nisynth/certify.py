@@ -97,30 +97,25 @@ def _check_class(ni_class):
 
 
 def _forbidden_pole(sys, ni_class):
-    """Return a pole violating the class pole condition, with a reason."""
-    poles = sys.poles()
-    tol = 1e-8 * (1.0 + sys.a_norm)
-    if ni_class == "ni":
-        for lam in poles:
-            if lam.real > tol:
-                return complex(lam), "pole in the open right half-plane"
-            if abs(lam) <= tol:
-                return complex(lam), "pole at the origin"
-    else:
-        for lam in poles:
-            if lam.real > -tol:
-                return complex(lam), "pole in the closed right half-plane"
-    return None, None
+    """The first pole the class forbids, with a reason: NI forbids ``Re
+    lambda > axis_tol`` and ``at_origin``, the others ``> -axis_tol``."""
+    res = sys.spectrum
+    ni = ni_class == "ni"
+    right = res.values.real > (res.axis_tol if ni else -res.axis_tol)
+    bad = (right | res.at_origin) if ni else right
+    if not bad.any():
+        return None, None
+    k = int(np.argmax(bad))
+    reason = f"pole in the {'open' if ni else 'closed'} right half-plane" \
+        if right[k] else "pole at the origin"
+    return complex(res.values[k]), reason
 
 
 def _imaginary_axis_pole_frequencies(sys):
-    tol = 1e-8 * (1.0 + sys.a_norm)
-    out = []
-    for lam in sys.poles():
-        if abs(lam.real) <= tol and lam.imag > tol:
-            if not any(abs(lam.imag - w) <= tol for w in out):
-                out.append(float(lam.imag))
-    return out
+    """``Im lambda > axis_tol`` of the poles ``on_axis``, less repeats."""
+    res = sys.spectrum
+    w = res.values.imag[res.on_axis & (res.values.imag > res.axis_tol)]
+    return w[~np.tril(np.abs(w[:, None] - w) <= res.axis_tol, -1).any(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -295,8 +290,8 @@ def _decision_points(sys, crossings, axis_poles):
     one point inside each interval between the sorted crossings and
     imaginary-axis pole frequencies (``b/2`` and ``2b`` for the two
     unbounded ones, ``1`` when there is no break at all), and
-    ``|Im lambda|`` of every pole whose imaginary part exceeds the pole
-    tolerance ``1e-8 (1 + ||A||)`` (a real pole split by rounding adds no
+    ``|Im lambda|`` of every pole whose imaginary part exceeds the
+    spectrum's ``axis_tol`` (a real pole split by rounding adds no
     frequency); points within the pole distance of ``eval_tf`` are
     dropped.  A crossing itself is no point: its margin is the level, up
     to rounding."""
@@ -305,7 +300,7 @@ def _decision_points(sys, crossings, axis_poles):
         (breaks[:-1] + breaks[1:]) / 2.0, [breaks[0] / 2.0, 2.0 * breaks[-1]]]
     pole_w = np.abs(sys.poles().imag)
     points = np.unique(np.concatenate(
-        [*inside, pole_w[pole_w > 1e-8 * (1.0 + sys.a_norm)]]))
+        [*inside, pole_w[pole_w > sys.spectrum.axis_tol]]))
     return points[~near_pole(sys, 1j * points)]
 
 
@@ -410,7 +405,7 @@ def classify_freq(sys, ni_class, eps=None):
             raise InputError("osni test needs a strictness level eps")
         if not 0 < eps < np.inf:
             raise InputError("eps must be finite and positive")
-    axis_poles = np.array(_imaginary_axis_pole_frequencies(sys))
+    axis_poles = _imaginary_axis_pole_frequencies(sys)
     floor = NI_FLOOR if ni_class in ("ni", "osni") else STRICT_FLOOR
 
     def decide(exact):
@@ -536,7 +531,7 @@ def verify_certificate(sys, ni_class, Y, eps=None):
         if not minim.minimal:
             holds = False
             notes.append("realization is not minimal (certificate-test hypothesis)")
-        if sys.n and sys.spectrum.smin <= 1e-10 * (1.0 + sys.a_norm):
+        if sys.spectrum.nearly_singular:
             holds = False
             notes.append("A is singular (certificate-test hypothesis det(A) != 0)")
     else:  # ssni

@@ -11,8 +11,8 @@ Conventions
   ``A`` (no Schur machinery).  A matrix whose eigenbasis is not trusted
   (``EigenResult.left`` is None), or whose eigenbasis solution misses the
   residual gate, is vectorized to an n^2 x n^2 linear system instead.
-* Tolerances are fixed constants, relative to the norm of the matrix at
-  hand, written at their point of use; no routine takes an override.
+* Tolerances are fixed, relative to the matrix norm and never overridden;
+  ``EigenResult`` holds the location and singularity rules, others inline.
 """
 
 from __future__ import annotations
@@ -98,6 +98,31 @@ class EigenResult:
     @property
     def semisimple(self):
         return bool(np.all(self.algebraic == self.geometric))
+
+    @property
+    def axis_tol(self):
+        """``1e-8 (1 + norm)``: an eigenvalue this close to the imaginary
+        axis is ``on_axis``, to the real axis real, to zero ``at_origin``."""
+        return 1e-8 * (1.0 + self.norm)
+
+    @property
+    def on_axis(self):
+        return np.abs(self.values.real) <= self.axis_tol
+
+    @property
+    def at_origin(self):
+        return np.abs(self.values) <= self.axis_tol
+
+    @property
+    def singular(self):
+        """``smin <= n eps norm``, ``rank``'s rule; ``nearly_singular``, the
+        band ``smin <= 1e-10 (1 + norm)``.  An empty matrix is neither."""
+        n = self.values.size
+        return n > 0 and self.smin <= n * EPS * self.norm
+
+    @property
+    def nearly_singular(self):
+        return self.values.size > 0 and self.smin <= 1e-10 * (1 + self.norm)
 
     @cached_property
     def left(self):
@@ -226,12 +251,11 @@ def definiteness(M, mode):
 
     Parameters
     ----------
-    mode : {"pd", "psd", "nd", "nsd"}
-        Positive/negative (semi)definite, with eigenvalue tolerance
+    mode : {"pd", "psd"}
+        Positive definite or semidefinite, with eigenvalue tolerance
         ``dim * eps * max|lambda|``.
     """
-    mode = mode.lower()
-    if mode not in ("pd", "psd", "nd", "nsd"):
+    if mode not in ("pd", "psd"):
         raise InputError(f"unknown definiteness mode {mode!r}")
     M = symmetrize(as_matrix(M, "M", square=True, dtype=None), "M")
     if M.shape[0] == 0:
@@ -240,11 +264,7 @@ def definiteness(M, mode):
     tol = M.shape[0] * EPS * max(abs(lam[0]), abs(lam[-1]), 1e-300)
     if mode == "pd":
         return bool(lam[0] > tol)
-    if mode == "psd":
-        return bool(lam[0] >= -tol)
-    if mode == "nd":
-        return bool(lam[-1] < -tol)
-    return bool(lam[-1] <= tol)
+    return bool(lam[0] >= -tol)
 
 
 def solve_lyapunov(A, Q):
@@ -457,17 +477,15 @@ def pbh_witness(A, M, mode, spectrum):
 def stability_class(res):
     """Classify the matrix decomposed by ``res = eig(A)``.
 
-    Hurwitz: every ``Re lambda < -tol``.  Lyapunov stable: every
-    ``Re lambda <= tol`` and each eigenvalue with ``|Re lambda| <= tol``
-    is semisimple.  ``tol = 1e-8 * (1 + ||A||)``.
+    Hurwitz: every ``Re lambda < -res.axis_tol``.  Lyapunov stable: every
+    ``Re lambda <= res.axis_tol``, each eigenvalue ``on_axis`` semisimple.
     """
     re = res.values.real
-    tol = 1e-8 * (1.0 + res.norm)
-    if np.all(re < -tol):
+    if np.all(re < -res.axis_tol):
         return StabilityClass.HURWITZ
-    if np.any(re > tol):
+    if np.any(re > res.axis_tol):
         return StabilityClass.UNSTABLE
-    critical = np.abs(re) <= tol
+    critical = res.on_axis
     if np.any(res.algebraic[critical] != res.geometric[critical]):
         return StabilityClass.UNSTABLE
     return StabilityClass.LYAPUNOV_STABLE

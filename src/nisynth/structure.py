@@ -24,16 +24,13 @@ from .errors import (
     NotWeaklyMinimumPhaseError,
     NumericalError,
     SpectrumError,
+    VerdictError,
 )
 from .linalg import StabilityClass, as_matrix, spectral_norm
 from .statespace import StateSpace
 
 #: relative threshold below which a Markov-parameter row counts as zero
 MARKOV_ZERO_TOL = 1e-8
-
-#: relative |Re lambda| threshold for the imaginary-axis spectral split,
-#: the one ``linalg.stability_class`` decides the phase with
-SPLIT_AXIS_TOL = 1e-8
 
 
 class RdKind(Enum):
@@ -421,22 +418,19 @@ class ZeroDynamicsSplit:
         return out
 
 
-def _real_eigenbasis(values, vectors, indices, tol):
-    """Real basis of the invariant subspace spanned by selected eigenvectors.
+def _real_eigenbasis(res, vectors):
+    """Real basis of the invariant subspace spanned by the eigenvectors
+    ``vectors[:, k]`` of the eigenvalues ``res.values[k]`` ``on_axis``.
 
     A real eigenvalue contributes its (real) eigenvector.  A conjugate pair,
     which ``linalg.eig`` returns as exact conjugates, contributes
     (Re v, Im v) of its member with negative imaginary part.
     """
     cols = []
-    for k in indices:
+    lam, tol = res.values, res.axis_tol
+    for k in np.flatnonzero(res.on_axis & (lam.imag <= tol)):
         v = vectors[:, k]
-        if abs(values[k].imag) <= tol:
-            cols.append(np.real(v))
-        elif values[k].imag < 0:
-            cols += [np.real(v), np.imag(v)]
-    if len(cols) != len(indices):
-        raise NumericalError("eigenvalues do not pair into conjugates")
+        cols += [v.real] if lam[k].imag >= -tol else [v.real, v.imag]
     return np.column_stack(cols) if cols else np.zeros((vectors.shape[0], 0))
 
 
@@ -456,49 +450,47 @@ def split_zero_dynamics(nf):
     """Split the internal dynamics spectrum across the imaginary axis.
 
     Works from the cached ``nf.zero_spectrum``.  The critical block is
-    spanned by the right eigenvectors within ``SPLIT_AXIS_TOL`` of the
-    axis, the Hurwitz block by the complement of the left critical
-    subspace: ``U_a`` is the rows of ``EigenResult.left`` there
-    (``eig(A00^T)`` only when the eigenbasis is untrusted), and
-    ``_complement_basis`` fixes the basis, so no gain depends on which
-    basis of span ``U_a`` LAPACK returns.  The critical block is rendered
-    exactly skew-symmetric by a congruence with the square root of the
-    neutral Lyapunov solution.  Requires the internal dynamics
-    nonsingular and Lyapunov stable.
+    spanned by the right eigenvectors ``on_axis``, the Hurwitz block by the
+    complement of the left critical subspace: ``U_a`` is the rows of
+    ``EigenResult.left`` there (``eig(A00^T)`` only when the eigenbasis is
+    untrusted), and ``_complement_basis`` fixes the basis, so no gain
+    depends on which basis of span ``U_a`` LAPACK returns.  The critical
+    block is rendered exactly skew-symmetric by a congruence with the
+    square root of the neutral Lyapunov solution.  Requires the internal
+    dynamics Lyapunov stable and not ``singular`` (a zero at the origin);
+    ``nearly_singular`` ones, an eigenvalue ``at_origin`` and a critical
+    block the kernel solution rejects are undecided (``NumericalError``).
     """
     A00 = nf.A00
     m = nf.m
     res = nf.zero_spectrum
     scale = 1.0 + res.norm
-    tol = SPLIT_AXIS_TOL * scale
     klass = linalg.stability_class(res)
     if klass is StabilityClass.UNSTABLE:
         raise NotWeaklyMinimumPhaseError(
             "internal dynamics are not Lyapunov stable")
-    if m and res.smin <= 1e-10 * scale:
-        raise SpectrumError(
-            "internal dynamics are singular (the system has a zero at the "
-            "origin)")
+    if res.singular:
+        raise VerdictError("plant has a zero at the origin")
+    if res.nearly_singular or res.at_origin.any():
+        raise NumericalError("internal dynamics too close to singular to "
+                             "decide on a zero at the origin")
 
-    critical = [k for k in range(m) if abs(res.values[k].real) <= tol]
-    m_a = len(critical)
+    m_a = int(np.count_nonzero(res.on_axis))
     m_b = m - m_a
     if m_a == 0:
         S = np.eye(m)
         A00a = np.zeros((0, 0))
         A00b = A00.copy()
     else:
-        V_a = _real_eigenbasis(res.values, res.vectors, critical, tol)
+        V_a = _real_eigenbasis(res, res.vectors)
         if m_b == 0:
             S0_inv = V_a
         else:
             if res.left is None:
                 resT = linalg.eig(A00.T)
-                critT = [k for k in range(m)
-                         if abs(resT.values[k].real) <= tol]
-                U_a = _real_eigenbasis(resT.values, resT.vectors, critT, tol)
+                U_a = _real_eigenbasis(resT, resT.vectors)
             else:
-                U_a = _real_eigenbasis(res.values, res.left.T, critical, tol)
+                U_a = _real_eigenbasis(res, res.left.T)
             S0_inv = np.hstack([V_a, _complement_basis(U_a, m_b)])
         if linalg.rank(S0_inv) < m:
             raise NumericalError("invariant-subspace basis is singular")
@@ -510,7 +502,10 @@ def split_zero_dynamics(nf):
                 f"spectral split left coupling {off:.3e} between blocks")
         A_a = Ad[:m_a, :m_a]
         A00b = Ad[m_a:, m_a:]
-        P = linalg.kernel_pd_solution(A_a)
+        try:
+            P = linalg.kernel_pd_solution(A_a)
+        except SpectrumError as exc:  # admitted above, not by its own test
+            raise NumericalError(f"internal dynamics: {exc}") from exc
         R = linalg.sqrtm_pd(P)
         A00a = R @ A_a @ np.linalg.inv(R)
         skew_defect = spectral_norm(A00a + A00a.T)

@@ -431,7 +431,7 @@ def _synthesize(nf, cfg, ni_class):
         # the strong-class certificate route tests neither hypothesis
         if not is_minimal(loop).minimal:
             raise NumericalError("emitted closed loop is not minimal")
-        if loop.spectrum.smin <= 1e-10 * loop.a_norm:
+        if loop.spectrum.nearly_singular:
             raise NumericalError("emitted closed-loop state matrix is singular")
         # the plant's outputs are T_y^{-1} times the normal form's
         Tyi = nf.transforms.T_y_inv

@@ -10,6 +10,7 @@ are re-checked and the draw is retried on the rare degenerate sample.
 import numpy as np
 
 from nisynth import StateSpace, has_zero_at_origin, is_minimal
+from nisynth.errors import NumericalError, VerdictError
 from nisynth.structure import (
     normal_form_input_matrix,
     normal_form_output_matrix,
@@ -24,6 +25,42 @@ UNTRUSTED_EIGENBASES = {
                         [0.0, 0.0, -1.0]]),
     "kappa-2e7": np.array([[-1.0, 1e7], [0.0, -2.0]]),
 }
+
+
+def _rotation(re, w):
+    return np.array([[re, w], [-w, re]])
+
+
+#: internal dynamics at the edges of the axis and singularity decisions,
+#: with the error ``split_zero_dynamics`` raises on them: exactly singular
+#: (a zero at the origin), ``smin`` inside the band ``1e-10 (1 + norm)``,
+#: an eigenvalue within the axis tolerance of 0 but ``smin`` above the
+#: band, a pair the axis tolerance (about 1e-6) calls critical but the
+#: kernel solution's spectrum test (about 2e-7 on the pair) does not, and
+#: a pair the kernel solution's residual gate rejects (its gates and the
+#: split's disagree there; the outcome is a ``NumericalError`` all the same)
+EDGE_ZERO_DYNAMICS = {
+    "exactly-singular": (np.array([[0.0]]), VerdictError),
+    "smin-in-band": (np.array([[-1e-11]]), NumericalError),
+    "eigenvalue-at-origin": (np.array([[-1e-9]]), NumericalError),
+    "slow-pair": (np.block([[_rotation(-5e-7, 1.0), np.zeros((2, 1))],
+                            [np.zeros((1, 2)), -100.0 * np.eye(1)]]),
+                  NumericalError),
+    "kernel-residual": (_rotation(-1.5e-8, 1.0), NumericalError),
+}
+
+
+def edge_plant(A00):
+    """The p1 = 2, p2 = 0 normal-form realization with internal dynamics
+    ``A00`` and ``A01``, ``A10``, ``A11`` drawn from ``default_rng(0)``."""
+    m, p1 = len(A00), 2
+    rng = np.random.default_rng(0)
+    blk = {"A00": A00, "A01": rng.standard_normal((m, p1)),
+           "A10": rng.standard_normal((p1, m)),
+           "A11": rng.standard_normal((p1, p1))}
+    A = np.block([[blk["A00"], blk["A01"]], [blk["A10"], blk["A11"]]])
+    return StateSpace(A=A, B=normal_form_input_matrix(m, p1, 0),
+                      C=normal_form_output_matrix(m, p1, 0))
 
 
 def random_orthogonal(rng, n):

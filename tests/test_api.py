@@ -9,6 +9,10 @@
   used by the library, the benchmark or the tools.
 * No dead private code: every private function or class of the package
   is used somewhere in it besides its own definition.
+* One spectral-location policy: only ``linalg`` decides where an
+  eigenvalue lies and whether a matrix is singular (``EigenResult``'s
+  ``axis_tol``, ``singular`` and ``nearly_singular``); the other modules
+  read those properties.
 """
 
 import ast
@@ -103,3 +107,36 @@ def test_every_private_definition_has_a_use():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and _private(node.name)}
     assert sorted(defined - used) == [], "private definitions without a use"
+
+
+def _policy_forks(tree):
+    """Lines of ``tree`` that decide a spectral location or singularity by
+    themselves: a comparison reading ``.smin``, or ``1e-8`` times an
+    expression reading ``a_norm`` or a ``norm`` attribute that is not the
+    function of a call (``np.linalg.norm(M)`` measures, it is no spectrum's
+    norm)."""
+    def reads_norm(node):
+        called = {id(n.func) for n in ast.walk(node)
+                  if isinstance(n, ast.Call)}
+        return any(isinstance(n, ast.Attribute) and id(n) not in called
+                   and n.attr in ("a_norm", "norm") for n in ast.walk(node))
+
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and n.attr == "smin"
+                for n in ast.walk(node)):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(isinstance(n, ast.Constant) and n.value == 1e-8
+                   for n in sides) and any(map(reads_norm, sides)):
+                hits.append(node.lineno)
+    return hits
+
+
+def test_one_spectral_location_policy():
+    hits = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "linalg.py"
+            for line in _policy_forks(ast.parse(path.read_text()))]
+    assert hits == [], f"axis or singularity rules outside linalg: {hits}"

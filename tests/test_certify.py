@@ -292,7 +292,7 @@ def assert_sweep_matches(sys, ni_class, eps=None):
         if hi > lo * (1.0 + 1e-8):
             assert ((omegas > lo) & (omegas < hi)).any(), (lo, hi)
     pole_w = np.abs(sys.poles().imag)
-    pole_w = pole_w[(pole_w > 1e-8 * (1.0 + sys.a_norm))
+    pole_w = pole_w[(pole_w > sys.spectrum.axis_tol)
                     & ~near_pole(sys, 1j * pole_w)]
     assert np.isin(pole_w, omegas).all()
     assert f"decision points: {len(omegas)}" in verdict.notes
@@ -602,6 +602,76 @@ class TestDenseOracle:
             rng, 6,
             lambda r: random_shape(r, 3, 8, force_p2=0, force_ma=0),
             synthesize_ssni), "ssni")
+
+
+def forbidden_pole_loop(sys, ni_class):
+    """The per-pole loop ``_forbidden_pole`` ran, kept as its reference."""
+    tol = sys.spectrum.axis_tol
+    for lam in sys.poles():
+        if ni_class != "ni":
+            if lam.real > -tol:
+                return complex(lam), "pole in the closed right half-plane"
+        elif lam.real > tol:
+            return complex(lam), "pole in the open right half-plane"
+        elif abs(lam) <= tol:
+            return complex(lam), "pole at the origin"
+    return None, None
+
+
+def axis_pole_frequencies_loop(sys):
+    """The per-pole loop of ``_imaginary_axis_pole_frequencies``, kept as
+    its reference: a frequency within the tolerance of a kept one is a
+    repeat."""
+    tol = sys.spectrum.axis_tol
+    out = []
+    for lam in sys.poles():
+        if abs(lam.real) <= tol and lam.imag > tol:
+            if not any(abs(lam.imag - w) <= tol for w in out):
+                out.append(float(lam.imag))
+    return out
+
+
+class TestPoleMasks:
+    """The pole conditions read ``EigenResult`` masks; on every spectrum
+    here they give what the per-pole loops gave, bit for bit."""
+
+    @staticmethod
+    def spectra():
+        rot = lambda re, w: np.array([[re, w], [-w, re]])  # noqa: E731
+        rng = np.random.default_rng(17)
+        blocks = [
+            [rot(0.0, 1.0), rot(0.0, 1.0), [[-1.0]]],  # a repeated axis pair
+            [rot(-5e-9, 2.0), rot(5e-9, 3.0), [[0.0]]],  # near-axis, origin
+            [rot(-2.0, 1e-9), [[-1e-9]], [[3.0]]],  # split real, at origin
+            [rot(1e-3, 0.5), rot(0.0, 0.25), [[-4.0]]],  # a right-half pair
+            [random_hurwitz(rng, 6)],
+            [rng.standard_normal((5, 5))],
+        ]
+        for blk in blocks:
+            n = sum(len(b) for b in blk)
+            A = np.zeros((n, n))
+            k = 0
+            for b in blk:
+                A[k:k + len(b), k:k + len(b)] = b
+                k += len(b)
+            T = well_conditioned(rng, n)
+            yield StateSpace(A=np.linalg.solve(T, A) @ T, B=np.ones((n, 1)),
+                             C=np.ones((1, n)))
+
+    def test_forbidden_pole(self):
+        for sys in self.spectra():
+            for ni_class in certify.NI_CLASSES:
+                assert certify._forbidden_pole(sys, ni_class) == \
+                    forbidden_pole_loop(sys, ni_class)
+
+    def test_imaginary_axis_pole_frequencies(self):
+        found = 0
+        for sys in self.spectra():
+            w = certify._imaginary_axis_pole_frequencies(sys)
+            want = axis_pole_frequencies_loop(sys)
+            assert w.tolist() == want
+            found += len(want)
+        assert found >= 4
 
 
 class TestResidue:

@@ -6,7 +6,10 @@ import pytest
 
 from nisynth import cli, structure
 from nisynth.cli import main
+from nisynth.errors import VerdictError
 from nisynth.statespace import load_system
+
+from gen import EDGE_ZERO_DYNAMICS, edge_plant
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +178,30 @@ class TestStabilize:
                             "--y2", "1.0", "--y3", "1.0")
         assert code == 1
         assert rep["error"]["type"] == "DcGainConditionError"
+
+
+class TestInternalDynamicsAtTheEdge:
+    """analyze, synthesize and stabilize reach the one decision on where
+    the internal dynamics' eigenvalues lie: a zero at the origin exits 1,
+    one inside the tolerance band exits 3, never 2 or a LAPACK error."""
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["synthesize"],
+                                      ["stabilize", "--gamma", "1"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", sorted(EDGE_ZERO_DYNAMICS))
+    def test_exit_code_and_error(self, capsys, tmp_path, name, argv):
+        A00, error = EDGE_ZERO_DYNAMICS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(edge_plant(A00).to_dict()))
+        code, rep = run_cli(capsys, argv[0], str(path), *argv[1:])
+        message = rep["error"]["message"]
+        if error is VerdictError:
+            assert code == 1 and rep["error"]["type"] == "VerdictError"
+            assert "zero at the origin" in message
+        else:
+            assert code == 3 and rep["error"]["type"] == "NumericalError"
+            assert name == "kernel-residual" or \
+                "internal dynamics" in message, message
 
 
 class TestVerify:

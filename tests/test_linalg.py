@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -89,6 +90,29 @@ class TestEig:
                 np.float64(s[-1]).tobytes()
         assert linalg.eig(np.zeros((0, 0))).smin == 0.0
 
+    def test_location_and_singularity_policy(self):
+        # A = diag(3, -2e-8 +- j, -1e-9): axis_tol = 1e-8 (1 + 3)
+        A = np.zeros((4, 4))
+        A[0, 0], A[3, 3] = 3.0, -1e-9
+        A[1:3, 1:3] = [[-2e-8, 1.0], [-1.0, -2e-8]]
+        res = linalg.eig(A)
+        assert res.axis_tol == 1e-8 * (1.0 + res.norm) and res.norm == 3.0
+        assert res.on_axis.tolist() == [True, True, True, False]
+        assert res.at_origin.tolist() == [False, False, True, False]
+        assert not res.singular and not res.nearly_singular
+        # the exact rule is rank's; the band rule is wider
+        for diag, singular, nearly in (([0.0, 1.0], True, True),
+                                       ([1e-11, 1.0], False, True),
+                                       ([1e-9, 1.0], False, False)):
+            res = linalg.eig(np.diag(diag))
+            assert (res.singular, res.nearly_singular) == (singular, nearly)
+            assert res.singular == (linalg.rank(np.diag(diag)) < 2)
+        # the empty matrix is nonsingular, and no rule moves a field
+        empty = linalg.eig(np.zeros((0, 0)))
+        assert not empty.singular and not empty.nearly_singular
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "values", "vectors", "algebraic", "geometric", "norm", "smin"]
+
 
 def _near_defective(rng):
     """Random matrix of 2 to 6 states with one eigenvalue pair ``d`` apart
@@ -157,13 +181,16 @@ class TestDefiniteness:
         assert not linalg.definiteness(Z, "pd")
 
     def test_certificate_block_is_nsd(self):
-        # negated certificate residual block for scalar parameters
+        # negated certificate residual block for scalar parameters: M is
+        # negative semidefinite and singular, so -M is psd but not pd
         M = -np.array([[1.0, -1.0, 1.0], [-1.0, 2.0, -1.0], [1.0, -1.0, 1.0]])
         # oracle: direct eigenvalues of the 3x3
         lam = np.linalg.eigvalsh(-M)
         assert lam.min() >= -1e-12
-        assert linalg.definiteness(M, "nsd")
-        assert not linalg.definiteness(M, "nd")
+        assert linalg.definiteness(-M, "psd")
+        assert not linalg.definiteness(-M, "pd")
+        with pytest.raises(InputError):
+            linalg.definiteness(M, "nsd")
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricMatrixError):

@@ -13,6 +13,7 @@ from nisynth.synth import synthesize_ni, synthesize_ssni
 from nisynth.structure import (
     RdKind,
     _complement_basis,
+    _real_eigenbasis,
     find_output_transformation,
     relative_degree_vector,
     split_zero_dynamics,
@@ -20,7 +21,9 @@ from nisynth.structure import (
 )
 
 from gen import (
+    EDGE_ZERO_DYNAMICS,
     assemble_normal_realization,
+    edge_plant,
     normal_form_from_blocks,
     planted_normal_blocks,
     planted_system,
@@ -398,6 +401,38 @@ class TestSplitZeroDynamics:
         assert (split.m_a, split.m_b) == (0, 2)
         assert synthesize_ni(nf).verdict.holds
         assert synthesize_ssni(nf).verdict.holds
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ZERO_DYNAMICS))
+    def test_edge_of_the_decisions(self, name):
+        # one decision on where each eigenvalue lies: a zero at the origin
+        # is a verdict, one too close to call is a NumericalError, and
+        # nothing in the band reaches the syntheses' inverses
+        A00, error = EDGE_ZERO_DYNAMICS[name]
+        with pytest.raises(error) as info:
+            split_zero_dynamics(to_normal_form(edge_plant(A00)))
+        assert type(info.value) is error
+
+    def test_real_eigenbasis_matches_its_loop(self):
+        # the loop over the on-axis indices the split ran, as reference
+        def reference(res, vectors):
+            cols, tol = [], res.axis_tol
+            for k in np.flatnonzero(np.abs(res.values.real) <= tol):
+                v = vectors[:, k]
+                if abs(res.values[k].imag) <= tol:
+                    cols.append(np.real(v))
+                elif res.values[k].imag < 0:
+                    cols += [np.real(v), np.imag(v)]
+            return np.column_stack(cols) if cols else \
+                np.zeros((vectors.shape[0], 0))
+
+        rng = np.random.default_rng(91)
+        for canon in ([[0.0, 1.5], [-1.5, 0.0]], [[0.0, 1e-9], [-1e-9, 0.0]],
+                      np.diag([0.0, -1.0]), [[-1.0, 2.0], [-2.0, -1.0]]):
+            Tz = well_conditioned(rng, 2)
+            res = linalg.eig(np.linalg.solve(Tz, canon) @ Tz)
+            for vectors in (res.vectors, res.left.T):
+                assert np.array_equal(_real_eigenbasis(res, vectors),
+                                      reference(res, vectors))
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(79)
