@@ -22,27 +22,10 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, NumericalError, PoleInForbiddenRegionError
-from .linalg import EPS, spectral_norm, symmetrize
+from .linalg import TOL, spectral_norm, symmetrize
 from .statespace import eval_tf, is_minimal, near_pole
 
 NI_CLASSES = ("ni", "sni", "osni", "ssni")
-
-#: floor of the NI and OSNI class matrices at the decision points
-NI_FLOOR = -1e-8
-
-#: strict positivity floor of the strict classes at the decision points
-STRICT_FLOOR = 1e-10
-
-#: widest spread of ``|eigenvalues|`` of the feedthrough ``W - level I`` a
-#: level-set Hamiltonian is formed with: its smallest eigenvalue, as small
-#: as ``|level|``, is known to ``eps ||W||``, under 0.3 % of itself
-W_CONDITION_LIMIT = 1e13
-
-#: largest ``||R(0) - R(0)^T||_F`` the NI route through ``Gamma`` accepts:
-#: the asymmetry shifts ``Gamma`` by up to half of it over ``w``, which
-#: loosens the floor by at most half of it (0.5 %) near ``w = 1``; the
-#: rounding of ``R(0)`` of a 26-state loop is about 4e-12
-DC_ASYMMETRY_LIMIT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -145,7 +128,7 @@ def residue_at_imaginary_pole(sys, omega0):
     target = 1j * omega0
     dists = np.abs(res.values - target)
     k = int(np.argmin(dists))
-    if dists[k] > 1e-7 * scale:
+    if dists[k] > TOL.residue_pole * scale:
         raise InputError(
             f"j*{omega0} is not a pole (closest eigenvalue {res.values[k]})")
     if res.algebraic[k] != 1:
@@ -162,18 +145,18 @@ def residue_at_imaginary_pole(sys, omega0):
         resT = linalg.eig(sys.A.T)
         u = resT.vectors[:, int(np.argmin(np.abs(resT.values - res.values[k])))]
         denom = u @ v
-        if abs(denom) <= EPS * scale:
+        if abs(denom) <= TOL.biorthogonal * scale:
             raise InputError(
                 "left/right eigenvectors are numerically orthogonal")
         proj = np.outer(v, u) / denom
     K0 = 1j * (sys.C @ proj @ sys.B)
-    defect = spectral_norm(K0 - K0.conj().T)
+    defect, hermitian_ok = linalg.hermitian_defect(K0)
     K0h = (K0 + K0.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(K0h)[0]) if p else 0.0
-    psd_tol = p * EPS * max(spectral_norm(K0h), 1.0)
-    hermitian_ok = defect <= 1e-8 * max(1.0, spectral_norm(K0))
+    psd_tol = p * TOL.residue_psd * max(spectral_norm(K0h), 1.0)
     return ResidueResult(
-        omega0=omega0, K0=np.real_if_close(K0h), psd=bool(lam_min >= -psd_tol) and hermitian_ok,
+        omega0=omega0, K0=np.real_if_close(K0h),
+        psd=bool(lam_min >= -psd_tol) and hermitian_ok,
         hermitian_defect=defect, simple=True,
         notes=() if hermitian_ok else
         (f"residue Hermitian defect {defect:.3e} exceeds tolerance",))
@@ -200,10 +183,11 @@ def _class_matrix(R, D, omega, ni_class, eps):
 
 def _on_axis(vals, M):
     """Signed imaginary parts of the eigenvalues ``vals`` of ``M`` that
-    count as imaginary: ``|Re lambda| <= 1e-6 |lambda| + 1e-10 ||M||_F``,
-    loose on purpose: a spurious candidate costs one more decision point,
-    a missed one a band."""
-    keep = np.abs(vals.real) <= 1e-6 * np.abs(vals) + 1e-10 * np.linalg.norm(M)
+    count as imaginary: ``|Re lambda| <= TOL.crossing_axis |lambda| +
+    TOL.crossing_axis_norm ||M||_F``, loose on purpose: a spurious
+    candidate costs one more decision point, a missed one a band."""
+    keep = np.abs(vals.real) <= TOL.crossing_axis * np.abs(vals) + \
+        TOL.crossing_axis_norm * np.linalg.norm(M)
     return vals.imag[keep]
 
 
@@ -215,11 +199,11 @@ def _popov_crossings(A, B, Q, S, W, level):
     -E^T]]``, ``V = W - level I``, ``E = A - B V^{-1} S^T``.  Between two
     consecutive crossings the inertia of ``Phi - level I`` is constant.
     Returns ``None`` when the spread of ``V`` exceeds
-    ``W_CONDITION_LIMIT``."""
+    ``TOL.w_condition``."""
     n = len(A)
     lam, U = np.linalg.eigh(W - level * np.eye(len(W)))
     size = np.abs(lam)
-    if not size.min() > size.max() / W_CONDITION_LIMIT:
+    if not size.min() > size.max() / TOL.w_condition:
         return None
     VS = (U / lam) @ U.T @ S.T
     H = np.empty((2 * n, 2 * n))
@@ -233,16 +217,17 @@ def _popov_crossings(A, B, Q, S, W, level):
 
 def _gamma_crossings(sys):
     """NI candidates from the real level-set Hamiltonian of ``Gamma(w) =
-    (w + 1/w) j(R - R*) / 2`` at ``NI_FLOOR``, or ``None`` when that route
+    (w + 1/w) j(R - R*) / 2`` at ``TOL.ni_floor``, or ``None`` when that route
     does not apply.
 
     ``Gamma = K + K*`` for ``K(s) = (s (R(s) - D) - (R(s) - R(0)) / s) / 2
     = (C B + C (A - A^{-1}) (s I - A)^{-1} B) / 2``, which needs ``D`` and
     ``R(0)`` symmetric (``D`` exactly, ``R(0)`` to within
-    ``DC_ASYMMETRY_LIMIT``).  Since ``(w + 1/w) / 2 >= 1``, every ``w``
-    with ``lambda_min(j(R - R*)) < NI_FLOOR < 0`` has ``lambda_min(Gamma)
-    < NI_FLOOR``: the bands of ``Gamma`` contain every violation, so a
-    verdict none of whose decision points lies in such a band holds.
+    ``TOL.dc_asymmetry``).  Since ``(w + 1/w) / 2 >= 1``, every ``w``
+    with ``lambda_min(j(R - R*)) < TOL.ni_floor < 0`` has
+    ``lambda_min(Gamma) < TOL.ni_floor``: the bands of ``Gamma`` contain
+    every violation, so a verdict none of whose decision points lies in
+    such a band holds.
     ``Gamma`` is real, the same size as the OSNI Hamiltonian and about a
     third of the cost of the exact route's complex zero matrix."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
@@ -250,10 +235,11 @@ def _gamma_crossings(sys):
         return None
     CAi = np.linalg.solve(A.T, C.T).T
     R0 = D - CAi @ B
-    if np.linalg.norm(R0 - R0.T) > DC_ASYMMETRY_LIMIT:
+    if np.linalg.norm(R0 - R0.T) > TOL.dc_asymmetry:
         return None
     Ct, Dt = (C @ A - CAi) / 2.0, C @ B / 2.0
-    return _popov_crossings(A, B, np.zeros_like(A), Ct.T, Dt + Dt.T, NI_FLOOR)
+    return _popov_crossings(A, B, np.zeros_like(A), Ct.T, Dt + Dt.T,
+                            TOL.ni_floor)
 
 
 def _exact_crossings(sys, level):
@@ -267,14 +253,15 @@ def _exact_crossings(sys, level):
     j level I)^{-1} C_G`` are the candidates, and ``M(-w) = -M(w)^T`` puts
     those of ``-level`` on the negative axis.  Complex, about three times
     the cost of a real Hamiltonian of the same size.  Raises
-    ``NumericalError`` when ``level`` is within 1e-3 of itself of a
-    singular value of ``D - D^T``."""
+    ``NumericalError`` when ``level`` is within ``TOL.level_separation``
+    of itself of a singular value of ``D - D^T``."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, p = sys.n, len(D)
     BG, CG = np.vstack([B, C.T]), np.hstack([C, B.T])
     DZ = (D - D.T) + 1j * level * np.eye(p)
     if (D - D.T).any():
-        if np.linalg.svd(DZ, compute_uv=False)[-1] <= 1e-3 * abs(level):
+        if np.linalg.svd(DZ, compute_uv=False)[-1] <= \
+                TOL.level_separation * abs(level):
             raise NumericalError(
                 f"the level {level:g} is a singular value of D - D^T")
         Z = -(BG @ np.linalg.solve(DZ, CG))
@@ -308,23 +295,32 @@ def _ssni_limits(sys):
     """The two frequency-limit conditions of SSNI, exactly: ``lambda_min``
     of ``lim_{w->inf} w j(R - R*) = C B + B^T C^T`` and of
     ``lim_{w->0} j(R - R*) / w = C A^-2 B + (C A^-2 B)^T``, and the
-    asymmetry ``||R(0) - R(0)^T||_2`` the second limit presumes zero."""
+    ``hermitian_defect`` of ``R(0)``, which the second limit presumes 0."""
     CB = sys.C @ sys.B
     AiB = np.linalg.solve(sys.A, sys.B)
     CA2B = sys.C @ np.linalg.solve(sys.A, AiB)
-    R0 = sys.D - sys.C @ AiB
     return (float(np.linalg.eigvalsh(CB + CB.T)[0]),
             float(np.linalg.eigvalsh(CA2B + CA2B.T)[0]),
-            spectral_norm(R0 - R0.T), spectral_norm(R0))
+            *linalg.hermitian_defect(sys.D - sys.C @ AiB))
+
+
+def _feedthrough_asymmetry(D):
+    """``(lambda_min(j(D - D^T)), symmetric)``: the limit of ``j(R - R*)``
+    as ``w -> inf`` is ``-||D - D^T||_2``, at least
+    ``-TOL.feedthrough_asymmetry`` for a symmetric ``D``."""
+    if np.array_equal(D, D.T):
+        return 0.0, True
+    lam = float(np.linalg.eigvalsh(1j * (D - D.T))[0])
+    return lam, lam >= -TOL.feedthrough_asymmetry
 
 
 def _candidates(sys, ni_class, eps, exact=False):
     """Crossing candidates of the class's level set, the note that names
-    them, and whether they are ``Gamma``'s.  OSNI: ``NI_FLOOR`` crossings
+    them, and whether they are ``Gamma``'s.  OSNI: ``TOL.ni_floor`` crossings
     of the Popov function ``F + F* - eps F* F``, ``F(s) = s (R(s) - D)``
     realized as ``(A, B, C A, C B)``.  NI: of ``Gamma`` unless ``exact``
     or ``_gamma_crossings`` does not apply, then of ``j(R - R*)`` itself.
-    SNI and SSNI: ``+-STRICT_FLOOR`` crossings of ``j(R - R*)``, the
+    SNI and SSNI: ``+-TOL.strict_floor`` crossings of ``j(R - R*)``, the
     ``-`` ones negated.  Raises ``NumericalError`` when the OSNI
     Hamiltonian cannot be formed."""
     if ni_class == "osni":
@@ -332,23 +328,24 @@ def _candidates(sys, ni_class, eps, exact=False):
         Ct, Dt = sys.C @ A, sys.C @ B
         w = _popov_crossings(
             A, B, -eps * (Ct.T @ Ct), (Ct.T - eps * (Ct.T @ Dt)),
-            Dt + Dt.T - eps * (Dt.T @ Dt), NI_FLOOR)
+            Dt + Dt.T - eps * (Dt.T @ Dt), TOL.ni_floor)
         if w is None:
             raise NumericalError(
                 "level-set Hamiltonian: C B + B^T C^T - eps (C B)^T C B is "
                 "too ill-conditioned at the level to invert")
-        return w, f"candidates for {NI_FLOOR:g} of the Popov function", False
+        return w, f"candidates for {TOL.ni_floor:g} of the Popov function", \
+            False
     if ni_class == "ni":
         w = None if exact else _gamma_crossings(sys)
         if w is not None:
-            return w, (f"candidates for {NI_FLOOR:g} of "
+            return w, (f"candidates for {TOL.ni_floor:g} of "
                        "(w + 1/w) j(R - R*) / 2"), True
-        w = _exact_crossings(sys, NI_FLOOR)
-        return (np.sort(w[w > 0]), f"candidates for {NI_FLOOR:g} of j(R - R*)",
-                False)
-    w = _exact_crossings(sys, STRICT_FLOOR)
+        w = _exact_crossings(sys, TOL.ni_floor)
+        return (np.sort(w[w > 0]),
+                f"candidates for {TOL.ni_floor:g} of j(R - R*)", False)
+    w = _exact_crossings(sys, TOL.strict_floor)
     return (w[np.argsort(np.abs(w))],
-            f"candidates for +-{STRICT_FLOOR:g} of j(R - R*)", False)
+            f"candidates for +-{TOL.strict_floor:g} of j(R - R*)", False)
 
 
 def classify_freq(sys, ni_class, eps=None):
@@ -358,7 +355,7 @@ def classify_freq(sys, ni_class, eps=None):
     The class matrix is ``j(R - R*)`` (NI, SNI, SSNI) or the Popov
     function ``w j(R - R*) - eps w^2 (R - D)* (R - D)`` (OSNI); the
     verdict holds when its smallest eigenvalue, the margin, is at least
-    the class floor (``NI_FLOOR``, or ``STRICT_FLOOR`` for the strict
+    the class floor (``TOL.ni_floor``, or ``TOL.strict_floor`` for the strict
     classes) at every decision point.  The candidates (``_candidates``)
     are the frequencies where an eigenvalue of the class matrix, or of a
     function whose bands contain its, crosses the floor; those on
@@ -380,14 +377,14 @@ def classify_freq(sys, ni_class, eps=None):
     ``w -> 0`` or ``w -> inf``, where ``j(R - R*)`` of a proper plant
     tends to 0: it applies from the lowest to the highest decision point
     whose margin reaches it (to every point when none does), and outside,
-    in the roll-off, the margin must be at least ``-STRICT_FLOOR``, the
+    in the roll-off, the margin must be at least ``-TOL.strict_floor``, the
     crossings of which are candidates too; SSNI tests its two limits exactly
     (``_ssni_limits``).  ``worst_omega`` is the decision point of the
     smallest margin among those the strict floor applies to and those
     that fail, the lowest such frequency on a tie.  The notes list the
     candidates and the number of decision points.
 
-    ``D`` is taken as symmetric when ``||D - D^T||_2 <= 1e-8``; otherwise
+    ``D`` is taken as symmetric by ``_feedthrough_asymmetry``; otherwise
     the verdict fails, since ``j(R - R*)`` tends to the indefinite
     ``j(D - D^T)`` as ``w -> inf``.  NI additionally runs residue checks
     at simple imaginary-axis poles.  Raises ``PoleInForbiddenRegionError``
@@ -406,7 +403,7 @@ def classify_freq(sys, ni_class, eps=None):
         if not 0 < eps < np.inf:
             raise InputError("eps must be finite and positive")
     axis_poles = _imaginary_axis_pole_frequencies(sys)
-    floor = NI_FLOOR if ni_class in ("ni", "osni") else STRICT_FLOOR
+    floor = TOL.ni_floor if ni_class in ("ni", "osni") else TOL.strict_floor
 
     def decide(exact):
         signed, what, superset = np.zeros(0), "candidates", False
@@ -414,10 +411,11 @@ def classify_freq(sys, ni_class, eps=None):
             signed, what, superset = _candidates(sys, ni_class, eps, exact)
             if len(axis_poles):
                 signed = signed[~near_pole(sys, 1j * np.abs(signed))]
-            # candidates within 1e-8 of each other, relative, are one: the
-            # copies of a multiple crossing bound no interval
+            # candidates within TOL.crossing_merge of each other, relative,
+            # are one: the copies of a multiple crossing bound no interval
             signed = signed[np.argsort(np.abs(signed), kind="stable")]
-            apart = np.diff(np.abs(signed)) > 1e-8 * np.abs(signed[1:])
+            apart = np.diff(np.abs(signed)) > \
+                TOL.crossing_merge * np.abs(signed[1:])
             signed = signed[np.concatenate([[True], apart])[:len(signed)]]
         omegas = _decision_points(sys, np.abs(signed), axis_poles)
         margins = np.zeros(len(omegas))
@@ -446,15 +444,14 @@ def classify_freq(sys, ni_class, eps=None):
     holds = not fails.any()
     if ni_class in ("sni", "ssni"):
         core = omegas[floors == floor]
-        notes.append(f"strict test floor {STRICT_FLOOR:g} from "
-                     f"{core[0]:.9g} to {core[-1]:.9g}, {-STRICT_FLOOR:g} "
-                     "outside")
-    if not np.array_equal(sys.D, sys.D.T):
-        lam_inf = float(np.linalg.eigvalsh(1j * (sys.D - sys.D.T))[0])
-        if lam_inf < -1e-8:
-            holds = False
-            notes.append(f"D is not symmetric: the limit j(D - D^T) of "
-                         f"j(R - R*) fails (lambda_min {lam_inf:.3e})")
+        notes.append(f"strict test floor {TOL.strict_floor:g} from "
+                     f"{core[0]:.9g} to {core[-1]:.9g}, "
+                     f"{-TOL.strict_floor:g} outside")
+    lam_inf, d_symmetric = _feedthrough_asymmetry(sys.D)
+    if not d_symmetric:
+        holds = False
+        notes.append(f"D is not symmetric: the limit j(D - D^T) of "
+                     f"j(R - R*) fails (lambda_min {lam_inf:.3e})")
 
     if ni_class == "ni":
         for w0 in axis_poles:
@@ -467,17 +464,17 @@ def classify_freq(sys, ni_class, eps=None):
             else:
                 notes.append(f"residue at j*{w0:g}: PSD, defect "
                              f"{rr.hermitian_defect:.2e} "
-                             f"(cluster tolerance {1e-7:g} relative)")
+                             f"(cluster tolerance {TOL.cluster:g} relative)")
 
     if ni_class == "ssni" and holds:
-        lam_hi, lam_lo, r0_defect, r0_norm = _ssni_limits(sys)
+        lam_hi, lam_lo, r0_defect, r0_symmetric = _ssni_limits(sys)
         notes.append(f"limits: lambda_min(C B + B^T C^T) {lam_hi:.3e}, "
                      f"lambda_min(C A^-2 B + (C A^-2 B)^T) {lam_lo:.3e}")
-        if r0_defect > 1e-8 * max(1.0, r0_norm):
+        if not r0_symmetric:
             holds = False
             notes.append(f"R(0) is not symmetric (defect {r0_defect:.3e}): "
                          "the low-frequency limit fails")
-        elif lam_hi <= STRICT_FLOOR or lam_lo <= STRICT_FLOOR:
+        elif lam_hi <= TOL.strict_floor or lam_lo <= TOL.strict_floor:
             holds = False
             notes.append("a frequency-limit condition fails")
 
@@ -521,8 +518,7 @@ def verify_certificate(sys, ni_class, Y, eps=None):
     notes = []
     holds = True
 
-    dsym = spectral_norm(sys.D - sys.D.T)
-    if dsym > 1e-10 * (1.0 + spectral_norm(sys.D)):
+    if not _feedthrough_asymmetry(sys.D)[1]:
         holds = False
         notes.append("feedthrough matrix is not symmetric")
 
@@ -547,24 +543,24 @@ def verify_certificate(sys, ni_class, Y, eps=None):
 
     # ||Y||_2 of the symmetric Y from the eigenvalues already at hand
     scale_y = max(1.0, float(np.abs(lam_y).max(initial=0.0)))
-    if cert.pd_margin <= sys.n * EPS * scale_y:
+    if cert.pd_margin <= linalg.pd_floor(lam_y):
         holds = False
         notes.append(f"Y is not positive definite "
                      f"(lambda_min {cert.pd_margin:.3e})")
     coupling_scale = 1.0 + spectral_norm(sys.B) + \
         sys.a_norm * scale_y * spectral_norm(sys.C)
-    if cert.coupling_residual > 1e-9 * coupling_scale:
+    if cert.coupling_residual > TOL.coupling * coupling_scale:
         holds = False
         notes.append(f"coupling residual {cert.coupling_residual:.3e} "
                      "violates B + A Y C^T = 0")
     lyap_scale = 1.0 + sys.a_norm * scale_y
     if ni_class == "ssni":
-        if cert.lyap_residual > -STRICT_FLOOR:
+        if cert.lyap_residual > -TOL.strict_floor:
             holds = False
             notes.append(f"A Y + Y A^T is not negative definite "
                          f"(lambda_max {cert.lyap_residual:.3e})")
     else:
-        if cert.lyap_residual > 1e-8 * lyap_scale:
+        if cert.lyap_residual > TOL.lyapunov_inequality * lyap_scale:
             holds = False
             notes.append(f"Lyapunov-type inequality fails "
                          f"(lambda_max {cert.lyap_residual:.3e})")

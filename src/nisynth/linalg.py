@@ -11,8 +11,8 @@ Conventions
   ``A`` (no Schur machinery).  A matrix whose eigenbasis is not trusted
   (``EigenResult.left`` is None), or whose eigenbasis solution misses the
   residual gate, is vectorized to an n^2 x n^2 linear system instead.
-* Tolerances are fixed, relative to the matrix norm and never overridden;
-  ``EigenResult`` holds the location and singularity rules, others inline.
+* Every tolerance of the package is an entry of the one table ``TOL``,
+  never a parameter; ``EigenResult`` applies the spectral ones.
 """
 
 from __future__ import annotations
@@ -35,8 +35,135 @@ from .errors import (
 
 EPS = float(np.finfo(float).eps)
 
-#: relative radius for clustering nearby eigenvalues into one root
-CLUSTER_TOL = 1e-7
+
+class Tol:
+    """The tolerance table: each entry is named by the fact it decides,
+    and its comment says what it is scaled by.  ``TOL`` is the one
+    instance every gate reads; it takes no arguments and, having no
+    slots, no assignment, so no caller overrides an entry."""
+
+    __slots__ = ()
+
+    # -- spectra and kernels (linalg) --
+    #: eigenvalues this close are one root of ``eig``, times ``||A||_2``
+    cluster: float = 1e-7
+    #: an eigenvalue this close to the imaginary axis is on it, to the
+    #: real axis real, to zero at the origin; times ``1 + ||A||_2``
+    axis: float = 1e-8
+    #: a singular value at most this is zero; times ``max(rows, cols)
+    #: sigma_max`` (``sv_rank``, ``EigenResult.singular``)
+    rank: float = EPS
+    #: ``smin`` at most this is too close to singular to decide; times
+    #: ``1 + ||A||_2`` (``EigenResult.nearly_singular``)
+    nearly_singular: float = 1e-10
+    #: largest ``kappa_2(V)`` of a trusted eigenbasis (``EigenResult.left``)
+    eigenbasis: float = 1e6
+    #: an eigenvalue of a symmetric matrix this close to zero is zero;
+    #: times ``dim max|lambda|`` (``pd_floor``)
+    definite: float = EPS
+    #: largest ``||M - M*||_2`` taken as rounding; times ``max(1, ||M||_2)``
+    #: (``hermitian_defect``)
+    hermitian: float = 1e-8
+    #: an eigenvalue pair summing to this makes the Lyapunov operator
+    #: singular; times ``1 + max|lambda|``
+    lyapunov_singular: float = 1e-9
+    #: largest ``||A^T P + P A + Q||_2``; times ``||A|| ||P|| + ||Q||``
+    lyapunov_residual: float = 1e-8
+    #: ``kernel_pd_solution``'s purely-imaginary test on ``|Re lambda|``;
+    #: times ``1 + ||A||_2``
+    kernel_axis: float = 1e-7
+    #: largest ``||A^T P + P A||_2`` of the kernel solution; times
+    #: ``(1 + ||A||_2) ||P||_2``
+    kernel_residual: float = 1e-8
+    #: an eigenvector reach above this passes PBH without the SVD; times
+    #: ``s_k (||A||_2 + ||M||_F)``
+    pbh_screen: float = 1e-6
+    #: ``|w v|`` of a left/right eigenvector pair at most this is
+    #: orthogonal; times ``1 + ||A||_2``
+    biorthogonal: float = EPS
+
+    # -- evaluation and simulation (statespace) --
+    #: a point this close to a pole is at it; times ``1 + ||A||_2``
+    pole_distance: float = 1e-9
+    #: ``t_end / dt`` this far above an integer is that integer (absolute)
+    step_ratio: float = 1e-12
+
+    # -- structure --
+    #: a Markov-parameter row below this is zero, times ``||c_i||
+    #: ||A||^j ||B||``; rows with ``sigma_min`` below it times
+    #: ``sigma_max`` are dependent; a pivot below it times ``||C B||`` is
+    #: zero
+    markov_zero: float = 1e-8
+    #: largest ``||T T^-1 - I||_2`` of a transform; times ``max(1, ||T||_2)``
+    inverse_residual: float = 1e-8
+    #: largest distance of a supplied ``T_u`` or ``T_x`` block from the one
+    #: ``T_y`` implies; times ``max(1, norm)`` of the transform
+    supplied_transform: float = 1e-8
+    #: largest defect of the normal form's x2 rows and input matrix; times
+    #: ``max(1, norm)`` of the transformed matrix
+    normal_form: float = 1e-5
+    #: largest coupling the spectral split leaves between its blocks, and
+    #: largest skew defect of its critical block; times ``1 + ||A00||_2``
+    split_coupling: float = 1e-7
+    skew_defect: float = 1e-8
+
+    # -- class tests and certificates (certify) --
+    #: floor of the NI and OSNI class matrices (absolute)
+    ni_floor: float = -1e-8
+    #: positivity floor of the strict classes (absolute)
+    strict_floor: float = 1e-10
+    #: largest ``||D - D^T||_2`` of a symmetric feedthrough, absolute: the
+    #: limit ``j(D - D^T)`` of ``j(R - R*)`` stays above the NI floor
+    feedthrough_asymmetry: float = 1e-8
+    #: largest ``||R(0) - R(0)^T||_F`` the NI route through ``Gamma``
+    #: accepts (absolute): it loosens the floor by at most half of it; the
+    #: rounding of ``R(0)`` of a 26-state loop is about 4e-12
+    dc_asymmetry: float = 1e-10
+    #: widest spread of ``|eigenvalues|`` of a level-set Hamiltonian's
+    #: feedthrough ``W - level I``: its smallest, as small as ``|level|``,
+    #: is known to ``eps ||W||``, under 0.3 % of itself
+    w_condition: float = 1e13
+    #: the eigenvalue this close to ``j w0`` is the pole of the residue;
+    #: times ``1 + ||A||_2``
+    residue_pole: float = 1e-7
+    #: a residue eigenvalue above minus this is nonnegative; times ``p
+    #: max(1, ||K0||_2)``, not ``pd_floor``: ``K0 = C v w B`` carries the
+    #: rounding of the product, so the zero residue of a hidden undamped
+    #: mode would fail against its own norm
+    residue_psd: float = EPS
+    #: an eigenvalue of a level-set matrix ``M`` this close to the
+    #: imaginary axis is a candidate: times ``|lambda|``, plus
+    #: ``crossing_axis_norm`` times ``||M||_F``; loose on purpose
+    crossing_axis: float = 1e-6
+    crossing_axis_norm: float = 1e-10
+    #: candidate frequencies this close are one; times the frequency
+    crossing_merge: float = 1e-8
+    #: a singular value of ``D - D^T + j level I`` this small is the level;
+    #: times ``|level|``
+    level_separation: float = 1e-3
+    #: largest ``||B + A Y C^T||_2``; times ``1 + ||B|| + ||A|| ||Y|| ||C||``
+    coupling: float = 1e-9
+    #: largest ``lambda_max`` of the NI/OSNI certificate matrix; times
+    #: ``1 + ||A|| ||Y||``
+    lyapunov_inequality: float = 1e-8
+
+    # -- synthesis (synth) --
+    #: room ``2 - eps - c`` at most this leaves no admissible output-strict
+    #: ``H`` (absolute)
+    osni_h_room: float = 1e-12
+    #: the SSNI Lyapunov residual must stay below minus this; times
+    #: ``||A00||_2``
+    ssni_margin: float = 1e-8
+    #: largest ``||K13^T K13 - I||_2`` of an orthonormal ``K13`` (absolute)
+    orthonormal: float = 1e-8
+    #: largest distance of the SSNI loop's DC gain from its target; times
+    #: ``1 + ||T_y^-1 Y2 T_y^-T||_2``
+    dc_gain: float = 1e-8
+    #: the DC condition's margin below ``1 / gamma``, relative
+    dc_condition: float = 1e-12
+
+
+TOL = Tol()
 
 
 def as_matrix(M, name="matrix", square=False, dtype=float):
@@ -101,9 +228,9 @@ class EigenResult:
 
     @property
     def axis_tol(self):
-        """``1e-8 (1 + norm)``: an eigenvalue this close to the imaginary
+        """``TOL.axis (1 + norm)``: an eigenvalue this close to the imaginary
         axis is ``on_axis``, to the real axis real, to zero ``at_origin``."""
-        return 1e-8 * (1.0 + self.norm)
+        return TOL.axis * (1.0 + self.norm)
 
     @property
     def on_axis(self):
@@ -115,20 +242,21 @@ class EigenResult:
 
     @property
     def singular(self):
-        """``smin <= n eps norm``, ``rank``'s rule; ``nearly_singular``, the
-        band ``smin <= 1e-10 (1 + norm)``.  An empty matrix is neither."""
+        """``rank``'s rule, ``smin <= n TOL.rank norm``; ``nearly_singular``,
+        ``TOL.nearly_singular``'s band.  An empty matrix is neither."""
         n = self.values.size
-        return n > 0 and self.smin <= n * EPS * self.norm
+        return n > 0 and self.smin <= n * TOL.rank * self.norm
 
     @property
     def nearly_singular(self):
-        return self.values.size > 0 and self.smin <= 1e-10 * (1 + self.norm)
+        return self.values.size > 0 and \
+            self.smin <= TOL.nearly_singular * (1 + self.norm)
 
     @cached_property
     def left(self):
         """``W = V^{-1}``, whose row ``k`` is a left eigenvector of
         ``values[k]`` with ``W[k] @ vectors[:, k] = 1``; None unless the
-        eigenbasis is trusted, ``kappa_2(V) <= 1e6``.
+        eigenbasis is trusted, ``kappa_2(V) <= TOL.eigenbasis``.
 
         Work done in the eigenbasis loses about ``kappa_2(V) eps`` relative
         accuracy, so the bound keeps it under 1e-9 (the bound acceptance
@@ -145,12 +273,12 @@ class EigenResult:
             W = np.linalg.inv(V)
         except np.linalg.LinAlgError:
             return None
-        if not np.abs(W).max() <= 1e6:
+        if not np.abs(W).max() <= TOL.eigenbasis:
             return None
-        if np.linalg.norm(V) * np.linalg.norm(W) <= 1e6:
+        if np.linalg.norm(V) * np.linalg.norm(W) <= TOL.eigenbasis:
             return W
         s = np.linalg.svd(V, compute_uv=False)
-        return W if s[0] <= 1e6 * s[-1] else None
+        return W if s[0] <= TOL.eigenbasis * s[-1] else None
 
 
 def _cluster(values, radius):
@@ -204,7 +332,7 @@ def eig(A):
     norm, smin = float(sv[0]), float(sv[-1])
     alg = np.ones(n, dtype=int)
     geo = np.ones(n, dtype=int)
-    for members in _cluster(values, CLUSTER_TOL * norm):
+    for members in _cluster(values, TOL.cluster * norm):
         if len(members) == 1:
             continue
         mu = values[members].mean()
@@ -216,7 +344,7 @@ def eig(A):
 
 
 def rank(M):
-    """Number of singular values above ``max(rows, cols) * eps * sigma_max``."""
+    """Number of singular values above ``max(shape) TOL.rank s_max``."""
     M = np.asarray(M)
     if M.size == 0:
         return 0
@@ -226,24 +354,33 @@ def rank(M):
 def sv_rank(s, shape):
     """``rank`` of a matrix of ``shape`` from its sorted singular values
     ``s``, for callers that use the SVD for more than the rank."""
-    return int(np.sum(s > max(shape) * EPS * s[0]))
+    return int(np.sum(s > max(shape) * TOL.rank * s[0]))
 
 
 def symmetrize(M, name="matrix"):
-    """Check near-symmetry (Hermitian for complex) and return (M + M*)/2.
-
-    An exactly Hermitian ``M`` has no defect to measure and skips the test.
-    """
+    """Check near-symmetry (Hermitian for complex) by ``hermitian_defect``
+    and return (M + M*)/2."""
     M = np.asarray(M)
-    if M.size == 0:
-        return M
-    if not np.array_equal(M, M.conj().T):
-        defect = spectral_norm(M - M.conj().T)
-        if defect > 1e-8 * max(1.0, spectral_norm(M)):
-            raise AsymmetricMatrixError(
-                f"{name} is not symmetric within tolerance "
-                f"(defect {defect:.3e})")
+    defect, hermitian = hermitian_defect(M)
+    if not hermitian:
+        raise AsymmetricMatrixError(
+            f"{name} is not symmetric within tolerance (defect {defect:.3e})")
     return (M + M.conj().T) / 2.0
+
+
+def hermitian_defect(M):
+    """``(||M - M*||_2, within TOL.hermitian max(1, ||M||_2))``; an exactly
+    Hermitian ``M`` has no defect to measure and takes no SVD."""
+    if np.array_equal(M, M.conj().T):
+        return 0.0, True
+    defect = spectral_norm(M - M.conj().T)
+    return defect, defect <= TOL.hermitian * max(1.0, spectral_norm(M))
+
+
+def pd_floor(lam):
+    """``dim TOL.definite max|lambda|`` for the eigenvalues ``lam`` of a
+    symmetric matrix (0.0 for none); an eigenvalue within it is zero."""
+    return len(lam) * TOL.definite * float(np.abs(lam).max(initial=0.0))
 
 
 def definiteness(M, mode):
@@ -253,7 +390,7 @@ def definiteness(M, mode):
     ----------
     mode : {"pd", "psd"}
         Positive definite or semidefinite, with eigenvalue tolerance
-        ``dim * eps * max|lambda|``.
+        ``pd_floor``.
     """
     if mode not in ("pd", "psd"):
         raise InputError(f"unknown definiteness mode {mode!r}")
@@ -261,10 +398,9 @@ def definiteness(M, mode):
     if M.shape[0] == 0:
         return True
     lam = np.linalg.eigvalsh(M)
-    tol = M.shape[0] * EPS * max(abs(lam[0]), abs(lam[-1]), 1e-300)
     if mode == "pd":
-        return bool(lam[0] > tol)
-    return bool(lam[0] >= -tol)
+        return bool(lam[0] > pd_floor(lam))
+    return bool(lam[0] >= -pd_floor(lam))
 
 
 def solve_lyapunov(A, Q):
@@ -292,7 +428,7 @@ def solve_lyapunov(A, Q):
     scale = 1.0 + float(np.abs(vals).max())
     pair_sums = vals[:, None] + vals[None, :]
     gap = np.abs(pair_sums).min()
-    if gap <= 1e-9 * scale:
+    if gap <= TOL.lyapunov_singular * scale:
         raise SingularLyapunovOperatorError(
             "Lyapunov operator is singular: eigenvalue pair sums to "
             f"{gap:.3e}")
@@ -319,7 +455,8 @@ def solve_lyapunov(A, Q):
 def _lyapunov_residual(A, P, Q, a_norm):
     """Residual ``||A^T P + P A + Q||_2`` and the bound it must meet."""
     residual = spectral_norm(A.T @ P + P @ A + Q)
-    bound = 1e-8 * (a_norm * spectral_norm(P) + spectral_norm(Q) + 1e-300)
+    bound = TOL.lyapunov_residual * (a_norm * spectral_norm(P)
+                                     + spectral_norm(Q))
     return residual, bound
 
 
@@ -335,12 +472,11 @@ def kernel_pd_solution(A):
     ``Re lambda = 0``).
     """
     A = as_matrix(A, "A", square=True)
-    n = A.shape[0]
-    if n == 0:
+    if A.size == 0:
         return np.zeros((0, 0))
     res = eig(A.T)
     scale = 1.0 + res.norm
-    if np.any(np.abs(res.values.real) > 1e-7 * scale):
+    if np.any(np.abs(res.values.real) > TOL.kernel_axis * scale):
         worst = res.values[np.argmax(np.abs(res.values.real))]
         raise SpectrumError(
             f"spectrum not purely imaginary: eigenvalue {worst}")
@@ -350,11 +486,11 @@ def kernel_pd_solution(A):
     P = np.real(U @ U.conj().T)
     P = (P + P.T) / 2.0
     residual = spectral_norm(A.T @ P + P @ A)
-    if residual > 1e-8 * scale * spectral_norm(P):
+    if residual > TOL.kernel_residual * scale * spectral_norm(P):
         raise NumericalError(
             f"kernel solution residual {residual:.3e} too large")
-    lam_min = float(np.linalg.eigvalsh(P)[0])
-    if lam_min <= n * EPS * spectral_norm(P):
+    lam = np.linalg.eigvalsh(P)
+    if lam[0] <= pd_floor(lam):
         raise NumericalError("kernel solution is not positive definite")
     return P
 
@@ -365,7 +501,7 @@ def sqrtm_pd(P):
     if P.shape[0] == 0:
         return np.zeros((0, 0))
     lam, V = np.linalg.eigh(P)
-    if lam[0] <= P.shape[0] * EPS * max(abs(lam[-1]), 1e-300):
+    if lam[0] <= pd_floor(lam):
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (lambda_min {lam[0]:.3e})")
     S = (V * np.sqrt(lam)) @ V.T
@@ -425,9 +561,10 @@ def pbh_failures(A, M, mode, spectrum):
     decided by ``rank``.  A simple eigenvalue passes without that SVD when
     its unit left eigenvector ``w_k`` (controllable) or unit right
     eigenvector ``v_k`` (observable) keeps ``||w_k^H M||`` or ``||M v_k||``
-    above ``1e-6 s_k (||A||_2 + ||M||_F)``, with ``s_k = ||w_k|| ||v_k||``
-    the condition number of the eigenvalue for ``w_k^H v_k = 1``; the rank
-    tolerance grows with ``||A||``, so the bound does too.  Repeated
+    above ``TOL.pbh_screen s_k (||A||_2 + ||M||_F)``, with ``s_k =
+    ||w_k|| ||v_k||`` the condition number of the eigenvalue for ``w_k^H
+    v_k = 1``; the rank tolerance grows with ``||A||``, so the bound does
+    too.  Repeated
     eigenvalues, eigenvalues under the bound and every eigenvalue of a
     numerically defective ``A`` (``spectrum.left`` is None) take the SVD
     test, so every failure is decided by it.
@@ -454,7 +591,7 @@ def pbh_failures(A, M, mode, spectrum):
         else:
             reach = np.linalg.norm(M @ V, axis=0) / v_norm
         scale = spectrum.norm + np.linalg.norm(M)
-        bound = 1e-6 * w_norm * v_norm * scale
+        bound = TOL.pbh_screen * w_norm * v_norm * scale
         screened = (spectrum.algebraic == 1) & (reach > bound)
     eye = np.eye(n)
     for k in np.flatnonzero(~screened):

@@ -30,7 +30,7 @@ from .errors import (
     PoleProximityError,
     SimulationDivergedError,
 )
-from .linalg import as_matrix
+from .linalg import TOL, as_matrix
 
 #: complex entries one stacked ``sI - A`` array of ``eval_tf``'s solve may
 #: hold: its points are solved in chunks of ``2**14 // n**2``, since
@@ -171,9 +171,10 @@ def load_system(path):
 
 def near_pole(sys, s):
     """True for each point of the 1-D array ``s`` within
-    ``1e-9 * (1 + ||A||)`` of an eigenvalue of ``A``."""
+    ``TOL.pole_distance (1 + ||A||)`` of an eigenvalue of ``A``."""
     dist = np.abs(sys.poles()[None, :] - np.asarray(s)[:, None])
-    return dist.min(axis=1, initial=np.inf) < 1e-9 * (1.0 + sys.a_norm)
+    return dist.min(axis=1, initial=np.inf) < \
+        TOL.pole_distance * (1.0 + sys.a_norm)
 
 
 def eval_tf(sys, s):
@@ -309,7 +310,7 @@ def simulate(sys, x0, t_end, dt):
     if x.shape[0] != sys.n:
         raise InputError(f"x0 must have {sys.n} entries, got {x.shape[0]}")
     # a float, infinite when t_end / dt overflows
-    steps = max(1.0, np.ceil(float(t_end) / float(dt) - 1e-12))
+    steps = max(1.0, np.ceil(float(t_end) / float(dt) - TOL.step_ratio))
     width = 1 + sys.n + sys.n_outputs
     if not (steps + 1) * width <= SIMULATE_ENTRIES:
         raise InputError(
@@ -322,7 +323,7 @@ def simulate(sys, x0, t_end, dt):
     # an overflow shows as a non-finite state, reported as a divergence
     with np.errstate(over="ignore", invalid="ignore"):
         phi = phi_last = linalg.expm(sys.A * dt)
-        if steps - t_end / dt > 1e-12:
+        if steps - t_end / dt > TOL.step_ratio:
             phi_last = linalg.expm(sys.A * (t_end - times[-2]))
         states[0] = x
         for k in range(1, steps):

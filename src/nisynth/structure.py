@@ -26,11 +26,8 @@ from .errors import (
     SpectrumError,
     VerdictError,
 )
-from .linalg import StabilityClass, as_matrix, spectral_norm
+from .linalg import TOL, StabilityClass, as_matrix, spectral_norm
 from .statespace import StateSpace
-
-#: relative threshold below which a Markov-parameter row counts as zero
-MARKOV_ZERO_TOL = 1e-8
 
 
 class RdKind(Enum):
@@ -58,17 +55,12 @@ class RelativeDegreeInfo:
         return max(self.r) if all(d is not None for d in self.r) else None
 
 
-def _markov_zero_threshold(c_norm, a_norm, b_norm, j):
-    scale = c_norm * (a_norm ** j if a_norm > 0 else (1.0 if j == 0 else 0.0))
-    return MARKOV_ZERO_TOL * max(scale * b_norm, 1e-300)
-
-
 def _independent_rows(M):
     """Rows of a wide ``M`` are independent when ``sigma_min`` clears the
     relative threshold at which ``find_output_transformation`` eliminates
     a row."""
     s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] > MARKOV_ZERO_TOL * s[0]
+    return s[-1] > TOL.markov_zero * s[0]
 
 
 def relative_degree_vector(sys):
@@ -92,14 +84,14 @@ def relative_degree_vector(sys):
     notes = []
     for i in range(p):
         ci = C[i:i + 1, :]
-        c_norm = max(float(np.linalg.norm(ci)), 1e-300)
+        c_norm = float(np.linalg.norm(ci))
         found = None
         for j in range(n):
             if j == len(powers):
                 powers.append(powers[-1] @ A)
             row = ci @ powers[j] @ B
-            threshold = _markov_zero_threshold(c_norm, a_norm, b_norm, j)
-            if float(np.linalg.norm(row)) > threshold:
+            if float(np.linalg.norm(row)) > \
+                    TOL.markov_zero * (c_norm * a_norm ** j * b_norm):
                 found = j + 1
                 h_rows.append(row)
                 break
@@ -155,8 +147,7 @@ def _search_output_transformation(sys):
     A, B, C = sys.A, sys.B, sys.C
     M = C @ B
     T = np.eye(p)
-    m_scale = max(spectral_norm(M), 1e-300)
-    zero_tol = MARKOV_ZERO_TOL * m_scale
+    zero_tol = TOL.markov_zero * spectral_norm(M)
     work = M.copy()
     remaining = list(range(p))
     while remaining:
@@ -212,7 +203,7 @@ class TransformSet:
                 norm = float(sv[0])
             Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
             residual = spectral_norm(M @ Minv - np.eye(M.shape[0]))
-            if residual > 1e-8 * max(1.0, norm):
+            if residual > TOL.inverse_residual * max(1.0, norm):
                 raise NumericalError(
                     f"{name} inverse residual {residual:.3e} too large")
             mats[name] = (M, Minv)
@@ -343,7 +334,8 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         T_u = T_u_expected
     else:
         T_u = as_matrix(T_u, "T_u", square=True)
-        if spectral_norm(T_u - T_u_expected) > 1e-8 * max(1.0, spectral_norm(T_u_expected)):
+        if spectral_norm(T_u - T_u_expected) > \
+                TOL.supplied_transform * max(1.0, spectral_norm(T_u_expected)):
             raise InputError(
                 "supplied T_u does not match the input transform implied by "
                 "T_y (it is determined by [C_O; C_T A] B)")
@@ -355,10 +347,11 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         if T_x.shape[0] != n:
             raise InputError(f"T_x must be {n}x{n}")
         scale = max(1.0, spectral_norm(T_x))
-        if spectral_norm(T_x[m:, :] - base) > 1e-8 * scale:
+        if spectral_norm(T_x[m:, :] - base) > TOL.supplied_transform * scale:
             raise InputError(
                 "supplied T_x rows m..n must equal [C_O; C_T; C_T A]")
-        if m and spectral_norm(T_x[:m, :] @ B) > 1e-8 * scale * max(1.0, spectral_norm(B)):
+        if m and spectral_norm(T_x[:m, :] @ B) > \
+                TOL.supplied_transform * scale * max(1.0, spectral_norm(B)):
             raise InputError("supplied T_x internal rows must annihilate B")
 
     transforms = TransformSet.build(T_y_eff, T_x, T_u)
@@ -368,10 +361,11 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     x2_rows = At[m + p1:m + p1 + p2, :]
     x2_expected = np.zeros((p2, n))
     x2_expected[:, m + p1 + p2:] = np.eye(p2)
-    if spectral_norm(x2_rows - x2_expected) > 1e-5 * scale_A:
+    if spectral_norm(x2_rows - x2_expected) > TOL.normal_form * scale_A:
         raise NumericalError(
             "normal-form structure check failed on the x2 rows")
-    if spectral_norm(Bt - normal_form_input_matrix(m, p1, p2)) > 1e-5 * max(1.0, spectral_norm(Bt)):
+    if spectral_norm(Bt - normal_form_input_matrix(m, p1, p2)) > \
+            TOL.normal_form * max(1.0, spectral_norm(Bt)):
         raise NumericalError(
             "normal-form structure check failed on the input matrix")
 
@@ -497,7 +491,7 @@ def split_zero_dynamics(nf):
         S0 = np.linalg.inv(S0_inv)
         Ad = S0 @ A00 @ S0_inv
         off = max(spectral_norm(Ad[:m_a, m_a:]), spectral_norm(Ad[m_a:, :m_a]))
-        if off > 1e-7 * scale:
+        if off > TOL.split_coupling * scale:
             raise NumericalError(
                 f"spectral split left coupling {off:.3e} between blocks")
         A_a = Ad[:m_a, :m_a]
@@ -509,7 +503,7 @@ def split_zero_dynamics(nf):
         R = linalg.sqrtm_pd(P)
         A00a = R @ A_a @ np.linalg.inv(R)
         skew_defect = spectral_norm(A00a + A00a.T)
-        if skew_defect > 1e-8 * scale:
+        if skew_defect > TOL.skew_defect * scale:
             raise NumericalError(
                 f"skew-symmetrization left defect {skew_defect:.3e}")
         A00a = (A00a - A00a.T) / 2.0

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedShapeError,
     VerdictError,
 )
-from .linalg import StabilityClass, as_matrix, spectral_norm
+from .linalg import TOL, StabilityClass, as_matrix, spectral_norm
 from .statespace import StateSpace, UncertainSystem, eval_tf, is_minimal, has_zero_at_origin
 from .structure import (
     NormalForm,
@@ -161,16 +161,14 @@ class GainSet:
 
 def _draw_h(rng, p2, m_b, Qb_sqrt, scale):
     G = rng.standard_normal((p2, m_b))
-    smax = max(spectral_norm(G), 1e-300)
-    return THETA * scale * (G / smax) @ Qb_sqrt
+    return THETA * scale * (G / spectral_norm(G)) @ Qb_sqrt
 
 
 def _draw_k13(rng, p1, p2, policy):
     G = rng.standard_normal((p1, p2))
     if policy == "orthonormal":  # p2 <= p1, by the output-strict shape gate
         return np.linalg.qr(G)[0][:, :p2]
-    smax = max(spectral_norm(G), 1e-300)
-    return np.sqrt(2.0) * THETA * G / smax
+    return np.sqrt(2.0) * THETA * G / spectral_norm(G)
 
 
 def _osni_h_shrink(eps):
@@ -186,7 +184,7 @@ def _osni_h_shrink(eps):
         return 0.0
     c = (1.0 - eps) ** 2 / den
     rem = 2.0 - eps - c
-    if rem <= 1e-12:
+    if rem <= TOL.osni_h_room:
         return 0.0
     g = eps + c + (1.0 - eps - c) ** 2 / rem
     return 1.0 / np.sqrt(g)
@@ -324,7 +322,7 @@ def _synthesize(nf, cfg, ni_class):
     if ni_class == "ssni" and m:
         resid = A00 @ Y1b + Y1b @ A00.T + corr
         if float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[-1]) > \
-                -1e-8 * spectral_norm(A00):
+                -TOL.ssni_margin * spectral_norm(A00):
             raise NumericalError("could not reach the strict Lyapunov margin")
 
     # an empty or zero-scaled draw is fixed at zero: it takes no randomness,
@@ -349,7 +347,7 @@ def _synthesize(nf, cfg, ni_class):
                 2.0 * np.eye(p1) - K13_fixed @ K13_fixed.T, "psd"):
             raise InputError("K13 violates its admissible set K13 K13^T <= 2I")
         if ni_class == "osni" and p2 and spectral_norm(
-                K13_fixed.T @ K13_fixed - np.eye(p2)) > 1e-8:
+                K13_fixed.T @ K13_fixed - np.eye(p2)) > TOL.orthonormal:
             raise InputError(
                 "output-strict synthesis requires K13 with orthonormal "
                 "columns (K13^T K13 = I)")
@@ -437,7 +435,7 @@ def _synthesize(nf, cfg, ni_class):
         Tyi = nf.transforms.T_y_inv
         R0 = np.real(eval_tf(loop, 0.0))
         dc = Tyi @ Y2 @ Tyi.T
-        if spectral_norm(R0 - dc) > 1e-8 * (1.0 + spectral_norm(dc)):
+        if spectral_norm(R0 - dc) > TOL.dc_gain * (1.0 + spectral_norm(dc)):
             raise NumericalError(
                 "closed-loop DC gain does not equal T_y^-1 Y2 T_y^-T")
 
@@ -488,9 +486,9 @@ def synthesize_ssni(nf, cfg=None):
     (relative degree {1,...,1}) with asymptotically stable internal
     dynamics, so ``m_a = 0``, and the stricter Lyapunov right-hand side
     ``Qb = I + A00^-1 A01 A01^T A00^-T / 2``.  The residual (``-I`` up to
-    rounding) must reach the strict margin ``-1e-8 ||A00||``, and the
-    delivered loop must be Hurwitz, minimal, nonsingular and of DC gain
-    ``T_y^-1 Y2 T_y^-T``.
+    rounding) must reach the strict margin ``-TOL.ssni_margin ||A00||``,
+    and the delivered loop must be Hurwitz, minimal, nonsingular and of DC
+    gain ``T_y^-1 Y2 T_y^-T``.
     """
     return _synthesize(nf, cfg or SynthesisConfig(), "ssni")
 
@@ -585,7 +583,7 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
     dc_matrix = Tyi @ blk @ Tyi.T
     dc_value = float(np.linalg.eigvalsh((dc_matrix + dc_matrix.T) / 2.0)[-1])
     dc_bound = 1.0 / usys.gamma
-    if dc_value >= dc_bound * (1.0 - 1e-12):
+    if dc_value >= dc_bound * (1.0 - TOL.dc_condition):
         raise DcGainConditionError(
             f"DC condition fails: lambda_max(T_y^-1 diag(Y2, Y3) T_y^-T) = "
             f"{dc_value:.6g} >= 1/gamma = {dc_bound:.6g}")

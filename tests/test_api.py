@@ -1,18 +1,21 @@
 """API guards.
 
-* No tolerance knobs: every tolerance is a constant at its point of use, so
-  no function or method of the library modules takes one as a defaulted
-  parameter.
+* No tolerance knobs: every tolerance is an entry of the one table
+  ``linalg.TOL``, so no function or method of the library modules takes
+  one as a defaulted parameter.
 * No private entry points: a module reaches another module only through
   its public names, so what one layer offers the others is its public API.
 * No public API without a caller: every name the package re-exports is
   used by the library, the benchmark or the tools.
 * No dead private code: every private function or class of the package
   is used somewhere in it besides its own definition.
-* One spectral-location policy: only ``linalg`` decides where an
-  eigenvalue lies and whether a matrix is singular (``EigenResult``'s
-  ``axis_tol``, ``singular`` and ``nearly_singular``); the other modules
-  read those properties.
+* One spectral-location policy: only ``linalg`` decides whether a matrix
+  is singular from its smallest singular value (``EigenResult``'s
+  ``singular`` and ``nearly_singular``); the other modules read those
+  properties.
+* One tolerance table: no float literal of magnitude at most 1e-3 or at
+  least 1e6 appears in the package outside the definition of the table
+  ``linalg.Tol`` and the Pade coefficients ``PADE_13`` and ``THETA_13``.
 """
 
 import ast
@@ -109,34 +112,41 @@ def test_every_private_definition_has_a_use():
     assert sorted(defined - used) == [], "private definitions without a use"
 
 
-def _policy_forks(tree):
-    """Lines of ``tree`` that decide a spectral location or singularity by
-    themselves: a comparison reading ``.smin``, or ``1e-8`` times an
-    expression reading ``a_norm`` or a ``norm`` attribute that is not the
-    function of a call (``np.linalg.norm(M)`` measures, it is no spectrum's
-    norm)."""
-    def reads_norm(node):
-        called = {id(n.func) for n in ast.walk(node)
-                  if isinstance(n, ast.Call)}
-        return any(isinstance(n, ast.Attribute) and id(n) not in called
-                   and n.attr in ("a_norm", "norm") for n in ast.walk(node))
-
-    hits = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare) and any(
-                isinstance(n, ast.Attribute) and n.attr == "smin"
-                for n in ast.walk(node)):
-            hits.append(node.lineno)
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            sides = (node.left, node.right)
-            if any(isinstance(n, ast.Constant) and n.value == 1e-8
-                   for n in sides) and any(map(reads_norm, sides)):
-                hits.append(node.lineno)
-    return hits
-
-
 def test_one_spectral_location_policy():
-    hits = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "linalg.py"
-            for line in _policy_forks(ast.parse(path.read_text()))]
-    assert hits == [], f"axis or singularity rules outside linalg: {hits}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and n.attr == "smin"
+                for n in ast.walk(node))]
+    assert hits == [], f"singularity rules outside linalg: {hits}"
+
+
+#: definitions whose literals are data, not tolerances
+TABLE = {"Tol", "PADE_13", "THETA_13"}
+
+
+def _tolerance_literals(tree):
+    """Lines of ``tree`` holding a nonzero float literal of magnitude at
+    most 1e-3 or at least 1e6, outside the definitions named in
+    ``TABLE``."""
+    exempt = set()
+    for node in ast.walk(tree):
+        names = [node.name] if isinstance(node, ast.ClassDef) else \
+            [t.id for t in getattr(node, "targets", ())
+             if isinstance(t, ast.Name)]
+        if TABLE.intersection(names):
+            exempt.update(map(id, ast.walk(node)))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in exempt
+                   and isinstance(node, ast.Constant)
+                   and type(node.value) is float and node.value
+                   and not 1e-3 < abs(node.value) < 1e6})
+
+
+def test_one_tolerance_table():
+    hits = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for line in _tolerance_literals(ast.parse(path.read_text()))]
+    assert hits == [], f"tolerance literals outside linalg.Tol on " \
+        f"{len(hits)} lines: {hits}"

@@ -839,6 +839,30 @@ class TestVerifyCertificate:
         verdict, _ = verify_certificate(hidden, "ssni", np.eye(2))
         assert not any("uncontrollable" in n for n in verdict.notes)
 
+    @pytest.mark.parametrize("d, holds", [(4e-9, True), (6e-9, False)])
+    def test_one_feedthrough_symmetry_rule(self, d, holds):
+        # ||D - D^T||_2 = 2 d: the two routes read one absolute rule,
+        # 1e-8; the certificate route used to fail 4e-9 at 1e-10 (1 + ||D||)
+        sys = StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
+                         D=[[0.0, d], [-d, 0.0]])
+        assert classify_freq(sys, "ni").holds is holds
+        verdict, _ = verify_certificate(sys, "ni", np.eye(2))
+        assert verdict.holds is holds
+        assert ("feedthrough matrix is not symmetric" in verdict.notes) \
+            is not holds
+
+    def test_one_scale_invariant_pd_rule(self):
+        # Y = 1e-16 I is positive definite for definiteness, and the
+        # certificate route reads the same rule; it used to add an
+        # absolute 1 to the scale and reject Y
+        sys = StateSpace(A=-np.eye(2), B=1e-16 * np.eye(2), C=np.eye(2))
+        Y = 1e-16 * np.eye(2)
+        assert classify_freq(sys, "ni").holds
+        assert linalg.definiteness(Y, "pd")
+        verdict, cert = verify_certificate(sys, "ni", Y)
+        assert verdict.holds, verdict.notes
+        assert cert.pd_margin == 1e-16
+
     def test_sni_not_supported(self):
         with pytest.raises(InputError):
             verify_certificate(first_order_lag(), "sni", [[1.0]])

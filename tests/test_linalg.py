@@ -196,6 +196,33 @@ class TestDefiniteness:
         with pytest.raises(AsymmetricMatrixError):
             linalg.definiteness([[1.0, 5.0], [0.0, 1.0]], "pd")
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_one_scale_invariant_floor(self, scale):
+        # the floor is 2 eps max|lambda| = 4.4e-16 relative at any scale,
+        # and definiteness and sqrtm_pd draw the same line
+        above = scale * np.diag([1.0, 5e-16])
+        below = scale * np.diag([1.0, 4e-16])
+        assert linalg.definiteness(above, "pd")
+        assert linalg.sqrtm_pd(above)[1, 1] > 0
+        assert not linalg.definiteness(below, "pd")
+        with pytest.raises(NotPositiveDefiniteError):
+            linalg.sqrtm_pd(below)
+        assert linalg.definiteness(scale * np.diag([1.0, -4e-16]), "psd")
+        assert not linalg.definiteness(scale * np.diag([1.0, -5e-16]), "psd")
+
+    def test_hermitian_defect_rule(self):
+        # ||M - M*||_2 within 1e-8 max(1, ||M||_2), for symmetrize and the
+        # residue test alike; an exactly Hermitian M takes no SVD
+        assert linalg.hermitian_defect(np.array([[1.0, 2.0], [2.0, 1.0]])) \
+            == (0.0, True)
+        defect, within = linalg.hermitian_defect(
+            np.array([[1e3, 4e-6], [0.0, 1e3]]))
+        assert within and np.isclose(defect, 4e-6)
+        M = np.array([[1.0, 2e-8], [0.0, 1.0]])
+        assert not linalg.hermitian_defect(M)[1]
+        with pytest.raises(AsymmetricMatrixError):
+            linalg.symmetrize(M)
+
 
 def double_loop_cluster(values, radius):
     """The pair loop ``_cluster`` used to run, kept as its reference."""
