@@ -2,8 +2,9 @@
 
 Everything here works on plain ``numpy`` arrays at desk scale (n up to a
 few dozen).  All routines are pure functions of their arguments with no
-global state; the one cache is an ``EigenResult``'s left eigenvectors,
-computed from its own right eigenvectors on first use.
+global state.  An ``EigenResult`` caches what is derived from its own
+eigenvectors, each computed on first use: the left eigenvectors and the
+norms of the left and right ones.
 
 Conventions
 -----------
@@ -13,6 +14,9 @@ Conventions
   residual gate, is vectorized to an n^2 x n^2 linear system instead.
 * Every tolerance of the package is an entry of the one table ``TOL``,
   never a parameter; ``EigenResult`` applies the spectral ones.
+* A gate ``||X||_2 <= limit`` whose limit is known to be at least some
+  ``low`` passes without the SVD when ``frobenius_clears(X, low)``; only
+  otherwise is ``spectral_norm`` taken, so every verdict is the SVD's.
 """
 
 from __future__ import annotations
@@ -196,6 +200,15 @@ def spectral_norm(A):
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
+def frobenius_clears(X, low):
+    """True when ``||X||_F <= low / 2``: since ``||X||_2 <= ||X||_F``
+    (Golub & Van Loan, *Matrix Computations*, 2.3), a gate ``||X||_2 <=
+    limit`` with ``limit >= low`` then passes without the SVD.  The factor
+    1/2 leaves room for the rounding of both norms and of the limit, so
+    the gate's verdict is the one ``spectral_norm`` would give."""
+    return float(np.linalg.norm(X)) <= low / 2.0
+
+
 class StabilityClass(Enum):
     HURWITZ = "hurwitz"
     LYAPUNOV_STABLE = "lyapunov-stable"
@@ -212,7 +225,9 @@ class EigenResult:
     ``smin`` are the largest and smallest singular values of the decomposed
     matrix, from one SVD.  ``left`` holds the left eigenvectors, computed
     once on first use when the eigenbasis is trusted; the hot paths that
-    work in the eigenbasis key on it.
+    work in the eigenbasis key on it.  ``right_norms`` and ``left_norms``
+    cache the Euclidean norms of the columns of ``vectors`` and of the
+    rows of ``left``.
     """
 
     values: np.ndarray
@@ -280,6 +295,17 @@ class EigenResult:
         s = np.linalg.svd(V, compute_uv=False)
         return W if s[0] <= TOL.eigenbasis * s[-1] else None
 
+    @cached_property
+    def right_norms(self):
+        """``||vectors[:, k]||`` for each ``k``."""
+        return np.linalg.norm(self.vectors, axis=0)
+
+    @cached_property
+    def left_norms(self):
+        """``||left[k]||`` for each ``k``; None when ``left`` is."""
+        W = self.left
+        return None if W is None else np.linalg.norm(W, axis=1)
+
 
 def _cluster(values, radius):
     """Group eigenvalues into clusters of radius ``radius``.
@@ -287,14 +313,10 @@ def _cluster(values, radius):
     Returns a list of index arrays.  Greedy sweep over the sorted values:
     the first value not yet taken opens a cluster of every untaken value
     within ``radius`` of it, listed in sweep order.  Adequate for the
-    well-separated spectra handled here.  When no two values are within
-    ``radius`` (the common case), the clusters are the singletons in
-    sweep order, returned without the sweep.
+    well-separated spectra handled here.
     """
     order = np.lexsort((values.imag, values.real))
     close = np.abs(values[:, None] - values[None, :]) <= radius
-    if np.count_nonzero(close) == len(values) and close.diagonal().all():
-        return list(order[:, None])
     clusters = []
     free = np.ones(len(values), dtype=bool)
     for idx in order:
@@ -332,7 +354,12 @@ def eig(A):
     norm, smin = float(sv[0]), float(sv[-1])
     alg = np.ones(n, dtype=int)
     geo = np.ones(n, dtype=int)
-    for members in _cluster(values, TOL.cluster * norm):
+    radius = TOL.cluster * norm
+    if np.count_nonzero(np.abs(values[:, None] - values) <= radius) == n:
+        # no two eigenvalues within the radius (the common case): every
+        # cluster is a singleton, and the sweep is not needed
+        return EigenResult(values, vectors, alg, geo, norm, smin)
+    for members in _cluster(values, radius):
         if len(members) == 1:
             continue
         mu = values[members].mean()
@@ -453,8 +480,18 @@ def solve_lyapunov(A, Q):
 
 
 def _lyapunov_residual(A, P, Q, a_norm):
-    """Residual ``||A^T P + P A + Q||_2`` and the bound it must meet."""
-    residual = spectral_norm(A.T @ P + P @ A + Q)
+    """Residual ``||A^T P + P A + Q||_2`` and the bound ``TOL.lyapunov_residual
+    (||A||_2 ||P||_2 + ||Q||_2)`` it must meet.  No entry of a matrix
+    exceeds its 2-norm, so the bound with the largest entries of ``P`` and
+    ``Q`` is a lower one; when ``frobenius_clears`` decides the gate with
+    it, the pair is ``(||R||_F, low / 2)``, which meets the gate as well,
+    and no SVD is taken."""
+    R = A.T @ P + P @ A + Q
+    low = TOL.lyapunov_residual * (a_norm * np.abs(P).max()
+                                   + np.abs(Q).max())
+    if frobenius_clears(R, low):
+        return float(np.linalg.norm(R)), low / 2.0
+    residual = spectral_norm(R)
     bound = TOL.lyapunov_residual * (a_norm * spectral_norm(P)
                                      + spectral_norm(Q))
     return residual, bound
@@ -482,13 +519,16 @@ def kernel_pd_solution(A):
             f"spectrum not purely imaginary: eigenvalue {worst}")
     if not res.semisimple:
         raise SpectrumError("defective purely imaginary eigenvalue")
-    U = res.vectors / np.linalg.norm(res.vectors, axis=0, keepdims=True)
+    U = res.vectors / res.right_norms
     P = np.real(U @ U.conj().T)
     P = (P + P.T) / 2.0
-    residual = spectral_norm(A.T @ P + P @ A)
-    if residual > TOL.kernel_residual * scale * spectral_norm(P):
-        raise NumericalError(
-            f"kernel solution residual {residual:.3e} too large")
+    R = A.T @ P + P @ A
+    # the largest entry of P bounds ||P||_2 from below
+    if not frobenius_clears(R, TOL.kernel_residual * scale * np.abs(P).max()):
+        residual = spectral_norm(R)
+        if residual > TOL.kernel_residual * scale * spectral_norm(P):
+            raise NumericalError(
+                f"kernel solution residual {residual:.3e} too large")
     lam = np.linalg.eigvalsh(P)
     if lam[0] <= pd_floor(lam):
         raise NumericalError("kernel solution is not positive definite")
@@ -584,8 +624,7 @@ def pbh_failures(A, M, mode, spectrum):
     V, W = spectrum.vectors, spectrum.left
     screened = np.zeros(n, dtype=bool)
     if W is not None:
-        w_norm = np.linalg.norm(W, axis=1)
-        v_norm = np.linalg.norm(V, axis=0)
+        w_norm, v_norm = spectrum.left_norms, spectrum.right_norms
         if mode == "controllable":
             reach = np.linalg.norm(W @ M, axis=1) / w_norm
         else:
@@ -593,6 +632,8 @@ def pbh_failures(A, M, mode, spectrum):
         scale = spectrum.norm + np.linalg.norm(M)
         bound = TOL.pbh_screen * w_norm * v_norm * scale
         screened = (spectrum.algebraic == 1) & (reach > bound)
+        if screened.all():
+            return failed
     eye = np.eye(n)
     for k in np.flatnonzero(~screened):
         shifted = spectrum.values[k] * eye - A

@@ -9,10 +9,13 @@ The JSON schema for a system is::
 ``D`` and ``name`` are optional; ``D`` defaults to zero.  Matrices are
 row-major lists of lists and are validated for rectangularity on load.
 
-A ``StateSpace`` holds read-only copies of its matrices and caches the
-spectrum of ``A``, which records ``||A||_2`` too and, once asked, its left
-eigenvectors, and the modal factors ``C V`` and ``V^{-1} B`` that
-``eval_tf`` works from; the functions keep no other state.
+A ``StateSpace`` holds read-only copies of its matrices and caches, each
+on first use, what is a fact of the system alone: the spectrum of ``A``
+(which records ``||A||_2`` too and, once asked, its left eigenvectors and
+the eigenvector norms), the modal factors ``C V`` and ``V^{-1} B`` that
+``eval_tf`` works from, and the PBH witnesses of controllability and
+observability that ``is_minimal`` reads.  The functions keep no state of
+their own.
 """
 
 from __future__ import annotations
@@ -87,6 +90,20 @@ class StateSpace:
         if W is None:
             return None
         return self.C @ self.spectrum.vectors, W @ self.B
+
+    @cached_property
+    def uncontrollable_mode(self):
+        """``linalg.pbh_witness`` of ``(A, B)``: the first eigenvalue at
+        which the PBH controllability test fails, or None; computed once
+        per system."""
+        return linalg.pbh_witness(self.A, self.B, "controllable",
+                                  self.spectrum)
+
+    @cached_property
+    def unobservable_mode(self):
+        """``linalg.pbh_witness`` of ``(A, C)`` for observability, computed
+        once per system."""
+        return linalg.pbh_witness(self.A, self.C, "observable", self.spectrum)
 
     @property
     def a_norm(self):
@@ -229,12 +246,10 @@ class Minimality:
 
 
 def is_minimal(sys):
-    """PBH controllability/observability of the realization."""
-    return Minimality(
-        controllable=linalg.pbh_witness(sys.A, sys.B, "controllable",
-                                        sys.spectrum) is None,
-        observable=linalg.pbh_witness(sys.A, sys.C, "observable",
-                                      sys.spectrum) is None)
+    """PBH controllability/observability of the realization, from the
+    system's cached witnesses."""
+    return Minimality(controllable=sys.uncontrollable_mode is None,
+                      observable=sys.unobservable_mode is None)
 
 
 def has_zero_at_origin(sys):
@@ -243,8 +258,11 @@ def has_zero_at_origin(sys):
     Tests ``rank [[A, B], [C, D]] < n + p`` for a square system.
     """
     p = sys.require_square("zero-at-origin test")
-    pencil = np.block([[sys.A, sys.B], [sys.C, sys.D]])
-    return linalg.rank(pencil) < sys.n + p
+    n = sys.n
+    pencil = np.empty((n + p, n + p))
+    pencil[:n, :n], pencil[:n, n:] = sys.A, sys.B
+    pencil[n:, :n], pencil[n:, n:] = sys.C, sys.D
+    return linalg.rank(pencil) < n + p
 
 
 def interconnect_positive_feedback(plant, delta):

@@ -69,15 +69,19 @@ def relative_degree_vector(sys):
     Requires ``rank(B) = rank(C) = p``.  The search per row is capped at
     ``n``.  The result is FULL when the stacked ``H`` has independent rows,
     LIRD_ONLY when only the equal-degree row groups of ``H`` do, and NONE
-    otherwise (including rows whose Markov parameters all vanish).
+    otherwise (including rows whose Markov parameters all vanish).  Raises
+    ``NumericalError`` naming the output when a Markov parameter or its
+    threshold overflows before the row's degree is found.
     """
     p = sys.require_square("relative-degree analysis")
     A, B, C = sys.A, sys.B, sys.C
-    if linalg.rank(B) != p or linalg.rank(C) != p:
+    # rank(B) and ||B||_2 from one SVD
+    sv_b = np.linalg.svd(B, compute_uv=False) if B.size else np.zeros(1)
+    if linalg.sv_rank(sv_b, B.shape) != p or linalg.rank(C) != p:
         raise InputError("relative-degree analysis requires rank(B) = rank(C) = p")
     n = sys.n
     a_norm = spectral_norm(A)
-    b_norm = spectral_norm(B)
+    b_norm = float(sv_b[0])
     powers = [np.eye(n)]  # A^j, extended when a row's search reaches j
     degrees = []
     h_rows = []
@@ -87,11 +91,21 @@ def relative_degree_vector(sys):
         c_norm = float(np.linalg.norm(ci))
         found = None
         for j in range(n):
-            if j == len(powers):
-                powers.append(powers[-1] @ A)
-            row = ci @ powers[j] @ B
-            if float(np.linalg.norm(row)) > \
-                    TOL.markov_zero * (c_norm * a_norm ** j * b_norm):
+            # an overflow shows as a non-finite row or threshold
+            with np.errstate(over="ignore", invalid="ignore"):
+                if j == len(powers):
+                    powers.append(powers[-1] @ A)
+                row = ci @ powers[j] @ B
+                row_norm = float(np.linalg.norm(row))
+            try:
+                threshold = TOL.markov_zero * (c_norm * a_norm ** j * b_norm)
+            except OverflowError:
+                threshold = np.inf
+            if not np.isfinite(row_norm) or not np.isfinite(threshold):
+                raise NumericalError(
+                    f"output {i}: the Markov parameter C_{i} A^{j} B or its "
+                    "zero threshold overflows")
+            if row_norm > threshold:
                 found = j + 1
                 h_rows.append(row)
                 break
@@ -137,8 +151,7 @@ def _search_output_transformation(sys):
     of the original outputs too, after that of the transformed ones."""
     p = sys.require_square("output-transformation search")
     original = relative_degree_vector(sys)
-    if linalg.pbh_witness(sys.A, sys.B, "controllable",
-                          sys.spectrum) is not None:
+    if sys.uncontrollable_mode is not None:
         raise NotControllableError(
             "output-transformation search requires a controllable system")
     if original.kind is RdKind.FULL and original.max_degree <= 2:
@@ -202,10 +215,13 @@ class TransformSet:
                     raise InputError(f"{name} is singular")
                 norm = float(sv[0])
             Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
-            residual = spectral_norm(M @ Minv - np.eye(M.shape[0]))
-            if residual > TOL.inverse_residual * max(1.0, norm):
-                raise NumericalError(
-                    f"{name} inverse residual {residual:.3e} too large")
+            defect = M @ Minv - np.eye(M.shape[0])
+            limit = TOL.inverse_residual * max(1.0, norm)
+            if not linalg.frobenius_clears(defect, limit):
+                residual = spectral_norm(defect)
+                if residual > limit:
+                    raise NumericalError(
+                        f"{name} inverse residual {residual:.3e} too large")
             mats[name] = (M, Minv)
         return cls(T_y=mats["T_y"][0], T_x=mats["T_x"][0], T_u=mats["T_u"][0],
                    T_y_inv=mats["T_y"][1], T_x_inv=mats["T_x"][1],
@@ -334,8 +350,12 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         T_u = T_u_expected
     else:
         T_u = as_matrix(T_u, "T_u", square=True)
-        if spectral_norm(T_u - T_u_expected) > \
-                TOL.supplied_transform * max(1.0, spectral_norm(T_u_expected)):
+        # this limit and those of T_x are TOL.supplied_transform times at
+        # least 1: frobenius_clears passes them without the SVDs
+        defect = T_u - T_u_expected
+        if not linalg.frobenius_clears(defect, TOL.supplied_transform) and \
+                spectral_norm(defect) > TOL.supplied_transform * max(
+                    1.0, spectral_norm(T_u_expected)):
             raise InputError(
                 "supplied T_u does not match the input transform implied by "
                 "T_y (it is determined by [C_O; C_T A] B)")
@@ -346,25 +366,33 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         T_x = as_matrix(T_x, "T_x", square=True)
         if T_x.shape[0] != n:
             raise InputError(f"T_x must be {n}x{n}")
-        scale = max(1.0, spectral_norm(T_x))
-        if spectral_norm(T_x[m:, :] - base) > TOL.supplied_transform * scale:
-            raise InputError(
-                "supplied T_x rows m..n must equal [C_O; C_T; C_T A]")
-        if m and spectral_norm(T_x[:m, :] @ B) > \
-                TOL.supplied_transform * scale * max(1.0, spectral_norm(B)):
-            raise InputError("supplied T_x internal rows must annihilate B")
+        defect, leak = T_x[m:, :] - base, T_x[:m, :] @ B
+        if not (linalg.frobenius_clears(defect, TOL.supplied_transform)
+                and linalg.frobenius_clears(leak, TOL.supplied_transform)):
+            scale = max(1.0, spectral_norm(T_x))
+            if spectral_norm(defect) > TOL.supplied_transform * scale:
+                raise InputError(
+                    "supplied T_x rows m..n must equal [C_O; C_T; C_T A]")
+            if m and spectral_norm(leak) > \
+                    TOL.supplied_transform * scale * max(1.0, spectral_norm(B)):
+                raise InputError(
+                    "supplied T_x internal rows must annihilate B")
 
     transforms = TransformSet.build(T_y_eff, T_x, T_u)
     At = transforms.T_x @ A @ transforms.T_x_inv
     Bt = transforms.T_x @ B @ transforms.T_u_inv
-    scale_A = max(1.0, spectral_norm(At))
-    x2_rows = At[m + p1:m + p1 + p2, :]
-    x2_expected = np.zeros((p2, n))
-    x2_expected[:, m + p1 + p2:] = np.eye(p2)
-    if spectral_norm(x2_rows - x2_expected) > TOL.normal_form * scale_A:
+    # each defect's limit TOL.normal_form max(1, norm) is at least
+    # TOL.normal_form: frobenius_clears passes it without the SVDs
+    x2_defect = At[m + p1:m + p1 + p2, :].copy()
+    x2_defect[:, m + p1 + p2:] -= np.eye(p2)
+    if not linalg.frobenius_clears(x2_defect, TOL.normal_form) and \
+            spectral_norm(x2_defect) > \
+            TOL.normal_form * max(1.0, spectral_norm(At)):
         raise NumericalError(
             "normal-form structure check failed on the x2 rows")
-    if spectral_norm(Bt - normal_form_input_matrix(m, p1, p2)) > \
+    b_defect = Bt - normal_form_input_matrix(m, p1, p2)
+    if not linalg.frobenius_clears(b_defect, TOL.normal_form) and \
+            spectral_norm(b_defect) > \
             TOL.normal_form * max(1.0, spectral_norm(Bt)):
         raise NumericalError(
             "normal-form structure check failed on the input matrix")
@@ -490,10 +518,14 @@ def split_zero_dynamics(nf):
             raise NumericalError("invariant-subspace basis is singular")
         S0 = np.linalg.inv(S0_inv)
         Ad = S0 @ A00 @ S0_inv
-        off = max(spectral_norm(Ad[:m_a, m_a:]), spectral_norm(Ad[m_a:, :m_a]))
-        if off > TOL.split_coupling * scale:
-            raise NumericalError(
-                f"spectral split left coupling {off:.3e} between blocks")
+        limit = TOL.split_coupling * scale
+        if not (linalg.frobenius_clears(Ad[:m_a, m_a:], limit)
+                and linalg.frobenius_clears(Ad[m_a:, :m_a], limit)):
+            off = max(spectral_norm(Ad[:m_a, m_a:]),
+                      spectral_norm(Ad[m_a:, :m_a]))
+            if off > limit:
+                raise NumericalError(
+                    f"spectral split left coupling {off:.3e} between blocks")
         A_a = Ad[:m_a, :m_a]
         A00b = Ad[m_a:, m_a:]
         try:
@@ -502,10 +534,12 @@ def split_zero_dynamics(nf):
             raise NumericalError(f"internal dynamics: {exc}") from exc
         R = linalg.sqrtm_pd(P)
         A00a = R @ A_a @ np.linalg.inv(R)
-        skew_defect = spectral_norm(A00a + A00a.T)
-        if skew_defect > TOL.skew_defect * scale:
-            raise NumericalError(
-                f"skew-symmetrization left defect {skew_defect:.3e}")
+        limit = TOL.skew_defect * scale
+        if not linalg.frobenius_clears(A00a + A00a.T, limit):
+            skew_defect = spectral_norm(A00a + A00a.T)
+            if skew_defect > limit:
+                raise NumericalError(
+                    f"skew-symmetrization left defect {skew_defect:.3e}")
         A00a = (A00a - A00a.T) / 2.0
         Sa = np.zeros((m, m))
         Sa[:m_a, :m_a] = R

@@ -191,7 +191,19 @@ def _osni_h_shrink(eps):
 
 
 def _block(rows):
-    return np.vstack([np.hstack(r) for r in rows])
+    """``np.block(rows)`` for a grid of 2-D float blocks, filled into one
+    preallocated array."""
+    heights = [row[0].shape[0] for row in rows]
+    widths = [blk.shape[1] for blk in rows[0]]
+    out = np.empty((sum(heights), sum(widths)))
+    top = 0
+    for row, h in zip(rows, heights):
+        left = 0
+        for blk, w in zip(row, widths):
+            out[top:top + h, left:left + w] = blk
+            left += w
+        top += h
+    return out
 
 
 def _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3):

@@ -110,6 +110,18 @@ class TestAnalyze:
         assert code == 3
         assert rep["error"]["kind"] == "numerical-failure"
 
+    def test_markov_overflow_exits_three(self, capsys, tmp_path):
+        # C B = C A B = 0, and ||A||^2 = 1e320 overflows: the relative
+        # degree is undecided, not a verdict, and no warning escapes
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "A": [[-1e160, 0, 0], [0, -1, 0], [0, 0, -2]],
+            "B": [[0], [0], [1]], "C": [[0, 1, 0]]}))
+        code, rep = run_cli(capsys, "analyze", str(path))
+        assert code == 3
+        assert rep["error"]["type"] == "NumericalError"
+        assert rep["error"]["message"].startswith("output 0:")
+
 
 class TestSynthesize:
     def test_deterministic_gain_payload(self, capsys, plant_path):

@@ -160,6 +160,30 @@ class TestTrustGate:
             assert res.left is None
 
 
+class TestEigenvectorNorms:
+    """``right_norms`` and ``left_norms`` are the column norms of
+    ``vectors`` and the row norms of ``left``, bit for bit, computed once."""
+
+    def test_equal_fresh_norms_bit_for_bit(self):
+        rng = np.random.default_rng(73)
+        for n in (1, 2, 5, 12, 26):
+            res = linalg.eig(rng.standard_normal((n, n)))
+            assert res.left is not None
+            assert res.right_norms.tobytes() == \
+                np.linalg.norm(res.vectors, axis=0).tobytes()
+            assert res.left_norms.tobytes() == \
+                np.linalg.norm(res.left, axis=1).tobytes()
+            assert res.right_norms is res.right_norms
+            assert res.left_norms is res.left_norms
+
+    @pytest.mark.parametrize("name", sorted(UNTRUSTED_EIGENBASES))
+    def test_untrusted_eigenbasis_has_no_left_norms(self, name):
+        res = linalg.eig(UNTRUSTED_EIGENBASES[name])
+        assert res.left is None and res.left_norms is None
+        assert res.right_norms.tobytes() == \
+            np.linalg.norm(res.vectors, axis=0).tobytes()
+
+
 class TestRank:
     def test_singular_product(self):
         assert linalg.rank([[1.0, 0.0], [1.0, 0.0]]) == 1

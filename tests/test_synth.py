@@ -539,6 +539,26 @@ class TestRobustStabilize:
         v, _ = verify_certificate(res.nominal_closed, "ni", res.Y_original)
         assert v.holds, v.notes
 
+    def test_one_pbh_test_per_system_and_mode(self, monkeypatch, demo_plant):
+        # the plant's witnesses are cached: is_minimal and the T_y search
+        # read one controllability test, and no pair is tested twice
+        plant = StateSpace(A=demo_plant.A, B=demo_plant.B, C=demo_plant.C)
+        pbh_witness = linalg.pbh_witness
+        calls = {}
+
+        def counting(A, M, mode, spectrum):
+            key = (np.asarray(A).tobytes(), np.asarray(M).tobytes(), mode)
+            calls[key] = calls.get(key, 0) + 1
+            return pbh_witness(A, M, mode, spectrum)
+
+        monkeypatch.setattr(linalg, "pbh_witness", counting)
+        robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
+        assert calls[(plant.A.tobytes(), plant.B.tobytes(),
+                      "controllable")] == 1
+        assert calls[(plant.A.tobytes(), plant.C.tobytes(),
+                      "observable")] == 1
+        assert len(calls) >= 4 and set(calls.values()) == {1}
+
     def test_stabilized_loop_under_sampled_uncertainty(self, demo_plant,
                                                        demo_uncertainty):
         from nisynth.statespace import interconnect_positive_feedback
