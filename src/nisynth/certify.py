@@ -411,12 +411,16 @@ def classify_freq(sys, ni_class, eps=None):
             signed, what, superset = _candidates(sys, ni_class, eps, exact)
             if len(axis_poles):
                 signed = signed[~near_pole(sys, 1j * np.abs(signed))]
-            # candidates within TOL.crossing_merge of each other, relative,
-            # are one: the copies of a multiple crossing bound no interval
+            # a candidate within TOL.crossing_merge, relative, of the last
+            # one kept is that one: the copies of a multiple crossing bound
+            # no interval, and no chain of copies drops a farther candidate
             signed = signed[np.argsort(np.abs(signed), kind="stable")]
-            apart = np.diff(np.abs(signed)) > \
-                TOL.crossing_merge * np.abs(signed[1:])
-            signed = signed[np.concatenate([[True], apart])[:len(signed)]]
+            keep, last = [], -np.inf
+            for k, w in enumerate(np.abs(signed).tolist()):
+                if w - last > TOL.crossing_merge * w:
+                    keep.append(k)
+                    last = w
+            signed = signed[keep]
         omegas = _decision_points(sys, np.abs(signed), axis_poles)
         margins = np.zeros(len(omegas))
         if p:
@@ -531,9 +535,7 @@ def verify_certificate(sys, ni_class, Y, eps=None):
             holds = False
             notes.append("A is singular (certificate-test hypothesis det(A) != 0)")
     else:  # ssni
-        hidden = linalg.pbh_failures(sys.A, sys.B, "controllable",
-                                     sys.spectrum) & \
-            ~linalg.pbh_failures(sys.A, sys.C, "observable", sys.spectrum)
+        hidden = sys.controllability_failures & ~sys.observability_failures
         if hidden.any():
             holds = False
             notes.append(

@@ -12,6 +12,10 @@ Conventions
   ``A`` (no Schur machinery).  A matrix whose eigenbasis is not trusted
   (``EigenResult.left`` is None), or whose eigenbasis solution misses the
   residual gate, is vectorized to an n^2 x n^2 linear system instead.
+* A caller that holds a matrix's eigen-data passes it as an ``EigenResult``
+  (``pbh_failures``, ``solve_lyapunov``, ``kernel_pd_solution``);
+  ``carried_spectrum`` builds one for a block of a similarity from the
+  eigenvectors of the matrix it came from, so the block is not decomposed.
 * Every tolerance of the package is an entry of the one table ``TOL``,
   never a parameter; ``EigenResult`` applies the spectral ones.
 * A gate ``||X||_2 <= limit`` whose limit is known to be at least some
@@ -307,6 +311,31 @@ class EigenResult:
         return None if W is None else np.linalg.norm(W, axis=1)
 
 
+def carried_spectrum(res, keep, vectors, block, left=None):
+    """``eig(block)`` from eigen-data already held: ``block`` is similar
+    to the restriction of the matrix ``res = eig(.)`` decomposed to the
+    invariant subspace of its eigenvalues ``keep`` (a boolean mask), and
+    ``vectors`` are their eigenvectors carried to ``block`` by that
+    similarity, column ``k`` that of ``res.values[keep][k]`` (Golub & Van
+    Loan, *Matrix Computations*, ch. 7).  The values and multiplicities
+    are those of ``res``; ``norm`` and ``smin`` come from the SVD of
+    ``block``, or are those of ``res`` when ``block`` is None (the block
+    is that matrix itself, or its transpose).  ``left``, when given, is
+    taken as ``vectors^{-1}``; otherwise it is computed on first use, as
+    for ``eig``."""
+    if block is None:
+        norm, smin = res.norm, res.smin
+    else:
+        sv = np.linalg.svd(block, compute_uv=False)
+        norm, smin = float(sv[0]), float(sv[-1])
+    out = EigenResult(res.values[keep], vectors, res.algebraic[keep],
+                      res.geometric[keep], norm, smin)
+    if left is not None:
+        # the cached_property's slot: a frozen dataclass refuses setattr
+        out.__dict__["left"] = left
+    return out
+
+
 def _cluster(values, radius):
     """Group eigenvalues into clusters of radius ``radius``.
 
@@ -430,15 +459,17 @@ def definiteness(M, mode):
     return bool(lam[0] >= -pd_floor(lam))
 
 
-def solve_lyapunov(A, Q):
+def solve_lyapunov(A, Q, spectrum=None):
     """Solve ``A^T P + P A = -Q`` for symmetric ``Q``.
 
     In the eigenbasis ``A = V diag(lambda) W`` with ``W = V^{-1}``, the
     equation decouples: ``X = -(V^T Q V) / (lambda_i + lambda_j)``
-    entrywise and ``P = Re(W^T X W)``, O(n^3) from one ``eig(A)``.  When
-    that eigenbasis is not trusted (``EigenResult.left`` is None) or the
-    residual gate rejects its ``P``, the equation is vectorized into an
-    n^2 x n^2 dense system instead.  Raises
+    entrywise and ``P = Re(W^T X W)``, O(n^3) from one ``eig(A)``, or
+    none when the caller passes ``spectrum``, an ``EigenResult`` of ``A``
+    (``carried_spectrum``).  When that eigenbasis is not trusted
+    (``EigenResult.left`` is None) or the residual gate rejects its ``P``,
+    the equation is vectorized into an n^2 x n^2 dense system instead.
+    Raises
     ``SingularLyapunovOperatorError`` when ``spec(A)`` and ``spec(-A^T)``
     intersect (an eigenvalue pair sums to zero), and ``NumericalError``
     when neither route meets the residual gate.
@@ -450,7 +481,7 @@ def solve_lyapunov(A, Q):
         raise InputError("A and Q must have matching dimensions")
     if n == 0:
         return np.zeros((0, 0))
-    res = eig(A)
+    res = eig(A) if spectrum is None else spectrum
     vals = res.values
     scale = 1.0 + float(np.abs(vals).max())
     pair_sums = vals[:, None] + vals[None, :]
@@ -497,21 +528,22 @@ def _lyapunov_residual(A, P, Q, a_norm):
     return residual, bound
 
 
-def kernel_pd_solution(A):
+def kernel_pd_solution(A, spectrum=None):
     """Positive definite ``P`` with ``A^T P + P A = 0``.
 
     Requires every eigenvalue of ``A`` purely imaginary and semisimple,
     which is checked on the spectrum of ``A^T`` (in exact arithmetic the
     same eigenvalues with the same multiplicities; the computed ones can
-    differ from those of ``A`` at rounding level).  ``P`` is assembled as ``sum Re(u u*)`` over
-    a complete set of unit eigenvectors of ``A^T`` (each term solves the
-    equation individually because ``A^T u = conj(lambda) u`` and
-    ``Re lambda = 0``).
+    differ from those of ``A`` at rounding level): ``spectrum`` when the
+    caller passes it (``carried_spectrum``), else ``eig(A^T)``.  ``P`` is
+    assembled as ``sum Re(u u*)`` over a complete set of unit eigenvectors
+    of ``A^T`` (each term solves the equation individually because ``A^T
+    u = conj(lambda) u`` and ``Re lambda = 0``).
     """
     A = as_matrix(A, "A", square=True)
     if A.size == 0:
         return np.zeros((0, 0))
-    res = eig(A.T)
+    res = eig(A.T) if spectrum is None else spectrum
     scale = 1.0 + res.norm
     if np.any(np.abs(res.values.real) > TOL.kernel_axis * scale):
         worst = res.values[np.argmax(np.abs(res.values.real))]
@@ -647,7 +679,12 @@ def pbh_witness(A, M, mode, spectrum):
     """First eigenvalue of ``spectrum = eig(A)`` failing the PBH rank
     test of ``pbh_failures``, or None when the pair passes at all of them
     (controllable or observable)."""
-    failed = pbh_failures(A, M, mode, spectrum)
+    return first_failure(spectrum, pbh_failures(A, M, mode, spectrum))
+
+
+def first_failure(spectrum, failed):
+    """The first of ``spectrum.values`` where the boolean array ``failed``
+    holds, or None when it holds nowhere."""
     return complex(spectrum.values[np.argmax(failed)]) if failed.any() \
         else None
 

@@ -13,8 +13,9 @@ A ``StateSpace`` holds read-only copies of its matrices and caches, each
 on first use, what is a fact of the system alone: the spectrum of ``A``
 (which records ``||A||_2`` too and, once asked, its left eigenvectors and
 the eigenvector norms), the modal factors ``C V`` and ``V^{-1} B`` that
-``eval_tf`` works from, and the PBH witnesses of controllability and
-observability that ``is_minimal`` reads.  The functions keep no state of
+``eval_tf`` works from, and the PBH failure arrays of controllability and
+observability, from which ``is_minimal`` and the strong-class certificate
+test read their witnesses and hidden modes.  The functions keep no state of
 their own.
 """
 
@@ -92,18 +93,32 @@ class StateSpace:
         return self.C @ self.spectrum.vectors, W @ self.B
 
     @cached_property
-    def uncontrollable_mode(self):
-        """``linalg.pbh_witness`` of ``(A, B)``: the first eigenvalue at
-        which the PBH controllability test fails, or None; computed once
-        per system."""
-        return linalg.pbh_witness(self.A, self.B, "controllable",
-                                  self.spectrum)
+    def controllability_failures(self):
+        """``linalg.pbh_failures`` of ``(A, B)``, over ``spectrum.values``;
+        computed once per system."""
+        return linalg.pbh_failures(self.A, self.B, "controllable",
+                                   self.spectrum)
 
     @cached_property
-    def unobservable_mode(self):
-        """``linalg.pbh_witness`` of ``(A, C)`` for observability, computed
+    def observability_failures(self):
+        """``linalg.pbh_failures`` of ``(A, C)`` for observability, computed
         once per system."""
-        return linalg.pbh_witness(self.A, self.C, "observable", self.spectrum)
+        return linalg.pbh_failures(self.A, self.C, "observable",
+                                   self.spectrum)
+
+    @property
+    def uncontrollable_mode(self):
+        """The first eigenvalue at which the PBH controllability test
+        fails, or None, read from ``controllability_failures``."""
+        return linalg.first_failure(self.spectrum,
+                                    self.controllability_failures)
+
+    @property
+    def unobservable_mode(self):
+        """The first eigenvalue at which the PBH observability test fails,
+        or None, read from ``observability_failures``."""
+        return linalg.first_failure(self.spectrum,
+                                    self.observability_failures)
 
     @property
     def a_norm(self):
@@ -247,7 +262,7 @@ class Minimality:
 
 def is_minimal(sys):
     """PBH controllability/observability of the realization, from the
-    system's cached witnesses."""
+    system's cached failure arrays."""
     return Minimality(controllable=sys.uncontrollable_mode is None,
                       observable=sys.unobservable_mode is None)
 
@@ -344,8 +359,9 @@ def simulate(sys, x0, t_end, dt):
         if steps - t_end / dt > TOL.step_ratio:
             phi_last = linalg.expm(sys.A * (t_end - times[-2]))
         states[0] = x
+        step = phi.dot  # bound once: the same gemv as ``phi @ x``
         for k in range(1, steps):
-            x = states[k] = phi @ x
+            x = states[k] = step(x)
         states[steps] = phi_last @ x
         bad = ~np.isfinite(states).all(axis=1)
         if bad.any():

@@ -80,7 +80,9 @@ def relative_degree_vector(sys):
     if linalg.sv_rank(sv_b, B.shape) != p or linalg.rank(C) != p:
         raise InputError("relative-degree analysis requires rank(B) = rank(C) = p")
     n = sys.n
-    a_norm = spectral_norm(A)
+    # ||A||_2 as a cached spectrum records it, bit for bit; a system
+    # without one takes the SVD alone, not an eig
+    a_norm = sys.a_norm if "spectrum" in vars(sys) else spectral_norm(A)
     b_norm = float(sv_b[0])
     powers = [np.eye(n)]  # A^j, extended when a row's search reaches j
     degrees = []
@@ -415,6 +417,10 @@ class ZeroDynamicsSplit:
 
     ``stability`` is the class of the internal dynamics: HURWITZ (minimum
     phase) or LYAPUNOV_STABLE (weakly minimum phase only).
+    ``hurwitz_spectrum`` is ``eig(A00b^T)`` carried from the normal form's
+    ``zero_spectrum`` (``linalg.carried_spectrum``), for the syntheses'
+    Lyapunov solve; None when that eigenbasis is not trusted or the block
+    is empty.
     """
 
     stability: StabilityClass
@@ -430,6 +436,7 @@ class ZeroDynamicsSplit:
     A02b: np.ndarray
     A03a: np.ndarray
     A03b: np.ndarray
+    hurwitz_spectrum: linalg.EigenResult | None
 
     @property
     def A00(self):
@@ -475,13 +482,20 @@ def split_zero_dynamics(nf):
     spanned by the right eigenvectors ``on_axis``, the Hurwitz block by the
     complement of the left critical subspace: ``U_a`` is the rows of
     ``EigenResult.left`` there (``eig(A00^T)`` only when the eigenbasis is
-    untrusted), and ``_complement_basis`` fixes the basis, so no gain
-    depends on which basis of span ``U_a`` LAPACK returns.  The critical
-    block is rendered exactly skew-symmetric by a congruence with the
-    square root of the neutral Lyapunov solution.  Requires the internal
-    dynamics Lyapunov stable and not ``singular`` (a zero at the origin);
-    ``nearly_singular`` ones, an eigenvalue ``at_origin`` and a critical
-    block the kernel solution rejects are undecided (``NumericalError``).
+    untrusted), and ``_complement_basis`` fixes the basis ``Q_b``, so no
+    gain depends on which basis of span ``U_a`` LAPACK returns.  The
+    critical block is rendered exactly skew-symmetric by a congruence with
+    the square root of the neutral Lyapunov solution.  Neither block is
+    decomposed when the eigenbasis is trusted: with ``V`` and ``W =
+    V^{-1}`` of ``A00``, the critical block ``A_a`` has the left
+    eigenvectors ``W[crit] V_a`` and the Hurwitz block the right ones
+    ``Q_b^T V[hurw]`` and left ones ``W[hurw] Q_b`` (``W`` and ``V`` when
+    the block is ``A00``), which ``linalg.carried_spectrum`` hands to
+    ``kernel_pd_solution`` and, as ``hurwitz_spectrum``, to the
+    syntheses.  Requires the internal dynamics Lyapunov stable and not
+    ``singular`` (a zero at the origin); ``nearly_singular`` ones, an
+    eigenvalue ``at_origin`` and a critical block the kernel solution
+    rejects are undecided (``NumericalError``).
     """
     A00 = nf.A00
     m = nf.m
@@ -497,23 +511,32 @@ def split_zero_dynamics(nf):
         raise NumericalError("internal dynamics too close to singular to "
                              "decide on a zero at the origin")
 
-    m_a = int(np.count_nonzero(res.on_axis))
+    V, W = res.vectors, res.left
+    crit = res.on_axis
+    hurw = ~crit
+    m_a = int(np.count_nonzero(crit))
     m_b = m - m_a
+    hurwitz_spectrum = None
     if m_a == 0:
-        S = np.eye(m)
+        S, S_inv = np.eye(m), np.eye(m)
         A00a = np.zeros((0, 0))
         A00b = A00.copy()
+        if W is not None and m_b:
+            # the block is A00: eig(A00^T) has the eigenvectors W^T
+            hurwitz_spectrum = linalg.carried_spectrum(res, hurw, W.T, None,
+                                                       left=V.T)
     else:
-        V_a = _real_eigenbasis(res, res.vectors)
+        V_a = _real_eigenbasis(res, V)
         if m_b == 0:
-            S0_inv = V_a
+            Q_b = np.zeros((m, 0))
         else:
-            if res.left is None:
+            if W is None:
                 resT = linalg.eig(A00.T)
                 U_a = _real_eigenbasis(resT, resT.vectors)
             else:
-                U_a = _real_eigenbasis(res, res.left.T)
-            S0_inv = np.hstack([V_a, _complement_basis(U_a, m_b)])
+                U_a = _real_eigenbasis(res, W.T)
+            Q_b = _complement_basis(U_a, m_b)
+        S0_inv = np.hstack([V_a, Q_b])
         if linalg.rank(S0_inv) < m:
             raise NumericalError("invariant-subspace basis is singular")
         S0 = np.linalg.inv(S0_inv)
@@ -528,12 +551,21 @@ def split_zero_dynamics(nf):
                     f"spectral split left coupling {off:.3e} between blocks")
         A_a = Ad[:m_a, :m_a]
         A00b = Ad[m_a:, m_a:]
+        kernel_spectrum = None
+        if W is not None:
+            kernel_spectrum = linalg.carried_spectrum(
+                res, crit, (W[crit] @ V_a).T, A_a.T)
+            if m_b:
+                hurwitz_spectrum = linalg.carried_spectrum(
+                    res, hurw, (W[hurw] @ Q_b).T, A00b.T,
+                    left=V[:, hurw].T @ Q_b)
         try:
-            P = linalg.kernel_pd_solution(A_a)
+            P = linalg.kernel_pd_solution(A_a, kernel_spectrum)
         except SpectrumError as exc:  # admitted above, not by its own test
             raise NumericalError(f"internal dynamics: {exc}") from exc
         R = linalg.sqrtm_pd(P)
-        A00a = R @ A_a @ np.linalg.inv(R)
+        R_inv = np.linalg.inv(R)
+        A00a = R @ A_a @ R_inv
         limit = TOL.skew_defect * scale
         if not linalg.frobenius_clears(A00a + A00a.T, limit):
             skew_defect = spectral_norm(A00a + A00a.T)
@@ -545,7 +577,8 @@ def split_zero_dynamics(nf):
         Sa[:m_a, :m_a] = R
         Sa[m_a:, m_a:] = np.eye(m_b)
         S = Sa @ S0
-    S_inv = np.linalg.inv(S)
+        # S^-1 = S0^-1 diag(R^-1, I), from the inverses at hand
+        S_inv = np.hstack([V_a @ R_inv, Q_b])
     A01s = S @ nf.A01
     A02s = S @ nf.A02
     A03s = S @ nf.A03
@@ -553,4 +586,4 @@ def split_zero_dynamics(nf):
         stability=klass, S=S, S_inv=S_inv, A00a=A00a, A00b=A00b,
         m_a=m_a, m_b=m_b,
         A01a=A01s[:m_a], A01b=A01s[m_a:], A02a=A02s[:m_a], A02b=A02s[m_a:],
-        A03a=A03s[:m_a], A03b=A03s[m_a:])
+        A03a=A03s[:m_a], A03b=A03s[m_a:], hurwitz_spectrum=hurwitz_spectrum)

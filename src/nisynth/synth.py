@@ -225,17 +225,19 @@ def _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3):
     return (Y + Y.T) / 2.0
 
 
-def _deliver(nf, S, K_tilde, Y, ni_class, eps):
+def _deliver(nf, split, K_tilde, Y, ni_class, eps):
     """The law of ``K_tilde`` on the plant, gated by its certificate.
 
     ``u = T_u^{-1} (K_tilde T_x x + T_y^{-T} v)``, so
     ``K_x = T_u^{-1} K_tilde T_x`` and ``K_v = T_u^{-1} T_y^{-T}``, and the
     nominal loop is ``(A + B K_x, B K_v, C)``.  It is similar to the
     normal-form loop under ``T = diag(S, I) T_x``, so the certificate maps
-    by congruence, ``Y_orig = T^{-1} Y T^{-T}``, and the output-strictness
-    level rescales to ``eps / lambda_max(T_y^{-T} T_y^{-1})``.  Returns the
-    ``GainSet`` fields of these objects and of their verification; raises
-    ``NumericalError`` when the certificate fails on the nominal loop.
+    by congruence, ``Y_orig = T^{-1} Y T^{-T}`` with ``T^{-1} = T_x^{-1}
+    diag(S^{-1}, I)`` from the inverses the transforms and the split hold,
+    and the output-strictness level rescales to ``eps / lambda_max(T_y^{-T}
+    T_y^{-1})``.  Returns the ``GainSet`` fields of these objects and of
+    their verification; raises ``NumericalError`` when the certificate
+    fails on the nominal loop.
     """
     tf, src = nf.transforms, nf.source
     law = FeedbackLaw(K_x=tf.T_u_inv @ K_tilde @ tf.T_x,
@@ -243,11 +245,9 @@ def _deliver(nf, S, K_tilde, Y, ni_class, eps):
     closed = StateSpace(A=src.A + src.B @ law.K_x, B=src.B @ law.K_v,
                         C=src.C,
                         name=(src.name or "system") + ":nominal-closed")
-    n, m = nf.n, nf.m
-    T_hat = np.zeros((n, n))
-    T_hat[:m, :m] = S
-    T_hat[m:, m:] = np.eye(n - m)
-    Ti = np.linalg.inv(T_hat @ tf.T_x)
+    m = nf.m
+    Ti = tf.T_x_inv.copy()
+    Ti[:, :m] = tf.T_x_inv[:, :m] @ split.S_inv
     Y_orig = Ti @ Y @ Ti.T
     Y_orig = (Y_orig + Y_orig.T) / 2.0
     eps_orig = None
@@ -315,7 +315,12 @@ def _synthesize(nf, cfg, ni_class):
 
     Y2 = _bind_spd(cfg.Y2, p1, "Y2")
     Y3 = _bind_spd(cfg.Y3, p2, "Y3")
-    iA00 = np.linalg.inv(A00) if m else A00
+    # one inverse per diagonal block of the split A00
+    iA00a = np.linalg.inv(split.A00a) if m_a else split.A00a
+    iA00b = np.linalg.inv(split.A00b) if m_b else split.A00b
+    iA00 = np.zeros((m, m))
+    iA00[:m_a, :m_a] = iA00a
+    iA00[m_a:, m_a:] = iA00b
     # the strong class asks for -(A00b Y1b + Y1b A00b^T) > corr; it has
     # m_a = 0, so A00 and A01 are its Hurwitz blocks
     corr = 0.5 * iA00 @ A01 @ A01.T @ iA00.T if ni_class == "ssni" else 0.0
@@ -330,11 +335,11 @@ def _synthesize(nf, cfg, ni_class):
                 "definite")
     else:
         Qb = np.eye(m_b) + corr
-        Y1b = linalg.solve_lyapunov(split.A00b.T, Qb)
+        Y1b = linalg.solve_lyapunov(split.A00b.T, Qb, split.hurwitz_spectrum)
     if ni_class == "ssni" and m:
         resid = A00 @ Y1b + Y1b @ A00.T + corr
         if float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[-1]) > \
-                -TOL.ssni_margin * spectral_norm(A00):
+                -TOL.ssni_margin * res00.norm:  # A00 is nf.A00 here
             raise NumericalError("could not reach the strict Lyapunov margin")
 
     # an empty or zero-scaled draw is fixed at zero: it takes no randomness,
@@ -368,8 +373,7 @@ def _synthesize(nf, cfg, ni_class):
     else:
         K13_fixed = None
 
-    iA00a_T = np.linalg.inv(split.A00a.T) if m_a else split.A00a
-    iA00b_T = np.linalg.inv(split.A00b.T) if m_b else split.A00b
+    iA00a_T, iA00b_T = iA00a.T, iA00b.T
     iY1b = np.linalg.inv(Y1b) if m_b else Y1b
 
     K20a = -split.A02a.T @ iA00a_T - split.A03a.T
@@ -431,7 +435,7 @@ def _synthesize(nf, cfg, ni_class):
         [K10 @ S - nf.A10, K11 - nf.A11, K12 - nf.A12, K13 - nf.A13],
         [K20 @ S - nf.A30, K21 - nf.A31, K22 - nf.A32, K23 - nf.A33],
     ])
-    delivered = _deliver(nf, S, K_tilde, Y, ni_class, eps)
+    delivered = _deliver(nf, split, K_tilde, Y, ni_class, eps)
     if ni_class == "ssni":
         loop = delivered["nominal_closed"]
         if linalg.stability_class(loop.spectrum) is not \

@@ -5,6 +5,14 @@ and a bounded budget.
   decided bound-first, ``frobenius_clears(X, tol)`` and only then the SVD,
   gives the verdict of the SVD alone, on random, rank-1 and near-threshold
   matrices, including ones scaled onto the bound ``||X||_F = tol / 2``.
+* The split's blocks decomposed by none of their own: over random
+  splittable internal dynamics (a skew block and a Hurwitz block under a
+  random similarity), the kernel solution of the critical block and the
+  Lyapunov solution of the Hurwitz block from the eigenvectors carried
+  from ``eig(A00)`` match those of the blocks' own ``eig`` to 1e-10,
+  relative, and pass their residual gates without the vectorized
+  fallback; an untrusted eigenbasis (a Jordan block) still takes the
+  direct route and certifies.
 """
 
 import numpy as np
@@ -14,7 +22,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nisynth import linalg  # noqa: E402
-from nisynth.linalg import spectral_norm  # noqa: E402
+from nisynth.linalg import TOL, spectral_norm  # noqa: E402
+from nisynth.synth import synthesize_ni  # noqa: E402
+
+from gen import (  # noqa: E402
+    normal_form_from_blocks,
+    planted_normal_blocks,
+    random_hurwitz,
+    random_orthogonal,
+    well_conditioned,
+)
 
 #: relative offsets of a matrix's norm from the bound or the limit
 OFFSETS = (-1e-3, -1e-15, 0.0, 1e-15, 1e-3)
@@ -50,3 +67,101 @@ def test_bound_first_gate_gives_the_svd_verdict(gate):
         assert svd_verdict
     bound_first = linalg.frobenius_clears(X, tol) or svd_verdict
     assert bound_first == svd_verdict
+
+
+@st.composite
+def splittable(draw):
+    """A normal form (p1 = 1, p2 in {0, 1}) whose ``A00`` is a skew block
+    of pairs +-j w, w at least 0.3 apart in [0.5, 2.1], and a Hurwitz
+    block, under a random similarity of condition number at most 4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m_a = draw(st.sampled_from((0, 2, 4)))
+    m_b = draw(st.integers(0 if m_a else 1, 4))
+    p2 = draw(st.integers(0, 1))
+    m = m_a + m_b
+    canon = np.zeros((m, m))
+    for k in range(m_a // 2):
+        w = 0.5 + 0.9 * k + rng.uniform(0.0, 0.6)
+        canon[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[0.0, w], [-w, 0.0]]
+    Q = random_orthogonal(rng, m_a)
+    canon[:m_a, :m_a] = Q @ canon[:m_a, :m_a] @ Q.T
+    canon[m_a:, m_a:] = random_hurwitz(rng, m_b)
+    Tz = well_conditioned(rng, m)
+    blk = planted_normal_blocks(rng, 1, p2, m_a, m_b)
+    blk["A00"] = np.linalg.solve(Tz, canon) @ Tz
+    return normal_form_from_blocks(blk, 1, p2, m)
+
+
+def recorded_synthesis(nf):
+    """``synthesize_ni(nf)`` with the spectra its kernel and Lyapunov
+    solves receive, and the number of vectorized (``np.kron``) solves."""
+    seen, krons = [], []
+    kernel, lyapunov, kron = linalg.kernel_pd_solution, \
+        linalg.solve_lyapunov, np.kron
+
+    def recording_kernel(A, spectrum=None):
+        seen.append(("kernel", np.array(A), None, spectrum))
+        return kernel(A, spectrum)
+
+    def recording_lyapunov(A, Q, spectrum=None):
+        seen.append(("lyapunov", np.array(A), np.array(Q), spectrum))
+        return lyapunov(A, Q, spectrum)
+
+    def recording_kron(*args):
+        krons.append(args)
+        return kron(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "kernel_pd_solution", recording_kernel)
+        mp.setattr(linalg, "solve_lyapunov", recording_lyapunov)
+        mp.setattr(np, "kron", recording_kron)
+        gains = synthesize_ni(nf)
+    return gains, [call for call in seen if call[1].size], len(krons)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(splittable())
+def test_carried_block_spectra_match_the_direct_route(nf):
+    assert nf.zero_spectrum.left is not None
+    gains, seen, krons = recorded_synthesis(nf)
+    assert gains.verdict.holds
+    assert krons == 0
+    split = gains.split
+    want = {"kernel": split.m_a > 0, "lyapunov": split.m_b > 0}
+    assert sorted(kind for kind, *_ in seen) == \
+        sorted(kind for kind, wanted in want.items() if wanted)
+    for kind, A, Q, spectrum in seen:
+        assert spectrum is not None
+        if kind == "kernel":
+            P = linalg.kernel_pd_solution(A, spectrum)
+            direct = linalg.kernel_pd_solution(A)
+            residual = spectral_norm(A.T @ P + P @ A)
+            bound = TOL.kernel_residual * (1.0 + spectral_norm(A)) \
+                * spectral_norm(P)
+        else:
+            P = linalg.solve_lyapunov(A, Q, spectrum)
+            direct = linalg.solve_lyapunov(A, Q)
+            residual = spectral_norm(A.T @ P + P @ A + Q)
+            bound = TOL.lyapunov_residual * (
+                spectral_norm(A) * spectral_norm(P) + spectral_norm(Q))
+        assert np.linalg.norm(P - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert residual <= bound, (kind, residual, bound)
+
+
+def test_untrusted_eigenbasis_takes_the_direct_route():
+    # a skew pair and a 2x2 Jordan block at -1: V is numerically singular,
+    # so each block is decomposed on its own, and the law still certifies
+    rng = np.random.default_rng(83)
+    blk = planted_normal_blocks(rng, 1, 1, 2, 2)
+    canon = np.zeros((4, 4))
+    canon[:2, :2] = [[0.0, 1.5], [-1.5, 0.0]]
+    canon[2:, 2:] = [[-1.0, 1.0], [0.0, -1.0]]
+    Tz = well_conditioned(rng, 4)
+    blk["A00"] = np.linalg.solve(Tz, canon) @ Tz
+    nf = normal_form_from_blocks(blk, 1, 1, 4)
+    assert nf.zero_spectrum.left is None
+    gains, seen, _ = recorded_synthesis(nf)
+    assert sorted(kind for kind, *_ in seen) == ["kernel", "lyapunov"]
+    assert all(spectrum is None for *_, spectrum in seen)
+    assert gains.split.hurwitz_spectrum is None
+    assert gains.verdict.holds

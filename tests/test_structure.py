@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, linalg
+from nisynth import StateSpace, linalg, structure
 from nisynth.errors import (
     InputError,
     NoRdLeqTwoError,
@@ -99,6 +99,22 @@ class TestRelativeDegreeVector:
             info = relative_degree_vector(transformed)
             assert info.kind is RdKind.FULL
             assert linalg.rank(info.H) == p1 + p2
+
+    def test_a_norm_read_from_a_cached_spectrum(self, monkeypatch):
+        # ||A||_2 of a system whose spectrum is cached is the one it
+        # records, bit for bit; a system without one gets no eig
+        sys, _ = planted_system(np.random.default_rng(97), 1, 1, 0, 2)
+        fresh = StateSpace(A=sys.A, B=sys.B, C=sys.C)
+        want = relative_degree_vector(fresh)
+        assert "spectrum" not in vars(fresh)
+        assert sys.spectrum.norm == np.linalg.svd(sys.A, compute_uv=False)[0]
+        norms = []
+        monkeypatch.setattr(structure, "spectral_norm",
+                            lambda M: norms.append(M) or linalg.spectral_norm(M))
+        got = relative_degree_vector(sys)
+        assert norms == []
+        assert (got.r, got.kind) == (want.r, want.kind)
+        assert np.array_equal(got.H, want.H)
 
 
 class TestFindOutputTransformation:

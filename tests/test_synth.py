@@ -227,6 +227,37 @@ class TestSynthesizeNi:
         for M, count in ((nf.A00, 1), (nf.A00.T, 0), (g.split.A00, 0)):
             assert sum(np.array_equal(A, M) for A in calls) == count
 
+        # a robust op on a plant of that shape decomposes A, A00 and the
+        # closed-loop A: the split's blocks take their eigenvectors from
+        # eig(A00), and S, T_hat T_x and the block-diagonal A00 are not
+        # LU-inverted, their factors' inverses being at hand
+        drawn, _ = planted_system(np.random.default_rng(167), 1, 1, 2, 3)
+        plant = StateSpace(A=drawn.A, B=drawn.B, C=drawn.C)
+        calls.clear()
+        inverted = []
+        inv = np.linalg.inv
+
+        def recording_inv(M):
+            inverted.append(np.array(M))
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        res = robust_stabilize(plant)
+        g = res.gains
+        nf, split = g.normal_form, g.split
+        assert (split.m_a, split.m_b) == (2, 3)
+        assert len(calls) == 3
+        for M in (plant.A, nf.A00, res.nominal_closed.A):
+            assert sum(np.array_equal(A, M) for A in calls) == 1
+        for M in (split.A00a, split.A00a.T, split.A00b, split.A00b.T):
+            assert not any(np.array_equal(A, M) for A in calls)
+        n, m = nf.n, nf.m
+        T_hat = np.eye(n)
+        T_hat[:m, :m] = split.S
+        for M in (split.S, T_hat @ nf.transforms.T_x, split.A00):
+            assert not any(A.shape == M.shape and np.allclose(A, M, rtol=1e-12)
+                           for A in inverted)
+
 
 class TestSynthesizeOsni:
     def test_demo_shape_boundary(self, demo_nf):
@@ -455,6 +486,24 @@ class TestSynthesizeSsni:
                          (g.closed_loop.A, 0)):
             assert sum(np.array_equal(A, M) for A in calls) == count
 
+    def test_one_pbh_test_per_loop_mode(self, monkeypatch):
+        # verify_certificate's strong-class hypothesis and is_minimal read
+        # the delivered loop's cached PBH failure arrays
+        sys, _ = planted_system(np.random.default_rng(5), 2, 0, 0, 3)
+        nf = to_normal_form(sys, np.eye(2))
+        pbh_failures = linalg.pbh_failures
+        calls = []
+
+        def recording(A, M, mode, spectrum):
+            calls.append((np.array(A), mode))
+            return pbh_failures(A, M, mode, spectrum)
+
+        monkeypatch.setattr(linalg, "pbh_failures", recording)
+        g = synthesize_ssni(nf)
+        on_loop = sorted(mode for A, mode in calls
+                         if np.array_equal(A, g.nominal_closed.A))
+        assert on_loop == ["controllable", "observable"]
+
 
 class TestComposeFullGain:
     def test_demo_law(self, demo_nf):
@@ -540,18 +589,18 @@ class TestRobustStabilize:
         assert v.holds, v.notes
 
     def test_one_pbh_test_per_system_and_mode(self, monkeypatch, demo_plant):
-        # the plant's witnesses are cached: is_minimal and the T_y search
-        # read one controllability test, and no pair is tested twice
+        # the plant's PBH failure arrays are cached: is_minimal and the T_y
+        # search read one controllability test, and no pair is tested twice
         plant = StateSpace(A=demo_plant.A, B=demo_plant.B, C=demo_plant.C)
-        pbh_witness = linalg.pbh_witness
+        pbh_failures = linalg.pbh_failures
         calls = {}
 
         def counting(A, M, mode, spectrum):
             key = (np.asarray(A).tobytes(), np.asarray(M).tobytes(), mode)
             calls[key] = calls.get(key, 0) + 1
-            return pbh_witness(A, M, mode, spectrum)
+            return pbh_failures(A, M, mode, spectrum)
 
-        monkeypatch.setattr(linalg, "pbh_witness", counting)
+        monkeypatch.setattr(linalg, "pbh_failures", counting)
         robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
         assert calls[(plant.A.tobytes(), plant.B.tobytes(),
                       "controllable")] == 1
