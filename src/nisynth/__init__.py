@@ -15,7 +15,6 @@ from .linalg import (
     StabilityClass,
     definiteness,
     eig,
-    kernel_pd_solution,
     pbh_witness,
     rank,
     solve_lyapunov,

@@ -26,10 +26,6 @@ class NotPositiveDefiniteError(InputError):
     """A matrix required to be positive definite is not."""
 
 
-class SpectrumError(InputError):
-    """A matrix does not have the spectrum a routine requires."""
-
-
 class IllPosedInterconnectionError(InputError):
     """Algebraic loop: the feedthrough product makes the loop ill posed."""
 

@@ -13,9 +13,9 @@ Conventions
   (``EigenResult.left`` is None), or whose eigenbasis solution misses the
   residual gate, is vectorized to an n^2 x n^2 linear system instead.
 * A caller that holds a matrix's eigen-data passes it as an ``EigenResult``
-  (``pbh_failures``, ``solve_lyapunov``, ``kernel_pd_solution``);
-  ``carried_spectrum`` builds one for a block of a similarity from the
-  eigenvectors of the matrix it came from, so the block is not decomposed.
+  (``pbh_failures``, ``solve_lyapunov``); ``carried_spectrum`` builds one
+  for a block of a similarity from the eigenvectors of the matrix it came
+  from, so the block is not decomposed.
 * Every tolerance of the package is an entry of the one table ``TOL``,
   never a parameter; ``EigenResult`` applies the spectral ones.
 * A gate ``||X||_2 <= limit`` whose limit is known to be at least some
@@ -38,7 +38,6 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
     SingularLyapunovOperatorError,
-    SpectrumError,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -77,12 +76,6 @@ class Tol:
     lyapunov_singular: float = 1e-9
     #: largest ``||A^T P + P A + Q||_2``; times ``||A|| ||P|| + ||Q||``
     lyapunov_residual: float = 1e-8
-    #: ``kernel_pd_solution``'s purely-imaginary test on ``|Re lambda|``;
-    #: times ``1 + ||A||_2``
-    kernel_axis: float = 1e-7
-    #: largest ``||A^T P + P A||_2`` of the kernel solution; times
-    #: ``(1 + ||A||_2) ||P||_2``
-    kernel_residual: float = 1e-8
     #: an eigenvector reach above this passes PBH without the SVD; times
     #: ``s_k (||A||_2 + ||M||_F)``
     pbh_screen: float = 1e-6
@@ -110,9 +103,11 @@ class Tol:
     #: largest defect of the normal form's x2 rows and input matrix; times
     #: ``max(1, norm)`` of the transformed matrix
     normal_form: float = 1e-5
-    #: largest coupling the spectral split leaves between its blocks, and
-    #: largest skew defect of its critical block; times ``1 + ||A00||_2``
+    #: largest coupling the spectral split leaves between its blocks;
+    #: times ``1 + ||A00||_2``
     split_coupling: float = 1e-7
+    #: largest ``||A_a + A_a^T||_2`` of the split's critical block; times
+    #: ``1 + ||A_a||_2``
     skew_defect: float = 1e-8
 
     # -- class tests and certificates (certify) --
@@ -242,10 +237,6 @@ class EigenResult:
     smin: float
 
     @property
-    def semisimple(self):
-        return bool(np.all(self.algebraic == self.geometric))
-
-    @property
     def axis_tol(self):
         """``TOL.axis (1 + norm)``: an eigenvalue this close to the imaginary
         axis is ``on_axis``, to the real axis real, to zero ``at_origin``."""
@@ -311,18 +302,16 @@ class EigenResult:
         return None if W is None else np.linalg.norm(W, axis=1)
 
 
-def carried_spectrum(res, keep, vectors, block, left=None):
+def carried_spectrum(res, keep, vectors, block, left):
     """``eig(block)`` from eigen-data already held: ``block`` is similar
     to the restriction of the matrix ``res = eig(.)`` decomposed to the
     invariant subspace of its eigenvalues ``keep`` (a boolean mask), and
     ``vectors`` are their eigenvectors carried to ``block`` by that
     similarity, column ``k`` that of ``res.values[keep][k]`` (Golub & Van
-    Loan, *Matrix Computations*, ch. 7).  The values and multiplicities
-    are those of ``res``; ``norm`` and ``smin`` come from the SVD of
-    ``block``, or are those of ``res`` when ``block`` is None (the block
-    is that matrix itself, or its transpose).  ``left``, when given, is
-    taken as ``vectors^{-1}``; otherwise it is computed on first use, as
-    for ``eig``."""
+    Loan, *Matrix Computations*, ch. 7), with the inverse ``left``.  The
+    values and multiplicities are those of ``res``; ``norm`` and ``smin``
+    come from the SVD of ``block``, or are those of ``res`` when ``block``
+    is None (the block is that matrix itself, or its transpose)."""
     if block is None:
         norm, smin = res.norm, res.smin
     else:
@@ -330,9 +319,8 @@ def carried_spectrum(res, keep, vectors, block, left=None):
         norm, smin = float(sv[0]), float(sv[-1])
     out = EigenResult(res.values[keep], vectors, res.algebraic[keep],
                       res.geometric[keep], norm, smin)
-    if left is not None:
-        # the cached_property's slot: a frozen dataclass refuses setattr
-        out.__dict__["left"] = left
+    # the cached_property's slot: a frozen dataclass refuses setattr
+    out.__dict__["left"] = left
     return out
 
 
@@ -526,45 +514,6 @@ def _lyapunov_residual(A, P, Q, a_norm):
     bound = TOL.lyapunov_residual * (a_norm * spectral_norm(P)
                                      + spectral_norm(Q))
     return residual, bound
-
-
-def kernel_pd_solution(A, spectrum=None):
-    """Positive definite ``P`` with ``A^T P + P A = 0``.
-
-    Requires every eigenvalue of ``A`` purely imaginary and semisimple,
-    which is checked on the spectrum of ``A^T`` (in exact arithmetic the
-    same eigenvalues with the same multiplicities; the computed ones can
-    differ from those of ``A`` at rounding level): ``spectrum`` when the
-    caller passes it (``carried_spectrum``), else ``eig(A^T)``.  ``P`` is
-    assembled as ``sum Re(u u*)`` over a complete set of unit eigenvectors
-    of ``A^T`` (each term solves the equation individually because ``A^T
-    u = conj(lambda) u`` and ``Re lambda = 0``).
-    """
-    A = as_matrix(A, "A", square=True)
-    if A.size == 0:
-        return np.zeros((0, 0))
-    res = eig(A.T) if spectrum is None else spectrum
-    scale = 1.0 + res.norm
-    if np.any(np.abs(res.values.real) > TOL.kernel_axis * scale):
-        worst = res.values[np.argmax(np.abs(res.values.real))]
-        raise SpectrumError(
-            f"spectrum not purely imaginary: eigenvalue {worst}")
-    if not res.semisimple:
-        raise SpectrumError("defective purely imaginary eigenvalue")
-    U = res.vectors / res.right_norms
-    P = np.real(U @ U.conj().T)
-    P = (P + P.T) / 2.0
-    R = A.T @ P + P @ A
-    # the largest entry of P bounds ||P||_2 from below
-    if not frobenius_clears(R, TOL.kernel_residual * scale * np.abs(P).max()):
-        residual = spectral_norm(R)
-        if residual > TOL.kernel_residual * scale * spectral_norm(P):
-            raise NumericalError(
-                f"kernel solution residual {residual:.3e} too large")
-    lam = np.linalg.eigvalsh(P)
-    if lam[0] <= pd_floor(lam):
-        raise NumericalError("kernel solution is not positive definite")
-    return P
 
 
 def sqrtm_pd(P):

@@ -23,7 +23,6 @@ from .errors import (
     NotControllableError,
     NotWeaklyMinimumPhaseError,
     NumericalError,
-    SpectrumError,
     VerdictError,
 )
 from .linalg import TOL, StabilityClass, as_matrix, spectral_norm
@@ -415,12 +414,14 @@ class ZeroDynamicsSplit:
     """Similarity splitting the internal dynamics into a skew-symmetric
     imaginary-axis block and a Hurwitz block.
 
-    ``stability`` is the class of the internal dynamics: HURWITZ (minimum
-    phase) or LYAPUNOV_STABLE (weakly minimum phase only).
-    ``hurwitz_spectrum`` is ``eig(A00b^T)`` carried from the normal form's
-    ``zero_spectrum`` (``linalg.carried_spectrum``), for the syntheses'
-    Lyapunov solve; None when that eigenbasis is not trusted or the block
-    is empty.
+    ``S_inv = [V_a, Q_b]`` is the split's basis and ``S`` its inverse;
+    ``A00a`` is the skew part of the critical block in that basis, which
+    is skew but for rounding.  ``stability`` is the class of the internal
+    dynamics: HURWITZ (minimum phase) or LYAPUNOV_STABLE (weakly minimum
+    phase only).  ``hurwitz_spectrum`` is ``eig(A00b^T)`` carried from the
+    normal form's ``zero_spectrum`` (``linalg.carried_spectrum``), for the
+    syntheses' Lyapunov solve; None when that eigenbasis is not trusted or
+    the block is empty.
     """
 
     stability: StabilityClass
@@ -483,19 +484,20 @@ def split_zero_dynamics(nf):
     complement of the left critical subspace: ``U_a`` is the rows of
     ``EigenResult.left`` there (``eig(A00^T)`` only when the eigenbasis is
     untrusted), and ``_complement_basis`` fixes the basis ``Q_b``, so no
-    gain depends on which basis of span ``U_a`` LAPACK returns.  The
-    critical block is rendered exactly skew-symmetric by a congruence with
-    the square root of the neutral Lyapunov solution.  Neither block is
+    gain depends on which basis of span ``U_a`` LAPACK returns.  With
+    ``V_a = [Re v, Im v]``, ``A00 V_a = V_a J`` for the real rotation form
+    ``J``, so the critical block ``A_a`` is skew but for rounding; its skew
+    part is taken, under the one gate ``||A_a + A_a^T||_2 <=
+    TOL.skew_defect (1 + ||A_a||_2)``.  The Hurwitz block is not
     decomposed when the eigenbasis is trusted: with ``V`` and ``W =
-    V^{-1}`` of ``A00``, the critical block ``A_a`` has the left
-    eigenvectors ``W[crit] V_a`` and the Hurwitz block the right ones
-    ``Q_b^T V[hurw]`` and left ones ``W[hurw] Q_b`` (``W`` and ``V`` when
-    the block is ``A00``), which ``linalg.carried_spectrum`` hands to
-    ``kernel_pd_solution`` and, as ``hurwitz_spectrum``, to the
-    syntheses.  Requires the internal dynamics Lyapunov stable and not
-    ``singular`` (a zero at the origin); ``nearly_singular`` ones, an
-    eigenvalue ``at_origin`` and a critical block the kernel solution
-    rejects are undecided (``NumericalError``).
+    V^{-1}`` of ``A00``, it has the right eigenvectors ``Q_b^T V[hurw]``
+    and left ones ``W[hurw] Q_b`` (``W`` and ``V`` when the block is
+    ``A00``), which ``linalg.carried_spectrum`` hands, as
+    ``hurwitz_spectrum``, to the syntheses.  Requires the internal
+    dynamics Lyapunov stable and not ``singular`` (a zero at the origin);
+    ``nearly_singular`` ones, an eigenvalue ``at_origin`` and a critical
+    block the skew gate rejects are undecided (``NumericalError``, its
+    message beginning ``internal dynamics:``).
     """
     A00 = nf.A00
     m = nf.m
@@ -508,7 +510,7 @@ def split_zero_dynamics(nf):
     if res.singular:
         raise VerdictError("plant has a zero at the origin")
     if res.nearly_singular or res.at_origin.any():
-        raise NumericalError("internal dynamics too close to singular to "
+        raise NumericalError("internal dynamics: too close to singular to "
                              "decide on a zero at the origin")
 
     V, W = res.vectors, res.left
@@ -524,7 +526,7 @@ def split_zero_dynamics(nf):
         if W is not None and m_b:
             # the block is A00: eig(A00^T) has the eigenvectors W^T
             hurwitz_spectrum = linalg.carried_spectrum(res, hurw, W.T, None,
-                                                       left=V.T)
+                                                       V.T)
     else:
         V_a = _real_eigenbasis(res, V)
         if m_b == 0:
@@ -536,11 +538,12 @@ def split_zero_dynamics(nf):
             else:
                 U_a = _real_eigenbasis(res, W.T)
             Q_b = _complement_basis(U_a, m_b)
-        S0_inv = np.hstack([V_a, Q_b])
-        if linalg.rank(S0_inv) < m:
-            raise NumericalError("invariant-subspace basis is singular")
-        S0 = np.linalg.inv(S0_inv)
-        Ad = S0 @ A00 @ S0_inv
+        S_inv = np.hstack([V_a, Q_b])
+        if linalg.rank(S_inv) < m:
+            raise NumericalError(
+                "internal dynamics: invariant-subspace basis is singular")
+        S = np.linalg.inv(S_inv)
+        Ad = S @ A00 @ S_inv
         limit = TOL.split_coupling * scale
         if not (linalg.frobenius_clears(Ad[:m_a, m_a:], limit)
                 and linalg.frobenius_clears(Ad[m_a:, :m_a], limit)):
@@ -548,37 +551,23 @@ def split_zero_dynamics(nf):
                       spectral_norm(Ad[m_a:, :m_a]))
             if off > limit:
                 raise NumericalError(
-                    f"spectral split left coupling {off:.3e} between blocks")
+                    f"internal dynamics: spectral split left coupling "
+                    f"{off:.3e} between blocks")
         A_a = Ad[:m_a, :m_a]
-        A00b = Ad[m_a:, m_a:]
-        kernel_spectrum = None
-        if W is not None:
-            kernel_spectrum = linalg.carried_spectrum(
-                res, crit, (W[crit] @ V_a).T, A_a.T)
-            if m_b:
-                hurwitz_spectrum = linalg.carried_spectrum(
-                    res, hurw, (W[hurw] @ Q_b).T, A00b.T,
-                    left=V[:, hurw].T @ Q_b)
-        try:
-            P = linalg.kernel_pd_solution(A_a, kernel_spectrum)
-        except SpectrumError as exc:  # admitted above, not by its own test
-            raise NumericalError(f"internal dynamics: {exc}") from exc
-        R = linalg.sqrtm_pd(P)
-        R_inv = np.linalg.inv(R)
-        A00a = R @ A_a @ R_inv
-        limit = TOL.skew_defect * scale
-        if not linalg.frobenius_clears(A00a + A00a.T, limit):
-            skew_defect = spectral_norm(A00a + A00a.T)
-            if skew_defect > limit:
+        defect = A_a + A_a.T
+        # the spectral radius bounds ||A_a||_2 from below
+        low = TOL.skew_defect * (1.0 + np.abs(res.values[crit]).max())
+        if not linalg.frobenius_clears(defect, low):
+            skew_defect = spectral_norm(defect)
+            if skew_defect > TOL.skew_defect * (1.0 + spectral_norm(A_a)):
                 raise NumericalError(
-                    f"skew-symmetrization left defect {skew_defect:.3e}")
-        A00a = (A00a - A00a.T) / 2.0
-        Sa = np.zeros((m, m))
-        Sa[:m_a, :m_a] = R
-        Sa[m_a:, m_a:] = np.eye(m_b)
-        S = Sa @ S0
-        # S^-1 = S0^-1 diag(R^-1, I), from the inverses at hand
-        S_inv = np.hstack([V_a @ R_inv, Q_b])
+                    f"internal dynamics: critical block skew defect "
+                    f"{skew_defect:.3e}")
+        A00a = (A_a - A_a.T) / 2.0
+        A00b = Ad[m_a:, m_a:]
+        if W is not None and m_b:
+            hurwitz_spectrum = linalg.carried_spectrum(
+                res, hurw, (W[hurw] @ Q_b).T, A00b.T, V[:, hurw].T @ Q_b)
     A01s = S @ nf.A01
     A02s = S @ nf.A02
     A03s = S @ nf.A03

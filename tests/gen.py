@@ -35,10 +35,12 @@ def _rotation(re, w):
 #: with the error ``split_zero_dynamics`` raises on them: exactly singular
 #: (a zero at the origin), ``smin`` inside the band ``1e-10 (1 + norm)``,
 #: an eigenvalue within the axis tolerance of 0 but ``smin`` above the
-#: band, a pair the axis tolerance (about 1e-6) calls critical but the
-#: kernel solution's spectrum test (about 2e-7 on the pair) does not, and
-#: a pair the kernel solution's residual gate rejects (its gates and the
-#: split's disagree there; the outcome is a ``NumericalError`` all the same)
+#: band, and two pairs the axis tolerance ``1e-8 (1 + ||A00||)`` calls
+#: critical but the split's skew gate ``||A_a + A_a^T|| <= 1e-8 (1 +
+#: ||A_a||)`` rejects: a slow pair next to a fast mode (Re = -5e-7, within
+#: 1.01e-6 of the axis; defect 1e-6 over the limit 2e-8) and a pair alone
+#: (Re = -1.5e-8, within 2e-8; the defect 2 |Re| = 3e-8 is over the same
+#: 2e-8, as the gate bounds twice the damping the axis tolerance bounds)
 EDGE_ZERO_DYNAMICS = {
     "exactly-singular": (np.array([[0.0]]), VerdictError),
     "smin-in-band": (np.array([[-1e-11]]), NumericalError),
@@ -46,7 +48,7 @@ EDGE_ZERO_DYNAMICS = {
     "slow-pair": (np.block([[_rotation(-5e-7, 1.0), np.zeros((2, 1))],
                             [np.zeros((1, 2)), -100.0 * np.eye(1)]]),
                   NumericalError),
-    "kernel-residual": (_rotation(-1.5e-8, 1.0), NumericalError),
+    "skew-defect": (_rotation(-1.5e-8, 1.0), NumericalError),
 }
 
 

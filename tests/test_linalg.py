@@ -10,7 +10,6 @@ from nisynth.errors import (
     InputError,
     NotPositiveDefiniteError,
     SingularLyapunovOperatorError,
-    SpectrumError,
 )
 from nisynth.linalg import StabilityClass
 
@@ -18,7 +17,6 @@ from gen import (
     UNTRUSTED_EIGENBASES,
     planted_system,
     random_hurwitz,
-    random_skew_nonsingular,
     well_conditioned,
 )
 
@@ -55,7 +53,6 @@ class TestEig:
         assert list(res.algebraic) == [2, 2] and list(res.geometric) == [2, 2]
         res = linalg.eig([[0.0, 1.0], [0.0, 0.0]])
         assert list(res.algebraic) == [2, 2] and list(res.geometric) == [1, 1]
-        assert not res.semisimple
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError):
@@ -450,75 +447,6 @@ class TestSolveLyapunov:
         assert linalg.solve_lyapunov(A, Q).tobytes() == \
             kron_lyapunov(A, Q).tobytes()
         assert verdicts == [True, True]
-
-
-class TestKernelPdSolution:
-    def test_rotation(self):
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        P = linalg.kernel_pd_solution(A)
-        assert np.allclose(P / P[0, 0], np.eye(2))
-
-    def test_scaled_rotation(self):
-        # hand solve: A^T P + P A = 0 forces P proportional to diag(0.5, 2)
-        A = np.array([[0.0, 2.0], [-0.5, 0.0]])
-        P = linalg.kernel_pd_solution(A)
-        assert abs(P[0, 1]) <= 1e-12 * P.max()
-        assert np.isclose(P[1, 1] / P[0, 0], 4.0)
-        assert np.linalg.norm(A.T @ P + P @ A, 2) <= 1e-10
-
-    def test_defective_rejected(self):
-        with pytest.raises(SpectrumError):
-            linalg.kernel_pd_solution([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_nonimaginary_rejected(self):
-        with pytest.raises(SpectrumError):
-            linalg.kernel_pd_solution([[-1.0]])
-
-    def test_guards_on_the_transpose_decide_as_on_a(self):
-        # the guards read eig(A^T); they must reject exactly the matrices
-        # that eig(A) rejects: damped, defective, semisimple repeated
-        rng = np.random.default_rng(31)
-        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        outcomes = set()
-        for k in range(60):
-            w = rng.uniform(0.5, 3.0, 2)
-            if k % 3 == 0:      # one mode damped by 1e-4 .. 1e-1
-                J = np.kron(np.diag(w), rot)
-                J[0, 0] = J[1, 1] = -10.0 ** rng.uniform(-4, -1)
-            elif k % 3 == 1:    # a Jordan chain of two equal rotations
-                J = np.kron(np.diag([w[0], w[0]]), rot)
-                J[0:2, 2:4] = np.eye(2)
-            else:               # two equal rotations, semisimple
-                J = np.kron(np.diag([w[0], w[0]]), rot)
-            T = well_conditioned(rng, 4)
-            A = T @ J @ np.linalg.inv(T)
-            res = linalg.eig(A)
-            if np.any(np.abs(res.values.real) > 1e-7 * (1.0 + res.norm)):
-                expected = "spectrum not purely imaginary"
-            elif not res.semisimple:
-                expected = "defective purely imaginary eigenvalue"
-            else:
-                expected = None
-            if expected is None:
-                P = linalg.kernel_pd_solution(A)
-                assert np.linalg.eigvalsh(P).min() > 0
-            else:
-                with pytest.raises(SpectrumError, match=expected):
-                    linalg.kernel_pd_solution(A)
-            outcomes.add(expected)
-        assert len(outcomes) == 3
-
-    def test_random_similarity_of_skew(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = int(rng.integers(1, 4)) * 2
-            S0 = random_skew_nonsingular(rng, m)
-            T = np.eye(m) + 0.3 * rng.standard_normal((m, m))
-            A = np.linalg.solve(T, S0) @ T
-            P = linalg.kernel_pd_solution(A)
-            assert np.linalg.eigvalsh(P).min() > 0
-            assert np.linalg.norm(A.T @ P + P @ A, 2) <= \
-                1e-8 * (1.0 + np.linalg.norm(A, 2))
 
 
 class TestSqrtmPd:

@@ -7,12 +7,12 @@ and a bounded budget.
   matrices, including ones scaled onto the bound ``||X||_F = tol / 2``.
 * The split's blocks decomposed by none of their own: over random
   splittable internal dynamics (a skew block and a Hurwitz block under a
-  random similarity), the kernel solution of the critical block and the
-  Lyapunov solution of the Hurwitz block from the eigenvectors carried
-  from ``eig(A00)`` match those of the blocks' own ``eig`` to 1e-10,
-  relative, and pass their residual gates without the vectorized
-  fallback; an untrusted eigenbasis (a Jordan block) still takes the
-  direct route and certifies.
+  random similarity), no kernel solve runs, the critical block is exactly
+  skew, ``S S_inv`` is I to 1e-13, and the Lyapunov solution of the
+  Hurwitz block from the eigenvectors carried from ``eig(A00)`` matches
+  that of the block's own ``eig`` to 1e-10, relative, and passes its
+  residual gate without the vectorized fallback; an untrusted eigenbasis
+  (a Jordan block) still takes the direct route and certifies.
 """
 
 import numpy as np
@@ -93,18 +93,14 @@ def splittable(draw):
 
 
 def recorded_synthesis(nf):
-    """``synthesize_ni(nf)`` with the spectra its kernel and Lyapunov
-    solves receive, and the number of vectorized (``np.kron``) solves."""
+    """``synthesize_ni(nf)`` with the Lyapunov solves it runs and the
+    spectra they receive, and the number of vectorized (``np.kron``)
+    solves."""
     seen, krons = [], []
-    kernel, lyapunov, kron = linalg.kernel_pd_solution, \
-        linalg.solve_lyapunov, np.kron
-
-    def recording_kernel(A, spectrum=None):
-        seen.append(("kernel", np.array(A), None, spectrum))
-        return kernel(A, spectrum)
+    lyapunov, kron = linalg.solve_lyapunov, np.kron
 
     def recording_lyapunov(A, Q, spectrum=None):
-        seen.append(("lyapunov", np.array(A), np.array(Q), spectrum))
+        seen.append((np.array(A), np.array(Q), spectrum))
         return lyapunov(A, Q, spectrum)
 
     def recording_kron(*args):
@@ -112,11 +108,18 @@ def recorded_synthesis(nf):
         return kron(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "kernel_pd_solution", recording_kernel)
         mp.setattr(linalg, "solve_lyapunov", recording_lyapunov)
         mp.setattr(np, "kron", recording_kron)
         gains = synthesize_ni(nf)
-    return gains, [call for call in seen if call[1].size], len(krons)
+    return gains, [call for call in seen if call[0].size], len(krons)
+
+
+def assert_split_without_congruence(nf, split):
+    """No kernel solve exists to run: the critical block is exactly skew,
+    and ``S`` inverts ``S_inv`` to 1e-13."""
+    assert not hasattr(linalg, "kernel_pd_solution")
+    assert np.array_equal(split.A00a, -split.A00a.T)
+    assert np.linalg.norm(split.S @ split.S_inv - np.eye(nf.m)) <= 1e-13
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -127,30 +130,23 @@ def test_carried_block_spectra_match_the_direct_route(nf):
     assert gains.verdict.holds
     assert krons == 0
     split = gains.split
-    want = {"kernel": split.m_a > 0, "lyapunov": split.m_b > 0}
-    assert sorted(kind for kind, *_ in seen) == \
-        sorted(kind for kind, wanted in want.items() if wanted)
-    for kind, A, Q, spectrum in seen:
+    assert_split_without_congruence(nf, split)
+    assert len(seen) == int(split.m_b > 0)
+    for A, Q, spectrum in seen:
         assert spectrum is not None
-        if kind == "kernel":
-            P = linalg.kernel_pd_solution(A, spectrum)
-            direct = linalg.kernel_pd_solution(A)
-            residual = spectral_norm(A.T @ P + P @ A)
-            bound = TOL.kernel_residual * (1.0 + spectral_norm(A)) \
-                * spectral_norm(P)
-        else:
-            P = linalg.solve_lyapunov(A, Q, spectrum)
-            direct = linalg.solve_lyapunov(A, Q)
-            residual = spectral_norm(A.T @ P + P @ A + Q)
-            bound = TOL.lyapunov_residual * (
-                spectral_norm(A) * spectral_norm(P) + spectral_norm(Q))
+        P = linalg.solve_lyapunov(A, Q, spectrum)
+        direct = linalg.solve_lyapunov(A, Q)
+        residual = spectral_norm(A.T @ P + P @ A + Q)
+        bound = TOL.lyapunov_residual * (
+            spectral_norm(A) * spectral_norm(P) + spectral_norm(Q))
         assert np.linalg.norm(P - direct) <= 1e-10 * np.linalg.norm(direct)
-        assert residual <= bound, (kind, residual, bound)
+        assert residual <= bound, (residual, bound)
 
 
 def test_untrusted_eigenbasis_takes_the_direct_route():
     # a skew pair and a 2x2 Jordan block at -1: V is numerically singular,
-    # so each block is decomposed on its own, and the law still certifies
+    # so the Hurwitz block is decomposed on its own, and the law still
+    # certifies
     rng = np.random.default_rng(83)
     blk = planted_normal_blocks(rng, 1, 1, 2, 2)
     canon = np.zeros((4, 4))
@@ -161,7 +157,7 @@ def test_untrusted_eigenbasis_takes_the_direct_route():
     nf = normal_form_from_blocks(blk, 1, 1, 4)
     assert nf.zero_spectrum.left is None
     gains, seen, _ = recorded_synthesis(nf)
-    assert sorted(kind for kind, *_ in seen) == ["kernel", "lyapunov"]
-    assert all(spectrum is None for *_, spectrum in seen)
+    assert [spectrum for *_, spectrum in seen] == [None]
     assert gains.split.hurwitz_spectrum is None
+    assert_split_without_congruence(nf, gains.split)
     assert gains.verdict.holds

@@ -329,7 +329,8 @@ class TestSimulate:
         S0 = random_skew_nonsingular(rng, 4)
         T = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
         A = np.linalg.solve(T, S0) @ T
-        P = linalg.kernel_pd_solution(A)
+        # A^T P + P A = 0 for P = T^T T: x^T P x is conserved
+        P = T.T @ T
         lam = np.linalg.eigvalsh(P)
         kappa = float(np.sqrt(lam[-1] / lam[0])) - 1.0
         sys = StateSpace(A=A, B=np.zeros((4, 1)), C=np.eye(4)[:1])

@@ -418,6 +418,37 @@ class TestSplitZeroDynamics:
         assert synthesize_ni(nf).verdict.holds
         assert synthesize_ssni(nf).verdict.holds
 
+    def test_rotations_under_a_similarity(self):
+        # a damped pair is Hurwitz, a Jordan chain of two equal rotations
+        # is not Lyapunov stable, and two equal semisimple rotations (p1 =
+        # 2, so that the plant is controllable) split exactly skew
+        rng = np.random.default_rng(31)
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for k in range(60):
+            w = rng.uniform(0.5, 3.0, 2)
+            if k % 3 == 0:      # one mode damped by 1e-4 .. 1e-1
+                J = np.kron(np.diag(w), rot)
+                J[0, 0] = J[1, 1] = -10.0 ** rng.uniform(-4, -1)
+            else:               # two equal rotations, chained when k % 3 == 1
+                J = np.kron(np.diag([w[0], w[0]]), rot)
+                J[0:2, 2:4] = np.eye(2) if k % 3 == 1 else 0.0
+            T = well_conditioned(rng, 4)
+            blk = planted_normal_blocks(rng, 2, 0, 0, 4)
+            blk["A00"] = T @ J @ np.linalg.inv(T)
+            nf = normal_form_from_blocks(blk, 2, 0, 4)
+            if k % 3 == 1:
+                with pytest.raises(NotWeaklyMinimumPhaseError):
+                    split_zero_dynamics(nf)
+                continue
+            split = split_zero_dynamics(nf)
+            if k % 3 == 0:
+                assert (split.m_a, split.m_b) == (2, 2)
+                continue
+            assert (split.m_a, split.m_b) == (4, 0)
+            assert np.array_equal(split.A00a, -split.A00a.T)
+            assert np.linalg.norm(split.S @ split.S_inv - np.eye(4)) <= 1e-13
+            assert synthesize_ni(nf).verdict.holds
+
     @pytest.mark.parametrize("name", sorted(EDGE_ZERO_DYNAMICS))
     def test_edge_of_the_decisions(self, name):
         # one decision on where each eigenvalue lies: a zero at the origin

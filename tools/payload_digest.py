@@ -13,8 +13,13 @@ Usage (from the root of the repository)::
 
     python3 tools/payload_digest.py    # per-op hashes, then the total
 
-The last line is ``total <sha256>``.  Two checkouts whose totals match
-produce every output byte for byte alike on these ops.
+The last three lines are ``outcomes <sha256>``, ``ops N`` and ``total
+<sha256>``.  Two checkouts whose totals match produce every output byte
+for byte alike on these ops.  The outcomes digest hashes each op's coarse
+result only: the class of the exception it raised, or else each
+``Verdict.holds`` and each ``retries_used`` in it; for a CLI op, its exit
+code and ``error.type``.  A declared drift that moves the total leaves it
+unchanged when no verdict, error class, exit code or retry count moved.
 """
 
 import os
@@ -97,6 +102,41 @@ def op_digest(kind, result, workdir):
     return h.hexdigest()
 
 
+def _coarse(obj, out):
+    """Append to ``out`` the coarse outcomes in ``obj``, in walk order:
+    an exception's class, each ``Verdict.holds``, each ``retries_used``."""
+    if isinstance(obj, BaseException):
+        out.append(("raised", type(obj).__name__))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        if type(obj).__name__ == "Verdict":
+            out.append(("holds", obj.holds))
+        else:
+            for f in dataclasses.fields(obj):
+                _coarse(getattr(obj, f.name), out)
+    elif isinstance(obj, dict):
+        for key in sorted(obj, key=str):
+            if key == "retries_used":
+                out.append(("retries", obj[key]))
+            else:
+                _coarse(obj[key], out)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _coarse(item, out)
+
+
+def op_outcome(kind, result):
+    """SHA-256 of an op's coarse result (see the module docstring)."""
+    if kind == "cli":
+        code, text = result
+        coarse = [code, json.loads(text).get("error", {}).get("type")]
+    else:
+        coarse = []
+        _coarse(result, coarse)
+    h = hashlib.sha256()
+    _feed(h, coarse)
+    return h.hexdigest()
+
+
 def main():
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "bench"))
@@ -105,7 +145,7 @@ def main():
     import workloads
 
     os.chdir(ROOT)
-    total = hashlib.sha256()
+    total, outcomes = hashlib.sha256(), hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory() as workdir:
         for seed in SEEDS:
@@ -117,9 +157,12 @@ def main():
                         work.run(op)
                         digest = op_digest(op.kind, op.result, workdir)
                         total.update(digest.encode())
+                        outcomes.update(
+                            op_outcome(op.kind, op.result).encode())
                         count += 1
                         print(f"{name} seed={seed} round={r} "
                               f"slot={slot} {op.kind} {digest}")
+    print(f"outcomes {outcomes.hexdigest()}")
     print(f"ops {count}")
     print(f"total {total.hexdigest()}")
     return 0
