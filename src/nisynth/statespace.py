@@ -1,6 +1,7 @@
 """State-space systems: construction, evaluation, interconnection and
-zero-input simulation with the exact transition matrix ``e^{A dt}``,
-whose samples are checked for finiteness once, after the last step.
+zero-input simulation from the exact transition matrix ``e^{A dt}`` and
+its doubled powers, whose samples are checked for finiteness once, after
+the last step.
 
 The JSON schema for a system is::
 
@@ -328,14 +329,25 @@ class Trajectory:
 def simulate(sys, x0, t_end, dt):
     """Zero-input response ``x(t) = e^{tA} x0``, sampled every ``dt``.
 
-    Each step multiplies the state by the exact transition matrix
-    ``e^{dt A}``; when ``dt`` does not divide ``t_end`` the last step is
-    shorter, with its own ``e^{hA}``, so the last sample is at ``t_end``
-    exactly.  ``outputs`` are ``C x``.  Raises ``InputError`` unless
-    ``t_end`` and ``dt`` are finite and positive and the samples fit in
-    ``SIMULATE_ENTRIES`` stored entries.  The steps run without a test;
-    the stored samples are then checked once, and a non-finite one raises
-    ``SimulationDivergedError`` with the time of the first.
+    Samples ``1 .. steps - 1`` are filled in blocks from the exact
+    transition matrix ``P = e^{span dt A}``: ``x_{f+i} = P x_{f-span+i}``
+    for ``i < min(span, steps - f)``, with ``P`` squared and ``span``
+    doubled before each block while the square is finite, so the run takes
+    about ``2 log2(steps)`` matrix products instead of ``steps``
+    (repeated squaring; Higham, *Functions of Matrices*, SIAM 2008, 4.1).
+    When ``dt`` does not divide ``t_end`` the last step is shorter, with
+    its own ``e^{hA}``, so the last sample is at ``t_end`` exactly.
+    ``outputs`` are ``C x``.  Raises ``InputError`` unless ``t_end`` and
+    ``dt`` are finite and positive and the samples fit in
+    ``SIMULATE_ENTRIES`` stored entries.
+
+    The stored samples are checked for finiteness once.  If one is not
+    finite, the samples are formed again one step at a time,
+    ``x_{k+1} = e^{dt A} x_k``: a regrouped product can overflow where the
+    steps do not (a large ``P`` applied to a state on a saddle's stable
+    subspace), and can overflow at another sample than the steps.  A
+    non-finite sample of that run raises ``SimulationDivergedError`` with
+    the time of the first; otherwise its samples are returned.
     """
     if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
         raise InputError("t_end and dt must be finite and positive")
@@ -359,15 +371,28 @@ def simulate(sys, x0, t_end, dt):
         if steps - t_end / dt > TOL.step_ratio:
             phi_last = linalg.expm(sys.A * (t_end - times[-2]))
         states[0] = x
-        step = phi.dot  # bound once: the same gemv as ``phi @ x``
-        for k in range(1, steps):
-            x = states[k] = step(x)
-        states[steps] = phi_last @ x
-        bad = ~np.isfinite(states).all(axis=1)
-        if bad.any():
-            t_bad = float(times[bad.argmax()])
-            raise SimulationDivergedError(
-                f"state became non-finite at t={t_bad:.6g}", t_bad=t_bad)
+        power, span, first, squaring = phi, 1, 1, True
+        while first < steps:
+            if squaring and 2 * span <= first:
+                square = power @ power
+                squaring = bool(np.isfinite(square).all())
+                if squaring:
+                    power, span = square, 2 * span
+            last = min(first + span, steps)
+            np.matmul(states[first - span:last - span], power.T,
+                      out=states[first:last])
+            first = last
+        states[steps] = phi_last @ states[steps - 1]
+        if not np.isfinite(states).all():
+            step = phi.dot  # bound once: the same gemv as ``phi @ x``
+            for k in range(1, steps):
+                x = states[k] = step(x)
+            states[steps] = phi_last @ x
+            bad = ~np.isfinite(states).all(axis=1)
+            if bad.any():
+                t_bad = float(times[bad.argmax()])
+                raise SimulationDivergedError(
+                    f"state became non-finite at t={t_bad:.6g}", t_bad=t_bad)
         outputs = states @ sys.C.T
     return Trajectory(times=times, states=states, outputs=outputs)
 

@@ -130,6 +130,17 @@ def relative_degree_vector(sys):
     return RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
 
 
+def _with_outputs(sys, C):
+    """``sys`` with the outputs ``C``.  Its ``A`` is that of ``sys``, so a
+    spectrum ``sys`` has cached fills the new system's cached slot, as
+    ``linalg.carried_spectrum`` fills its own, and ``relative_degree_vector``
+    reads ``a_norm`` from it instead of taking an SVD of ``A``."""
+    out = StateSpace(A=sys.A, B=sys.B, C=C, name=sys.name)
+    if "spectrum" in vars(sys):
+        out.__dict__["spectrum"] = sys.spectrum
+    return out
+
+
 def find_output_transformation(sys):
     """Search for ``T_y`` making the output-transformed system relative
     degree at most two.
@@ -183,8 +194,7 @@ def _search_output_transformation(sys):
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
             "a combined output has relative degree >= 3")
-    result = relative_degree_vector(
-        StateSpace(A=A, B=B, C=Ct, name=sys.name))
+    result = relative_degree_vector(_with_outputs(sys, Ct))
     if result.kind is not RdKind.FULL or result.max_degree > 2:
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
@@ -327,8 +337,7 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
             raise InputError(f"T_y must be {p}x{p}")
-        info = relative_degree_vector(
-            StateSpace(A=A, B=B, C=T_y @ sys.C, name=sys.name))
+        info = relative_degree_vector(_with_outputs(sys, T_y @ sys.C))
     if info.kind is not RdKind.FULL or any(d not in (1, 2) for d in info.r):
         raise InputError(
             "T_y does not yield a relative degree vector with degrees in "

@@ -1,13 +1,18 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nisynth
 from nisynth import cli, structure
 from nisynth.cli import main
 from nisynth.errors import VerdictError
-from nisynth.statespace import load_system
+from nisynth.statespace import interconnect_positive_feedback, load_system
 
 from gen import EDGE_ZERO_DYNAMICS, edge_plant
 
@@ -268,6 +273,53 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", plant_path, "--class", "ni",
                           "--certificate", str(cert))
         assert code == 2
+
+
+class TestEntryPoint:
+    """``python -m nisynth`` in a fresh interpreter: the package's
+    ``__main__``, its exit code and its JSON on stdout."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(nisynth.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "nisynth", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert "Traceback" not in done.stderr
+        return done.returncode, json.loads(done.stdout)
+
+    def test_stabilize_then_simulate_the_robust_loop(self, sample_paths,
+                                                     tmp_path):
+        code, rep = self.run_module(
+            "stabilize", str(sample_paths["plant"]), "--gamma", "1",
+            "--params", str(sample_paths["params"]))
+        assert code == 0
+        closed = tmp_path / "closed.json"
+        closed.write_text(json.dumps(rep["closed_loop"]))
+        x0 = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
+        code, rep = self.run_module(
+            "simulate", str(closed), "--delta",
+            str(sample_paths["uncertainty"]),
+            "--x0=" + ",".join(map(repr, x0.tolist())), "--t-end", "20",
+            "--dt", "0.01")
+        assert code == 0
+        loop = interconnect_positive_feedback(
+            load_system(closed), load_system(sample_paths["uncertainty"]))
+        lam, V = np.linalg.eig(loop.A)
+        exact = np.real(V @ (np.exp(20.0 * lam) * np.linalg.solve(V, x0)))
+        final = np.array(rep["simulation"]["final_state"])
+        assert np.linalg.norm(final - exact) <= 1e-9 * np.linalg.norm(x0)
+
+    def test_divergence_exits_three(self, tmp_path):
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps({"A": [[50.0]], "B": [[1.0]],
+                                    "C": [[1.0]]}))
+        code, rep = self.run_module("simulate", str(path), "--x0", "1",
+                                    "--t-end", "1000", "--dt", "0.5")
+        assert code == 3
+        assert rep["error"]["type"] == "SimulationDivergedError"
 
 
 class TestSimulate:

@@ -13,6 +13,15 @@ and a bounded budget.
   that of the block's own ``eig`` to 1e-10, relative, and passes its
   residual gate without the vectorized fallback; an untrusted eigenbasis
   (a Jordan block) still takes the direct route and certifies.
+* ``statespace.simulate`` from doubled transition powers: over stable,
+  skew, unstable and saddle systems (n <= 6, up to 3 000 steps, x0 scaled
+  by 1e-300, 1 or 1e300), it raises ``SimulationDivergedError`` with the
+  ``t_bad`` of the per-step loop ``x <- e^(dt A) x`` exactly when that
+  loop goes non-finite, and otherwise its samples are within 1e-12 of the
+  loop's largest sample (for a saddle, of ``kappa(T) e^(lambda_max t_end)
+  ||x0||_1``, the rounding of x0 the unstable modes grow); a saddle whose
+  doubled product overflows where the steps do not returns the loop's
+  samples bit for bit.
 """
 
 import numpy as np
@@ -21,7 +30,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nisynth import linalg  # noqa: E402
+from nisynth import StateSpace, linalg, simulate  # noqa: E402
+from nisynth.errors import SimulationDivergedError  # noqa: E402
 from nisynth.linalg import TOL, spectral_norm  # noqa: E402
 from nisynth.synth import synthesize_ni  # noqa: E402
 
@@ -161,3 +171,100 @@ def test_untrusted_eigenbasis_takes_the_direct_route():
     assert gains.split.hurwitz_spectrum is None
     assert_split_without_congruence(nf, gains.split)
     assert gains.verdict.holds
+
+
+@st.composite
+def zero_input_runs(draw):
+    """``(family, A, x0, t_end, dt, log_growth)``: ``A = T J T^-1`` with
+    ``T`` of condition number at most 4 and ``J`` diagonal (stable,
+    unstable, or saddle with x0 on its stable subspace) or of rotations
+    (skew); ``log_growth`` is ``log(kappa(T) e^(max(lambda, 0) t_end)
+    ||x0||_1)``, which bounds ``||e^(t A) x0||`` for ``t <= t_end``."""
+    family = draw(st.sampled_from(("stable", "skew", "unstable", "saddle")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "skew":
+        n = 2 * draw(st.integers(1, 3))
+        lam, J = np.zeros(n), np.zeros((n, n))
+        for k in range(0, n, 2):
+            w = rng.uniform(0.5, 2.0)
+            J[k:k + 2, k:k + 2] = [[0.0, w], [-w, 0.0]]
+    else:
+        n = draw(st.integers(2 if family == "saddle" else 1, 6))
+        unstable = {"stable": 0, "unstable": n}.get(family)
+        if unstable is None:
+            unstable = draw(st.integers(1, n - 1))
+        lam = np.concatenate([rng.uniform(0.2, 1.5, unstable),
+                              -rng.uniform(0.2, 1.5, n - unstable)])
+        J = np.diag(lam)
+    T = well_conditioned(rng, n)
+    A = T @ J @ np.linalg.inv(T)
+    if family == "saddle":
+        x0 = T[:, unstable:] @ rng.standard_normal(n - unstable)
+    else:
+        x0 = rng.standard_normal(n)
+    x0 *= draw(st.sampled_from((1e-300, 1.0, 1e300)))
+    dt = draw(st.sampled_from((0.01, 0.1, 0.5)))
+    steps = draw(st.integers(1, 3000))
+    t_end = dt * (steps - draw(st.sampled_from((0.0, 0.3))))
+    log_growth = (np.log(np.linalg.cond(T)) + max(lam.max(), 0.0) * t_end
+                  + np.log(np.abs(x0).sum()))
+    return family, A, x0, t_end, dt, log_growth
+
+
+def stepped(A, x0, t_end, dt):
+    """The per-step loop ``x <- e^(dt A) x``, the last step with its own
+    ``e^(h A)`` when it is short: the time of its first non-finite sample
+    (None when there is none) and its samples."""
+    steps = int(max(1.0, np.ceil(t_end / dt - TOL.step_ratio)))
+    times = np.arange(steps + 1) * dt
+    times[-1] = t_end
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = phi_last = linalg.expm(A * dt)
+        if steps - t_end / dt > TOL.step_ratio:
+            phi_last = linalg.expm(A * (t_end - times[-2]))
+        x, states = x0, [x0]
+        for k in range(steps):
+            x = (phi_last if k == steps - 1 else phi) @ x
+            states.append(x)
+    states = np.array(states)
+    bad = ~np.isfinite(states).all(axis=1)
+    return (float(times[bad.argmax()]) if bad.any() else None), states
+
+
+def unforced(A):
+    n = A.shape[0]
+    return StateSpace(A=A, B=np.zeros((n, 1)), C=np.eye(n)[:1])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(zero_input_runs())
+def test_doubled_powers_keep_the_per_step_outcome(run):
+    family, A, x0, t_end, dt, log_growth = run
+    t_bad, states = stepped(A, x0, t_end, dt)
+    if t_bad is not None:
+        with pytest.raises(SimulationDivergedError) as exc:
+            simulate(unforced(A), x0, t_end, dt)
+        assert exc.value.t_bad == t_bad
+        return
+    traj = simulate(unforced(A), x0, t_end, dt)
+    with np.errstate(over="ignore"):
+        deviation = float(np.abs(traj.states - states).max())
+    if family == "saddle":
+        assert deviation == 0.0 or \
+            np.log(deviation) <= np.log(1e-12) + log_growth
+    else:
+        assert deviation <= 1e-12 * np.abs(states).max()
+
+
+def test_saddle_whose_doubled_product_overflows_takes_the_steps():
+    # eigenvalues +-1, x0 on the stable eigenvector (1, -1): e^(32 A) has
+    # entries cosh 32 = 4e13, so the block from sample 0 to sample 32
+    # overflows, while the steps' rounding, grown by e^40, stays near 1e302
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x0 = 1e300 * np.array([1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(linalg.expm(32.0 * A) @ x0).all()
+    t_bad, states = stepped(A, x0, 40.0, 1.0)
+    assert t_bad is None
+    traj = simulate(unforced(A), x0, t_end=40.0, dt=1.0)
+    assert np.array_equal(traj.states, states)

@@ -364,25 +364,55 @@ class TestSimulate:
                 simulate(sys, x0, t_end=19.5, dt=1.0)
         assert exc.value.t_bad == t_bad
 
-    @pytest.mark.parametrize("case", ["demo-robust-loop", "short-last-step"])
+    @pytest.mark.parametrize(
+        "case", ["demo-robust-loop", "short-last-step", "infinite-square"])
     def test_states_equal_a_per_step_loop(self, demo_uncertainty, case):
-        # x <- e^(dt A) x, the last step with its own e^(h A) when it is short
+        # bit for bit: sample k is e^(2^b dt A), the b-th square of
+        # e^(dt A) for the largest 2^b <= k whose square and all before it
+        # are finite, times sample k - 2^b; the last step takes its own
+        # e^(h A) when it is short.  Within 1e-12 of the largest sample:
+        # x <- e^(dt A) x, one step at a time
+        dt = 0.01
         if case == "demo-robust-loop":
             sys = interconnect_positive_feedback(demo_nominal_closed(),
                                                  demo_uncertainty)
             x0, t_end, steps, h = np.arange(1.0, 7.0), 20.0, 2000, 0.01
-        else:
+        elif case == "short-last-step":
             sys = StateSpace(A=[[-1.0, 2.0], [0.0, -3.0]],
                              B=np.zeros((2, 1)), C=[[1.0, 0.0]])
             x0, t_end, steps, h = np.array([1.0, 1.0]), 1.005, 101, 1.005 - 1.0
-        dt = 0.01
+        else:
+            # e^(512 dt A) has e^1024 = inf in it: the blocks stay at 256
+            # samples, and x0 never meets the growing mode
+            sys = StateSpace(A=[[200.0, 0.0], [0.0, -10.0]],
+                             B=np.zeros((2, 1)), C=[[1.0, 0.0]])
+            x0, t_end, steps, h = np.array([0.0, 1.0]), 10.0, 1000, 0.01
         phi, phi_last = linalg.expm(sys.A * dt), linalg.expm(sys.A * h)
-        x, expected = x0, [x0]
+        powers = [phi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 2 ** len(powers) < steps:
+                square = powers[-1] @ powers[-1]
+                if not np.isfinite(square).all():
+                    break
+                powers.append(square)
+        doubled = np.empty((steps + 1, len(x0)))
+        doubled[0] = x0
+        k = 1
+        while k < steps:
+            b = min(k.bit_length(), len(powers)) - 1
+            stop = min(k + 2 ** b, steps)
+            doubled[k:stop] = doubled[k - 2 ** b:stop - 2 ** b] @ powers[b].T
+            k = stop
+        doubled[steps] = phi_last @ doubled[steps - 1]
+        x, stepped = x0, [x0]
         for k in range(steps):
             x = (phi_last if k == steps - 1 else phi) @ x
-            expected.append(x)
+            stepped.append(x)
+        stepped = np.array(stepped)
         traj = simulate(sys, x0, t_end=t_end, dt=dt)
-        assert np.array_equal(traj.states, np.array(expected))
+        assert np.array_equal(traj.states, doubled)
+        assert np.abs(traj.states - stepped).max() <= \
+            1e-12 * np.abs(stepped).max()
 
     def test_every_sample_is_the_modal_solution(self, demo_uncertainty):
         loop = interconnect_positive_feedback(demo_nominal_closed(),

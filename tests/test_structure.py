@@ -131,6 +131,21 @@ class TestFindOutputTransformation:
         assert_same_normal_form(to_normal_form(demo_plant),
                                 to_normal_form(demo_plant, T_y))
 
+    def test_transformed_outputs_read_the_plants_spectrum(self, demo_plant,
+                                                          monkeypatch):
+        # the demo needs T_y != I; the systems with outputs T_y C share the
+        # plant's A, so once the plant's spectrum is cached neither the
+        # search nor to_normal_form takes an SVD of A
+        plant = StateSpace(A=demo_plant.A, B=demo_plant.B, C=demo_plant.C)
+        assert plant.uncontrollable_mode is None
+        norms = []
+        monkeypatch.setattr(structure, "spectral_norm",
+                            lambda M: norms.append(M) or linalg.spectral_norm(M))
+        T_y, _ = find_output_transformation(plant)
+        to_normal_form(plant, T_y)
+        assert not np.array_equal(T_y, np.eye(2))
+        assert not any(np.array_equal(M, plant.A) for M in norms)
+
     def test_identity_accepted_for_degree_one(self):
         sys = StateSpace(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
         T_y, info = find_output_transformation(sys)
