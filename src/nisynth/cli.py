@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``analyze``, ``synthesize``, ``stabilize``, ``verify``,
-``simulate``.  Each emits a JSON report on stdout (or ``--out``).  Exit
+``simulate``.  Each emits a JSON report on stdout (or ``--out``): one line
+of JSON with sorted keys, encoded by the standard library's C encoder;
+``python -m json.tool`` indents it.  ``simulate``'s norms are finite for
+any representable norm, however large or small the state's entries.  Exit
 codes: 0 success / verdict holds, 1 verdict fails, 2 usage or input
 error, 3 numerical failure.
 """
@@ -12,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys as _sys
 import time
 
@@ -53,13 +57,24 @@ def _load_json(path, what):
 
 def _emit(report, args):
     report["timings"] = {"seconds": round(time.perf_counter() - args._t0, 6)}
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    # no indent: only then does json use its C encoder; a non-finite
+    # float raises ValueError, which main reports as exit 2
+    text = json.dumps(report, sort_keys=True, allow_nan=False)
     out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _norm(x):
+    """``||x||_2`` of a power-of-two-scaled ``x``: finite wherever the norm
+    is representable, and ``np.linalg.norm(x)`` bit for bit wherever that
+    neither overflows nor underflows, since binary scaling is exact."""
+    _, k = math.frexp(float(np.abs(x).max()))
+    with np.errstate(over="ignore"):  # a norm above the float range: inf
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -k)), k))
 
 
 def _base_report(args, sys_path):
@@ -282,8 +297,7 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise InputError(f"--x0 must be comma-separated numbers: {exc}") from exc
     traj = simulate(system, x0, t_end=args.t_end, dt=args.dt)
-    norm0 = float(np.linalg.norm(x0))
-    norm_end = float(np.linalg.norm(traj.states[-1]))
+    norm0, norm_end = _norm(x0), _norm(traj.states[-1])
     report["simulation"] = {
         "t_end": args.t_end, "dt": args.dt, "n_states": system.n,
         "x0": x0.tolist(), "final_state": traj.states[-1].tolist(),

@@ -13,7 +13,9 @@ row-major lists of lists and are validated for rectangularity on load.
 A ``StateSpace`` holds read-only copies of its matrices and caches, each
 on first use, what is a fact of the system alone: the spectrum of ``A``
 (which records ``||A||_2`` too and, once asked, its left eigenvectors and
-the eigenvector norms), the modal factors ``C V`` and ``V^{-1} B`` that
+the eigenvector norms), ``||A||_2`` itself (read from a cached spectrum,
+else from one SVD, so a caller that needs only the norm takes no
+``eig``), the modal factors ``C V`` and ``V^{-1} B`` that
 ``eval_tf`` works from, and the PBH failure arrays of controllability and
 observability, from which ``is_minimal`` and the strong-class certificate
 test read their witnesses and hidden modes.  The functions keep no state of
@@ -121,10 +123,13 @@ class StateSpace:
         return linalg.first_failure(self.spectrum,
                                     self.observability_failures)
 
-    @property
+    @cached_property
     def a_norm(self):
-        """Spectral norm of ``A``, recorded by its spectrum."""
-        return self.spectrum.norm
+        """Spectral norm of ``A``: the one a cached spectrum records, bit
+        for bit, else that of one SVD, which computes no spectrum."""
+        if "spectrum" in vars(self):
+            return self.spectrum.norm
+        return linalg.spectral_norm(self.A)
 
     @property
     def n(self):

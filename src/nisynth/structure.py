@@ -79,9 +79,7 @@ def relative_degree_vector(sys):
     if linalg.sv_rank(sv_b, B.shape) != p or linalg.rank(C) != p:
         raise InputError("relative-degree analysis requires rank(B) = rank(C) = p")
     n = sys.n
-    # ||A||_2 as a cached spectrum records it, bit for bit; a system
-    # without one takes the SVD alone, not an eig
-    a_norm = sys.a_norm if "spectrum" in vars(sys) else spectral_norm(A)
+    a_norm = sys.a_norm
     b_norm = float(sv_b[0])
     powers = [np.eye(n)]  # A^j, extended when a row's search reaches j
     degrees = []
@@ -131,13 +129,14 @@ def relative_degree_vector(sys):
 
 
 def _with_outputs(sys, C):
-    """``sys`` with the outputs ``C``.  Its ``A`` is that of ``sys``, so a
-    spectrum ``sys`` has cached fills the new system's cached slot, as
-    ``linalg.carried_spectrum`` fills its own, and ``relative_degree_vector``
-    reads ``a_norm`` from it instead of taking an SVD of ``A``."""
+    """``sys`` with the outputs ``C``.  Its ``A`` is that of ``sys``, so
+    what ``sys`` has cached of ``A``, its spectrum and ``a_norm``, fills the
+    new system's slots, as ``linalg.carried_spectrum`` fills its own, and
+    ``relative_degree_vector`` reads ``a_norm`` without an SVD of ``A``."""
     out = StateSpace(A=sys.A, B=sys.B, C=C, name=sys.name)
-    if "spectrum" in vars(sys):
-        out.__dict__["spectrum"] = sys.spectrum
+    for slot in ("spectrum", "a_norm"):
+        if slot in vars(sys):
+            out.__dict__[slot] = vars(sys)[slot]
     return out
 
 
@@ -162,6 +161,9 @@ def _search_output_transformation(sys):
     """``find_output_transformation``, returning the relative-degree info
     of the original outputs too, after that of the transformed ones."""
     p = sys.require_square("output-transformation search")
+    # the PBH test below needs the spectrum, and the degrees read ||A||_2
+    # from it: decomposed first, A takes one SVD, not two
+    sys.spectrum
     original = relative_degree_vector(sys)
     if sys.uncontrollable_mode is not None:
         raise NotControllableError(

@@ -369,6 +369,22 @@ class TestSimulate:
                                 "message": "state became non-finite at "
                                            "t=14.5"}
 
+    @pytest.mark.parametrize("x0", ["1e200", "1e-300"])
+    def test_norms_of_extreme_states(self, capsys, tmp_path, x0):
+        # the norms scale x by a power of two first: squaring 1e200
+        # overflows and squaring 1e-300 underflows, but neither norm does
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]],
+                                    "C": [[1.0]]}))
+        code, rep = run_cli(capsys, "simulate", str(path), "--x0", x0,
+                            "--t-end", "1", "--dt", "0.1")
+        assert code == 0
+        sim = rep["simulation"]
+        assert sim["initial_norm"] == float(x0)
+        assert sim["final_norm"] == abs(sim["final_state"][0])
+        assert sim["ratio"] == sim["final_norm"] / sim["initial_norm"]
+        assert abs(sim["ratio"] - np.exp(-1.0)) < 1e-12
+
     FINITE = "t_end and dt must be finite and positive"
 
     @pytest.mark.parametrize("argv, message", [
@@ -524,3 +540,58 @@ class TestOsniRoundTrip:
         code2, rep2 = run_cli(capsys, "verify", str(closed),
                               "--class", "osni", "--certificate", str(cert))
         assert code2 == 0
+
+
+class TestReportLayout:
+    """A report is one line of JSON with sorted keys and the C encoder's
+    separators, on stdout or in the ``--out`` file."""
+
+    @staticmethod
+    def assert_one_line(text):
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("code, argv", [
+        pytest.param(0, ("analyze", "{plant}"), id="analyze"),
+        pytest.param(0, ("synthesize", "{plant}", "--seed", "3"),
+                     id="synthesize"),
+        pytest.param(0, ("synthesize", "{plant}", "--target", "osni",
+                         "--seed", "5"), id="synthesize-osni"),
+        pytest.param(0, ("stabilize", "{plant}", "--gamma", "1",
+                         "--params", "{params}"), id="stabilize"),
+        pytest.param(1, ("verify", "{plant}", "--class", "sni"),
+                     id="verify"),
+        pytest.param(0, ("simulate", "{plant}", "--x0", "1,0,0,1",
+                         "--t-end", "1"), id="simulate"),
+        # the ssni refusal: an error report
+        pytest.param(1, ("synthesize", "{plant}", "--target", "ssni"),
+                     id="error-report")])
+    def test_stdout_and_out_file(self, capsys, tmp_path, plant_path,
+                                 params_path, code, argv):
+        argv = [a.format(plant=plant_path, params=params_path) for a in argv]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        self.assert_one_line(out)
+        report = tmp_path / "report.json"
+        assert main(argv + ["--out", str(report)]) == code
+        assert capsys.readouterr().out == ""
+        text = report.read_text(encoding="utf-8")
+        self.assert_one_line(text)
+        assert json.loads(text).keys() == json.loads(out).keys()
+
+    def test_non_finite_float_refused(self, capsys, tmp_path):
+        args = argparse.Namespace(_t0=0.0, out=None)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"value": float("inf")}, args)
+        assert capsys.readouterr().out == ""
+        # a norm above the float range is inf: main reports exit 2
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -1.0]],
+                                    "B": [[1.0], [0.0]],
+                                    "C": [[1.0, 0.0]]}))
+        code, rep = run_cli(capsys, "simulate", str(path),
+                            "--x0", "1.7e308,1.7e308", "--t-end", "1",
+                            "--dt", "0.1")
+        assert code == 2
+        assert rep["error"]["kind"] == "input-error"
+        assert rep["error"]["type"] == "ValueError"

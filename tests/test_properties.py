@@ -22,6 +22,10 @@ and a bounded budget.
   ||x0||_1``, the rounding of x0 the unstable modes grow); a saddle whose
   doubled product overflows where the steps do not returns the loop's
   samples bit for bit.
+* ``cli._norm``, the norm the ``simulate`` report takes of a
+  power-of-two-scaled vector, equals ``np.linalg.norm`` bit for bit on
+  vectors of up to 8 entries with magnitudes from 1e-12 to 1e12, where the
+  plain norm neither overflows nor underflows.
 """
 
 import numpy as np
@@ -30,7 +34,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nisynth import StateSpace, linalg, simulate  # noqa: E402
+from nisynth import StateSpace, cli, linalg, simulate  # noqa: E402
 from nisynth.errors import SimulationDivergedError  # noqa: E402
 from nisynth.linalg import TOL, spectral_norm  # noqa: E402
 from nisynth.synth import synthesize_ni  # noqa: E402
@@ -268,3 +272,11 @@ def test_saddle_whose_doubled_product_overflows_takes_the_steps():
     assert t_bad is None
     traj = simulate(unforced(A), x0, t_end=40.0, dt=1.0)
     assert np.array_equal(traj.states, states)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_scaled_norm_is_the_plain_norm_in_range(size, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-12, 12, size)
+    assert cli._norm(x) == float(np.linalg.norm(x))

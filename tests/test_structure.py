@@ -146,6 +146,31 @@ class TestFindOutputTransformation:
         assert not np.array_equal(T_y, np.eye(2))
         assert not any(np.array_equal(M, plant.A) for M in norms)
 
+    @pytest.mark.parametrize("path, shape", [
+        ("osni", (2, 1, 0, 3)), ("osni", (1, 1, 0, 3)),
+        ("ssni", (2, 0, 0, 4)), ("ssni", (3, 0, 0, 3))])
+    def test_one_svd_of_a_per_fresh_plant(self, monkeypatch, path, shape):
+        # a plant with nothing cached: the search decomposes A before it
+        # reads the degrees, and the SSNI path's degrees cache ||A||_2 for
+        # the normal form's transformed outputs, so A takes one SVD
+        drawn, _ = planted_system(np.random.default_rng(61), *shape)
+        plant = StateSpace(A=drawn.A, B=drawn.B, C=drawn.C)
+        svd = np.linalg.svd
+        of_a = []
+
+        def counting(M, *args, **kwargs):
+            of_a.append(np.array_equal(M, plant.A))
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        if path == "osni":
+            T_y, _ = find_output_transformation(plant)
+        else:
+            relative_degree_vector(plant)
+            T_y = np.eye(plant.n_outputs)
+        to_normal_form(plant, T_y)
+        assert sum(of_a) == 1
+
     def test_identity_accepted_for_degree_one(self):
         sys = StateSpace(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
         T_y, info = find_output_transformation(sys)
