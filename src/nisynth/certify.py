@@ -187,7 +187,7 @@ def _on_axis(vals, M):
     TOL.crossing_axis_norm ||M||_F``, loose on purpose: a spurious
     candidate costs one more decision point, a missed one a band."""
     keep = np.abs(vals.real) <= TOL.crossing_axis * np.abs(vals) + \
-        TOL.crossing_axis_norm * np.linalg.norm(M)
+        TOL.crossing_axis_norm * linalg.frobenius_norm(M)
     return vals.imag[keep]
 
 
@@ -231,11 +231,11 @@ def _gamma_crossings(sys):
     ``Gamma`` is real, the same size as the OSNI Hamiltonian and about a
     third of the cost of the exact route's complex zero matrix."""
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    if not np.array_equal(D, D.T):
+    if not (D == D.T).all():  # D is square
         return None
     CAi = np.linalg.solve(A.T, C.T).T
     R0 = D - CAi @ B
-    if np.linalg.norm(R0 - R0.T) > TOL.dc_asymmetry:
+    if linalg.frobenius_norm(R0 - R0.T) > TOL.dc_asymmetry:
         return None
     Ct, Dt = (C @ A - CAi) / 2.0, C @ B / 2.0
     return _popov_crossings(A, B, np.zeros_like(A), Ct.T, Dt + Dt.T,
@@ -286,8 +286,13 @@ def _decision_points(sys, crossings, axis_poles):
     inside = [[1.0]] if not len(breaks) else [
         (breaks[:-1] + breaks[1:]) / 2.0, [breaks[0] / 2.0, 2.0 * breaks[-1]]]
     pole_w = np.abs(sys.poles().imag)
-    points = np.unique(np.concatenate(
-        [*inside, pole_w[pole_w > sys.spectrum.axis_tol]]))
+    points = np.concatenate([*inside, pole_w[pole_w > sys.spectrum.axis_tol]])
+    # np.unique's array: sorted, each value once
+    points.sort()
+    distinct = np.empty(len(points), dtype=bool)
+    distinct[:1] = True
+    distinct[1:] = points[1:] != points[:-1]
+    points = points[distinct]
     return points[~near_pole(sys, 1j * points)]
 
 
@@ -308,7 +313,7 @@ def _feedthrough_asymmetry(D):
     """``(lambda_min(j(D - D^T)), symmetric)``: the limit of ``j(R - R*)``
     as ``w -> inf`` is ``-||D - D^T||_2``, at least
     ``-TOL.feedthrough_asymmetry`` for a symmetric ``D``."""
-    if np.array_equal(D, D.T):
+    if D.shape[0] == D.shape[1] and (D == D.T).all():
         return 0.0, True
     lam = float(np.linalg.eigvalsh(1j * (D - D.T))[0])
     return lam, lam >= -TOL.feedthrough_asymmetry

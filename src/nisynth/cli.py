@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, certify, structure, synth
 from .errors import InputError, NumericalError, RelativeDegreeNotOneError, VerdictError
-from .linalg import StabilityClass
+from .linalg import StabilityClass, frobenius_norm
 from .statespace import (
     UncertainSystem,
     has_zero_at_origin,
@@ -68,13 +68,21 @@ def _emit(report, args):
         print(text)
 
 
-def _norm(x):
-    """``||x||_2`` of a power-of-two-scaled ``x``: finite wherever the norm
-    is representable, and ``np.linalg.norm(x)`` bit for bit wherever that
-    neither overflows nor underflows, since binary scaling is exact."""
+def _scaled_norm(x):
+    """``(m, k)`` with ``||x||_2 = m 2^k``: ``m`` is the norm of ``x 2^-k``,
+    ``k`` the binary exponent of the largest magnitude, so ``m`` neither
+    overflows nor underflows; binary scaling is exact."""
     _, k = math.frexp(float(np.abs(x).max()))
+    return frobenius_norm(np.ldexp(x, -k)), k
+
+
+def _norm(x):
+    """``||x||_2`` from ``_scaled_norm``: finite wherever the norm is
+    representable, and ``np.linalg.norm(x)`` bit for bit wherever that
+    neither overflows nor underflows."""
+    m, k = _scaled_norm(x)
     with np.errstate(over="ignore"):  # a norm above the float range: inf
-        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -k)), k))
+        return float(np.ldexp(m, k))
 
 
 def _base_report(args, sys_path):
@@ -297,13 +305,25 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise InputError(f"--x0 must be comma-separated numbers: {exc}") from exc
     traj = simulate(system, x0, t_end=args.t_end, dt=args.dt)
-    norm0, norm_end = _norm(x0), _norm(traj.states[-1])
-    report["simulation"] = {
+    (m0, k0), (m_end, k_end) = _scaled_norm(x0), _scaled_norm(traj.states[-1])
+    with np.errstate(over="ignore"):  # beyond the float range: inf
+        # the ratio of the scaled norms, so a norm's overflow does not
+        # carry into it; bit for bit norm_end / norm0 in the normal range
+        ratio = float(np.ldexp(m_end / m0, k_end - k0)) if m0 else None
+    sim = report["simulation"] = {
         "t_end": args.t_end, "dt": args.dt, "n_states": system.n,
         "x0": x0.tolist(), "final_state": traj.states[-1].tolist(),
-        "initial_norm": norm0, "final_norm": norm_end,
-        "ratio": norm_end / norm0 if norm0 else None,
+        "initial_norm": _norm(x0), "final_norm": _norm(traj.states[-1]),
+        "ratio": ratio,
     }
+    # JSON has no inf: such a figure is reported as null, with a note
+    notes = []
+    for field in ("initial_norm", "final_norm", "ratio"):
+        if sim[field] is not None and not math.isfinite(sim[field]):
+            sim[field] = None
+            notes.append(f"{field} exceeds the float range")
+    if notes:
+        sim["notes"] = notes
     _emit(report, args)
     return EXIT_OK
 

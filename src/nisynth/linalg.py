@@ -21,10 +21,14 @@ Conventions
 * A gate ``||X||_2 <= limit`` whose limit is known to be at least some
   ``low`` passes without the SVD when ``frobenius_clears(X, low)``; only
   otherwise is ``spectral_norm`` taken, so every verdict is the SVD's.
+* Frobenius norms and the norms of rows or columns come from the one
+  helper ``frobenius_norm``, which is ``np.linalg.norm``'s formula bit for
+  bit without its dispatch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -183,7 +187,7 @@ def as_matrix(M, name="matrix", square=False, dtype=float):
         A = A.reshape(1, 1)
     if A.ndim != 2:
         raise InputError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise InputError(f"{name} contains non-finite entries")
     if square and A.shape[0] != A.shape[1]:
         raise InputError(f"{name} must be square, got shape {A.shape}")
@@ -199,13 +203,28 @@ def spectral_norm(A):
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
+def frobenius_norm(X, axis=None):
+    """``np.linalg.norm(X, axis=axis)`` of a float or complex array, bit
+    for bit, by numpy's own formula without its dispatch: with ``axis``
+    None the Frobenius norm, ``sqrt(x . x)`` of the raveled array (the dots
+    of its real and imaginary parts when complex), as a Python float; with
+    ``axis`` 0 or 1 the Euclidean norms of the columns or rows."""
+    if axis is None:
+        x = X.ravel(order="K")
+        if x.dtype.kind == "c":
+            re, im = x.real, x.imag
+            return math.sqrt(re.dot(re) + im.dot(im))
+        return math.sqrt(x.dot(x))
+    return np.sqrt(np.add.reduce((X.conj() * X).real, axis=axis))
+
+
 def frobenius_clears(X, low):
     """True when ``||X||_F <= low / 2``: since ``||X||_2 <= ||X||_F``
     (Golub & Van Loan, *Matrix Computations*, 2.3), a gate ``||X||_2 <=
     limit`` with ``limit >= low`` then passes without the SVD.  The factor
     1/2 leaves room for the rounding of both norms and of the limit, so
     the gate's verdict is the one ``spectral_norm`` would give."""
-    return float(np.linalg.norm(X)) <= low / 2.0
+    return frobenius_norm(X) <= low / 2.0
 
 
 class StabilityClass(Enum):
@@ -226,7 +245,7 @@ class EigenResult:
     once on first use when the eigenbasis is trusted; the hot paths that
     work in the eigenbasis key on it.  ``right_norms`` and ``left_norms``
     cache the Euclidean norms of the columns of ``vectors`` and of the
-    rows of ``left``.
+    rows of ``left``, and ``screen_scale`` the PBH screen's factor.
     """
 
     values: np.ndarray
@@ -285,7 +304,7 @@ class EigenResult:
             return None
         if not np.abs(W).max() <= TOL.eigenbasis:
             return None
-        if np.linalg.norm(V) * np.linalg.norm(W) <= TOL.eigenbasis:
+        if frobenius_norm(V) * frobenius_norm(W) <= TOL.eigenbasis:
             return W
         s = np.linalg.svd(V, compute_uv=False)
         return W if s[0] <= TOL.eigenbasis * s[-1] else None
@@ -293,13 +312,22 @@ class EigenResult:
     @cached_property
     def right_norms(self):
         """``||vectors[:, k]||`` for each ``k``."""
-        return np.linalg.norm(self.vectors, axis=0)
+        return frobenius_norm(self.vectors, axis=0)
 
     @cached_property
     def left_norms(self):
         """``||left[k]||`` for each ``k``; None when ``left`` is."""
         W = self.left
-        return None if W is None else np.linalg.norm(W, axis=1)
+        return None if W is None else frobenius_norm(W, axis=1)
+
+    @cached_property
+    def screen_scale(self):
+        """``TOL.pbh_screen ||left[k]|| ||vectors[:, k]||`` for each ``k``,
+        the bound of ``pbh_failures``' screen per unit of its scale; None
+        when ``left`` is."""
+        w_norm = self.left_norms
+        return None if w_norm is None else \
+            TOL.pbh_screen * w_norm * self.right_norms
 
 
 def carried_spectrum(res, keep, vectors, block, left):
@@ -398,7 +426,7 @@ def rank(M):
 def sv_rank(s, shape):
     """``rank`` of a matrix of ``shape`` from its sorted singular values
     ``s``, for callers that use the SVD for more than the rank."""
-    return int(np.sum(s > max(shape) * TOL.rank * s[0]))
+    return int(np.count_nonzero(s > max(shape) * TOL.rank * s[0]))
 
 
 def symmetrize(M, name="matrix"):
@@ -415,9 +443,10 @@ def symmetrize(M, name="matrix"):
 def hermitian_defect(M):
     """``(||M - M*||_2, within TOL.hermitian max(1, ||M||_2))``; an exactly
     Hermitian ``M`` has no defect to measure and takes no SVD."""
-    if np.array_equal(M, M.conj().T):
+    Mh = M.conj().T
+    if M.shape == Mh.shape and (M == Mh).all():
         return 0.0, True
-    defect = spectral_norm(M - M.conj().T)
+    defect = spectral_norm(M - Mh)
     return defect, defect <= TOL.hermitian * max(1.0, spectral_norm(M))
 
 
@@ -508,8 +537,9 @@ def _lyapunov_residual(A, P, Q, a_norm):
     R = A.T @ P + P @ A + Q
     low = TOL.lyapunov_residual * (a_norm * np.abs(P).max()
                                    + np.abs(Q).max())
-    if frobenius_clears(R, low):
-        return float(np.linalg.norm(R)), low / 2.0
+    r_norm = frobenius_norm(R)
+    if r_norm <= low / 2.0:  # frobenius_clears(R, low), R's norm kept
+        return r_norm, low / 2.0
     residual = spectral_norm(R)
     bound = TOL.lyapunov_residual * (a_norm * spectral_norm(P)
                                      + spectral_norm(Q))
@@ -605,13 +635,11 @@ def pbh_failures(A, M, mode, spectrum):
     V, W = spectrum.vectors, spectrum.left
     screened = np.zeros(n, dtype=bool)
     if W is not None:
-        w_norm, v_norm = spectrum.left_norms, spectrum.right_norms
         if mode == "controllable":
-            reach = np.linalg.norm(W @ M, axis=1) / w_norm
+            reach = frobenius_norm(W @ M, axis=1) / spectrum.left_norms
         else:
-            reach = np.linalg.norm(M @ V, axis=0) / v_norm
-        scale = spectrum.norm + np.linalg.norm(M)
-        bound = TOL.pbh_screen * w_norm * v_norm * scale
+            reach = frobenius_norm(M @ V, axis=0) / spectrum.right_norms
+        bound = spectrum.screen_scale * (spectrum.norm + frobenius_norm(M))
         screened = (spectrum.algebraic == 1) & (reach > bound)
         if screened.all():
             return failed
@@ -645,11 +673,11 @@ def stability_class(res):
     ``Re lambda <= res.axis_tol``, each eigenvalue ``on_axis`` semisimple.
     """
     re = res.values.real
-    if np.all(re < -res.axis_tol):
+    if (re < -res.axis_tol).all():
         return StabilityClass.HURWITZ
-    if np.any(re > res.axis_tol):
+    if (re > res.axis_tol).any():
         return StabilityClass.UNSTABLE
     critical = res.on_axis
-    if np.any(res.algebraic[critical] != res.geometric[critical]):
+    if (res.algebraic[critical] != res.geometric[critical]).any():
         return StabilityClass.UNSTABLE
     return StabilityClass.LYAPUNOV_STABLE

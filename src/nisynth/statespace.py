@@ -160,7 +160,7 @@ class StateSpace:
 
     def to_dict(self):
         d = {"A": self.A.tolist(), "B": self.B.tolist(), "C": self.C.tolist()}
-        if np.any(self.D != 0.0):
+        if (self.D != 0.0).any():
             d["D"] = self.D.tolist()
         if self.name:
             d["name"] = self.name

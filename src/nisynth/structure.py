@@ -10,6 +10,7 @@ free ``z`` rows (Isidori, 1995) are taken in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -85,33 +86,36 @@ def relative_degree_vector(sys):
     degrees = []
     h_rows = []
     notes = []
-    for i in range(p):
-        ci = C[i:i + 1, :]
-        c_norm = float(np.linalg.norm(ci))
-        found = None
-        for j in range(n):
-            # an overflow shows as a non-finite row or threshold
-            with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow shows as a non-finite row or threshold
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(p):
+            ci = C[i:i + 1, :]
+            c_norm = linalg.frobenius_norm(ci)
+            found = None
+            for j in range(n):
                 if j == len(powers):
                     powers.append(powers[-1] @ A)
                 row = ci @ powers[j] @ B
-                row_norm = float(np.linalg.norm(row))
-            try:
-                threshold = TOL.markov_zero * (c_norm * a_norm ** j * b_norm)
-            except OverflowError:
-                threshold = np.inf
-            if not np.isfinite(row_norm) or not np.isfinite(threshold):
-                raise NumericalError(
-                    f"output {i}: the Markov parameter C_{i} A^{j} B or its "
-                    "zero threshold overflows")
-            if row_norm > threshold:
-                found = j + 1
-                h_rows.append(row)
-                break
-        degrees.append(found)
-        if found is None:
-            h_rows.append(None)
-            notes.append(f"output {i}: all Markov parameters up to order {n} vanish")
+                row_norm = linalg.frobenius_norm(row)
+                try:
+                    threshold = TOL.markov_zero * (c_norm * a_norm ** j
+                                                   * b_norm)
+                except OverflowError:
+                    threshold = np.inf
+                if not (math.isfinite(row_norm)
+                        and math.isfinite(threshold)):
+                    raise NumericalError(
+                        f"output {i}: the Markov parameter C_{i} A^{j} B or "
+                        "its zero threshold overflows")
+                if row_norm > threshold:
+                    found = j + 1
+                    h_rows.append(row)
+                    break
+            degrees.append(found)
+            if found is None:
+                h_rows.append(None)
+                notes.append(f"output {i}: all Markov parameters up to "
+                             f"order {n} vanish")
     if any(d is None for d in degrees):
         return RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE, tuple(notes))
     H = np.vstack(h_rows)

@@ -74,7 +74,7 @@ class TestAnalyze:
 
     def test_pinned_transforms(self, capsys, plant_path, params_path,
                                tmp_path):
-        transforms = json.load(open(params_path))["transforms"]
+        transforms = json.loads(Path(params_path).read_text())["transforms"]
         tf = tmp_path / "tf.json"
         tf.write_text(json.dumps(transforms))
         code, rep = run_cli(capsys, "analyze", plant_path,
@@ -385,6 +385,28 @@ class TestSimulate:
         assert sim["ratio"] == sim["final_norm"] / sim["initial_norm"]
         assert abs(sim["ratio"] - np.exp(-1.0)) < 1e-12
 
+    def test_ratio_beyond_the_float_range(self, capsys, tmp_path):
+        # 1e-300 grown by e^710: both norms are finite, their ratio is not
+        path = tmp_path / "growth.json"
+        path.write_text(json.dumps({"A": [[1.0]], "B": [[1.0]],
+                                    "C": [[1.0]]}))
+        code, rep = run_cli(capsys, "simulate", str(path), "--x0", "1e-300",
+                            "--t-end", "710", "--dt", "1")
+        assert code == 0
+        sim = rep["simulation"]
+        assert sim["initial_norm"] == 1e-300
+        assert sim["final_norm"] == abs(sim["final_state"][0])
+        assert sim["final_norm"] == pytest.approx(
+            np.exp(710.0 + np.log(1e-300)), rel=1e-9)
+        assert sim["ratio"] is None
+        assert sim["notes"] == ["ratio exceeds the float range"]
+
+    def test_no_notes_in_range(self, capsys, plant_path):
+        code, rep = run_cli(capsys, "simulate", plant_path,
+                            "--x0", "1,1,1,1", "--t-end", "1", "--dt", "0.1")
+        assert code == 0
+        assert "notes" not in rep["simulation"]
+
     FINITE = "t_end and dt must be finite and positive"
 
     @pytest.mark.parametrize("argv, message", [
@@ -584,7 +606,8 @@ class TestReportLayout:
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._emit({"value": float("inf")}, args)
         assert capsys.readouterr().out == ""
-        # a norm above the float range is inf: main reports exit 2
+        # a norm above the float range is reported as null with a note;
+        # the ratio of the scaled norms stays finite
         path = tmp_path / "decay.json"
         path.write_text(json.dumps({"A": [[-1.0, 0.0], [0.0, -1.0]],
                                     "B": [[1.0], [0.0]],
@@ -592,6 +615,10 @@ class TestReportLayout:
         code, rep = run_cli(capsys, "simulate", str(path),
                             "--x0", "1.7e308,1.7e308", "--t-end", "1",
                             "--dt", "0.1")
-        assert code == 2
-        assert rep["error"]["kind"] == "input-error"
-        assert rep["error"]["type"] == "ValueError"
+        assert code == 0
+        sim = rep["simulation"]
+        assert sim["initial_norm"] is None
+        assert sim["notes"] == ["initial_norm exceeds the float range"]
+        assert sim["final_norm"] == pytest.approx(
+            1.7e308 * (np.sqrt(2.0) * np.exp(-1.0)), rel=1e-12)
+        assert abs(sim["ratio"] - np.exp(-1.0)) < 1e-12

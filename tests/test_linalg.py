@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, is_minimal, linalg
+from nisynth import StateSpace, is_minimal, linalg, verify_certificate
 from nisynth.errors import (
     AsymmetricMatrixError,
     InputError,
@@ -735,3 +735,48 @@ class TestStabilityClass:
         res = linalg.eig(A)
         assert list(res.geometric) == [1, 1, 1]
         assert linalg.stability_class(res) is StabilityClass.LYAPUNOV_STABLE
+
+
+def _with_entry(M, value):
+    """``M`` with its last entry set to ``value``."""
+    M = np.array(M, dtype=complex if isinstance(value, complex) else float)
+    M[-1, -1] = value
+    return M
+
+
+_A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+_B = np.array([[0.0], [1.0]])
+_C = np.array([[1.0, 0.0]])
+_SPECTRUM = linalg.eig(_A)
+
+#: every entry point whose matrices are checked for finiteness
+NON_FINITE_CASES = {
+    "StateSpace-A": lambda v: StateSpace(A=_with_entry(_A, v), B=_B, C=_C),
+    "StateSpace-B": lambda v: StateSpace(A=_A, B=_with_entry(_B, v), C=_C),
+    "StateSpace-C": lambda v: StateSpace(A=_A, B=_B, C=_with_entry(_C, v)),
+    "StateSpace-D": lambda v: StateSpace(A=_A, B=_B, C=_C,
+                                         D=_with_entry([[0.0]], v)),
+    "eig": lambda v: linalg.eig(_with_entry(_A, v)),
+    "pbh_witness-A": lambda v: linalg.pbh_witness(
+        _with_entry(_A, v), _B, "controllable", _SPECTRUM),
+    "pbh_witness-M": lambda v: linalg.pbh_witness(
+        _A, _with_entry(_C, v), "observable", _SPECTRUM),
+    "solve_lyapunov-A": lambda v: linalg.solve_lyapunov(
+        _with_entry(_A, v), np.eye(2)),
+    "solve_lyapunov-Q": lambda v: linalg.solve_lyapunov(
+        _A, _with_entry(np.eye(2), v)),
+    "definiteness": lambda v: linalg.definiteness(
+        _with_entry(np.eye(2), v), "psd"),
+    "definiteness-complex": lambda v: linalg.definiteness(
+        _with_entry(np.eye(2), complex(v, 0.0)), "psd"),
+    "verify_certificate-Y": lambda v: verify_certificate(
+        StateSpace(A=_A, B=_B, C=_C), "ni", _with_entry(np.eye(2), v)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_entry_refused(case, value):
+    with pytest.raises(InputError, match="contains non-finite entries"):
+        NON_FINITE_CASES[case](value)

@@ -26,6 +26,11 @@ and a bounded budget.
   power-of-two-scaled vector, equals ``np.linalg.norm`` bit for bit on
   vectors of up to 8 entries with magnitudes from 1e-12 to 1e12, where the
   plain norm neither overflows nor underflows.
+* ``linalg.frobenius_norm`` is ``np.linalg.norm`` bit for bit, with
+  ``axis`` None, 0 and 1, on real and complex arrays of shapes 0 x k,
+  1 x k and k x m, contiguous, transposed or strided, with magnitudes from
+  1e-300 to 1e300, including sums of squares that overflow to inf or
+  underflow to zero.
 """
 
 import numpy as np
@@ -280,3 +285,47 @@ def test_scaled_norm_is_the_plain_norm_in_range(size, seed):
     rng = np.random.default_rng(seed)
     x = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-12, 12, size)
     assert cli._norm(x) == float(np.linalg.norm(x))
+
+
+@st.composite
+def norm_inputs(draw):
+    """``(X, axis)``: a real or complex array of random magnitudes, as a
+    contiguous array or a transposed or strided view."""
+    k = draw(st.integers(2, 8))
+    rows = draw(st.sampled_from((0, 1, k, k)))
+    cols = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # decades of magnitude: narrow bands make the order of the sum show
+    width = draw(st.sampled_from((1, 10, 600)))
+    low = draw(st.integers(-300, 300 - width))
+    high = low + width
+
+    def part(shape):
+        return rng.choice((-1.0, 1.0), shape) * \
+            10.0 ** rng.uniform(low, high, shape)
+
+    layout = draw(st.sampled_from(("contiguous", "transposed", "strided")))
+    shape = (cols, rows) if layout == "transposed" else \
+        (rows, 2 * cols) if layout == "strided" else (rows, cols)
+    X = part(shape)
+    if draw(st.booleans()):
+        X = X + 1j * part(shape)
+    X = X.T if layout == "transposed" else \
+        X[:, ::2] if layout == "strided" else X
+    return X, draw(st.sampled_from((None, 0, 1)))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(norm_inputs())
+def test_norm_helper_is_numpys_norm(case):
+    X, axis = case
+    # a sum of squares beyond the float range is inf in both, with the
+    # same warning
+    with np.errstate(over="ignore", under="ignore"):
+        ref = np.linalg.norm(X, axis=axis)
+        out = linalg.frobenius_norm(X, axis=axis)
+    if axis is None:
+        assert type(out) is float
+    out = np.asarray(out)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == np.asarray(ref).tobytes()
