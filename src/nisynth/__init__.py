@@ -7,7 +7,6 @@ from .certify import (
     Certificate,
     Verdict,
     classify_freq,
-    residue_at_imaginary_pole,
     verify_certificate,
 )
 from .linalg import (
@@ -26,7 +25,6 @@ from .statespace import (
     Trajectory,
     UncertainSystem,
     eval_tf,
-    has_zero_at_origin,
     interconnect_positive_feedback,
     is_minimal,
     load_system,

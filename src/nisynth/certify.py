@@ -94,50 +94,28 @@ def _forbidden_pole(sys, ni_class):
     return complex(res.values[k]), reason
 
 
-def _imaginary_axis_pole_frequencies(sys):
-    """``Im lambda > axis_tol`` of the poles ``on_axis``, less repeats."""
+def _imaginary_axis_poles(sys):
+    """Spectrum indices of the poles ``on_axis`` with ``Im lambda >
+    axis_tol``, less repeats: of poles within ``axis_tol`` in ``Im
+    lambda``, the first."""
     res = sys.spectrum
-    w = res.values.imag[res.on_axis & (res.values.imag > res.axis_tol)]
-    return w[~np.tril(np.abs(w[:, None] - w) <= res.axis_tol, -1).any(axis=1)]
+    k = np.flatnonzero(res.on_axis & (res.values.imag > res.axis_tol))
+    w = res.values.imag[k]
+    return k[~np.tril(np.abs(w[:, None] - w) <= res.axis_tol, -1).any(axis=1)]
 
 
-@dataclass(frozen=True)
-class ResidueResult:
-    omega0: float
-    K0: np.ndarray
-    psd: bool
-    hermitian_defect: float
-    simple: bool
-    notes: tuple = ()
+def _residue(sys, k):
+    """Hermitian part of the residue ``K0 = lim (s - j w0) j R(s)`` at the
+    simple pole ``j w0``, spectrum value ``k``, its Hermitian defect and
+    whether it is PSD (and Hermitian).
 
-
-def residue_at_imaginary_pole(sys, omega0):
-    """Residue matrix ``K0 = lim (s - j w0) j R(s)`` at a simple pole.
-
-    Computed from the spectral projector ``v w`` of the eigenvalue
-    ``j w0``: ``v`` its right eigenvector and ``w`` the matching row of the
-    spectrum's left eigenvectors (``w v = 1``), or, when the eigenbasis is
-    not trusted, a right eigenvector of ``A^T`` scaled to ``w v = 1``.
-    Non-simple poles yield ``simple=False`` and a failed PSD verdict.
+    Computed from the spectral projector ``v w`` of the eigenvalue: ``v``
+    its right eigenvector and ``w`` the matching row of the spectrum's left
+    eigenvectors (``w v = 1``), or, when the eigenbasis is not trusted, a
+    right eigenvector of ``A^T`` scaled to ``w v = 1``.
     """
-    p = sys.require_square("residue computation")
-    if omega0 <= 0:
-        raise InputError("omega0 must be positive")
+    p = sys.n_outputs
     res = sys.spectrum
-    scale = 1.0 + sys.a_norm
-    target = 1j * omega0
-    dists = np.abs(res.values - target)
-    k = int(np.argmin(dists))
-    if dists[k] > TOL.residue_pole * scale:
-        raise InputError(
-            f"j*{omega0} is not a pole (closest eigenvalue {res.values[k]})")
-    if res.algebraic[k] != 1:
-        return ResidueResult(
-            omega0=omega0, K0=np.zeros((p, p)), psd=False,
-            hermitian_defect=float("nan"), simple=False,
-            notes=(f"pole at j*{omega0} has algebraic multiplicity "
-                   f"{res.algebraic[k]}; the class requires simple "
-                   "imaginary-axis poles",))
     v = res.vectors[:, k]
     if res.left is not None:
         proj = np.outer(v, res.left[k])
@@ -145,7 +123,7 @@ def residue_at_imaginary_pole(sys, omega0):
         resT = linalg.eig(sys.A.T)
         u = resT.vectors[:, int(np.argmin(np.abs(resT.values - res.values[k])))]
         denom = u @ v
-        if abs(denom) <= TOL.biorthogonal * scale:
+        if abs(denom) <= TOL.biorthogonal * (1.0 + sys.a_norm):
             raise InputError(
                 "left/right eigenvectors are numerically orthogonal")
         proj = np.outer(v, u) / denom
@@ -154,12 +132,7 @@ def residue_at_imaginary_pole(sys, omega0):
     K0h = (K0 + K0.conj().T) / 2.0
     lam_min = float(np.linalg.eigvalsh(K0h)[0]) if p else 0.0
     psd_tol = p * TOL.residue_psd * max(spectral_norm(K0h), 1.0)
-    return ResidueResult(
-        omega0=omega0, K0=np.real_if_close(K0h),
-        psd=bool(lam_min >= -psd_tol) and hermitian_ok,
-        hermitian_defect=defect, simple=True,
-        notes=() if hermitian_ok else
-        (f"residue Hermitian defect {defect:.3e} exceeds tolerance",))
+    return K0h, defect, bool(lam_min >= -psd_tol) and hermitian_ok
 
 
 def _hermitian(M):
@@ -407,7 +380,8 @@ def classify_freq(sys, ni_class, eps=None):
             raise InputError("osni test needs a strictness level eps")
         if not 0 < eps < np.inf:
             raise InputError("eps must be finite and positive")
-    axis_poles = _imaginary_axis_pole_frequencies(sys)
+    axis_k = _imaginary_axis_poles(sys)
+    axis_poles = sys.spectrum.values.imag[axis_k]
     floor = TOL.ni_floor if ni_class in ("ni", "osni") else TOL.strict_floor
 
     def decide(exact):
@@ -463,16 +437,17 @@ def classify_freq(sys, ni_class, eps=None):
                      f"j(R - R*) fails (lambda_min {lam_inf:.3e})")
 
     if ni_class == "ni":
-        for w0 in axis_poles:
-            rr = residue_at_imaginary_pole(sys, w0)
-            if not rr.psd:
+        for k, w0 in zip(axis_k, axis_poles):
+            if sys.spectrum.algebraic[k] != 1:
                 holds = False
-                notes.append(
-                    f"residue at j*{w0:g} fails the PSD condition" if rr.simple
-                    else f"pole at j*{w0:g} is not simple")
+                notes.append(f"pole at j*{w0:g} is not simple")
+                continue
+            _, defect, psd = _residue(sys, k)
+            if not psd:
+                holds = False
+                notes.append(f"residue at j*{w0:g} fails the PSD condition")
             else:
-                notes.append(f"residue at j*{w0:g}: PSD, defect "
-                             f"{rr.hermitian_defect:.2e} "
+                notes.append(f"residue at j*{w0:g}: PSD, defect {defect:.2e} "
                              f"(cluster tolerance {TOL.cluster:g} relative)")
 
     if ni_class == "ssni" and holds:

@@ -26,7 +26,6 @@ from .errors import InputError, NumericalError, RelativeDegreeNotOneError, Verdi
 from .linalg import StabilityClass, frobenius_norm
 from .statespace import (
     UncertainSystem,
-    has_zero_at_origin,
     interconnect_positive_feedback,
     is_minimal,
     load_system,
@@ -160,18 +159,13 @@ def cmd_analyze(args):
     m = is_minimal(system)
     report["minimality"] = {"controllable": m.controllable,
                             "observable": m.observable}
-    report["zero_at_origin"] = has_zero_at_origin(system)
-    # the normal form's T_y search computes the original outputs' degrees
-    # before any other test and records them; with a transforms file it
-    # may not run, so the degrees are computed here, before the file is read
-    info0 = structure.relative_degree_vector(system) if args.transforms \
-        else None
+    # the original outputs' degrees, before the transforms file is read
+    info0 = structure.relative_degree_vector(system)
     overrides = _transform_args(
         _load_json(args.transforms, "transforms") if args.transforms else None)
     nf = structure.to_normal_form(system, overrides.get("T_y"),
                                   T_x=overrides.get("T_x"),
                                   T_u=overrides.get("T_u"))
-    info0 = info0 or nf.source_rd_info
     report["relative_degree"] = {"r": list(info0.r),
                                  "kind": info0.kind.value,
                                  "notes": list(info0.notes)}
@@ -186,7 +180,6 @@ def cmd_analyze(args):
     }
     split = structure.split_zero_dynamics(nf)
     report["phase"] = {
-        "weakly_minimum_phase": split.stability is not StabilityClass.UNSTABLE,
         "minimum_phase": split.stability is StabilityClass.HURWITZ}
     report["zero_dynamics_split"] = {
         "m_a": split.m_a, "m_b": split.m_b,

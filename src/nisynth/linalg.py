@@ -130,9 +130,6 @@ class Tol:
     #: feedthrough ``W - level I``: its smallest, as small as ``|level|``,
     #: is known to ``eps ||W||``, under 0.3 % of itself
     w_condition: float = 1e13
-    #: the eigenvalue this close to ``j w0`` is the pole of the residue;
-    #: times ``1 + ||A||_2``
-    residue_pole: float = 1e-7
     #: a residue eigenvalue above minus this is nonnegative; times ``p
     #: max(1, ||K0||_2)``, not ``pd_floor``: ``K0 = C v w B`` carries the
     #: rounding of the product, so the zero residue of a hidden undamped

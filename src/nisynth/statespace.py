@@ -273,19 +273,6 @@ def is_minimal(sys):
                       observable=sys.unobservable_mode is None)
 
 
-def has_zero_at_origin(sys):
-    """True when the system pencil loses rank at s = 0.
-
-    Tests ``rank [[A, B], [C, D]] < n + p`` for a square system.
-    """
-    p = sys.require_square("zero-at-origin test")
-    n = sys.n
-    pencil = np.empty((n + p, n + p))
-    pencil[:n, :n], pencil[:n, n:] = sys.A, sys.B
-    pencil[n:, :n], pencil[n:, n:] = sys.C, sys.D
-    return linalg.rank(pencil) < n + p
-
-
 def interconnect_positive_feedback(plant, delta):
     """Positive feedback loop of two systems (plant input fed by delta output).
 

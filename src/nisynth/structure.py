@@ -66,14 +66,18 @@ def _independent_rows(M):
 def relative_degree_vector(sys):
     """Relative degree of each output row, with kind classification.
 
-    Requires ``rank(B) = rank(C) = p``.  The search per row is capped at
-    ``n``.  The result is FULL when the stacked ``H`` has independent rows,
-    LIRD_ONLY when only the equal-degree row groups of ``H`` do, and NONE
-    otherwise (including rows whose Markov parameters all vanish).  Raises
+    Requires a strictly proper system (``D = 0``), as the theorem does, and
+    ``rank(B) = rank(C) = p``.  The search per row is capped at ``n``.  The
+    result is FULL when the stacked ``H`` has independent rows, LIRD_ONLY
+    when only the equal-degree row groups of ``H`` do, and NONE otherwise
+    (including rows whose Markov parameters all vanish).  Raises
     ``NumericalError`` naming the output when a Markov parameter or its
     threshold overflows before the row's degree is found.
     """
     p = sys.require_square("relative-degree analysis")
+    if sys.D.any():
+        raise InputError("relative-degree analysis requires a strictly "
+                         "proper system (D = 0)")
     A, B, C = sys.A, sys.B, sys.C
     # rank(B) and ||B||_2 from one SVD
     sv_b = np.linalg.svd(B, compute_uv=False) if B.size else np.zeros(1)
@@ -132,12 +136,14 @@ def relative_degree_vector(sys):
     return RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
 
 
-def _with_outputs(sys, C):
-    """``sys`` with the outputs ``C``.  Its ``A`` is that of ``sys``, so
-    what ``sys`` has cached of ``A``, its spectrum and ``a_norm``, fills the
-    new system's slots, as ``linalg.carried_spectrum`` fills its own, and
+def _with_outputs(sys, T):
+    """``sys`` with the outputs ``T C`` and the feedthrough ``T D``.  Its
+    ``A`` is that of ``sys``, so what ``sys`` has cached of ``A``, its
+    spectrum and ``a_norm``, fills the new system's slots, as
+    ``linalg.carried_spectrum`` fills its own, and
     ``relative_degree_vector`` reads ``a_norm`` without an SVD of ``A``."""
-    out = StateSpace(A=sys.A, B=sys.B, C=C, name=sys.name)
+    out = StateSpace(A=sys.A, B=sys.B, C=T @ sys.C, D=T @ sys.D,
+                     name=sys.name)
     for slot in ("spectrum", "a_norm"):
         if slot in vars(sys):
             out.__dict__[slot] = vars(sys)[slot]
@@ -155,15 +161,9 @@ def find_output_transformation(sys):
     gain matrix of the resulting degree vector to be nonsingular.  Failure
     certifies that no output transformation achieves degrees <= 2 (the
     system is not state-feedback equivalent to a negative imaginary system
-    when it is minimal with no zero at the origin).
+    when it is minimal with no zero at the origin).  Returns ``(T_y,
+    info)``, ``info`` the relative degrees of the transformed outputs.
     """
-    T, info, _ = _search_output_transformation(sys)
-    return T, info
-
-
-def _search_output_transformation(sys):
-    """``find_output_transformation``, returning the relative-degree info
-    of the original outputs too, after that of the transformed ones."""
     p = sys.require_square("output-transformation search")
     # the PBH test below needs the spectrum, and the degrees read ||A||_2
     # from it: decomposed first, A takes one SVD, not two
@@ -173,7 +173,7 @@ def _search_output_transformation(sys):
         raise NotControllableError(
             "output-transformation search requires a controllable system")
     if original.kind is RdKind.FULL and original.max_degree <= 2:
-        return np.eye(p), original, original
+        return np.eye(p), original
 
     A, B, C = sys.A, sys.B, sys.C
     M = C @ B
@@ -193,20 +193,20 @@ def _search_output_transformation(sys):
                 work[k, :] -= factor * work[i_piv, :]
                 T[k, :] -= factor * T[i_piv, :]
     # remaining rows are now (numerically) zero rows of T C B: degree >= 2
-    Ct = T @ C
+    transformed = _with_outputs(sys, T)
     deg2 = sorted(remaining)
-    W = Ct[deg2, :] @ A @ B if deg2 else np.zeros((0, p))
+    W = transformed.C[deg2, :] @ A @ B if deg2 else np.zeros((0, p))
     if deg2 and linalg.rank(W) < len(deg2):
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
             "a combined output has relative degree >= 3")
-    result = relative_degree_vector(_with_outputs(sys, Ct))
+    result = relative_degree_vector(transformed)
     if result.kind is not RdKind.FULL or result.max_degree > 2:
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
             "mixed-degree rows of the high-frequency gain matrix are "
             "dependent and cannot be repaired by output transformation")
-    return T, result, original
+    return T, result
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,8 @@ class NormalForm:
     The transformed state matrix has rows ``(z, x1, x2, x3)`` with the x2
     row structurally equal to ``[0 0 0 I]``; the transformed input matrix
     is the indicator of the (x1, x3) rows.  ``rd_info`` holds the relative
-    degrees of ``T_y C`` for the given or found ``T_y``, before sorting;
-    ``source_rd_info`` those of the source's own outputs when the ``T_y``
-    search ran, else None.  ``zero_spectrum`` caches ``eig(A00)`` for
-    the split and the syntheses.
+    degrees of ``T_y C`` for the given or found ``T_y``, before sorting.
+    ``zero_spectrum`` caches ``eig(A00)`` for the split and the syntheses.
     """
 
     p1: int
@@ -280,7 +278,6 @@ class NormalForm:
     transforms: TransformSet
     source: StateSpace
     rd_info: RelativeDegreeInfo
-    source_rd_info: RelativeDegreeInfo | None
 
     @property
     def n(self):
@@ -336,14 +333,13 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     p = sys.require_square("normal form")
     A, B = sys.A, sys.B
     n = sys.n
-    source_info = None
     if T_y is None:
-        T_y, info, source_info = _search_output_transformation(sys)
+        T_y, info = find_output_transformation(sys)
     else:
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
             raise InputError(f"T_y must be {p}x{p}")
-        info = relative_degree_vector(_with_outputs(sys, T_y @ sys.C))
+        info = relative_degree_vector(_with_outputs(sys, T_y))
     if info.kind is not RdKind.FULL or any(d not in (1, 2) for d in info.r):
         raise InputError(
             "T_y does not yield a relative degree vector with degrees in "
@@ -420,8 +416,7 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         A00=At[s0, s0], A01=At[s0, s1], A02=At[s0, s2], A03=At[s0, s3],
         A10=At[s1, s0], A11=At[s1, s1], A12=At[s1, s2], A13=At[s1, s3],
         A30=At[s3, s0], A31=At[s3, s1], A32=At[s3, s2], A33=At[s3, s3],
-        transforms=transforms, source=sys, rd_info=info,
-        source_rd_info=source_info)
+        transforms=transforms, source=sys, rd_info=info)
 
 
 @dataclass(frozen=True)
@@ -431,7 +426,9 @@ class ZeroDynamicsSplit:
 
     ``S_inv = [V_a, Q_b]`` is the split's basis and ``S`` its inverse;
     ``A00a`` is the skew part of the critical block in that basis, which
-    is skew but for rounding.  ``stability`` is the class of the internal
+    is skew but for rounding, and ``A01``, ``A02``, ``A03`` are ``S`` times
+    the normal form's blocks, their first ``m_a`` rows those of the
+    critical block.  ``stability`` is the class of the internal
     dynamics: HURWITZ (minimum phase) or LYAPUNOV_STABLE (weakly minimum
     phase only).  ``hurwitz_spectrum`` is ``eig(A00b^T)`` carried from the
     normal form's ``zero_spectrum`` (``linalg.carried_spectrum``), for the
@@ -446,12 +443,9 @@ class ZeroDynamicsSplit:
     A00b: np.ndarray
     m_a: int
     m_b: int
-    A01a: np.ndarray
-    A01b: np.ndarray
-    A02a: np.ndarray
-    A02b: np.ndarray
-    A03a: np.ndarray
-    A03b: np.ndarray
+    A01: np.ndarray
+    A02: np.ndarray
+    A03: np.ndarray
     hurwitz_spectrum: linalg.EigenResult | None
 
     @property
@@ -583,11 +577,7 @@ def split_zero_dynamics(nf):
         if W is not None and m_b:
             hurwitz_spectrum = linalg.carried_spectrum(
                 res, hurw, (W[hurw] @ Q_b).T, A00b.T, V[:, hurw].T @ Q_b)
-    A01s = S @ nf.A01
-    A02s = S @ nf.A02
-    A03s = S @ nf.A03
     return ZeroDynamicsSplit(
         stability=klass, S=S, S_inv=S_inv, A00a=A00a, A00b=A00b,
-        m_a=m_a, m_b=m_b,
-        A01a=A01s[:m_a], A01b=A01s[m_a:], A02a=A02s[:m_a], A02b=A02s[m_a:],
-        A03a=A03s[:m_a], A03b=A03s[m_a:], hurwitz_spectrum=hurwitz_spectrum)
+        m_a=m_a, m_b=m_b, A01=S @ nf.A01, A02=S @ nf.A02, A03=S @ nf.A03,
+        hurwitz_spectrum=hurwitz_spectrum)

@@ -30,7 +30,7 @@ from .errors import (
     VerdictError,
 )
 from .linalg import TOL, StabilityClass, as_matrix, spectral_norm
-from .statespace import StateSpace, UncertainSystem, eval_tf, is_minimal, has_zero_at_origin
+from .statespace import StateSpace, UncertainSystem, eval_tf, is_minimal
 from .structure import (
     NormalForm,
     ZeroDynamicsSplit,
@@ -294,10 +294,7 @@ def _synthesize(nf, cfg, ni_class):
 
     split = split_zero_dynamics(nf)
     m_a, m_b = split.m_a, split.m_b
-    A00 = split.A00
-    A01 = np.vstack([split.A01a, split.A01b])
-    A02 = np.vstack([split.A02a, split.A02b])
-    A03 = np.vstack([split.A03a, split.A03b])
+    A00, A01, A02, A03 = split.A00, split.A01, split.A02, split.A03
 
     # PBH tests are similarity invariant: on the unsplit A00, with K S for K
     S = split.S
@@ -376,8 +373,8 @@ def _synthesize(nf, cfg, ni_class):
     iA00a_T, iA00b_T = iA00a.T, iA00b.T
     iY1b = np.linalg.inv(Y1b) if m_b else Y1b
 
-    K20a = -split.A02a.T @ iA00a_T - split.A03a.T
-    K10a = -split.A01a.T @ iA00a_T
+    K20a = -A02[:m_a].T @ iA00a_T - A03[:m_a].T
+    K10a = -A01[:m_a].T @ iA00a_T
 
     rng = np.random.default_rng(cfg.rng_seed)
     policy = "orthonormal" if ni_class == "osni" else "random-in-S_K"
@@ -389,8 +386,8 @@ def _synthesize(nf, cfg, ni_class):
             _draw_h(rng, p2, m_b, Qb_sqrt, h_scale)
         K13 = K13_fixed if K13_fixed is not None else \
             _draw_k13(rng, p1, p2, policy)
-        K20b = (-split.A02b.T @ iA00b_T - split.A03b.T + H) @ iY1b
-        K10b = (-split.A01b.T @ iA00b_T - K13 @ H) @ iY1b
+        K20b = (-A02[m_a:].T @ iA00b_T - A03[m_a:].T + H) @ iY1b
+        K10b = (-A01[m_a:].T @ iA00b_T - K13 @ H) @ iY1b
         K10 = np.hstack([K10a, K10b])
         K20 = np.hstack([K20a, K20b])
         ok = True
@@ -564,9 +561,10 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
     """Stabilize a plant with strictly-negative-imaginary uncertainty.
 
     Runs the full pipeline (output transformation search, normal form, NI
-    synthesis, gain composition), choosing the DC parameters so the loop
-    gain bound ``lambda_max(R(0)) < 1/gamma`` holds, and returns the law
-    ``u = K_x x + K_w w`` together with the certified nominal closed loop.
+    synthesis, gain composition; the zero-dynamics split decides a zero at
+    the origin), choosing the DC parameters so the loop gain bound
+    ``lambda_max(R(0)) < 1/gamma`` holds, and returns the law ``u = K_x x
+    + K_w w`` together with the certified nominal closed loop.
     ``w`` enters at the plant input, ``x' = A x + B (u + w)``, so the
     uncertain loop is ``nominal_closed`` ``(A + B K_x, B K_v, C)`` in
     positive feedback with ``Delta`` (see ``FeedbackLaw``).
@@ -579,8 +577,6 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
         raise NotControllableError("plant realization is not controllable")
     if not minim.observable:
         raise VerdictError("plant realization is not observable")
-    if has_zero_at_origin(plant):
-        raise VerdictError("plant has a zero at the origin")
     nf = to_normal_form(plant, T_y, T_x=T_x, T_u=T_u)
 
     cfg = cfg or SynthesisConfig()

@@ -9,7 +9,7 @@ are re-checked and the draw is retried on the rare degenerate sample.
 
 import numpy as np
 
-from nisynth import StateSpace, has_zero_at_origin, is_minimal
+from nisynth import StateSpace, is_minimal
 from nisynth.errors import NumericalError, VerdictError
 from nisynth.structure import (
     normal_form_input_matrix,
@@ -63,6 +63,13 @@ def edge_plant(A00):
     A = np.block([[blk["A00"], blk["A01"]], [blk["A10"], blk["A11"]]])
     return StateSpace(A=A, B=normal_form_input_matrix(m, p1, 0),
                       C=normal_form_output_matrix(m, p1, 0))
+
+
+def feedthrough_plant():
+    """``R(s) = 1/(s + 1) + 1/(s + 2) + 5``: minimal, but not strictly
+    proper (``D = 5``), so its output has relative degree 0."""
+    return StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]],
+                      C=[[1.0, 1.0]], D=[[5.0]])
 
 
 def random_orthogonal(rng, n):
@@ -143,6 +150,13 @@ def normal_form_from_blocks(blk, p1, p2, m):
     return to_normal_form(sysnf, np.eye(p), T_x=np.eye(n))
 
 
+def zero_at_origin(sys):
+    """Reference test of a zero at the origin: the system pencil
+    ``[[A, B], [C, D]]`` of a square system loses rank at ``s = 0``."""
+    pencil = np.block([[sys.A, sys.B], [sys.C, sys.D]])
+    return np.linalg.matrix_rank(pencil) < len(pencil)
+
+
 def planted_system(rng, p1, p2, m_a, m_b, max_attempts=20):
     """Random system whose output-transformed relative degrees are planted.
 
@@ -165,7 +179,7 @@ def planted_system(rng, p1, p2, m_a, m_b, max_attempts=20):
         sys = StateSpace(A=A, B=B, C=C)
         if not is_minimal(sys).minimal:
             continue
-        if has_zero_at_origin(sys):
+        if zero_at_origin(sys):
             continue
         return sys, {"blocks": blk, "T_x": T_x, "T_y": T_y, "W": W,
                      "p1": p1, "p2": p2, "m_a": m_a, "m_b": m_b}

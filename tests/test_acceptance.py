@@ -34,7 +34,7 @@ from nisynth import (
 from nisynth.certify import classify_freq, verify_certificate
 from nisynth.cli import main as cli_main
 from nisynth.errors import NoRdLeqTwoError, NotWeaklyMinimumPhaseError
-from nisynth.statespace import has_zero_at_origin, is_minimal
+from nisynth.statespace import is_minimal
 from nisynth.structure import find_output_transformation, to_normal_form
 from nisynth.synth import (
     SynthesisConfig,
@@ -44,7 +44,7 @@ from nisynth.synth import (
     synthesize_ssni,
 )
 
-from gen import planted_system, random_shape
+from gen import planted_system, random_shape, zero_at_origin
 from test_linalg import kalman_rank_controllable, kalman_rank_observable, \
     pbh_holds, random_hurwitz
 
@@ -180,7 +180,7 @@ def test_criterion_5_random_ni_suite():
         p1, p2, m_a, m_b = random_shape(rng, max_p=3, max_n=8)
         sys, _ = planted_system(rng, p1, p2, m_a, m_b)
         assert is_minimal(sys).minimal
-        assert not has_zero_at_origin(sys)
+        assert not zero_at_origin(sys)
         T_y, info = find_output_transformation(sys)
         nf = to_normal_form(sys, T_y)
         gains = synthesize_ni(nf, SynthesisConfig(rng_seed=done))

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from nisynth import StateSpace, certify, eval_tf, is_minimal, linalg
-from nisynth.certify import (
-    classify_freq,
-    residue_at_imaginary_pole,
-    verify_certificate,
-)
+from nisynth.certify import classify_freq, verify_certificate
 from nisynth.errors import (
     InputError,
     NumericalError,
@@ -285,7 +281,7 @@ def assert_sweep_matches(sys, ni_class, eps=None):
     listed = listed_candidates(verdict)
     for w in raw:
         assert np.abs(np.abs(listed) - w).min() <= 1e-8 * w
-    axis = certify._imaginary_axis_pole_frequencies(sys)
+    axis = sys.spectrum.values.imag[certify._imaginary_axis_poles(sys)]
     breaks = np.unique(np.concatenate([np.abs(listed), axis]))
     edges = np.concatenate([[0.0], breaks, [np.inf]])
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -619,8 +615,8 @@ def forbidden_pole_loop(sys, ni_class):
 
 
 def axis_pole_frequencies_loop(sys):
-    """The per-pole loop of ``_imaginary_axis_pole_frequencies``, kept as
-    its reference: a frequency within the tolerance of a kept one is a
+    """The per-pole loop of ``_imaginary_axis_poles``' frequencies, kept
+    as its reference: a frequency within the tolerance of a kept one is a
     repeat."""
     tol = sys.spectrum.axis_tol
     out = []
@@ -667,11 +663,21 @@ class TestPoleMasks:
     def test_imaginary_axis_pole_frequencies(self):
         found = 0
         for sys in self.spectra():
-            w = certify._imaginary_axis_pole_frequencies(sys)
+            w = sys.spectrum.values.imag[certify._imaginary_axis_poles(sys)]
             want = axis_pole_frequencies_loop(sys)
             assert w.tolist() == want
             found += len(want)
         assert found >= 4
+
+
+def residue_at(sys, w):
+    """``certify._residue`` at the axis pole ``j w``, indexed as
+    ``classify_freq`` indexes it."""
+    res = sys.spectrum
+    ks = [k for k in certify._imaginary_axis_poles(sys)
+          if abs(res.values[k].imag - w) <= 1e-9 * w]
+    assert len(ks) == 1 and res.algebraic[ks[0]] == 1
+    return certify._residue(sys, ks[0])
 
 
 class TestResidue:
@@ -685,25 +691,29 @@ class TestResidue:
         return StateSpace(A=A, B=B, C=C)
 
     def test_position_numerator(self):
-        rr = residue_at_imaginary_pole(self.oscillator("position"), 1.0)
-        assert rr.simple and rr.psd
-        assert np.allclose(rr.K0, [[0.5]], atol=1e-12)
+        K0, defect, psd = residue_at(self.oscillator("position"), 1.0)
+        assert psd and defect <= 1e-12
+        assert np.allclose(K0, [[0.5]], atol=1e-12)
 
     def test_velocity_numerator_not_hermitian(self):
         # partial fractions: s/(s^2+1) = (1/2)(1/(s-j) + 1/(s+j)), so the
         # residue matrix is j/2: non-Hermitian, and the PSD check fails
         # (consistent with s/(s^2+1) failing the sign condition at w < 1)
-        rr = residue_at_imaginary_pole(self.oscillator("velocity"), 1.0)
-        assert rr.simple and not rr.psd
-        assert np.isclose(rr.hermitian_defect, 1.0)
+        _, defect, psd = residue_at(self.oscillator("velocity"), 1.0)
+        assert not psd
+        assert np.isclose(defect, 1.0)
 
     def test_double_pole_flagged(self):
         R = np.array([[0.0, 1.0], [-1.0, 0.0]])
         A = np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]])
         sys = StateSpace(A=A, B=[[0.0], [0.0], [0.0], [1.0]],
                          C=[[1.0, 0.0, 0.0, 0.0]])
-        rr = residue_at_imaginary_pole(sys, 1.0)
-        assert not rr.simple and not rr.psd
+        (k,) = certify._imaginary_axis_poles(sys)
+        assert sys.spectrum.algebraic[k] == 2
+        verdict = classify_freq(sys, "ni")
+        assert not verdict.holds
+        assert "pole at j*1 is not simple" in verdict.notes
+        assert not any(n.startswith("residue at") for n in verdict.notes)
 
     def test_hermitian_defect_small_for_collocated_modes(self):
         # an undamped mode with collocated input/output has residue
@@ -725,11 +735,10 @@ class TestResidue:
                            rng.standard_normal((n_extra, p))])
             C = np.hstack([psi, np.zeros((p, 1)),
                            rng.standard_normal((p, n_extra))])
-            rr = residue_at_imaginary_pole(StateSpace(A=A, B=B, C=C), w)
-            assert rr.simple and rr.psd
-            assert rr.hermitian_defect <= 1e-8 * max(
-                1.0, np.linalg.norm(rr.K0, 2))
-            assert np.allclose(rr.K0, psi @ psi.T / 2.0, atol=1e-9)
+            K0, defect, psd = residue_at(StateSpace(A=A, B=B, C=C), w)
+            assert psd
+            assert defect <= 1e-8 * max(1.0, np.linalg.norm(K0, 2))
+            assert np.allclose(K0, psi @ psi.T / 2.0, atol=1e-9)
 
     @staticmethod
     def transposed_eig_residue(sys, w):
@@ -763,12 +772,14 @@ class TestResidue:
         verdict = classify_freq(sys, "ni")
         assert verdict.holds and len(calls) == 1
         for i, w in enumerate(omegas):
-            rr = residue_at_imaginary_pole(sys, w)
+            K0, defect, psd = residue_at(sys, w)
             ref = self.transposed_eig_residue(sys, w)
-            assert rr.simple and rr.psd
-            assert np.linalg.norm(rr.K0 - ref, 2) <= \
+            assert psd and defect <= 1e-12
+            assert sum(n.startswith(f"residue at j*{w:g}: PSD, defect")
+                       for n in verdict.notes) == 1
+            assert np.linalg.norm(K0 - ref, 2) <= \
                 1e-12 * np.linalg.norm(ref, 2)
-            assert np.allclose(rr.K0, np.outer(psi[i], psi[i]) / 2.0,
+            assert np.allclose(K0, np.outer(psi[i], psi[i]) / 2.0,
                                atol=1e-12)
         assert len(calls) == 1
 
@@ -789,11 +800,11 @@ class TestResidue:
         eig = linalg.eig
         monkeypatch.setattr(linalg, "eig",
                             lambda M: calls.append(1) or eig(M))
-        rr = residue_at_imaginary_pole(sys, 2.0)
-        assert rr.simple and rr.psd and calls == [1]
-        assert np.allclose(rr.K0, self.transposed_eig_residue(sys, 2.0),
+        K0, defect, psd = residue_at(sys, 2.0)
+        assert psd and defect <= 1e-12 and calls == [1]
+        assert np.allclose(K0, self.transposed_eig_residue(sys, 2.0),
                            rtol=0, atol=1e-12)
-        assert np.allclose(rr.K0, [[0.5]], atol=1e-12)
+        assert np.allclose(K0, [[0.5]], atol=1e-12)
 
 
 class TestVerifyCertificate:

@@ -14,7 +14,7 @@ from nisynth.cli import main
 from nisynth.errors import VerdictError
 from nisynth.statespace import interconnect_positive_feedback, load_system
 
-from gen import EDGE_ZERO_DYNAMICS, edge_plant
+from gen import EDGE_ZERO_DYNAMICS, edge_plant, feedthrough_plant
 
 
 def run_cli(capsys, *argv):
@@ -46,28 +46,17 @@ class TestAnalyze:
         code, rep = run_cli(capsys, "analyze", plant_path)
         assert code == 0
         assert rep["minimality"] == {"controllable": True, "observable": True}
-        assert rep["zero_at_origin"] is False
         assert sorted(rep["transformed_relative_degree"]["r"]) == [1, 2]
-        assert rep["phase"]["weakly_minimum_phase"] is True
+        assert rep["phase"] == {"minimum_phase": True}
         assert rep["inputs"]["sha256"]
 
-    def test_original_degrees_computed_once(self, capsys, plant_path,
-                                            monkeypatch):
-        # the report takes the original outputs' degrees from the T_y
-        # search of the normal form instead of computing them again
-        original = structure.relative_degree_vector
-        outputs = []
-
-        def counting(sys):
-            outputs.append(sys.C.copy())
-            return original(sys)
-
-        monkeypatch.setattr(structure, "relative_degree_vector", counting)
+    def test_original_degrees_computed_once(self, capsys, plant_path):
+        # the report's degrees of the original outputs are analyze's own
+        # relative_degree_vector of the plant, not a copy the normal form
+        # keeps
         code, rep = run_cli(capsys, "analyze", plant_path)
         assert code == 0
-        C = load_system(plant_path).C
-        assert sum(np.array_equal(c, C) for c in outputs) == 1
-        info = original(load_system(plant_path))
+        info = structure.relative_degree_vector(load_system(plant_path))
         assert rep["relative_degree"] == {
             "r": list(info.r), "kind": info.kind.value,
             "notes": list(info.notes)}
@@ -195,6 +184,23 @@ class TestStabilize:
                             "--y2", "1.0", "--y3", "1.0")
         assert code == 1
         assert rep["error"]["type"] == "DcGainConditionError"
+
+
+class TestFeedthrough:
+    """A plant with ``D != 0`` is not strictly proper: every command that
+    reads its relative degrees exits 2, naming the requirement."""
+
+    @pytest.mark.parametrize("argv", [["analyze"],
+                                      ["synthesize", "--target", "osni"],
+                                      ["stabilize", "--gamma", "0.1"]],
+                             ids=lambda argv: argv[0])
+    def test_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "feedthrough.json"
+        path.write_text(json.dumps(feedthrough_plant().to_dict()))
+        code, rep = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert "strictly proper" in rep["error"]["message"]
 
 
 class TestInternalDynamicsAtTheEdge:

@@ -8,7 +8,6 @@ from nisynth import (
     StateSpace,
     certify,
     eval_tf,
-    has_zero_at_origin,
     interconnect_positive_feedback,
     is_minimal,
     linalg,
@@ -215,24 +214,6 @@ class TestMinimality:
     def test_scalar_minimal(self):
         sys = StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         assert is_minimal(sys).minimal
-
-
-class TestZeroAtOrigin:
-    def test_demo_plant(self, demo_plant):
-        assert not has_zero_at_origin(demo_plant)
-
-    def test_integrator(self):
-        sys = StateSpace(A=[[0.0]], B=[[1.0]], C=[[1.0]])
-        assert not has_zero_at_origin(sys)
-
-    def test_cancelling_outputs(self):
-        # Rosenbrock pencil at s=0 drops rank (oracle: the 3x3 determinant
-        # of [[A, B], [C, 0]] vanishes)
-        sys = StateSpace(A=np.diag([-1.0, -1.0]), B=[[1.0], [1.0]],
-                         C=[[1.0, -1.0]])
-        pencil = np.block([[sys.A, sys.B], [sys.C, np.zeros((1, 1))]])
-        assert abs(np.linalg.det(pencil)) < 1e-12
-        assert has_zero_at_origin(sys)
 
 
 class TestInterconnect:

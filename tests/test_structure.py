@@ -24,6 +24,7 @@ from gen import (
     EDGE_ZERO_DYNAMICS,
     assemble_normal_realization,
     edge_plant,
+    feedthrough_plant,
     normal_form_from_blocks,
     planted_normal_blocks,
     planted_system,
@@ -131,6 +132,12 @@ class TestFindOutputTransformation:
         assert_same_normal_form(to_normal_form(demo_plant),
                                 to_normal_form(demo_plant, T_y))
 
+    def test_feedthrough_rejected(self):
+        # the theorem is for strictly proper plants: a nonzero D is input
+        # error, not a degree-1 output
+        with pytest.raises(InputError, match="strictly proper"):
+            find_output_transformation(feedthrough_plant())
+
     def test_transformed_outputs_read_the_plants_spectrum(self, demo_plant,
                                                           monkeypatch):
         # the demo needs T_y != I; the systems with outputs T_y C share the
@@ -227,6 +234,12 @@ class TestToNormalForm:
                            [[1.0, 0.0, 1.0, -1.0]])
         assert np.allclose(np.hstack([nf.A30, nf.A31, nf.A32, nf.A33]),
                            [[1.0, -1.0, 1.0, 1.0]])
+
+    def test_feedthrough_rejected_with_a_given_t_y(self):
+        # the transformed system carries T_y D, so a pinned T_y takes the
+        # same strictly-proper check as the search
+        with pytest.raises(InputError, match="strictly proper"):
+            to_normal_form(feedthrough_plant(), [[2.0]])
 
     def test_degree_one_only_reduces(self):
         sys = StateSpace(A=[[-1.0, 1.0], [0.5, 0.0]], B=[[0.0], [1.0]],

@@ -15,9 +15,14 @@ from nisynth.errors import (
     RelativeDegreeNotOneError,
     RetryExhaustedError,
     UnsupportedShapeError,
+    VerdictError,
 )
 from nisynth.statespace import is_minimal
-from nisynth.structure import find_output_transformation, to_normal_form
+from nisynth.structure import (
+    find_output_transformation,
+    split_zero_dynamics,
+    to_normal_form,
+)
 from nisynth.synth import (
     OSNI_EPS_MAX,
     SynthesisConfig,
@@ -30,10 +35,12 @@ from nisynth.synth import (
 )
 
 from gen import (
+    feedthrough_plant,
     normal_form_from_blocks,
     planted_normal_blocks,
     planted_system,
     random_shape,
+    zero_at_origin,
 )
 
 
@@ -575,6 +582,26 @@ class TestRobustStabilize:
                            B=[[0.0], [0.0], [1.0]], C=[[1.0, 0, 0]])
         with pytest.raises(NoRdLeqTwoError):
             robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
+
+    def test_zero_at_origin_is_a_verdict(self):
+        # R(s) = s/((s+1)(s+2)) in companion form: minimal, with a zero at
+        # the origin, which the zero-dynamics split decides
+        plant = StateSpace(A=[[0.0, 1.0], [-2.0, -3.0]], B=[[0.0], [1.0]],
+                           C=[[0.0, 1.0]])
+        assert is_minimal(plant).minimal and zero_at_origin(plant)
+        with pytest.raises(VerdictError,
+                           match="^plant has a zero at the origin$"):
+            robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
+        with pytest.raises(VerdictError,
+                           match="^plant has a zero at the origin$"):
+            split_zero_dynamics(to_normal_form(plant))
+
+    def test_feedthrough_rejected(self):
+        # R(0) of the true loop (A + B K_x, B K_v, C + D K_x, D K_v) is not
+        # the strictly proper one's: a nonzero D is input error
+        with pytest.raises(InputError, match="strictly proper"):
+            robust_stabilize(UncertainSystem(plant=feedthrough_plant(),
+                                             gamma=0.1))
 
     def test_rounding_does_not_make_h_full_rank(self):
         # C B has singular values 0.69 and 5e-16: the degree-1 rows of H
