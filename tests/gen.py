@@ -203,3 +203,11 @@ def random_shape(rng, max_p=3, max_n=8, force_p2=None, force_ma=None):
             continue
         m_b = int(rng.integers(0, m_budget - m_a + 1))
         return p1, p2, m_a, m_b
+
+
+def uncontrollable_plant():
+    """``A = diag(-1, -2)``, ``B = [1; 0]``, ``C = [1, 1]``: the mode at
+    -2 is observable but not driven, so the realization is not minimal;
+    ``R(s) = 1/(s + 1)`` has relative degree 1."""
+    return StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
+                      C=[[1.0, 1.0]])

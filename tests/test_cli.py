@@ -14,7 +14,12 @@ from nisynth.cli import main
 from nisynth.errors import VerdictError
 from nisynth.statespace import interconnect_positive_feedback, load_system
 
-from gen import EDGE_ZERO_DYNAMICS, edge_plant, feedthrough_plant
+from gen import (
+    EDGE_ZERO_DYNAMICS,
+    edge_plant,
+    feedthrough_plant,
+    uncontrollable_plant,
+)
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +206,21 @@ class TestFeedthrough:
         assert code == 2
         assert rep["error"]["type"] == "InputError"
         assert "strictly proper" in rep["error"]["message"]
+
+
+class TestUncontrollablePlant:
+    """A plant that is not minimal has no normal form to report on or to
+    synthesize from: both commands exit 1 with the controllability
+    verdict."""
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["synthesize"]],
+                             ids=lambda argv: argv[0])
+    def test_exits_one(self, capsys, tmp_path, argv):
+        path = tmp_path / "uncontrollable.json"
+        path.write_text(json.dumps(uncontrollable_plant().to_dict()))
+        code, rep = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert rep["error"]["type"] == "NotControllableError"
 
 
 class TestInternalDynamicsAtTheEdge:

@@ -207,6 +207,22 @@ class TestFindOutputTransformation:
         with pytest.raises(NotControllableError):
             find_output_transformation(sys)
 
+    @pytest.mark.parametrize("plant, error", [
+        (StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
+                    C=[[1.0, 1.0]], D=[[5.0]]), InputError),
+        (StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0, 0.0], [0.0, 0.0]],
+                    C=np.eye(2)), InputError),
+        (StateSpace(A=[[0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                       [0, 0, 0, -1]],
+                    B=[[0.0], [0], [1], [0]], C=[[1.0, 0, 0, 1]]),
+         NotControllableError)],
+        ids=["feedthrough", "rank-b", "degree-3"])
+    def test_search_path_error_order(self, plant, error):
+        # the degrees' preconditions come before the controllability
+        # verdict, which comes before the search's own NoRdLeqTwoError
+        with pytest.raises(error):
+            to_normal_form(plant)
+
     def test_self_consistency_on_planted_systems(self):
         rng = np.random.default_rng(59)
         for _ in range(25):

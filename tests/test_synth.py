@@ -40,6 +40,7 @@ from gen import (
     planted_normal_blocks,
     planted_system,
     random_shape,
+    uncontrollable_plant,
     zero_at_origin,
 )
 
@@ -602,6 +603,35 @@ class TestRobustStabilize:
         with pytest.raises(InputError, match="strictly proper"):
             robust_stabilize(UncertainSystem(plant=feedthrough_plant(),
                                              gamma=0.1))
+
+    def test_uncontrollable_plant_rejected(self):
+        with pytest.raises(NotControllableError,
+                           match="^plant realization is not controllable$"):
+            robust_stabilize(uncontrollable_plant())
+
+    def test_unobservable_plant_rejected(self):
+        plant = StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]],
+                           C=[[1.0, 0.0]])
+        with pytest.raises(VerdictError,
+                           match="^plant realization is not observable$"):
+            robust_stabilize(plant)
+
+    @pytest.mark.parametrize("plant", [
+        StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
+                   C=[[1.0, 1.0]], D=[[5.0]]),
+        # a triple integrator with an undriven mode at -1
+        StateSpace(A=[[0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                      [0, 0, 0, -1]],
+                   B=[[0.0], [0], [1], [0]], C=[[1.0, 0, 0, 1]])],
+        ids=["feedthrough", "degree-3"])
+    def test_minimality_verdict_comes_first(self, plant):
+        # neither has a normal form (D != 0; relative degree 3), yet the
+        # plant's minimality is reported first
+        with pytest.raises(InputError):
+            to_normal_form(plant, np.eye(1))
+        with pytest.raises(NotControllableError,
+                           match="^plant realization is not controllable$"):
+            robust_stabilize(plant)
 
     def test_rounding_does_not_make_h_full_rank(self):
         # C B has singular values 0.69 and 5e-16: the degree-1 rows of H
