@@ -25,6 +25,7 @@ from . import __version__, certify, structure, synth
 from .errors import InputError, NumericalError, RelativeDegreeNotOneError, VerdictError
 from .linalg import StabilityClass, frobenius_norm
 from .statespace import (
+    Minimality,
     UncertainSystem,
     interconnect_positive_feedback,
     is_minimal,
@@ -156,9 +157,6 @@ def _pipeline_normal_form(system, target, overrides):
 def cmd_analyze(args):
     system = load_system(args.system)
     report = _base_report(args, args.system)
-    m = is_minimal(system)
-    report["minimality"] = {"controllable": m.controllable,
-                            "observable": m.observable}
     # the original outputs' degrees, before the transforms file is read
     info0 = structure.relative_degree_vector(system)
     overrides = _transform_args(
@@ -166,6 +164,12 @@ def cmd_analyze(args):
     nf = structure.to_normal_form(system, overrides.get("T_y"),
                                   T_x=overrides.get("T_x"),
                                   T_u=overrides.get("T_u"))
+    # the normal form's screen proves the plant minimal without an eig of
+    # its A; only when it cannot does the plant's own PBH test decide
+    m = Minimality(controllable=True, observable=True) \
+        if nf.screened_minimal else is_minimal(system)
+    report["minimality"] = {"controllable": m.controllable,
+                            "observable": m.observable}
     report["relative_degree"] = {"r": list(info0.r),
                                  "kind": info0.kind.value,
                                  "notes": list(info0.notes)}

@@ -16,6 +16,13 @@ Conventions
   (``pbh_failures``, ``solve_lyapunov``); ``carried_spectrum`` builds one
   for a block of a similarity from the eigenvectors of the matrix it came
   from, so the block is not decomposed.
+* There is one PBH screen, ``EigenResult.pbh_screen``: an eigenvalue it
+  passes is controllable (observable) without an SVD.  ``pbh_failures``
+  runs it on a system's own spectrum before its rank tests; the normal
+  form runs it on the spectrum of its internal dynamics, where every mode
+  that can fail the plant's PBH test lies
+  (``structure.NormalForm.screened_minimal``).  A failure is only ever
+  decided by ``rank``.
 * Every tolerance of the package is an entry of the one table ``TOL``,
   never a parameter; ``EigenResult`` applies the spectral ones.
 * A gate ``||X||_2 <= limit`` whose limit is known to be at least some
@@ -320,11 +327,33 @@ class EigenResult:
     @cached_property
     def screen_scale(self):
         """``TOL.pbh_screen ||left[k]|| ||vectors[:, k]||`` for each ``k``,
-        the bound of ``pbh_failures``' screen per unit of its scale; None
-        when ``left`` is."""
+        the bound of ``pbh_screen`` per unit of its scale; None when
+        ``left`` is."""
         w_norm = self.left_norms
         return None if w_norm is None else \
             TOL.pbh_screen * w_norm * self.right_norms
+
+    def pbh_screen(self, M, mode):
+        """The eigenvalues that pass the PBH test of the decomposed ``A``
+        and ``M`` (controllable or observable) without an SVD: a boolean
+        array over ``values``, True where the eigenvalue is simple and its
+        unit left eigenvector ``w_k`` (controllable) or unit right
+        eigenvector ``v_k`` (observable) keeps ``||w_k^H M||`` or ``||M
+        v_k||`` above ``TOL.pbh_screen s_k (norm + ||M||_F)``, with ``s_k =
+        ||w_k|| ||v_k||`` the condition number of the eigenvalue for
+        ``w_k^H v_k = 1``; the rank tolerance grows with ``||A||``, so the
+        bound does too.  All False when the eigenbasis is not trusted
+        (``left`` is None)."""
+        W = self.left
+        if W is None:
+            return np.zeros(self.values.size, dtype=bool)
+        if mode == "controllable":
+            reach = frobenius_norm(W @ M, axis=1) / self.left_norms
+        else:
+            reach = frobenius_norm(M @ self.vectors, axis=0) / \
+                self.right_norms
+        bound = self.screen_scale * (self.norm + frobenius_norm(M))
+        return (self.algebraic == 1) & (reach > bound)
 
 
 def carried_spectrum(res, keep, vectors, block, left):
@@ -606,16 +635,11 @@ def pbh_failures(A, M, mode, spectrum):
     Returns a boolean array over ``spectrum.values``, True where
     ``rank [lambda I - A, M] < n`` (``mode="controllable"``) or
     ``rank [lambda I - A; M] < n`` (``mode="observable"``), the ranks
-    decided by ``rank``.  A simple eigenvalue passes without that SVD when
-    its unit left eigenvector ``w_k`` (controllable) or unit right
-    eigenvector ``v_k`` (observable) keeps ``||w_k^H M||`` or ``||M v_k||``
-    above ``TOL.pbh_screen s_k (||A||_2 + ||M||_F)``, with ``s_k =
-    ||w_k|| ||v_k||`` the condition number of the eigenvalue for ``w_k^H
-    v_k = 1``; the rank tolerance grows with ``||A||``, so the bound does
-    too.  Repeated
-    eigenvalues, eigenvalues under the bound and every eigenvalue of a
-    numerically defective ``A`` (``spectrum.left`` is None) take the SVD
-    test, so every failure is decided by it.
+    decided by ``rank``.  An eigenvalue ``EigenResult.pbh_screen`` passes
+    takes no SVD; repeated eigenvalues, eigenvalues under the screen's
+    bound and every eigenvalue of a numerically defective ``A``
+    (``spectrum.left`` is None) take the rank test, so every failure is
+    decided by it.
     """
     A = as_matrix(A, "A", square=True)
     M = as_matrix(M, "M")
@@ -629,17 +653,9 @@ def pbh_failures(A, M, mode, spectrum):
     failed = np.zeros(n, dtype=bool)
     if n == 0:
         return failed
-    V, W = spectrum.vectors, spectrum.left
-    screened = np.zeros(n, dtype=bool)
-    if W is not None:
-        if mode == "controllable":
-            reach = frobenius_norm(W @ M, axis=1) / spectrum.left_norms
-        else:
-            reach = frobenius_norm(M @ V, axis=0) / spectrum.right_norms
-        bound = spectrum.screen_scale * (spectrum.norm + frobenius_norm(M))
-        screened = (spectrum.algebraic == 1) & (reach > bound)
-        if screened.all():
-            return failed
+    screened = spectrum.pbh_screen(M, mode)
+    if screened.all():
+        return failed
     eye = np.eye(n)
     for k in np.flatnonzero(~screened):
         shifted = spectrum.values[k] * eye - A

@@ -18,8 +18,11 @@ else from one SVD, so a caller that needs only the norm takes no
 ``eig``), the modal factors ``C V`` and ``V^{-1} B`` that
 ``eval_tf`` works from, and the PBH failure arrays of controllability and
 observability, from which ``is_minimal`` and the strong-class certificate
-test read their witnesses and hidden modes.  The functions keep no state of
-their own.
+test read their witnesses and hidden modes.  A plant on the pipeline's path
+is asked for none of these when its normal form's PBH screen proves it
+minimal (``structure.NormalForm.screened_minimal``): the relative degrees
+read ``||A||_2`` from its SVD, and ``A`` is not decomposed.  The functions
+keep no state of their own.
 """
 
 from __future__ import annotations

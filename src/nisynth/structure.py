@@ -20,6 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     InputError,
+    NisynthError,
     NoRdLeqTwoError,
     NotControllableError,
     NotWeaklyMinimumPhaseError,
@@ -161,17 +162,13 @@ def find_output_transformation(sys):
     gain matrix of the resulting degree vector to be nonsingular.  Failure
     certifies that no output transformation achieves degrees <= 2 (the
     system is not state-feedback equivalent to a negative imaginary system
-    when it is minimal with no zero at the origin).  Returns ``(T_y,
-    info)``, ``info`` the relative degrees of the transformed outputs.
+    when it is minimal with no zero at the origin).  The search reads the
+    Markov parameters alone and requires no controllability; the search
+    path of ``to_normal_form`` decides it.  Returns ``(T_y, info)``,
+    ``info`` the relative degrees of the transformed outputs.
     """
     p = sys.require_square("output-transformation search")
-    # the PBH test below needs the spectrum, and the degrees read ||A||_2
-    # from it: decomposed first, A takes one SVD, not two
-    sys.spectrum
     original = relative_degree_vector(sys)
-    if sys.uncontrollable_mode is not None:
-        raise NotControllableError(
-            "output-transformation search requires a controllable system")
     if original.kind is RdKind.FULL and original.max_degree <= 2:
         return np.eye(p), original
 
@@ -232,7 +229,8 @@ class TransformSet:
                     raise InputError(f"{name} is singular")
                 norm = float(sv[0])
             Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
-            defect = M @ Minv - np.eye(M.shape[0])
+            defect = M @ Minv
+            defect.flat[::M.shape[0] + 1] -= 1.0  # minus I
             limit = TOL.inverse_residual * max(1.0, norm)
             if not linalg.frobenius_clears(defect, limit):
                 residual = spectral_norm(defect)
@@ -293,20 +291,50 @@ class NormalForm:
         computed once per normal form."""
         return linalg.eig(self.A00)
 
+    @cached_property
+    def chain_input(self):
+        """``A00 A03 + A02``: with ``x3 = x2dot``, the degree-2 outputs'
+        input to the internal dynamics, the second controllability pair
+        ``(A00, A00 A03 + A02)`` of the syntheses."""
+        return self.A00 @ self.A03 + self.A02
+
+    @cached_property
+    def screened_minimal(self):
+        """True when ``EigenResult.pbh_screen`` passes every mode of the
+        internal dynamics for both PBH pairs below: then the source system
+        is minimal, and its ``A`` need not be decomposed to show it.
+
+        The input enters the x1 and x3 rows and the outputs are x1 and x2,
+        so a mode can fail the PBH test only at an eigenvalue of ``A00``,
+        where a pole cancels an invariant zero (Kailath, *Linear Systems*,
+        1980): it is uncontrollable iff a left eigenvector ``w`` of ``A00``
+        there has ``w^H [A01, A00 A03 + A02] = 0``, and unobservable iff a
+        right eigenvector ``v`` has ``[A10; A30] v = 0``.  False decides
+        nothing; the source's own PBH test does (``is_minimal``).  The full
+        PBH test of these blocks is no substitute: its rank rule, at the
+        scale of rounding, does not survive the conditioning of ``T_x``."""
+        res = self.zero_spectrum
+        return bool(
+            res.pbh_screen(np.hstack([self.A01, self.chain_input]),
+                           "controllable").all()
+            and res.pbh_screen(np.vstack([self.A10, self.A30]),
+                               "observable").all())
+
 
 def normal_form_input_matrix(m, p1, p2):
     n, p = m + p1 + 2 * p2, p1 + p2
     B = np.zeros((n, p))
-    B[m:m + p1, :p1] = np.eye(p1)
-    B[m + p1 + p2:, p1:] = np.eye(p2)
+    # the diagonals of the x1 and x3 rows: an identity each
+    B[m:m + p1, :p1].flat[::p1 + 1] = 1.0
+    B[m + p1 + p2:, p1:].flat[::p2 + 1] = 1.0
     return B
 
 
 def normal_form_output_matrix(m, p1, p2):
     n, p = m + p1 + 2 * p2, p1 + p2
     C = np.zeros((p, n))
-    C[:p1, m:m + p1] = np.eye(p1)
-    C[p1:, m + p1:m + p1 + p2] = np.eye(p2)
+    # output k reads x1_k or, past p1, x2_(k - p1): column m + k
+    C[:, m:m + p].flat[::p + 1] = 1.0
     return C
 
 
@@ -315,6 +343,14 @@ def _internal_rows(B, C_T):
     ``C_T^T``, from a complete Householder QR (Golub & Van Loan, 5.2)."""
     k = B.shape[1] + C_T.shape[0]
     return np.linalg.qr(np.hstack([B, C_T.T]), mode="complete")[0][:, k:].T
+
+
+def _require_controllable(sys):
+    """The search path's controllability verdict, from the PBH test of
+    ``sys`` itself."""
+    if sys.uncontrollable_mode is not None:
+        raise NotControllableError(
+            "output-transformation search requires a controllable system")
 
 
 def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
@@ -329,17 +365,43 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     vanishing row combination leaves ``T_u`` and ``C_T C_T^T > 0``.
     Explicit ``T_x``/``T_u`` may be supplied to pin a particular choice;
     they are validated against the same structure.
+
+    The search path (``T_y`` None) requires a controllable system.  Its
+    ``NotControllableError`` follows the errors of the degrees'
+    preconditions (``relative_degree_vector`` of ``sys``) and precedes the
+    search's ``NoRdLeqTwoError`` and the normal form's own errors.  When
+    ``NormalForm.screened_minimal`` holds, ``A`` is not decomposed for
+    it; otherwise, or when the search or the normal form fails, the PBH
+    test of ``sys`` decides.  An explicit ``T_y`` takes no such gate.
     """
     p = sys.require_square("normal form")
-    A, B = sys.A, sys.B
-    n = sys.n
-    if T_y is None:
-        T_y, info = find_output_transformation(sys)
-    else:
+    if T_y is not None:
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
             raise InputError(f"T_y must be {p}x{p}")
         info = relative_degree_vector(_with_outputs(sys, T_y))
+        return _normal_form(sys, T_y, info, T_x, T_u)
+    try:
+        T_y, info = find_output_transformation(sys)
+    except NoRdLeqTwoError:
+        _require_controllable(sys)
+        raise
+    try:
+        nf = _normal_form(sys, T_y, info, T_x, T_u)
+    except (NisynthError, np.linalg.LinAlgError):
+        _require_controllable(sys)
+        raise
+    if not nf.screened_minimal:
+        _require_controllable(sys)
+    return nf
+
+
+def _normal_form(sys, T_y, info, T_x, T_u):
+    """``to_normal_form`` for the output transform ``T_y`` and the
+    relative degrees ``info`` of its outputs."""
+    p = sys.n_outputs
+    A, B = sys.A, sys.B
+    n = sys.n
     if info.kind is not RdKind.FULL or any(d not in (1, 2) for d in info.r):
         raise InputError(
             "T_y does not yield a relative degree vector with degrees in "
@@ -396,7 +458,7 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     # each defect's limit TOL.normal_form max(1, norm) is at least
     # TOL.normal_form: frobenius_clears passes it without the SVDs
     x2_defect = At[m + p1:m + p1 + p2, :].copy()
-    x2_defect[:, m + p1 + p2:] -= np.eye(p2)
+    x2_defect[:, m + p1 + p2:].flat[::p2 + 1] -= 1.0  # minus I
     if not linalg.frobenius_clears(x2_defect, TOL.normal_form) and \
             spectral_norm(x2_defect) > \
             TOL.normal_form * max(1.0, spectral_norm(At)):

@@ -21,6 +21,7 @@ from .certify import Certificate, Verdict
 from .errors import (
     DcGainConditionError,
     InputError,
+    NisynthError,
     NotControllableError,
     NotMinimumPhaseError,
     NumericalError,
@@ -71,18 +72,20 @@ class SynthesisConfig:
 
 def _bind_spd(value, dim, name):
     """Expand scalar/None to ``c * I`` and validate symmetric PD."""
+    if value is not None and not np.isscalar(value):
+        M = as_matrix(value, name, square=True)
+        if M.shape[0] != dim:
+            raise InputError(f"{name} must be {dim}x{dim}, got {M.shape}")
+        M = linalg.symmetrize(M, name)
+        if dim and not linalg.definiteness(M, "pd"):
+            raise InputError(f"{name} must be symmetric positive definite")
+        return M
     if value is None:
-        return np.eye(dim)
-    if np.isscalar(value):
-        if not 0 < value < np.inf:
-            raise InputError(f"{name} must be finite and positive")
-        return float(value) * np.eye(dim)
-    M = as_matrix(value, name, square=True)
-    if M.shape[0] != dim:
-        raise InputError(f"{name} must be {dim}x{dim}, got {M.shape}")
-    M = linalg.symmetrize(M, name)
-    if dim and not linalg.definiteness(M, "pd"):
-        raise InputError(f"{name} must be symmetric positive definite")
+        value = 1.0
+    elif not 0 < value < np.inf:
+        raise InputError(f"{name} must be finite and positive")
+    M = np.zeros((dim, dim))
+    M.flat[::dim + 1] = float(value)  # value * I
     return M
 
 
@@ -210,7 +213,8 @@ def _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3):
     """Certificate blocks for the (z, x1, x2, x3) split coordinates, from
     the split's ``A01``, ``A02`` and ``inv(A00)``."""
     m = iA00.shape[0]
-    Y1 = np.eye(m)
+    Y1 = np.zeros((m, m))
+    Y1[:m_a, :m_a].flat[::m_a + 1] = 1.0  # y1a = 1
     Y1[m_a:, m_a:] = Y1b
     p1, p2 = A01.shape[1], A02.shape[1]
     G1 = iA00 @ A01          # m x p1
@@ -220,8 +224,10 @@ def _assemble_certificate(m_a, A01, A02, iA00, Y1b, Y2, Y3):
         [Y11, -G1 @ Y2, -G2 @ Y3, np.zeros((m, p2))],
         [-Y2 @ G1.T, Y2, np.zeros((p1, p2)), np.zeros((p1, p2))],
         [-Y3 @ G2.T, np.zeros((p2, p1)), Y3, np.zeros((p2, p2))],
-        [np.zeros((p2, m)), np.zeros((p2, p1)), np.zeros((p2, p2)), np.eye(p2)],
+        [np.zeros((p2, m)), np.zeros((p2, p1)), np.zeros((p2, p2)),
+         np.zeros((p2, p2))],
     ])
+    Y[m + p1 + p2:, m + p1 + p2:].flat[::p2 + 1] = 1.0  # the x3 block: I
     return (Y + Y.T) / 2.0
 
 
@@ -300,7 +306,7 @@ def _synthesize(nf, cfg, ni_class):
     S = split.S
     res00 = nf.zero_spectrum
     c1 = linalg.pbh_witness(nf.A00, nf.A01, "controllable", res00) is None
-    c2 = p2 > 0 and linalg.pbh_witness(nf.A00, nf.A00 @ nf.A03 + nf.A02,
+    c2 = p2 > 0 and linalg.pbh_witness(nf.A00, nf.chain_input,
                                        "controllable", res00) is None
     if not (c1 or c2):
         # with p2 = 0 the second pair has no columns and is not tested
@@ -331,7 +337,9 @@ def _synthesize(nf, cfg, ni_class):
                 f"{' - corr' if ni_class == 'ssni' else ''} is not positive "
                 "definite")
     else:
-        Qb = np.eye(m_b) + corr
+        Qb = np.eye(m_b)
+        if ni_class == "ssni":
+            Qb += corr
         Y1b = linalg.solve_lyapunov(split.A00b.T, Qb, split.hurwitz_spectrum)
     if ni_class == "ssni" and m:
         resid = A00 @ Y1b + Y1b @ A00.T + corr
@@ -357,14 +365,19 @@ def _synthesize(nf, cfg, ni_class):
         Qb_sqrt = linalg.sqrtm_pd(Qb)
     if cfg.K13 is not None:
         K13_fixed = _bind_matrix(cfg.K13, p1, p2, "K13")
-        if p2 and not linalg.definiteness(
-                2.0 * np.eye(p1) - K13_fixed @ K13_fixed.T, "psd"):
-            raise InputError("K13 violates its admissible set K13 K13^T <= 2I")
-        if ni_class == "osni" and p2 and spectral_norm(
-                K13_fixed.T @ K13_fixed - np.eye(p2)) > TOL.orthonormal:
-            raise InputError(
-                "output-strict synthesis requires K13 with orthonormal "
-                "columns (K13^T K13 = I)")
+        if p2:
+            room = -(K13_fixed @ K13_fixed.T)
+            room.flat[::p1 + 1] += 2.0  # 2I - K13 K13^T
+            if not linalg.definiteness(room, "psd"):
+                raise InputError(
+                    "K13 violates its admissible set K13 K13^T <= 2I")
+        if ni_class == "osni" and p2:
+            gram = K13_fixed.T @ K13_fixed
+            gram.flat[::p2 + 1] -= 1.0  # K13^T K13 - I
+            if spectral_norm(gram) > TOL.orthonormal:
+                raise InputError(
+                    "output-strict synthesis requires K13 with orthonormal "
+                    "columns (K13^T K13 = I)")
     elif p1 == 0 or p2 == 0:
         K13_fixed = np.zeros((p1, p2))
     else:
@@ -415,14 +428,18 @@ def _synthesize(nf, cfg, ni_class):
     K12 = K10 @ iA00 @ A02
     K21 = K20 @ iA00 @ A01
     K22 = K20 @ iA00 @ A02 - np.linalg.inv(Y3) if p2 else np.zeros((0, 0))
-    K23 = -0.5 * np.eye(p2)
+    # -0.5 I bit for bit: its off-diagonal zeros are -0.5 * 0 = -0.0
+    K23 = np.full((p2, p2), -0.0)
+    K23.flat[::p2 + 1] = -0.5
 
     A_cl = _block([
         [A00, A01, A02, A03],
         [K10, K11, K12, K13],
-        [np.zeros((p2, m)), np.zeros((p2, p1)), np.zeros((p2, p2)), np.eye(p2)],
+        [np.zeros((p2, m)), np.zeros((p2, p1)), np.zeros((p2, p2)),
+         np.zeros((p2, p2))],
         [K20, K21, K22, K23],
     ])
+    A_cl[m + p1:m + p1 + p2, m + p1 + p2:].flat[::p2 + 1] = 1.0  # x2dot = x3
     closed = StateSpace(A=A_cl, B=normal_form_input_matrix(m, p1, p2),
                         C=normal_form_output_matrix(m, p1, p2),
                         name=(nf.source.name or "system") + ":closed")
@@ -557,6 +574,15 @@ class StabilizationResult:
         return self.dc_bound - self.dc_value
 
 
+def _require_minimal(plant):
+    """The plant's minimality verdict, from its own PBH tests."""
+    minim = is_minimal(plant)
+    if not minim.controllable:
+        raise NotControllableError("plant realization is not controllable")
+    if not minim.observable:
+        raise VerdictError("plant realization is not observable")
+
+
 def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
     """Stabilize a plant with strictly-negative-imaginary uncertainty.
 
@@ -568,16 +594,22 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
     ``w`` enters at the plant input, ``x' = A x + B (u + w)``, so the
     uncertain loop is ``nominal_closed`` ``(A + B K_x, B K_v, C)`` in
     positive feedback with ``Delta`` (see ``FeedbackLaw``).
+
+    A plant that is not minimal is rejected before any other error is
+    reported (``NotControllableError``, else ``VerdictError``), by its own
+    PBH tests; they run only when ``NormalForm.screened_minimal`` cannot
+    prove the plant minimal or the normal form raises.
     """
     if not isinstance(usys, UncertainSystem):
         usys = UncertainSystem(plant=usys, gamma=1.0)
     plant = usys.plant
-    minim = is_minimal(plant)
-    if not minim.controllable:
-        raise NotControllableError("plant realization is not controllable")
-    if not minim.observable:
-        raise VerdictError("plant realization is not observable")
-    nf = to_normal_form(plant, T_y, T_x=T_x, T_u=T_u)
+    try:
+        nf = to_normal_form(plant, T_y, T_x=T_x, T_u=T_u)
+    except (NisynthError, np.linalg.LinAlgError):
+        _require_minimal(plant)
+        raise
+    if not nf.screened_minimal:
+        _require_minimal(plant)
 
     cfg = cfg or SynthesisConfig()
     Tyi = nf.transforms.T_y_inv

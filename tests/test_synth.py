@@ -235,10 +235,12 @@ class TestSynthesizeNi:
         for M, count in ((nf.A00, 1), (nf.A00.T, 0), (g.split.A00, 0)):
             assert sum(np.array_equal(A, M) for A in calls) == count
 
-        # a robust op on a plant of that shape decomposes A, A00 and the
-        # closed-loop A: the split's blocks take their eigenvectors from
-        # eig(A00), and S, T_hat T_x and the block-diagonal A00 are not
-        # LU-inverted, their factors' inverses being at hand
+        # a robust op on a plant of that shape decomposes A00 and the
+        # closed-loop A: the zero dynamics' PBH screen proves the plant
+        # minimal, so its A is not decomposed; the split's blocks take
+        # their eigenvectors from eig(A00), and S, T_hat T_x and the
+        # block-diagonal A00 are not LU-inverted, their factors' inverses
+        # being at hand
         drawn, _ = planted_system(np.random.default_rng(167), 1, 1, 2, 3)
         plant = StateSpace(A=drawn.A, B=drawn.B, C=drawn.C)
         calls.clear()
@@ -254,9 +256,11 @@ class TestSynthesizeNi:
         g = res.gains
         nf, split = g.normal_form, g.split
         assert (split.m_a, split.m_b) == (2, 3)
-        assert len(calls) == 3
-        for M in (plant.A, nf.A00, res.nominal_closed.A):
+        assert nf.screened_minimal
+        assert len(calls) == 2
+        for M in (nf.A00, res.nominal_closed.A):
             assert sum(np.array_equal(A, M) for A in calls) == 1
+        assert not any(np.array_equal(A, plant.A) for A in calls)
         for M in (split.A00a, split.A00a.T, split.A00b, split.A00b.T):
             assert not any(np.array_equal(A, M) for A in calls)
         n, m = nf.n, nf.m
@@ -646,8 +650,10 @@ class TestRobustStabilize:
         assert v.holds, v.notes
 
     def test_one_pbh_test_per_system_and_mode(self, monkeypatch, demo_plant):
-        # the plant's PBH failure arrays are cached: is_minimal and the T_y
-        # search read one controllability test, and no pair is tested twice
+        # the zero dynamics' PBH screen proves the demo plant minimal, so
+        # neither of the plant's pairs is tested; on a plant the screen
+        # cannot clear, the T_y search and is_minimal read the plant's
+        # cached failure arrays, one test per pair; no pair is tested twice
         plant = StateSpace(A=demo_plant.A, B=demo_plant.B, C=demo_plant.C)
         pbh_failures = linalg.pbh_failures
         calls = {}
@@ -659,11 +665,17 @@ class TestRobustStabilize:
 
         monkeypatch.setattr(linalg, "pbh_failures", counting)
         robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
-        assert calls[(plant.A.tobytes(), plant.B.tobytes(),
-                      "controllable")] == 1
-        assert calls[(plant.A.tobytes(), plant.C.tobytes(),
-                      "observable")] == 1
-        assert len(calls) >= 4 and set(calls.values()) == {1}
+        for M, mode in ((plant.B, "controllable"), (plant.C, "observable")):
+            assert (plant.A.tobytes(), M.tobytes(), mode) not in calls
+        assert len(calls) >= 2 and set(calls.values()) == {1}
+
+        calls.clear()
+        plant = uncontrollable_plant()
+        with pytest.raises(NotControllableError):
+            robust_stabilize(UncertainSystem(plant=plant, gamma=1.0))
+        assert calls == {
+            (plant.A.tobytes(), plant.B.tobytes(), "controllable"): 1,
+            (plant.A.tobytes(), plant.C.tobytes(), "observable"): 1}
 
     def test_stabilized_loop_under_sampled_uncertainty(self, demo_plant,
                                                        demo_uncertainty):
