@@ -99,7 +99,9 @@ class SimulationDivergedError(NumericalError):
 
 
 class RetryExhaustedError(NumericalError):
-    """Randomized parameter retries were exhausted."""
+    """The free parameters ``H`` and ``K13``, pinned or drawn once, leave
+    the closed loop non-minimal; ``witness`` is the eigenvalue of ``A00``
+    at which an observability target fails."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

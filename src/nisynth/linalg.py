@@ -669,12 +669,7 @@ def pbh_witness(A, M, mode, spectrum):
     """First eigenvalue of ``spectrum = eig(A)`` failing the PBH rank
     test of ``pbh_failures``, or None when the pair passes at all of them
     (controllable or observable)."""
-    return first_failure(spectrum, pbh_failures(A, M, mode, spectrum))
-
-
-def first_failure(spectrum, failed):
-    """The first of ``spectrum.values`` where the boolean array ``failed``
-    holds, or None when it holds nowhere."""
+    failed = pbh_failures(A, M, mode, spectrum)
     return complex(spectrum.values[np.argmax(failed)]) if failed.any() \
         else None
 

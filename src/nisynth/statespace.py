@@ -17,8 +17,8 @@ the eigenvector norms), ``||A||_2`` itself (read from a cached spectrum,
 else from one SVD, so a caller that needs only the norm takes no
 ``eig``), the modal factors ``C V`` and ``V^{-1} B`` that
 ``eval_tf`` works from, and the PBH failure arrays of controllability and
-observability, from which ``is_minimal`` and the strong-class certificate
-test read their witnesses and hidden modes.  A plant on the pipeline's path
+observability, from which ``is_minimal`` reads its verdict and the
+strong-class certificate test its hidden modes.  A plant on the pipeline's path
 is asked for none of these when its normal form's PBH screen proves it
 minimal (``structure.NormalForm.screened_minimal``): the relative degrees
 read ``||A||_2`` from its SVD, and ``A`` is not decomposed.  The functions
@@ -111,20 +111,6 @@ class StateSpace:
         once per system."""
         return linalg.pbh_failures(self.A, self.C, "observable",
                                    self.spectrum)
-
-    @property
-    def uncontrollable_mode(self):
-        """The first eigenvalue at which the PBH controllability test
-        fails, or None, read from ``controllability_failures``."""
-        return linalg.first_failure(self.spectrum,
-                                    self.controllability_failures)
-
-    @property
-    def unobservable_mode(self):
-        """The first eigenvalue at which the PBH observability test fails,
-        or None, read from ``observability_failures``."""
-        return linalg.first_failure(self.spectrum,
-                                    self.observability_failures)
 
     @cached_property
     def a_norm(self):
@@ -272,8 +258,8 @@ class Minimality:
 def is_minimal(sys):
     """PBH controllability/observability of the realization, from the
     system's cached failure arrays."""
-    return Minimality(controllable=sys.uncontrollable_mode is None,
-                      observable=sys.unobservable_mode is None)
+    return Minimality(controllable=not sys.controllability_failures.any(),
+                      observable=not sys.observability_failures.any())
 
 
 def interconnect_positive_feedback(plant, delta):

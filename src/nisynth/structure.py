@@ -348,7 +348,7 @@ def _internal_rows(B, C_T):
 def _require_controllable(sys):
     """The search path's controllability verdict, from the PBH test of
     ``sys`` itself."""
-    if sys.uncontrollable_mode is not None:
+    if sys.controllability_failures.any():
         raise NotControllableError(
             "output-transformation search requires a controllable system")
 

@@ -6,8 +6,9 @@ render the closed loop negative imaginary and produce the certificate
 matrix in closed form.  Output strictness shrinks its free parameters;
 strong strictness is its ``p2 = 0``, Hurwitz case with the stricter
 Lyapunov right-hand side ``Qb``.  The free parameters are collected in
-``SynthesisConfig``; randomized choices are seeded and retried until the
-observability targets that make the closed loop minimal are met.
+``SynthesisConfig``; the randomized choices are drawn once from a seeded
+generator.  A generic draw meets the observability targets that make the
+closed loop minimal; one that misses them raises ``RetryExhaustedError``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ OSNI_EPS_MAX = (3.0 - np.sqrt(5.0)) / 2.0
 
 #: fraction of its admissible set a random H or K13 draw may reach
 THETA = 0.9
-
-#: seeded draws of (H, K13) before the observability targets are given up
-MAX_RETRIES = 32
 
 
 @dataclass(frozen=True)
@@ -180,12 +178,10 @@ def _osni_h_shrink(eps):
     The Schur complement of the certificate matrix requires
     ``g(eps) H^T H <= Qb``, where ``g -> 1`` as ``eps -> 0`` and
     ``g -> inf`` at the maximal strictness level, so H is drawn from the
-    shrunk set ``THETA U (Qb / g)^(1/2)``.
+    shrunk set ``THETA U (Qb / g)^(1/2)``.  ``eps`` is at most
+    ``OSNI_EPS_MAX``, so ``1 - 2 eps >= sqrt 5 - 2 > 0``.
     """
-    den = 1.0 - 2.0 * eps
-    if den <= 0:
-        return 0.0
-    c = (1.0 - eps) ** 2 / den
+    c = (1.0 - eps) ** 2 / (1.0 - 2.0 * eps)
     rem = 2.0 - eps - c
     if rem <= TOL.osni_h_room:
         return 0.0
@@ -347,82 +343,60 @@ def _synthesize(nf, cfg, ni_class):
                 -TOL.ssni_margin * res00.norm:  # A00 is nf.A00 here
             raise NumericalError("could not reach the strict Lyapunov margin")
 
-    # an empty or zero-scaled draw is fixed at zero: it takes no randomness,
-    # and when both are fixed every attempt repeats the first
+    # an empty or zero-scaled parameter is zero and takes no draw; H is
+    # drawn before K13
+    rng = np.random.default_rng(cfg.rng_seed)
     if cfg.H is not None:
-        H_fixed = _bind_matrix(cfg.H, p2, m_b, "H")
+        H = _bind_matrix(cfg.H, p2, m_b, "H")
         # the admissible set shrinks with the output-strictness level
         Qb_admissible = Qb * h_scale ** 2 if ni_class == "osni" else Qb
-        if m_b and not linalg.definiteness(
-                Qb_admissible - H_fixed.T @ H_fixed, "psd"):
+        if m_b and not linalg.definiteness(Qb_admissible - H.T @ H, "psd"):
             raise InputError("H violates its admissible set H^T H <= Qb"
                              + (" (shrunk for the output-strict level)"
                                 if ni_class == "osni" else ""))
     elif p2 == 0 or m_b == 0 or h_scale == 0.0:
-        H_fixed = np.zeros((p2, m_b))
+        H = np.zeros((p2, m_b))
     else:
-        H_fixed = None
-        Qb_sqrt = linalg.sqrtm_pd(Qb)
+        H = _draw_h(rng, p2, m_b, linalg.sqrtm_pd(Qb), h_scale)
+    policy = "orthonormal" if ni_class == "osni" else "random-in-S_K"
     if cfg.K13 is not None:
-        K13_fixed = _bind_matrix(cfg.K13, p1, p2, "K13")
+        K13 = _bind_matrix(cfg.K13, p1, p2, "K13")
         if p2:
-            room = -(K13_fixed @ K13_fixed.T)
+            room = -(K13 @ K13.T)
             room.flat[::p1 + 1] += 2.0  # 2I - K13 K13^T
             if not linalg.definiteness(room, "psd"):
                 raise InputError(
                     "K13 violates its admissible set K13 K13^T <= 2I")
         if ni_class == "osni" and p2:
-            gram = K13_fixed.T @ K13_fixed
+            gram = K13.T @ K13
             gram.flat[::p2 + 1] -= 1.0  # K13^T K13 - I
             if spectral_norm(gram) > TOL.orthonormal:
                 raise InputError(
                     "output-strict synthesis requires K13 with orthonormal "
                     "columns (K13^T K13 = I)")
     elif p1 == 0 or p2 == 0:
-        K13_fixed = np.zeros((p1, p2))
+        K13 = np.zeros((p1, p2))
     else:
-        K13_fixed = None
+        K13 = _draw_k13(rng, p1, p2, policy)
 
     iA00a_T, iA00b_T = iA00a.T, iA00b.T
     iY1b = np.linalg.inv(Y1b) if m_b else Y1b
-
-    K20a = -A02[:m_a].T @ iA00a_T - A03[:m_a].T
-    K10a = -A01[:m_a].T @ iA00a_T
-
-    rng = np.random.default_rng(cfg.rng_seed)
-    policy = "orthonormal" if ni_class == "osni" else "random-in-S_K"
-    last_witness = None
-    retries_used = 0
-    for attempt in range(MAX_RETRIES):
-        retries_used = attempt
-        H = H_fixed if H_fixed is not None else \
-            _draw_h(rng, p2, m_b, Qb_sqrt, h_scale)
-        K13 = K13_fixed if K13_fixed is not None else \
-            _draw_k13(rng, p1, p2, policy)
-        K20b = (-A02[m_a:].T @ iA00b_T - A03[m_a:].T + H) @ iY1b
-        K10b = (-A01[m_a:].T @ iA00b_T - K13 @ H) @ iY1b
-        K10 = np.hstack([K10a, K10b])
-        K20 = np.hstack([K20a, K20b])
-        ok = True
-        if c1:
-            w = linalg.pbh_witness(nf.A00, K10 @ S, "observable", res00)
-            if w is not None:
-                ok, last_witness = False, w
-        if c2 and ok:
-            w = linalg.pbh_witness(nf.A00, K20 @ S, "observable", res00)
-            if w is not None:
-                ok, last_witness = False, w
-        if ok:
-            break
-        if H_fixed is not None and K13_fixed is not None:
-            raise RetryExhaustedError(
-                "H and K13 are fixed or empty and do not achieve the "
-                f"observability targets (failing eigenvalue {last_witness})",
-                witness=last_witness)
-    else:
+    K10 = np.hstack([-A01[:m_a].T @ iA00a_T,
+                     (-A01[m_a:].T @ iA00b_T - K13 @ H) @ iY1b])
+    K20 = np.hstack([-A02[:m_a].T @ iA00a_T - A03[:m_a].T,
+                     (-A02[m_a:].T @ iA00b_T - A03[m_a:].T + H) @ iY1b])
+    # the targets that make the closed loop minimal: (A00, K10) observable
+    # when (A00, A01) is controllable, (A00, K20) when the chain input is;
+    # a critical mode sees no drawn term and a Hurwitz mode fails only on
+    # a null set of draws, so a failure is not redrawn
+    w = linalg.pbh_witness(nf.A00, K10 @ S, "observable", res00) \
+        if c1 else None
+    if w is None and c2:
+        w = linalg.pbh_witness(nf.A00, K20 @ S, "observable", res00)
+    if w is not None:
         raise RetryExhaustedError(
-            f"observability targets not met in {MAX_RETRIES} draws "
-            f"(last failing eigenvalue {last_witness})", witness=last_witness)
+            "H and K13 do not achieve the observability targets that make "
+            f"the closed loop minimal (failing eigenvalue {w})", witness=w)
 
     K11 = K10 @ iA00 @ A01 - np.linalg.inv(Y2) if p1 else np.zeros((0, 0))
     K12 = K10 @ iA00 @ A02
@@ -474,7 +448,7 @@ def _synthesize(nf, cfg, ni_class):
         "Qb": Qb.tolist(), "Y1b": Y1b.tolist(), "H": H.tolist(),
         "K13": K13.tolist(), "theta": THETA,
         "k13_policy": policy, "rng_seed": cfg.rng_seed,
-        "retries_used": retries_used,
+        "retries_used": 0,
     }
     if ni_class == "osni":
         free["epsilon"] = eps
@@ -493,10 +467,11 @@ def synthesize_ni(nf, cfg=None):
 
     Requires nonsingular, Lyapunov-stable internal dynamics and a
     controllable normal form.  Gains follow the closed-form construction;
-    the randomized parameters are retried (seeded) until the closed loop
-    is minimal.  The emitted gain set carries the law in the plant's
-    coordinates, whose certificate passes verification on the plant's
-    closed loop before the set is returned.
+    the randomized parameters are drawn once (seeded), and a closed loop
+    they leave non-minimal raises ``RetryExhaustedError``.  The emitted
+    gain set carries the law in the plant's coordinates, whose certificate
+    passes verification on the plant's closed loop before the set is
+    returned.
     """
     return _synthesize(nf, cfg or SynthesisConfig(), "ni")
 

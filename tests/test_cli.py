@@ -13,11 +13,14 @@ from nisynth import cli, structure
 from nisynth.cli import main
 from nisynth.errors import VerdictError
 from nisynth.statespace import interconnect_positive_feedback, load_system
+from nisynth.structure import to_normal_form
+from nisynth.synth import synthesize_ssni
 
 from gen import (
     EDGE_ZERO_DYNAMICS,
     edge_plant,
     feedthrough_plant,
+    planted_system,
     uncontrollable_plant,
 )
 
@@ -162,6 +165,26 @@ class TestSynthesize:
                             "--target", "ssni")
         assert code == 1
         assert rep["error"]["type"] == "RelativeDegreeNotOneError"
+
+    @pytest.mark.parametrize("T_y", [None, [[2.0, 1.0], [-1.0, 1.0]]],
+                             ids=["identity", "pinned"])
+    def test_ssni_law_is_the_librarys(self, capsys, tmp_path, T_y):
+        # a {1,...,1} plant keeps its outputs (T_y = I) unless a
+        # transforms file pins T_y; either way the CLI's law is the one
+        # synthesize_ssni delivers from that normal form
+        drawn, _ = planted_system(np.random.default_rng(5), 2, 0, 0, 2)
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(drawn.to_dict()))
+        argv = ["synthesize", str(path), "--target", "ssni"]
+        if T_y is not None:
+            pinned = tmp_path / "transforms.json"
+            pinned.write_text(json.dumps({"T_y": T_y}))
+            argv += ["--transforms", str(pinned)]
+        code, rep = run_cli(capsys, *argv)
+        assert code == 0
+        nf = to_normal_form(load_system(str(path)),
+                            np.eye(2) if T_y is None else np.array(T_y))
+        assert rep["gains"]["K_x"] == synthesize_ssni(nf).law.K_x.tolist()
 
     def test_unknown_param_rejected(self, capsys, plant_path, tmp_path):
         bad = tmp_path / "params.json"

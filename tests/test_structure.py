@@ -144,7 +144,7 @@ class TestFindOutputTransformation:
         # plant's A, so once the plant's spectrum is cached neither the
         # search nor to_normal_form takes an SVD of A
         plant = StateSpace(A=demo_plant.A, B=demo_plant.B, C=demo_plant.C)
-        assert plant.uncontrollable_mode is None
+        assert not plant.controllability_failures.any()
         norms = []
         monkeypatch.setattr(structure, "spectral_norm",
                             lambda M: norms.append(M) or linalg.spectral_norm(M))
@@ -157,9 +157,9 @@ class TestFindOutputTransformation:
         ("osni", (2, 1, 0, 3)), ("osni", (1, 1, 0, 3)),
         ("ssni", (2, 0, 0, 4)), ("ssni", (3, 0, 0, 3))])
     def test_one_svd_of_a_per_fresh_plant(self, monkeypatch, path, shape):
-        # a plant with nothing cached: the search decomposes A before it
-        # reads the degrees, and the SSNI path's degrees cache ||A||_2 for
-        # the normal form's transformed outputs, so A takes one SVD
+        # a plant with nothing cached: A is not decomposed; the plant's
+        # degrees cache ||A||_2 from one SVD, which the search's and the
+        # normal form's transformed outputs read, so A takes one SVD
         drawn, _ = planted_system(np.random.default_rng(61), *shape)
         plant = StateSpace(A=drawn.A, B=drawn.B, C=drawn.C)
         svd = np.linalg.svd

@@ -144,14 +144,19 @@ class TestSynthesizeNi:
         assert g.verdict.holds
         assert calls == []
 
-    @pytest.mark.parametrize("synthesize", [synthesize_ni, synthesize_ssni])
-    def test_nothing_drawn_raises_at_first_failure(self, monkeypatch,
-                                                   synthesize):
-        # with p2 = 0, H and K13 are empty: every attempt would repeat the
-        # first, so a failing observability test ends the synthesis
-        sys, _ = planted_system(np.random.default_rng(173), 2, 0, 0, 3)
-        nf = to_normal_form(sys, np.eye(2))
-        observable = []
+    @pytest.mark.parametrize("synthesize, shape, draws", [
+        (synthesize_ni, (2, 0, 0, 3), 0),
+        (synthesize_ssni, (2, 0, 0, 3), 0),
+        (synthesize_ni, (1, 1, 0, 2), 1),
+    ], ids=["synthesize_ni", "synthesize_ssni", "synthesize_ni-drawn"])
+    def test_draws_once_and_raises_at_first_failure(self, monkeypatch,
+                                                    synthesize, shape,
+                                                    draws):
+        # H and K13 are drawn once each (with p2 = 0 they are empty and
+        # not drawn), so a failing observability test ends the synthesis
+        sys, _ = planted_system(np.random.default_rng(173), *shape)
+        nf = to_normal_form(sys)
+        observable, drawn = [], []
         pbh_witness = linalg.pbh_witness
 
         def failing(A, M, mode, spectrum):
@@ -160,10 +165,16 @@ class TestSynthesizeNi:
                 return complex(spectrum.values[0])
             return pbh_witness(A, M, mode, spectrum)
 
+        def counting(draw):
+            return lambda *args: drawn.append(draw.__name__) or draw(*args)
+
         monkeypatch.setattr(linalg, "pbh_witness", failing)
+        monkeypatch.setattr(synth, "_draw_h", counting(synth._draw_h))
+        monkeypatch.setattr(synth, "_draw_k13", counting(synth._draw_k13))
         with pytest.raises(RetryExhaustedError) as exc:
             synthesize(nf)
         assert len(observable) == 1
+        assert drawn == ["_draw_h", "_draw_k13"] * draws
         assert exc.value.witness == complex(nf.zero_spectrum.values[0])
 
     def test_inadmissible_h_rejected(self, demo_nf):
