@@ -29,6 +29,7 @@ from .statespace import (
     UncertainSystem,
     interconnect_positive_feedback,
     is_minimal,
+    load_json,
     load_system,
     simulate,
 )
@@ -44,28 +45,22 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path, what):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: "
-                         f"{exc.msg}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-
-
 def _emit(report, args):
+    """Write the report to ``--out``, else to stdout; an unwritable
+    ``--out`` is cleared, and raised as an ``InputError``."""
     report["timings"] = {"seconds": round(time.perf_counter() - args._t0, 6)}
     # no indent: only then does json use its C encoder; a non-finite
     # float raises ValueError, which main reports as exit 2
     text = json.dumps(report, sort_keys=True, allow_nan=False)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        path, args.out = args.out, None
+        raise InputError(f"cannot write report file {path}: {exc}") from exc
 
 
 def _scaled_norm(x):
@@ -102,15 +97,16 @@ def _number(value, name, kind=(int, float)):
 
 
 def _config_from_args(args):
-    """Merge a --params file and direct flags into a SynthesisConfig."""
+    """A SynthesisConfig from a --params file and direct flags, and the
+    ``_transform_args`` of either file's transforms."""
     params = {}
-    if getattr(args, "params", None):
-        params = _load_json(args.params, "parameter")
+    if args.params:
+        params = load_json(args.params, "parameter")
         if not isinstance(params, dict):
             raise InputError("--params file must hold a JSON object")
     transforms = params.pop("transforms", None)
-    if getattr(args, "transforms", None):
-        transforms = _load_json(args.transforms, "transforms")
+    if args.transforms:
+        transforms = load_json(args.transforms, "transforms")
     for flag, key in (("y2", "Y2"), ("y3", "Y3"), ("epsilon", "epsilon"),
                       ("seed", "rng_seed")):
         val = getattr(args, flag, None)
@@ -124,7 +120,7 @@ def _config_from_args(args):
         if key in ("epsilon", "rng_seed") or \
                 not isinstance(val, (list, type(None))):
             _number(val, key, int if key == "rng_seed" else (int, float))
-    return synth.SynthesisConfig(**params), transforms
+    return synth.SynthesisConfig(**params), _transform_args(transforms)
 
 
 def _transform_args(transforms):
@@ -140,7 +136,6 @@ def _transform_args(transforms):
 
 def _pipeline_normal_form(system, target, overrides):
     """Output transformation plus normal form for a synthesis target."""
-    T_y = overrides.get("T_y")
     if target == "ssni":
         info = structure.relative_degree_vector(system)
         if info.kind is not structure.RdKind.FULL or \
@@ -148,10 +143,8 @@ def _pipeline_normal_form(system, target, overrides):
             raise RelativeDegreeNotOneError(
                 f"strongly-strict synthesis needs relative degree "
                 f"{{1,...,1}} of the original outputs (got r={info.r})")
-        T_y = np.eye(system.n_outputs) if T_y is None else T_y
-    return structure.to_normal_form(system, T_y,
-                                    T_x=overrides.get("T_x"),
-                                    T_u=overrides.get("T_u"))
+        overrides = {"T_y": np.eye(system.n_outputs), **overrides}
+    return structure.to_normal_form(system, **overrides)
 
 
 def cmd_analyze(args):
@@ -160,10 +153,8 @@ def cmd_analyze(args):
     # the original outputs' degrees, before the transforms file is read
     info0 = structure.relative_degree_vector(system)
     overrides = _transform_args(
-        _load_json(args.transforms, "transforms") if args.transforms else None)
-    nf = structure.to_normal_form(system, overrides.get("T_y"),
-                                  T_x=overrides.get("T_x"),
-                                  T_u=overrides.get("T_u"))
+        load_json(args.transforms, "transforms") if args.transforms else None)
+    nf = structure.to_normal_form(system, **overrides)
     # the normal form's screen proves the plant minimal without an eig of
     # its A; only when it cannot does the plant's own PBH test decide
     m = Minimality(controllable=True, observable=True) \
@@ -194,9 +185,10 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _gains_payload(gains):
+def _report_gains(report, gains):
+    """Write the gains, closed loop, certificate and its verdict."""
     law = gains.law
-    return {
+    report["gains"] = {
         "K_x": law.K_x.tolist(),
         "K_v": law.K_v.tolist(),
         "K_w": law.K_w.tolist(),
@@ -204,47 +196,36 @@ def _gains_payload(gains):
         "transforms": gains.normal_form.transforms.to_dict(),
         "free_parameters": gains.free_parameters,
     }
+    report["closed_loop"] = gains.nominal_closed.to_dict()
+    report["certificate"] = gains.certificate.to_dict()
+    report["verdicts"] = {"certificate": gains.verdict.to_dict()}
 
 
 def cmd_synthesize(args):
     system = load_system(args.system)
-    cfg, transforms = _config_from_args(args)
-    overrides = _transform_args(transforms)
+    cfg, overrides = _config_from_args(args)
     report = _base_report(args, args.system)
     report["target"] = args.target
     report["rng_seed"] = cfg.rng_seed
     nf = _pipeline_normal_form(system, args.target, overrides)
     synthesizer = {"ni": synth.synthesize_ni, "osni": synth.synthesize_osni,
                    "ssni": synth.synthesize_ssni}[args.target]
-    gains = synthesizer(nf, cfg)
-    report["gains"] = _gains_payload(gains)
-    report["closed_loop"] = gains.nominal_closed.to_dict()
-    report["certificate"] = gains.certificate.to_dict()
-    report["verdicts"] = {"certificate": gains.verdict.to_dict()}
+    _report_gains(report, synthesizer(nf, cfg))
     _emit(report, args)
     return EXIT_OK
 
 
 def cmd_stabilize(args):
     system = load_system(args.system)
-    cfg, transforms = _config_from_args(args)
-    overrides = _transform_args(transforms)
+    cfg, overrides = _config_from_args(args)
     usys = UncertainSystem(plant=system, gamma=args.gamma)
     report = _base_report(args, args.system)
     report["gamma"] = args.gamma
     report["rng_seed"] = cfg.rng_seed
-    result = synth.robust_stabilize(usys, cfg, T_y=overrides.get("T_y"),
-                                    T_x=overrides.get("T_x"),
-                                    T_u=overrides.get("T_u"))
-    gains = result.gains
-    report["gains"] = _gains_payload(gains)
-    report["closed_loop"] = gains.nominal_closed.to_dict()
-    report["certificate"] = gains.certificate.to_dict()
-    freq = certify.classify_freq(gains.nominal_closed, "ni")
-    report["verdicts"] = {
-        "certificate": gains.verdict.to_dict(),
-        "frequency_ni": freq.to_dict(),
-    }
+    result = synth.robust_stabilize(usys, cfg, **overrides)
+    _report_gains(report, result.gains)
+    freq = certify.classify_freq(result.gains.nominal_closed, "ni")
+    report["verdicts"]["frequency_ni"] = freq.to_dict()
     report["dc"] = {"lam_max_R0": result.lam_max_R0,
                     "bound": result.dc_bound,
                     "transformed_value": result.dc_value,
@@ -260,7 +241,7 @@ def cmd_verify(args):
     cert_data = None
     eps = args.epsilon
     if args.certificate:
-        cert_data = _load_json(args.certificate, "certificate")
+        cert_data = load_json(args.certificate, "certificate")
         if not isinstance(cert_data, dict) or \
                 not isinstance(cert_data.get("class", ""), str):
             raise InputError(
@@ -340,6 +321,13 @@ def build_parser():
         p.add_argument("system", help="system JSON file")
         p.add_argument("--out", help="write the report to this file")
 
+    def synthesis_options(p):
+        p.add_argument("--y2", type=float, help="scalar Y2 (meaning y2 * I)")
+        p.add_argument("--y3", type=float, help="scalar Y3 (meaning y3 * I)")
+        p.add_argument("--seed", type=int, help="seed for random parameters")
+        p.add_argument("--params", help="JSON file of synthesis parameters")
+        p.add_argument("--transforms", help="JSON file pinning T_y/T_x/T_u")
+
     p = sub.add_parser("analyze", help="structural analysis and normal form")
     common(p)
     p.add_argument("--transforms", help="JSON file pinning T_y/T_x/T_u")
@@ -347,25 +335,17 @@ def build_parser():
 
     p = sub.add_parser("synthesize", help="state-feedback synthesis")
     common(p)
+    synthesis_options(p)
     p.add_argument("--target", choices=("ni", "osni", "ssni"), default="ni")
-    p.add_argument("--y2", type=float, help="scalar Y2 (meaning y2 * I)")
-    p.add_argument("--y3", type=float, help="scalar Y3 (meaning y3 * I)")
     p.add_argument("--epsilon", type=float, help="output strictness level")
-    p.add_argument("--seed", type=int, help="seed for randomized parameters")
-    p.add_argument("--params", help="JSON file of synthesis parameters")
-    p.add_argument("--transforms", help="JSON file pinning T_y/T_x/T_u")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("stabilize",
                        help="robust stabilization under SNI uncertainty")
     common(p)
+    synthesis_options(p)
     p.add_argument("--gamma", type=float, required=True,
                    help="DC bound on the uncertainty")
-    p.add_argument("--y2", type=float)
-    p.add_argument("--y3", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--params", help="JSON file of synthesis parameters")
-    p.add_argument("--transforms", help="JSON file pinning T_y/T_x/T_u")
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("verify", help="class membership tests")
@@ -389,14 +369,20 @@ def build_parser():
     return parser
 
 
-def _emit_error(args, exc, kind):
+def _emit_error(args, exc, kind, code):
+    """Emit ``exc``'s report and return ``code``; an unwritable --out is
+    reported instead, on stdout."""
     report = {
-        "command": " ".join(getattr(args, "_argv", ["nisynth"])),
+        "command": " ".join(args._argv),
         "tool": {"name": "nisynth", "version": __version__},
         "error": {"kind": kind, "type": type(exc).__name__,
                   "message": str(exc)},
     }
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except InputError as unwritable:
+        return _emit_error(args, unwritable, "input-error", EXIT_INPUT_ERROR)
+    return code
 
 
 def main(argv=None):
@@ -411,15 +397,12 @@ def main(argv=None):
     try:
         return args.func(args)
     except VerdictError as exc:
-        _emit_error(args, exc, "verdict")
-        return EXIT_VERDICT_FAILS
+        return _emit_error(args, exc, "verdict", EXIT_VERDICT_FAILS)
     # a LAPACK failure is a ValueError too: it must be caught first
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        _emit_error(args, exc, "numerical-failure")
-        return EXIT_NUMERICAL
+        return _emit_error(args, exc, "numerical-failure", EXIT_NUMERICAL)
     except (InputError, OSError, ValueError) as exc:
-        _emit_error(args, exc, "input-error")
-        return EXIT_INPUT_ERROR
+        return _emit_error(args, exc, "input-error", EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

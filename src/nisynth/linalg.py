@@ -181,11 +181,11 @@ def as_matrix(M, name="matrix", square=False, dtype=float):
     """Return ``M`` as a validated 2-D float array (finite entries only).
 
     Anything numpy cannot read as a numeric array (a JSON object, a ragged
-    list) is an ``InputError``.
+    list, an integer beyond the float range) is an ``InputError``.
     """
     try:
         A = np.asarray(M, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a matrix of numbers: {exc}") from exc
     if A.ndim == 0:
         A = A.reshape(1, 1)

@@ -7,8 +7,11 @@ The JSON schema for a system is::
 
     {"A": [[...]], "B": [[...]], "C": [[...]], "D": [[...]], "name": "..."}
 
-``D`` and ``name`` are optional; ``D`` defaults to zero.  Matrices are
-row-major lists of lists and are validated for rectangularity on load.
+``D`` and ``name`` are optional; ``D`` defaults to zero, a present
+``"D": null`` is refused, and ``name`` must be a string.  Each matrix is
+checked once, by ``linalg.as_matrix`` in the constructor: 2-D (a scalar
+is 1x1), numeric, finite, rectangular.  ``load_json`` reads every JSON
+input file; one it cannot read or decode is an ``InputError`` naming it.
 
 A ``StateSpace`` holds read-only copies of its matrices and caches, each
 on first use, what is a fact of the system alone: the spectrum of ``A``
@@ -63,6 +66,8 @@ class StateSpace:
     name: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, (str, type(None))):
+            raise InputError(f"name must be a string, got {self.name!r}")
         A = as_matrix(self.A, "A", square=True)
         B = as_matrix(self.B, "B")
         C = as_matrix(self.C, "C")
@@ -162,38 +167,28 @@ class StateSpace:
         missing = [k for k in ("A", "B", "C") if k not in data]
         if missing:
             raise InputError(f"system JSON is missing keys: {missing}")
-        return cls(A=_load_mat(data["A"], "A"), B=_load_mat(data["B"], "B"),
-                   C=_load_mat(data["C"], "C"),
-                   D=_load_mat(data["D"], "D") if "D" in data else None,
+        if "D" in data and data["D"] is None:
+            raise InputError("D must be a matrix, got null")
+        return cls(A=data["A"], B=data["B"], C=data["C"], D=data.get("D"),
                    name=data.get("name"))
 
 
-def _load_mat(rows, name):
-    """Validate a row-major list of lists as a rectangular matrix."""
-    if np.isscalar(rows):
-        return np.array([[float(rows)]])
-    if not isinstance(rows, list) or not rows:
-        raise InputError(f"{name} must be a non-empty list of rows")
-    if not all(isinstance(r, list) for r in rows):
-        raise InputError(f"{name} must be a list of lists")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InputError(f"{name} has ragged rows (widths {sorted(widths)})")
+def load_json(path, what="system"):
+    """The JSON value in the file at ``path``; a file that cannot be read
+    or decoded is an ``InputError`` naming it, and ``what`` it holds."""
     try:
-        return np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} has non-numeric entries: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: "
+                         f"{exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def load_system(path):
     """Load a system from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}: "
-                             f"{exc.msg}") from exc
-    return StateSpace.from_dict(data)
+    return StateSpace.from_dict(load_json(path))
 
 
 def near_pole(sys, s):

@@ -211,3 +211,19 @@ def uncontrollable_plant():
     ``R(s) = 1/(s + 1)`` has relative degree 1."""
     return StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
                       C=[[1.0, 1.0]])
+
+
+#: system JSON texts that are no system, each an ``InputError`` of
+#: ``load_system``: a matrix that is no 2-D array of finite numbers, a
+#: present ``"D": null``, a JSON value that is no object, a missing key
+MALFORMED_SYSTEMS = {
+    "empty-list": '{"A": [], "B": [[1]], "C": [[1]]}',
+    "flat-list": '{"A": [1, 2], "B": [[1]], "C": [[1]]}',
+    "object": '{"A": {}, "B": [[1]], "C": [[1]]}',
+    "string-entry": '{"A": [["x"]], "B": [[1]], "C": [[1]]}',
+    "ragged": '{"A": [[1, 0], [1]], "B": [[1], [1]], "C": [[1, 0]]}',
+    "D-null": '{"A": [[-1]], "B": [[1]], "C": [[1]], "D": null}',
+    "NaN": '{"A": [[NaN]], "B": [[1]], "C": [[1]]}',
+    "top-level-array": '[[-1], [1], [1]]',
+    "missing-C": '{"A": [[-1]], "B": [[1]]}',
+}

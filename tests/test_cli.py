@@ -18,6 +18,7 @@ from nisynth.synth import synthesize_ssni
 
 from gen import (
     EDGE_ZERO_DYNAMICS,
+    MALFORMED_SYSTEMS,
     edge_plant,
     feedthrough_plant,
     planted_system,
@@ -29,6 +30,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def run_cli_clean(capsys, *argv):
+    """``run_cli`` for a run that must leave no traceback: nothing on
+    stderr and one line of JSON on stdout."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("\n") == 1 and out.endswith("\n")
+    return code, json.loads(out)
 
 
 def assert_verdict_checks_certificate(rep):
@@ -97,8 +108,12 @@ class TestAnalyze:
         assert "line" in rep["error"]["message"]
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
-        code, _ = run_cli(capsys, "analyze", str(tmp_path / "nope.json"))
+        path = str(tmp_path / "nope.json")
+        code, rep = run_cli_clean(capsys, "analyze", path)
         assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert rep["error"]["message"].startswith(
+            f"cannot read system file {path}")
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_lapack_failure_exits_three(self, capsys, tmp_path):
@@ -195,6 +210,56 @@ class TestSynthesize:
                                 "--params", str(bad))
             assert code == 2, name
             assert name in rep["error"]["message"]
+
+
+class TestMalformedInput:
+    """A system file that is no system, or a transforms file that does
+    not fit the plant, exits 2 with one line of JSON naming an
+    ``InputError``, whatever the command."""
+
+    @pytest.mark.parametrize("text", MALFORMED_SYSTEMS.values(),
+                             ids=MALFORMED_SYSTEMS.keys())
+    def test_malformed_system_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, rep = run_cli_clean(capsys, "analyze", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+
+    def test_integer_beyond_the_float_range_exits_two(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"A": [[1' + "0" * 400 + ']], "B": [[1]], '
+                        '"C": [[1]]}')
+        code, rep = run_cli_clean(capsys, "analyze", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["synthesize"],
+                                      ["stabilize", "--gamma", "1"]],
+                             ids=lambda argv: argv[0])
+    def test_name_not_a_string_exits_two(self, capsys, plant_path, tmp_path,
+                                         argv):
+        plant = json.loads(Path(plant_path).read_text())
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**plant, "name": 5}))
+        code, rep = run_cli_clean(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert rep["error"]["message"] == "name must be a string, got 5"
+
+    def test_transforms_that_do_not_fit_exit_two(self, capsys, plant_path,
+                                                 params_path, tmp_path):
+        transforms = json.loads(Path(params_path).read_text())["transforms"]
+        transforms["T_u"] = [[1, 0], [0, 1]]  # the demo's is diag(1, -1)
+        path = tmp_path / "transforms.json"
+        path.write_text(json.dumps(transforms))
+        code, rep = run_cli_clean(capsys, "synthesize", plant_path,
+                                  "--transforms", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert rep["error"]["message"].startswith(
+            "supplied T_u does not match")
 
 
 class TestStabilize:
@@ -649,6 +714,25 @@ class TestReportLayout:
         text = report.read_text(encoding="utf-8")
         self.assert_one_line(text)
         assert json.loads(text).keys() == json.loads(out).keys()
+
+    @pytest.mark.parametrize("own_code, argv", [
+        pytest.param(0, ("analyze", "{plant}"), id="analyze"),
+        pytest.param(1, ("synthesize", "{plant}", "--target", "ssni"),
+                     id="error-report")])
+    def test_unwritable_out_file_reported_on_stdout(
+            self, capsys, tmp_path, plant_path, own_code, argv):
+        # the report, of a success or of an error, cannot be delivered:
+        # the run is an input error about the file, reported on stdout
+        out = tmp_path / "missing" / "report.json"
+        argv = [a.format(plant=plant_path) for a in argv]
+        assert main(argv) == own_code
+        capsys.readouterr()
+        code, rep = run_cli_clean(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert rep["error"]["message"].startswith(
+            f"cannot write report file {out}")
+        assert not out.parent.exists()
 
     def test_non_finite_float_refused(self, capsys, tmp_path):
         args = argparse.Namespace(_t0=0.0, out=None)

@@ -28,6 +28,7 @@ from nisynth.structure import to_normal_form
 from nisynth.synth import SynthesisConfig, synthesize_ni
 
 from gen import (
+    MALFORMED_SYSTEMS,
     UNTRUSTED_EIGENBASES,
     planted_system,
     random_hurwitz,
@@ -447,12 +448,6 @@ class TestJsonSchema:
         assert loaded.name == "demo-plant"
         assert np.all(loaded.D == 0.0)
 
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"A": [[1, 0], [1]], "B": [[1], [1]], "C": [[1, 0]]}')
-        with pytest.raises(InputError):
-            load_system(path)
-
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"A": [[1,\n 0]')
@@ -463,3 +458,46 @@ class TestJsonSchema:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
             StateSpace(A=np.eye(2), B=[[1.0]], C=[[1.0, 0.0]])
+
+    def test_scalar_matrix_is_one_by_one(self, tmp_path):
+        path = tmp_path / "scalar.json"
+        path.write_text('{"A": 5, "B": [[1]], "C": [[1]]}')
+        sys = load_system(path)
+        assert sys.A.shape == (1, 1) and sys.A[0, 0] == 5.0
+        assert sys.A.dtype == float
+
+    @pytest.mark.parametrize("text", MALFORMED_SYSTEMS.values(),
+                             ids=MALFORMED_SYSTEMS.keys())
+    def test_malformed_system_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            load_system(path)
+
+    def test_integer_beyond_the_float_range_rejected(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"A": [[1' + "0" * 400 + ']], "B": [[1]], '
+                        '"C": [[1]]}')
+        with pytest.raises(InputError, match="A must be a matrix of numbers"):
+            load_system(path)
+
+    @pytest.mark.parametrize("name", [5, 1.5, ["plant"], {"a": 1}, True],
+                             ids=["int", "float", "list", "object", "bool"])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        with pytest.raises(InputError, match="name must be a string"):
+            StateSpace(A=[[-1.0]], B=[[1.0]], C=[[1.0]], name=name)
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"A": [[-1]], "B": [[1]], "C": [[1]],
+                                    "name": name}))
+        with pytest.raises(InputError, match="name must be a string"):
+            load_system(path)
+
+    @pytest.mark.parametrize("content", [None, b'{"A": "\xff"}'],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_file_names_it(self, tmp_path, content):
+        path = tmp_path / "system.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(InputError) as exc:
+            load_system(path)
+        assert str(exc.value).startswith(f"cannot read system file {path}")

@@ -327,6 +327,40 @@ def planted_tie(rng, n=7):
     return StateSpace(A=A, B=B, C=np.vstack([C_O, C_T]))
 
 
+class TestSuppliedTransforms:
+    """A pinned ``T_u`` or ``T_x`` that does not fit the plant and its
+    ``T_y`` is an ``InputError`` naming the defect.  The demo has
+    ``m = p1 = p2 = 1``: row 0 of ``T_x`` is internal, rows 1..3 are
+    ``[C_O; C_T; C_T A]``."""
+
+    @staticmethod
+    def normal_form(demo_plant, demo_transforms, **changed):
+        pinned = {key: np.array(M) for key, M in demo_transforms.items()}
+        for key, (index, value) in changed.items():
+            pinned[key][index] = value
+        return to_normal_form(demo_plant, **pinned)
+
+    def test_t_u_mismatch(self, demo_plant, demo_transforms):
+        with pytest.raises(InputError, match="supplied T_u does not match"):
+            self.normal_form(demo_plant, demo_transforms,
+                             T_u=((1, 1), 1.0))
+
+    def test_t_x_rows_other_than_the_outputs(self, demo_plant,
+                                             demo_transforms):
+        with pytest.raises(InputError, match=r"rows m\.\.n must equal "
+                                             r"\[C_O; C_T; C_T A\]"):
+            self.normal_form(demo_plant, demo_transforms,
+                             T_x=((3, 3), -2.0))
+
+    def test_t_x_internal_rows_leak_into_b(self, demo_plant,
+                                           demo_transforms):
+        # row 0 = e0 + e1 sees B's row 1, which is not zero
+        with pytest.raises(InputError,
+                           match="internal rows must annihilate B"):
+            self.normal_form(demo_plant, demo_transforms,
+                             T_x=((0, 1), 1.0))
+
+
 class TestInternalRows:
     """``T_x`` stacks an orthonormal basis ``Cz`` of the common left null
     space of ``B`` and ``C_T^T`` over the base rows ``[C_O; C_T; C_T A]``."""

@@ -283,6 +283,14 @@ class TestSynthesizeNi:
 
 
 class TestSynthesizeOsni:
+    def test_pinned_non_orthonormal_k13_rejected(self, demo_nf):
+        # K13 K13^T = 0.25 <= 2 is admissible for NI, but OSNI needs
+        # K13^T K13 = I (H = 0 passes the shrunk H bound)
+        cfg = demo_config(K13=0.5, H=0.0)
+        synthesize_ni(demo_nf, cfg)
+        with pytest.raises(InputError, match="orthonormal columns"):
+            synthesize_osni(demo_nf, cfg)
+
     def test_demo_shape_boundary(self, demo_nf):
         g = synthesize_osni(demo_nf, SynthesisConfig())
         assert np.isclose(g.epsilon, OSNI_EPS_MAX)
