@@ -31,6 +31,7 @@ from .statespace import (
     is_minimal,
     load_json,
     load_system,
+    read_input,
     simulate,
 )
 
@@ -38,11 +39,6 @@ EXIT_OK = 0
 EXIT_VERDICT_FAILS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
-
-
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _emit(report, args):
@@ -80,11 +76,16 @@ def _norm(x):
         return float(np.ldexp(m, k))
 
 
-def _base_report(args, sys_path):
-    return {
+def _load_system(args):
+    """The system of ``args.system`` and the report's base, from one read
+    of the file: the ``sha256`` reported is that of the bytes parsed."""
+    data = read_input(args.system)
+    system = load_system(args.system, data)
+    return system, {
         "command": " ".join(args._argv),
         "tool": {"name": "nisynth", "version": __version__},
-        "inputs": {"system": sys_path, "sha256": _sha256(sys_path)},
+        "inputs": {"system": args.system,
+                   "sha256": hashlib.sha256(data).hexdigest()},
     }
 
 
@@ -148,8 +149,7 @@ def _pipeline_normal_form(system, target, overrides):
 
 
 def cmd_analyze(args):
-    system = load_system(args.system)
-    report = _base_report(args, args.system)
+    system, report = _load_system(args)
     # the original outputs' degrees, before the transforms file is read
     info0 = structure.relative_degree_vector(system)
     overrides = _transform_args(
@@ -202,9 +202,8 @@ def _report_gains(report, gains):
 
 
 def cmd_synthesize(args):
-    system = load_system(args.system)
+    system, report = _load_system(args)
     cfg, overrides = _config_from_args(args)
-    report = _base_report(args, args.system)
     report["target"] = args.target
     report["rng_seed"] = cfg.rng_seed
     nf = _pipeline_normal_form(system, args.target, overrides)
@@ -216,10 +215,9 @@ def cmd_synthesize(args):
 
 
 def cmd_stabilize(args):
-    system = load_system(args.system)
+    system, report = _load_system(args)
     cfg, overrides = _config_from_args(args)
     usys = UncertainSystem(plant=system, gamma=args.gamma)
-    report = _base_report(args, args.system)
     report["gamma"] = args.gamma
     report["rng_seed"] = cfg.rng_seed
     result = synth.robust_stabilize(usys, cfg, **overrides)
@@ -235,8 +233,7 @@ def cmd_stabilize(args):
 
 
 def cmd_verify(args):
-    system = load_system(args.system)
-    report = _base_report(args, args.system)
+    system, report = _load_system(args)
     report["class"] = args.ni_class
     cert_data = None
     eps = args.epsilon
@@ -272,8 +269,7 @@ def cmd_verify(args):
 
 
 def cmd_simulate(args):
-    system = load_system(args.system)
-    report = _base_report(args, args.system)
+    system, report = _load_system(args)
     if args.delta:
         delta = load_system(args.delta)
         system = interconnect_positive_feedback(system, delta)

@@ -28,6 +28,9 @@ Conventions
 * A gate ``||X||_2 <= limit`` whose limit is known to be at least some
   ``low`` passes without the SVD when ``frobenius_clears(X, low)``; only
   otherwise is ``spectral_norm`` taken, so every verdict is the SVD's.
+  Likewise ``full_rank_inverse`` forms a square matrix's inverse first
+  and calls the matrix of full rank without the SVD when
+  ``condition_clears``; only otherwise is ``rank`` asked.
 * Frobenius norms and the norms of rows or columns come from the one
   helper ``frobenius_norm``, which is ``np.linalg.norm``'s formula bit for
   bit without its dispatch.
@@ -93,6 +96,9 @@ class Tol:
     #: ``|w v|`` of a left/right eigenvector pair at most this is
     #: orthogonal; times ``1 + ||A||_2``
     biorthogonal: float = EPS
+    #: ``kappa_F = ||M||_F ||M^-1||_F`` at most this over ``n TOL.rank``
+    #: shows ``rank(M) = n`` without the SVD (``condition_clears``)
+    rank_clearance: float = 1e-3
 
     # -- evaluation and simulation (statespace) --
     #: a point this close to a pole is at it; times ``1 + ||A||_2``
@@ -177,16 +183,27 @@ class Tol:
 TOL = Tol()
 
 
+#: entry types numpy reads as numbers that ``as_matrix`` refuses: a JSON
+#: string such as ``"1.5"`` and a JSON boolean
+_NOT_NUMBERS = frozenset({str, bytes, bool, np.str_, np.bytes_, np.bool_})
+
+
 def as_matrix(M, name="matrix", square=False, dtype=float):
     """Return ``M`` as a validated 2-D float array (finite entries only).
 
     Anything numpy cannot read as a numeric array (a JSON object, a ragged
-    list, an integer beyond the float range) is an ``InputError``.
+    list, an integer beyond the float range) is an ``InputError``, and so
+    is a string or boolean entry of an ``M`` that is not an ndarray yet,
+    which numpy would read as a number.
     """
     try:
         A = np.asarray(M, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a matrix of numbers: {exc}") from exc
+    if not isinstance(M, np.ndarray) and not _NOT_NUMBERS.isdisjoint(
+            map(type, np.asarray(M, dtype=object).flat)):
+        raise InputError(f"{name} must be a matrix of numbers, not strings "
+                         "or booleans")
     if A.ndim == 0:
         A = A.reshape(1, 1)
     if A.ndim != 2:
@@ -229,6 +246,41 @@ def frobenius_clears(X, low):
     1/2 leaves room for the rounding of both norms and of the limit, so
     the gate's verdict is the one ``spectral_norm`` would give."""
     return frobenius_norm(X) <= low / 2.0
+
+
+def condition_clears(M, Minv):
+    """True when ``kappa_F = ||M||_F ||Minv||_F``, for the ``n x n`` ``M``
+    and its computed inverse ``Minv``, is at most ``TOL.rank_clearance /
+    (n TOL.rank)``: since ``kappa_2(M) <= kappa_F`` (Golub & Van Loan,
+    *Matrix Computations*, 2.6), ``rank(M) = n`` then holds without the
+    SVD.  The margin is the SVD's own rounding: its singular values are
+    exact for ``M + E`` with ``||E||_2 <= p(n) eps ||M||_2`` (ibid., 8.6),
+    so ``rank``'s rule ``s_min > n eps s_max`` holds whenever ``1 /
+    kappa_2 >= n eps / TOL.rank_clearance`` exceeds ``(n + 2 p(n)) eps``,
+    for any ``p(n)`` below ``499 n``; the inverse's own relative error,
+    about ``kappa_2 eps`` per entry, is then below ``1e-3 / n``.  A
+    ``kappa_F`` that overflows, or is nan, clears nothing."""
+    with np.errstate(over="ignore"):
+        kappa = frobenius_norm(M) * frobenius_norm(Minv)
+    return kappa <= TOL.rank_clearance / (M.shape[0] * TOL.rank)
+
+
+def full_rank_inverse(M):
+    """``M^{-1}`` of the nonempty square ``M`` when ``rank`` calls it of
+    full rank, else None.  The inverse is formed first, and
+    ``condition_clears`` of the pair passes the rank gate without the SVD;
+    only an inverse LAPACK refuses, or a pair the bound leaves open, asks
+    ``rank``.  A matrix ``rank`` passes but LAPACK cannot invert raises
+    LAPACK's ``LinAlgError``, as inverting it after the rank test would."""
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        Minv = None
+    if Minv is not None and condition_clears(M, Minv):
+        return Minv
+    if rank(M) < M.shape[0]:
+        return None
+    return np.linalg.inv(M) if Minv is None else Minv
 
 
 class StabilityClass(Enum):

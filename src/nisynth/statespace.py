@@ -10,8 +10,10 @@ The JSON schema for a system is::
 ``D`` and ``name`` are optional; ``D`` defaults to zero, a present
 ``"D": null`` is refused, and ``name`` must be a string.  Each matrix is
 checked once, by ``linalg.as_matrix`` in the constructor: 2-D (a scalar
-is 1x1), numeric, finite, rectangular.  ``load_json`` reads every JSON
-input file; one it cannot read or decode is an ``InputError`` naming it.
+is 1x1), numeric (no strings or booleans), finite, rectangular.
+``load_json`` reads every JSON input file; one it cannot read or decode
+is an ``InputError`` naming it.  ``read_input`` gives a file's bytes, so
+that a caller which needs them too reads the file once.
 
 A ``StateSpace`` holds read-only copies of its matrices and caches, each
 on first use, what is a fact of the system alone: the spectrum of ``A``
@@ -21,15 +23,17 @@ else from one SVD, so a caller that needs only the norm takes no
 ``eig``), the modal factors ``C V`` and ``V^{-1} B`` that
 ``eval_tf`` works from, and the PBH failure arrays of controllability and
 observability, from which ``is_minimal`` reads its verdict and the
-strong-class certificate test its hidden modes.  A plant on the pipeline's path
-is asked for none of these when its normal form's PBH screen proves it
-minimal (``structure.NormalForm.screened_minimal``): the relative degrees
-read ``||A||_2`` from its SVD, and ``A`` is not decomposed.  The functions
-keep no state of their own.
+strong-class certificate test its hidden modes.  A plant on the
+pipeline's path is asked for none of these when its normal form's PBH
+screen proves it minimal (``structure.NormalForm.screened_minimal``), and
+its relative degrees bracket ``||A||_2`` by ``||A||_F``: ``A`` then takes
+no decomposition at all.  ``structure.relative_degree_vector`` leaves its
+result on the system too.  The functions keep no state of their own.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,7 +124,9 @@ class StateSpace:
     @cached_property
     def a_norm(self):
         """Spectral norm of ``A``: the one a cached spectrum records, bit
-        for bit, else that of one SVD, which computes no spectrum."""
+        for bit, else that of one SVD, which computes no spectrum.  The
+        relative degrees ask for it only where their ``||A||_F`` bracket
+        cannot decide a Markov row."""
         if "spectrum" in vars(self):
             return self.spectrum.norm
         return linalg.spectral_norm(self.A)
@@ -173,22 +179,37 @@ class StateSpace:
                    name=data.get("name"))
 
 
-def load_json(path, what="system"):
-    """The JSON value in the file at ``path``; a file that cannot be read
-    or decoded is an ``InputError`` naming it, and ``what`` it holds."""
+def read_input(path, what="system"):
+    """The bytes of the input file at ``path``, read once; a file that
+    cannot be read is an ``InputError`` naming it, and ``what`` it holds."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: "
-                         f"{exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def load_system(path):
-    """Load a system from a JSON file."""
-    return StateSpace.from_dict(load_json(path))
+def load_json(path, what="system", data=None):
+    """The JSON value in the file at ``path``, parsed from ``data``, its
+    bytes, when the caller has read them (``read_input``).  The bytes are
+    decoded as ``open`` decodes UTF-8 text; a file that cannot be read or
+    decoded is an ``InputError`` naming it, and ``what`` it holds."""
+    if data is None:
+        data = read_input(path, what)
+    try:
+        return json.loads(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}: "
+                         f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_system(path, data=None):
+    """Load a system from a JSON file, or from ``data``, its bytes, when
+    the caller has read them."""
+    return StateSpace.from_dict(load_json(path, data=data))
 
 
 def near_pole(sys, s):

@@ -64,6 +64,26 @@ def _independent_rows(M):
     return s[-1] > TOL.markov_zero * s[0]
 
 
+#: the smallest normal float and its square root: a bracket of
+#: ``||A||_2^j`` is used only where its rounding is relative
+_TINY = float(np.finfo(float).tiny)
+_SQRT_TINY = math.sqrt(_TINY)
+
+
+def _power(x, j):
+    """``x ** j``, inf when it overflows."""
+    try:
+        return x ** j
+    except OverflowError:
+        return math.inf
+
+
+def _markov_threshold(c_norm, power, b_norm):
+    """``TOL.markov_zero ||c_i|| ||A||_2^j ||B||`` with ``power`` for
+    ``||A||_2^j``; rounding is monotone, so the threshold is in ``power``."""
+    return TOL.markov_zero * (c_norm * power * b_norm)
+
+
 def relative_degree_vector(sys):
     """Relative degree of each output row, with kind classification.
 
@@ -74,6 +94,19 @@ def relative_degree_vector(sys):
     (including rows whose Markov parameters all vanish).  Raises
     ``NumericalError`` naming the output when a Markov parameter or its
     threshold overflows before the row's degree is found.
+
+    The Markov row ``C_i A^j B`` is zero when its norm is at most
+    ``_markov_threshold`` at ``||A||_2^j``.  Since ``||A||_F / sqrt(n) <=
+    ||A||_2 <= ||A||_F`` (Golub & Van Loan, *Matrix Computations*, 2.3),
+    a row of order ``j >= 1`` is decided by the thresholds at half the
+    ``j``-th power of the lower bound and twice that of the upper one, the
+    factor 2 covering the rounding of both norms and powers as in
+    ``frobenius_clears``; only a row between them reads ``sys.a_norm``,
+    one SVD of ``A``.  An ``||A||_F`` that overflows reads it at once, and
+    a bracket that leaves the normal float range decides nothing, so
+    every degree, ``H`` and error is the one ``sys.a_norm`` gives.  The
+    result is kept on ``sys``, where the structure layer reads it again
+    (``_degrees``).
     """
     p = sys.require_square("relative-degree analysis")
     if sys.D.any():
@@ -85,7 +118,6 @@ def relative_degree_vector(sys):
     if linalg.sv_rank(sv_b, B.shape) != p or linalg.rank(C) != p:
         raise InputError("relative-degree analysis requires rank(B) = rank(C) = p")
     n = sys.n
-    a_norm = sys.a_norm
     b_norm = float(sv_b[0])
     powers = [np.eye(n)]  # A^j, extended when a row's search reaches j
     degrees = []
@@ -93,6 +125,11 @@ def relative_degree_vector(sys):
     notes = []
     # an overflow shows as a non-finite row or threshold
     with np.errstate(over="ignore", invalid="ignore"):
+        f_high = linalg.frobenius_norm(A)
+        if not math.isfinite(f_high):
+            sys.a_norm  # the SVD, before any row, as without the bracket
+        # a sum of squares below the normal range brackets nothing
+        f_low = f_high / math.sqrt(n) if f_high >= _SQRT_TINY else 0.0
         for i in range(p):
             ci = C[i:i + 1, :]
             c_norm = linalg.frobenius_norm(ci)
@@ -102,17 +139,27 @@ def relative_degree_vector(sys):
                     powers.append(powers[-1] @ A)
                 row = ci @ powers[j] @ B
                 row_norm = linalg.frobenius_norm(row)
-                try:
-                    threshold = TOL.markov_zero * (c_norm * a_norm ** j
-                                                   * b_norm)
-                except OverflowError:
-                    threshold = np.inf
-                if not (math.isfinite(row_norm)
-                        and math.isfinite(threshold)):
-                    raise NumericalError(
-                        f"output {i}: the Markov parameter C_{i} A^{j} B or "
-                        "its zero threshold overflows")
-                if row_norm > threshold:
+                nonzero = None
+                if j and math.isfinite(row_norm):
+                    low = _power(f_low, j) / 2.0
+                    high = _markov_threshold(
+                        c_norm, 2.0 * _power(f_high, j), b_norm)
+                    if low >= _TINY and math.isfinite(high):
+                        if row_norm > high:
+                            nonzero = True
+                        elif row_norm <= _markov_threshold(c_norm, low,
+                                                           b_norm):
+                            nonzero = False
+                if nonzero is None:
+                    threshold = _markov_threshold(
+                        c_norm, _power(sys.a_norm, j) if j else 1.0, b_norm)
+                    if not (math.isfinite(row_norm)
+                            and math.isfinite(threshold)):
+                        raise NumericalError(
+                            f"output {i}: the Markov parameter C_{i} A^{j} B "
+                            "or its zero threshold overflows")
+                    nonzero = row_norm > threshold
+                if nonzero:
                     found = j + 1
                     h_rows.append(row)
                     break
@@ -122,27 +169,42 @@ def relative_degree_vector(sys):
                 notes.append(f"output {i}: all Markov parameters up to "
                              f"order {n} vanish")
     if any(d is None for d in degrees):
-        return RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE, tuple(notes))
-    H = np.vstack(h_rows)
-    if _independent_rows(H):
-        kind = RdKind.FULL
+        info = RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE,
+                                  tuple(notes))
     else:
-        kind = RdKind.LIRD_ONLY
-        for d in sorted(set(degrees)):
-            idx = [i for i in range(p) if degrees[i] == d]
-            if not _independent_rows(H[idx, :]):
-                kind = RdKind.NONE
-                notes.append(f"degree-{d} rows of H are linearly dependent")
-                break
-    return RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
+        H = np.vstack(h_rows)
+        if _independent_rows(H):
+            kind = RdKind.FULL
+        else:
+            kind = RdKind.LIRD_ONLY
+            for d in sorted(set(degrees)):
+                idx = [i for i in range(p) if degrees[i] == d]
+                if not _independent_rows(H[idx, :]):
+                    kind = RdKind.NONE
+                    notes.append(f"degree-{d} rows of H are linearly "
+                                 "dependent")
+                    break
+        info = RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
+    sys.__dict__["relative_degrees"] = info
+    return info
+
+
+def _degrees(sys):
+    """``relative_degree_vector(sys)``, computed once per system: the
+    structure layer reads the result a call left on ``sys``."""
+    info = vars(sys).get("relative_degrees")
+    return relative_degree_vector(sys) if info is None else info
 
 
 def _with_outputs(sys, T):
-    """``sys`` with the outputs ``T C`` and the feedthrough ``T D``.  Its
-    ``A`` is that of ``sys``, so what ``sys`` has cached of ``A``, its
-    spectrum and ``a_norm``, fills the new system's slots, as
+    """``sys`` with the outputs ``T C`` and the feedthrough ``T D``, or
+    ``sys`` itself when ``T`` is exactly the identity.  Its ``A`` is that
+    of ``sys``, so what ``sys`` has cached of ``A``, its spectrum and
+    ``a_norm``, fills the new system's slots, as
     ``linalg.carried_spectrum`` fills its own, and
     ``relative_degree_vector`` reads ``a_norm`` without an SVD of ``A``."""
+    if (T == np.eye(T.shape[0])).all():
+        return sys
     out = StateSpace(A=sys.A, B=sys.B, C=T @ sys.C, D=T @ sys.D,
                      name=sys.name)
     for slot in ("spectrum", "a_norm"):
@@ -168,7 +230,7 @@ def find_output_transformation(sys):
     ``info`` the relative degrees of the transformed outputs.
     """
     p = sys.require_square("output-transformation search")
-    original = relative_degree_vector(sys)
+    original = _degrees(sys)
     if original.kind is RdKind.FULL and original.max_degree <= 2:
         return np.eye(p), original
 
@@ -197,13 +259,36 @@ def find_output_transformation(sys):
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
             "a combined output has relative degree >= 3")
-    result = relative_degree_vector(transformed)
+    result = _degrees(transformed)
     if result.kind is not RdKind.FULL or result.max_degree > 2:
         raise NoRdLeqTwoError(
             "no output transformation yields relative degree <= 2: "
             "mixed-degree rows of the high-frequency gain matrix are "
             "dependent and cannot be repaired by output transformation")
     return T, result
+
+
+def _checked_inverse(M, name):
+    """The inverse of the transform ``M``, under ``TransformSet.build``'s
+    two gates."""
+    n = M.shape[0]
+    if not n:
+        return M.copy()
+    Minv = linalg.full_rank_inverse(M)
+    if Minv is None:
+        raise InputError(f"{name} is singular")
+    # an entry that overflows shows as inf, which clears nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = M @ Minv
+        defect.flat[::n + 1] -= 1.0  # minus I
+        cleared = linalg.frobenius_clears(defect, TOL.inverse_residual)
+    if not cleared:
+        residual = spectral_norm(defect)
+        limit = TOL.inverse_residual * max(1.0, spectral_norm(M))
+        if residual > limit:
+            raise NumericalError(
+                f"{name} inverse residual {residual:.3e} too large")
+    return Minv
 
 
 @dataclass(frozen=True)
@@ -219,25 +304,18 @@ class TransformSet:
 
     @classmethod
     def build(cls, T_y, T_x, T_u):
+        """The transforms and their inverses.  Refuses a transform that
+        ``rank`` calls singular (``InputError``) and one whose inverse
+        misses ``||T T^-1 - I||_2 <= TOL.inverse_residual max(1,
+        ||T||_2)`` (``NumericalError``).  Each inverse comes from
+        ``linalg.full_rank_inverse``, and ``frobenius_clears`` of its
+        defect at the limit's floor ``TOL.inverse_residual`` passes the
+        residual gate: a transform clear of both bounds takes no SVD, and
+        every verdict is the SVD's."""
         mats = {}
         for name, M in (("T_y", T_y), ("T_x", T_x), ("T_u", T_u)):
             M = as_matrix(M, name, square=True)
-            norm = 0.0
-            if M.shape[0]:
-                sv = np.linalg.svd(M, compute_uv=False)
-                if linalg.sv_rank(sv, M.shape) < M.shape[0]:
-                    raise InputError(f"{name} is singular")
-                norm = float(sv[0])
-            Minv = np.linalg.inv(M) if M.shape[0] else M.copy()
-            defect = M @ Minv
-            defect.flat[::M.shape[0] + 1] -= 1.0  # minus I
-            limit = TOL.inverse_residual * max(1.0, norm)
-            if not linalg.frobenius_clears(defect, limit):
-                residual = spectral_norm(defect)
-                if residual > limit:
-                    raise NumericalError(
-                        f"{name} inverse residual {residual:.3e} too large")
-            mats[name] = (M, Minv)
+            mats[name] = (M, _checked_inverse(M, name))
         return cls(T_y=mats["T_y"][0], T_x=mats["T_x"][0], T_u=mats["T_u"][0],
                    T_y_inv=mats["T_y"][1], T_x_inv=mats["T_x"][1],
                    T_u_inv=mats["T_u"][1])
@@ -379,7 +457,7 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
             raise InputError(f"T_y must be {p}x{p}")
-        info = relative_degree_vector(_with_outputs(sys, T_y))
+        info = _degrees(_with_outputs(sys, T_y))
         return _normal_form(sys, T_y, info, T_x, T_u)
     try:
         T_y, info = find_output_transformation(sys)
@@ -564,11 +642,14 @@ def split_zero_dynamics(nf):
     V^{-1}`` of ``A00``, it has the right eigenvectors ``Q_b^T V[hurw]``
     and left ones ``W[hurw] Q_b`` (``W`` and ``V`` when the block is
     ``A00``), which ``linalg.carried_spectrum`` hands, as
-    ``hurwitz_spectrum``, to the syntheses.  Requires the internal
-    dynamics Lyapunov stable and not ``singular`` (a zero at the origin);
-    ``nearly_singular`` ones, an eigenvalue ``at_origin`` and a critical
-    block the skew gate rejects are undecided (``NumericalError``, its
-    message beginning ``internal dynamics:``).
+    ``hurwitz_spectrum``, to the syntheses.  The basis ``S_inv`` must be
+    of full rank by ``rank``'s rule, which ``linalg.full_rank_inverse``
+    decides from the inverse it forms, without an SVD when its bound
+    clears.  Requires the internal dynamics Lyapunov stable and not
+    ``singular`` (a zero at the origin); ``nearly_singular`` ones, an
+    eigenvalue ``at_origin`` and a critical block the skew gate rejects
+    are undecided (``NumericalError``, its message beginning ``internal
+    dynamics:``).
     """
     A00 = nf.A00
     m = nf.m
@@ -610,10 +691,10 @@ def split_zero_dynamics(nf):
                 U_a = _real_eigenbasis(res, W.T)
             Q_b = _complement_basis(U_a, m_b)
         S_inv = np.hstack([V_a, Q_b])
-        if linalg.rank(S_inv) < m:
+        S = linalg.full_rank_inverse(S_inv)
+        if S is None:
             raise NumericalError(
                 "internal dynamics: invariant-subspace basis is singular")
-        S = np.linalg.inv(S_inv)
         Ad = S @ A00 @ S_inv
         limit = TOL.split_coupling * scale
         if not (linalg.frobenius_clears(Ad[:m_a, m_a:], limit)

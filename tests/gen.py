@@ -221,6 +221,8 @@ MALFORMED_SYSTEMS = {
     "flat-list": '{"A": [1, 2], "B": [[1]], "C": [[1]]}',
     "object": '{"A": {}, "B": [[1]], "C": [[1]]}',
     "string-entry": '{"A": [["x"]], "B": [[1]], "C": [[1]]}',
+    "numeric-string-entry": '{"A": [["-1.5"]], "B": [[1]], "C": [[1]]}',
+    "boolean-entry": '{"A": [[-1.5]], "B": [[true]], "C": [[1]]}',
     "ragged": '{"A": [[1, 0], [1]], "B": [[1], [1]], "C": [[1, 0]]}',
     "D-null": '{"A": [[-1]], "B": [[1]], "C": [[1]], "D": null}',
     "NaN": '{"A": [[NaN]], "B": [[1]], "C": [[1]]}',

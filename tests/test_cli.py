@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -226,6 +228,18 @@ class TestMalformedInput:
         assert code == 2
         assert rep["error"]["type"] == "InputError"
 
+    def test_numeric_string_and_boolean_entries_exit_two(self, capsys,
+                                                         tmp_path):
+        # numpy reads "-1.5" and true as numbers; JSON calls them a string
+        # and a boolean, which no matrix entry may be
+        path = tmp_path / "typed.json"
+        path.write_text('{"A": [["-1.5"]], "B": [[true]], "C": [[1]]}')
+        code, rep = run_cli_clean(capsys, "analyze", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert rep["error"]["message"] == \
+            "A must be a matrix of numbers, not strings or booleans"
+
     def test_integer_beyond_the_float_range_exits_two(self, capsys,
                                                       tmp_path):
         path = tmp_path / "huge.json"
@@ -260,6 +274,60 @@ class TestMalformedInput:
         assert rep["error"]["type"] == "InputError"
         assert rep["error"]["message"].startswith(
             "supplied T_u does not match")
+
+
+class TestOneRead:
+    """Each command opens the system file once and reports the SHA-256
+    of the bytes it parsed."""
+
+    @pytest.mark.parametrize("system, argv", [
+        ("plant", ["analyze"]), ("plant", ["synthesize"]),
+        ("plant", ["stabilize", "--gamma", "1"]),
+        ("uncertainty", ["verify", "--class", "ni"]),
+        ("plant", ["simulate", "--x0", "1,0,0,0", "--t-end", "1",
+                   "--dt", "0.1"])],
+        ids=lambda arg: arg[0] if isinstance(arg, list) else None)
+    def test_system_file_opened_once(self, capsys, monkeypatch, sample_paths,
+                                     system, argv):
+        path = str(sample_paths[system])
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        code, rep = run_cli(capsys, argv[0], path, *argv[1:])
+        monkeypatch.undo()
+        assert code == 0
+        assert opened.count(path) == 1
+        assert rep["inputs"]["sha256"] == \
+            hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestDegreesOncePerOutputs:
+    """``relative_degree_vector`` runs once per distinct output matrix:
+    the ssni pre-check's degrees serve the normal form of ``T_y = I``, and
+    ``analyze``'s the output-transformation search."""
+
+    @pytest.mark.parametrize("command, distinct", [
+        (["synthesize", "--target", "ssni"], 1), (["analyze"], 2)],
+        ids=["ssni", "analyze"])
+    def test_one_call_per_output_matrix(self, capsys, monkeypatch, tmp_path,
+                                        plant_path, command, distinct):
+        if command[0] == "synthesize":
+            drawn, _ = planted_system(np.random.default_rng(5), 2, 0, 0, 2)
+            plant_path = tmp_path / "plant.json"
+            plant_path.write_text(json.dumps(drawn.to_dict()))
+        outputs = []
+        rdv = structure.relative_degree_vector
+        monkeypatch.setattr(structure, "relative_degree_vector",
+                            lambda sys: outputs.append(sys.C) or rdv(sys))
+        code, _ = run_cli(capsys, command[0], str(plant_path), *command[1:])
+        assert code == 0
+        assert len(outputs) == distinct
+        assert len({C.tobytes() for C in outputs}) == distinct
 
 
 class TestStabilize:

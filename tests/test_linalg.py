@@ -21,6 +21,21 @@ from gen import (
 )
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize("entries", [[["-1.5"]], [[True]], [[1.0, True]],
+                                         [[np.str_("2")]], [[np.bool_(1)]]],
+                             ids=["str", "bool", "mixed-bool", "np-str",
+                                  "np-bool"])
+    def test_strings_and_booleans_refused(self, entries):
+        with pytest.raises(InputError, match="^B must be a matrix of "
+                           "numbers, not strings or booleans$"):
+            linalg.as_matrix(entries, "B")
+
+    def test_ndarray_taken_as_it_is(self):
+        # an ndarray is not walked entry by entry: the caller made it
+        assert np.array_equal(linalg.as_matrix(np.array([[True]])), [[1.0]])
+
+
 class TestEig:
     def test_rotation_generator(self):
         res = linalg.eig([[0.0, 1.0], [-1.0, 0.0]])

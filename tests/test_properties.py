@@ -38,6 +38,18 @@ and a bounded budget.
   1 x k and k x m, contiguous, transposed or strided, with magnitudes from
   1e-300 to 1e300, including sums of squares that overflow to inf or
   underflow to zero.
+* The bound-first gates of the structure layer give the SVD's verdict:
+  ``linalg.full_rank_inverse``, which passes a square matrix by
+  ``condition_clears`` of it and its inverse, returns None exactly where
+  ``rank`` calls the matrix singular, and else its inverse (the split's
+  gate), and ``TransformSet.build`` returns the inverse, or raises the error class
+  and message, of its gates decided by the SVD alone, on matrices of
+  ``kappa_2`` from 1 to 1e17, exactly singular ones, and entries scaled
+  from 1e-150 to 1e300, where ``||.||_F`` overflows but the SVD does not;
+  ``relative_degree_vector``, whose Markov rows are bracketed by
+  ``||A||_F``, gives the degrees, ``H``, kind and notes, or the error, of
+  its rule read at ``||A||_2`` from the SVD, with rows planted at the
+  threshold and at either bracket, and ``A`` scaled up to 1e160.
 """
 
 import numpy as np
@@ -48,14 +60,20 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nisynth import StateSpace, cli, is_minimal, linalg, simulate  # noqa: E402
 from nisynth.errors import (  # noqa: E402
+    InputError,
     NisynthError,
+    NumericalError,
     NotControllableError,
     SimulationDivergedError,
     VerdictError,
 )
 from nisynth.linalg import TOL, spectral_norm  # noqa: E402
 from nisynth.structure import (  # noqa: E402
+    RdKind,
+    RelativeDegreeInfo,
+    TransformSet,
     find_output_transformation,
+    relative_degree_vector,
     to_normal_form,
 )
 from nisynth.synth import robust_stabilize, synthesize_ni  # noqa: E402
@@ -398,3 +416,200 @@ def test_zero_dynamics_screen_clears_only_minimal_plants(plant):
                 as exc:
             robust_stabilize(plant)
         assert type(exc.value) is VerdictError
+
+
+#: entry scales of the bound-first gates' inputs: ``||.||_F`` of a 2 x 2
+#: matrix overflows from about 1e154, the SVD only near 1e308
+SCALES = (1.0, 1e-150, 1e150, 1e154, 1e155, 1e160, 1e300)
+
+
+@st.composite
+def conditioned(draw):
+    """A square matrix of ``kappa_2`` from 1 to 1e17, or exactly singular,
+    with its entries scaled by one of ``SCALES``."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("kappa", "zero-row", "equal-columns")))
+    if kind == "kappa":
+        decades = draw(st.floats(0.0, 17.0))
+        M = random_orthogonal(rng, n) * np.logspace(0.0, -decades, n) \
+            @ random_orthogonal(rng, n)
+    else:
+        M = rng.standard_normal((n, n))
+        if kind == "equal-columns" and n > 1:
+            M[:, -1] = M[:, 0]
+        else:
+            M[-1] = 0.0
+    return M * draw(st.sampled_from(SCALES))
+
+
+def outcome(fn, *args):
+    """``("ok", result)``, or the class and message of the error raised."""
+    try:
+        return "ok", fn(*args)
+    except (NisynthError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def rank_inverse(M):
+    """``full_rank_inverse`` by the SVD alone: None when ``rank(M) < n``,
+    else ``inv(M)``."""
+    return None if linalg.rank(M) < M.shape[0] else np.linalg.inv(M)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(conditioned())
+def test_full_rank_inverse_gives_the_rank_verdict(M):
+    got = outcome(linalg.full_rank_inverse, M)
+    want = outcome(rank_inverse, M)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+    elif want[1] is None:
+        assert got[1] is None
+    else:
+        assert np.array_equal(got[1], want[1])
+        if linalg.condition_clears(M, got[1]):
+            assert linalg.rank(M) == M.shape[0]
+
+
+def svd_inverse(M, name):
+    """``TransformSet.build``'s gates for one transform, decided by the
+    SVD alone: singular by ``rank``'s rule, then ``||M M^-1 - I||_2 <=
+    TOL.inverse_residual max(1, ||M||_2)``."""
+    n = M.shape[0]
+    sv = np.linalg.svd(M, compute_uv=False)
+    if linalg.sv_rank(sv, M.shape) < n:
+        raise InputError(f"{name} is singular")
+    Minv = np.linalg.inv(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = M @ Minv
+    defect.flat[::n + 1] -= 1.0
+    residual = spectral_norm(defect)
+    if residual > TOL.inverse_residual * max(1.0, float(sv[0])):
+        raise NumericalError(
+            f"{name} inverse residual {residual:.3e} too large")
+    return Minv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(conditioned())
+def test_transform_gates_give_the_svd_verdict(M):
+    got = outcome(lambda: TransformSet.build(np.eye(1), M, np.eye(1)).T_x_inv)
+    want = outcome(svd_inverse, M, "T_x")
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+def svd_relative_degrees(sys):
+    """``relative_degree_vector``'s rule with ``||A||_2`` from the SVD of
+    ``A``, read before any Markov row: each row of order ``j`` is zero up
+    to ``TOL.markov_zero ||c_i|| ||A||_2^j ||B||``."""
+    p, n = sys.n_outputs, sys.n
+    A, B, C = sys.A, sys.B, sys.C
+    if linalg.rank(B) != p or linalg.rank(C) != p:
+        raise InputError(
+            "relative-degree analysis requires rank(B) = rank(C) = p")
+    b_norm = spectral_norm(B)
+    a_norm = spectral_norm(A)
+    degrees, h_rows, notes = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(p):
+            ci = C[i:i + 1, :]
+            c_norm = linalg.frobenius_norm(ci)
+            found = None
+            power = np.eye(n)
+            for j in range(n):
+                row = ci @ power @ B
+                power = power @ A
+                row_norm = linalg.frobenius_norm(row)
+                try:
+                    threshold = TOL.markov_zero * (c_norm * a_norm ** j
+                                                   * b_norm)
+                except OverflowError:
+                    threshold = np.inf
+                if not (np.isfinite(row_norm) and np.isfinite(threshold)):
+                    raise NumericalError(
+                        f"output {i}: the Markov parameter C_{i} A^{j} B "
+                        "or its zero threshold overflows")
+                if row_norm > threshold:
+                    found = j + 1
+                    h_rows.append(row)
+                    break
+            degrees.append(found)
+            if found is None:
+                notes.append(f"output {i}: all Markov parameters up to "
+                             f"order {n} vanish")
+    if None in degrees:
+        return RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE,
+                                  tuple(notes))
+
+    def independent(M):
+        s = np.linalg.svd(M, compute_uv=False)
+        return s[-1] > TOL.markov_zero * s[0]
+
+    H = np.vstack(h_rows)
+    kind = RdKind.FULL if independent(H) else RdKind.LIRD_ONLY
+    if kind is RdKind.LIRD_ONLY:
+        for d in sorted(set(degrees)):
+            if not independent(H[[i for i in range(p) if degrees[i] == d]]):
+                kind = RdKind.NONE
+                notes.append(f"degree-{d} rows of H are linearly dependent")
+                break
+    return RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
+
+
+@st.composite
+def markov_plants(draw):
+    """``(A, B, C)`` with rank(B) = rank(C) = p whose first Markov rows
+    ``C_i A B`` are planted at ``factor`` times the threshold at
+    ``||A||_2``: on it, at half its lower bracket ``||A||_F / sqrt(n)``,
+    at twice its upper one ``||A||_F``, each offset by up to 1e-3, or
+    free; ``C B`` vanishes but for rounding, and ``A`` is scaled after."""
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(2 * p + 1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decades = draw(st.sampled_from((0.0, 1.0, 4.0, 17.0)))
+    A = random_orthogonal(rng, n) * np.logspace(0.0, -decades, n) \
+        @ random_orthogonal(rng, n)
+    B = rng.standard_normal((n, p))
+    # rows of Q^T: an orthonormal basis of the complement of span B
+    Q = np.linalg.qr(B, mode="complete")[0][:, p:]
+    U, sv, _ = np.linalg.svd(Q.T @ A @ B)
+    a_norm, f_norm = spectral_norm(A), np.linalg.norm(A)
+    exact = TOL.markov_zero * a_norm * spectral_norm(B)
+    C = np.empty((p, n))
+    for i in range(p):
+        target = draw(st.sampled_from(("exact", "low", "high", "free")))
+        factor = {"exact": 1.0, "low": f_norm / np.sqrt(n) / a_norm / 2.0,
+                  "high": 2.0 * f_norm / a_norm, "free": 1e3}[target]
+        factor *= 1.0 + draw(st.sampled_from(OFFSETS))
+        # u = cos t u0 + sin t u1 with u0 G = 0 and ||u1 G|| = sv[0]
+        sin = min(1.0, factor * exact / sv[0])
+        u = np.sqrt(1.0 - sin ** 2) * U[:, -1] + sin * U[:, 0]
+        if i:  # an independent second row
+            u = u + rng.standard_normal(n - p) * draw(st.sampled_from(
+                (0.0, 1e-3, 1.0)))
+        C[i] = Q @ u
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e77, 1e154, 1e160)))
+    if draw(st.integers(0, 5)) == 0:
+        A = np.zeros((n, n))
+    return A * scale, B, C
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(markov_plants())
+def test_bracketed_markov_rows_give_the_svd_degrees(plant):
+    A, B, C = plant
+    got = outcome(relative_degree_vector, StateSpace(A=A, B=B, C=C))
+    want = outcome(svd_relative_degrees, StateSpace(A=A, B=B, C=C))
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        g, w = got[1], want[1]
+        assert (g.r, g.kind, g.notes) == (w.r, w.kind, w.notes)
+        assert (g.H is None and w.H is None) or np.array_equal(g.H, w.H)
+    else:
+        assert got[1] == want[1]

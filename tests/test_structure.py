@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nisynth import StateSpace, linalg, structure
+from nisynth import StateSpace, UncertainSystem, linalg, structure
+from nisynth.certify import classify_freq
 from nisynth.errors import (
     InputError,
     NoRdLeqTwoError,
@@ -9,7 +10,12 @@ from nisynth.errors import (
     NotWeaklyMinimumPhaseError,
 )
 from nisynth.linalg import StabilityClass
-from nisynth.synth import synthesize_ni, synthesize_ssni
+from nisynth.synth import (
+    SynthesisConfig,
+    robust_stabilize,
+    synthesize_ni,
+    synthesize_ssni,
+)
 from nisynth.structure import (
     RdKind,
     _complement_basis,
@@ -118,6 +124,63 @@ class TestRelativeDegreeVector:
         assert np.array_equal(got.H, want.H)
 
 
+def recorded_svds(monkeypatch):
+    """The list, growing, of every matrix ``np.linalg.svd`` is asked to
+    decompose."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(M, *args, **kwargs):
+        seen.append(np.array(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+class TestBoundFirstGates:
+    """The relative degrees, the transforms' inverses and the split basis
+    are decided from norm bounds; an SVD is taken only where a bound
+    leaves a gate open."""
+
+    def test_row_between_the_brackets_reads_the_svd_norm(self, monkeypatch):
+        # C A B = 1e-8 lies between the thresholds at ||A||_F / sqrt(3) = 1
+        # and at ||A||_F; at ||A||_2 = 1 + 5e-9 it is zero, and C A^2 B =
+        # 2e-8 is not: r = 3, from one SVD of A
+        plant = StateSpace(A=[[1.0, 0, 0], [1e-8, 1, 0], [0, 0, 1]],
+                           B=[[1.0], [0.0], [0.0]], C=[[0.0, 1, 0]])
+        seen = recorded_svds(monkeypatch)
+        info = relative_degree_vector(plant)
+        assert info.r == (3,)
+        assert sum(np.array_equal(M, plant.A) for M in seen) == 1
+        assert plant.a_norm > 1.0
+
+    def test_degree_three_reject_takes_one_svd_of_a(self, monkeypatch):
+        # the search fails, and the plant's own PBH test decomposes A once,
+        # for its spectrum; the degrees read no ||A||_2
+        plant = StateSpace(A=[[-1.0, 1, 0], [0, -2, 1], [0, 0, -3]],
+                           B=[[0.0], [0.0], [1.0]], C=[[1.0, 0, 0]])
+        seen = recorded_svds(monkeypatch)
+        with pytest.raises(NoRdLeqTwoError):
+            to_normal_form(plant)
+        assert sum(np.array_equal(M, plant.A) for M in seen) == 1
+        assert "spectrum" in vars(plant)
+
+    def test_robust_op_of_26_states_takes_ten_svds(self, monkeypatch):
+        # outputs of degrees (1, 1, 2): the search keeps T_y = I, and A,
+        # T_x, T_u and the split basis take no SVD
+        drawn, truth = planted_system(np.random.default_rng(0), 2, 1, 12, 10)
+        plant = StateSpace(A=drawn.A, B=drawn.B, C=truth["T_y"] @ drawn.C)
+        seen = recorded_svds(monkeypatch)
+        res = robust_stabilize(UncertainSystem(plant=plant, gamma=1.0),
+                               SynthesisConfig(rng_seed=5))
+        assert classify_freq(res.nominal_closed, "ni").holds
+        assert len(seen) == 10
+        tf = res.gains.normal_form.transforms
+        for M in (plant.A, tf.T_x, tf.T_u):
+            assert not any(np.array_equal(S, M) for S in seen)
+
+
 class TestFindOutputTransformation:
     def test_demo_plant(self, demo_plant):
         T_y, info = find_output_transformation(demo_plant)
@@ -157,9 +220,8 @@ class TestFindOutputTransformation:
         ("osni", (2, 1, 0, 3)), ("osni", (1, 1, 0, 3)),
         ("ssni", (2, 0, 0, 4)), ("ssni", (3, 0, 0, 3))])
     def test_one_svd_of_a_per_fresh_plant(self, monkeypatch, path, shape):
-        # a plant with nothing cached: A is not decomposed; the plant's
-        # degrees cache ||A||_2 from one SVD, which the search's and the
-        # normal form's transformed outputs read, so A takes one SVD
+        # a plant with nothing cached: A is not decomposed; the degrees
+        # bracket ||A||_2 by ||A||_F, so A takes no SVD either
         drawn, _ = planted_system(np.random.default_rng(61), *shape)
         plant = StateSpace(A=drawn.A, B=drawn.B, C=drawn.C)
         svd = np.linalg.svd
@@ -176,7 +238,7 @@ class TestFindOutputTransformation:
             relative_degree_vector(plant)
             T_y = np.eye(plant.n_outputs)
         to_normal_form(plant, T_y)
-        assert sum(of_a) == 1
+        assert sum(of_a) == 0
 
     def test_identity_accepted_for_degree_one(self):
         sys = StateSpace(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
