@@ -32,7 +32,6 @@ from .statespace import (
 )
 from .structure import (
     NormalForm,
-    RdKind,
     RelativeDegreeInfo,
     TransformSet,
     ZeroDynamicsSplit,

@@ -139,11 +139,11 @@ def _pipeline_normal_form(system, target, overrides):
     """Output transformation plus normal form for a synthesis target."""
     if target == "ssni":
         info = structure.relative_degree_vector(system)
-        if info.kind is not structure.RdKind.FULL or \
-                any(d != 1 for d in info.r):
+        if info.p1 < system.n_outputs:
             raise RelativeDegreeNotOneError(
                 f"strongly-strict synthesis needs relative degree "
-                f"{{1,...,1}} of the original outputs (got r={info.r})")
+                f"{{1,...,1}} of the original outputs, rank(C B) = p "
+                f"(got r={info.r}, p1={info.p1})")
         overrides = {"T_y": np.eye(system.n_outputs), **overrides}
     return structure.to_normal_form(system, **overrides)
 
@@ -161,11 +161,9 @@ def cmd_analyze(args):
         if nf.screened_minimal else is_minimal(system)
     report["minimality"] = {"controllable": m.controllable,
                             "observable": m.observable}
-    report["relative_degree"] = {"r": list(info0.r),
-                                 "kind": info0.kind.value,
-                                 "notes": list(info0.notes)}
-    report["transformed_relative_degree"] = {"r": list(nf.rd_info.r),
-                                             "kind": nf.rd_info.kind.value}
+    report["relative_degree"] = {"r": list(info0.r), "p1": info0.p1,
+                                 "p2": info0.p2}
+    report["transformed_relative_degree"] = {"r": list(nf.rd_info.r)}
     report["normal_form"] = {
         "p1": nf.p1, "p2": nf.p2, "m": nf.m,
         "blocks": {name: getattr(nf, name).tolist()

@@ -107,10 +107,9 @@ class Tol:
     step_ratio: float = 1e-12
 
     # -- structure --
-    #: a Markov-parameter row below this is zero, times ``||c_i||
-    #: ||A||^j ||B||``; rows with ``sigma_min`` below it times
-    #: ``sigma_max`` are dependent; a pivot below it times ``||C B||`` is
-    #: zero
+    #: a row or singular value of ``C B`` below this is zero, times
+    #: ``||C||_F ||B||_F``; one of ``C A B`` or of its decoupling block,
+    #: times ``||C||_F ||A||_F ||B||_F``
     markov_zero: float = 1e-8
     #: largest ``||T T^-1 - I||_2`` of a transform; times ``max(1, ||T||_2)``
     inverse_residual: float = 1e-8

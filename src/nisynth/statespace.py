@@ -26,9 +26,9 @@ observability, from which ``is_minimal`` reads its verdict and the
 strong-class certificate test its hidden modes.  A plant on the
 pipeline's path is asked for none of these when its normal form's PBH
 screen proves it minimal (``structure.NormalForm.screened_minimal``), and
-its relative degrees bracket ``||A||_2`` by ``||A||_F``: ``A`` then takes
-no decomposition at all.  ``structure.relative_degree_vector`` leaves its
-result on the system too.  The functions keep no state of their own.
+its relative degrees read ``C B`` and ``C A B`` with ``||A||_F``: ``A``
+then takes no decomposition at all.  The functions keep no state of their
+own.
 """
 
 from __future__ import annotations
@@ -124,9 +124,7 @@ class StateSpace:
     @cached_property
     def a_norm(self):
         """Spectral norm of ``A``: the one a cached spectrum records, bit
-        for bit, else that of one SVD, which computes no spectrum.  The
-        relative degrees ask for it only where their ``||A||_F`` bracket
-        cannot decide a Markov row."""
+        for bit, else that of one SVD, which computes no spectrum."""
         if "spectrum" in vars(self):
             return self.spectrum.norm
         return linalg.spectral_norm(self.A)

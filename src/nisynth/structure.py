@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -31,241 +30,100 @@ from .linalg import TOL, StabilityClass, as_matrix, spectral_norm
 from .statespace import StateSpace
 
 
-class RdKind(Enum):
-    FULL = "full-rd-vector"
-    LIRD_ONLY = "lird-only"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class RelativeDegreeInfo:
-    """Per-output relative degrees and the high-frequency gain matrix.
+    """Relative degrees of a system's outputs, read from ``C B`` and
+    ``C A B``.
 
-    ``r[i]`` is the smallest j with ``C_i A^{j-1} B != 0`` (None when every
-    Markov parameter up to order n vanishes).  ``H`` stacks the rows
-    ``C_i A^{r_i - 1} B`` and is None when some degree is undefined.
+    ``r[i]`` is 1 when row ``i`` of ``C B`` is nonzero, else 2 when row
+    ``i`` of ``C A B`` is, else the string ``">=3"``.  ``p1 = rank(C B)``
+    and ``p2`` is the rank of the decoupling block ``U2^T C A B V2``, with
+    ``U2`` and ``V2`` the singular vectors of ``C B`` past ``p1``.  The
+    decoupling matrix ``[U1^T C B; U2^T C A B]`` times ``[V1 V2]`` is
+    block lower triangular with that block last, so an output
+    transformation gives every output degree 1 or 2 exactly when ``p1 +
+    p2 = p`` (``find_output_transformation``).
     """
 
     r: tuple
-    H: np.ndarray | None
-    kind: RdKind
-    notes: tuple = ()
-
-    @property
-    def max_degree(self):
-        return max(self.r) if all(d is not None for d in self.r) else None
+    p1: int
+    p2: int
 
 
-def _independent_rows(M):
-    """Rows of a wide ``M`` are independent when ``sigma_min`` clears the
-    relative threshold at which ``find_output_transformation`` eliminates
-    a row."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[-1] > TOL.markov_zero * s[0]
+def _decoupling(sys, C):
+    """``(info, U)`` for the outputs ``C`` of the square ``sys``: the
+    ``RelativeDegreeInfo`` and the left singular vectors ``U`` of ``C B``.
 
-
-#: the smallest normal float and its square root: a bracket of
-#: ``||A||_2^j`` is used only where its rounding is relative
-_TINY = float(np.finfo(float).tiny)
-_SQRT_TINY = math.sqrt(_TINY)
-
-
-def _power(x, j):
-    """``x ** j``, inf when it overflows."""
-    try:
-        return x ** j
-    except OverflowError:
-        return math.inf
-
-
-def _markov_threshold(c_norm, power, b_norm):
-    """``TOL.markov_zero ||c_i|| ||A||_2^j ||B||`` with ``power`` for
-    ``||A||_2^j``; rounding is monotone, so the threshold is in ``power``."""
-    return TOL.markov_zero * (c_norm * power * b_norm)
-
-
-def relative_degree_vector(sys):
-    """Relative degree of each output row, with kind classification.
-
-    Requires a strictly proper system (``D = 0``), as the theorem does, and
-    ``rank(B) = rank(C) = p``.  The search per row is capped at ``n``.  The
-    result is FULL when the stacked ``H`` has independent rows, LIRD_ONLY
-    when only the equal-degree row groups of ``H`` do, and NONE otherwise
-    (including rows whose Markov parameters all vanish).  Raises
-    ``NumericalError`` naming the output when a Markov parameter or its
-    threshold overflows before the row's degree is found.
-
-    The Markov row ``C_i A^j B`` is zero when its norm is at most
-    ``_markov_threshold`` at ``||A||_2^j``.  Since ``||A||_F / sqrt(n) <=
-    ||A||_2 <= ||A||_F`` (Golub & Van Loan, *Matrix Computations*, 2.3),
-    a row of order ``j >= 1`` is decided by the thresholds at half the
-    ``j``-th power of the lower bound and twice that of the upper one, the
-    factor 2 covering the rounding of both norms and powers as in
-    ``frobenius_clears``; only a row between them reads ``sys.a_norm``,
-    one SVD of ``A``.  An ``||A||_F`` that overflows reads it at once, and
-    a bracket that leaves the normal float range decides nothing, so
-    every degree, ``H`` and error is the one ``sys.a_norm`` gives.  The
-    result is kept on ``sys``, where the structure layer reads it again
-    (``_degrees``).
+    An entry of ``C B`` or ``C A B`` is zero up to ``TOL.markov_zero
+    ||C||_F ||B||_F`` or ``TOL.markov_zero ||C||_F ||A||_F ||B||_F``: rows
+    by their norms, ranks by their singular values.  Refuses ``D != 0``
+    and, where the decoupling matrix is singular, ``rank(B) < p`` or
+    ``rank(C) < p`` (``InputError``), which a nonsingular one rules out;
+    a product or threshold that overflows is ``NumericalError``.
     """
-    p = sys.require_square("relative-degree analysis")
     if sys.D.any():
         raise InputError("relative-degree analysis requires a strictly "
                          "proper system (D = 0)")
-    A, B, C = sys.A, sys.B, sys.C
-    # rank(B) and ||B||_2 from one SVD
-    sv_b = np.linalg.svd(B, compute_uv=False) if B.size else np.zeros(1)
-    if linalg.sv_rank(sv_b, B.shape) != p or linalg.rank(C) != p:
-        raise InputError("relative-degree analysis requires rank(B) = rank(C) = p")
-    n = sys.n
-    b_norm = float(sv_b[0])
-    powers = [np.eye(n)]  # A^j, extended when a row's search reaches j
-    degrees = []
-    h_rows = []
-    notes = []
-    # an overflow shows as a non-finite row or threshold
+    A, B = sys.A, sys.B
+    p = C.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        f_high = linalg.frobenius_norm(A)
-        if not math.isfinite(f_high):
-            sys.a_norm  # the SVD, before any row, as without the bracket
-        # a sum of squares below the normal range brackets nothing
-        f_low = f_high / math.sqrt(n) if f_high >= _SQRT_TINY else 0.0
-        for i in range(p):
-            ci = C[i:i + 1, :]
-            c_norm = linalg.frobenius_norm(ci)
-            found = None
-            for j in range(n):
-                if j == len(powers):
-                    powers.append(powers[-1] @ A)
-                row = ci @ powers[j] @ B
-                row_norm = linalg.frobenius_norm(row)
-                nonzero = None
-                if j and math.isfinite(row_norm):
-                    low = _power(f_low, j) / 2.0
-                    high = _markov_threshold(
-                        c_norm, 2.0 * _power(f_high, j), b_norm)
-                    if low >= _TINY and math.isfinite(high):
-                        if row_norm > high:
-                            nonzero = True
-                        elif row_norm <= _markov_threshold(c_norm, low,
-                                                           b_norm):
-                            nonzero = False
-                if nonzero is None:
-                    threshold = _markov_threshold(
-                        c_norm, _power(sys.a_norm, j) if j else 1.0, b_norm)
-                    if not (math.isfinite(row_norm)
-                            and math.isfinite(threshold)):
-                        raise NumericalError(
-                            f"output {i}: the Markov parameter C_{i} A^{j} B "
-                            "or its zero threshold overflows")
-                    nonzero = row_norm > threshold
-                if nonzero:
-                    found = j + 1
-                    h_rows.append(row)
-                    break
-            degrees.append(found)
-            if found is None:
-                h_rows.append(None)
-                notes.append(f"output {i}: all Markov parameters up to "
-                             f"order {n} vanish")
-    if any(d is None for d in degrees):
-        info = RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE,
-                                  tuple(notes))
-    else:
-        H = np.vstack(h_rows)
-        if _independent_rows(H):
-            kind = RdKind.FULL
-        else:
-            kind = RdKind.LIRD_ONLY
-            for d in sorted(set(degrees)):
-                idx = [i for i in range(p) if degrees[i] == d]
-                if not _independent_rows(H[idx, :]):
-                    kind = RdKind.NONE
-                    notes.append(f"degree-{d} rows of H are linearly "
-                                 "dependent")
-                    break
-        info = RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
-    sys.__dict__["relative_degrees"] = info
-    return info
+        CB, CAB = C @ B, C @ A @ B
+        zero_cb = TOL.markov_zero * (linalg.frobenius_norm(C)
+                                     * linalg.frobenius_norm(B))
+        zero_cab = zero_cb * linalg.frobenius_norm(A)
+        finite = np.isfinite(CAB).all() and math.isfinite(zero_cab)
+        rows = zip(linalg.frobenius_norm(CB, axis=1),
+                   linalg.frobenius_norm(CAB, axis=1))
+    if not finite:
+        raise NumericalError("the Markov parameters C B, C A B or their zero "
+                             "thresholds overflow")
+    U, s, Vt = np.linalg.svd(CB)
+    p1 = int(np.count_nonzero(s > zero_cb))
+    p2 = 0
+    if p1 < p:
+        block = U[:, p1:].T @ CAB @ Vt[p1:].T
+        p2 = int(np.count_nonzero(
+            np.linalg.svd(block, compute_uv=False) > zero_cab))
+        if p1 + p2 < p and (linalg.rank(B) < p or linalg.rank(C) < p):
+            raise InputError(
+                "relative-degree analysis requires rank(B) = rank(C) = p")
+    r = tuple(1 if cb > zero_cb else 2 if cab > zero_cab else ">=3"
+              for cb, cab in rows)
+    return RelativeDegreeInfo(r, p1, p2), U
 
 
-def _degrees(sys):
-    """``relative_degree_vector(sys)``, computed once per system: the
-    structure layer reads the result a call left on ``sys``."""
-    info = vars(sys).get("relative_degrees")
-    return relative_degree_vector(sys) if info is None else info
-
-
-def _with_outputs(sys, T):
-    """``sys`` with the outputs ``T C`` and the feedthrough ``T D``, or
-    ``sys`` itself when ``T`` is exactly the identity.  Its ``A`` is that
-    of ``sys``, so what ``sys`` has cached of ``A``, its spectrum and
-    ``a_norm``, fills the new system's slots, as
-    ``linalg.carried_spectrum`` fills its own, and
-    ``relative_degree_vector`` reads ``a_norm`` without an SVD of ``A``."""
-    if (T == np.eye(T.shape[0])).all():
-        return sys
-    out = StateSpace(A=sys.A, B=sys.B, C=T @ sys.C, D=T @ sys.D,
-                     name=sys.name)
-    for slot in ("spectrum", "a_norm"):
-        if slot in vars(sys):
-            out.__dict__[slot] = vars(sys)[slot]
-    return out
+def relative_degree_vector(sys):
+    """Relative degree of each output row, 1, 2 or ``">=3"``, with ``p1``
+    and ``p2`` (``RelativeDegreeInfo``).  Requires a strictly proper
+    system (``D = 0``), as the theorem does; the errors are
+    ``_decoupling``'s."""
+    sys.require_square("relative-degree analysis")
+    return _decoupling(sys, sys.C)[0]
 
 
 def find_output_transformation(sys):
-    """Search for ``T_y`` making the output-transformed system relative
-    degree at most two.
+    """``T_y`` making the output-transformed system relative degree at
+    most two, with the ``RelativeDegreeInfo`` of its outputs.
 
-    Two-stage row elimination on the Markov parameters: stage 1 picks a
-    maximal independent row set of ``C B`` by largest-magnitude pivoting
-    and records the eliminating combinations into ``T_y`` so dependent
-    rows become degree >= 2; stage 2 requires the stacked high-frequency
-    gain matrix of the resulting degree vector to be nonsingular.  Failure
+    ``T_y = [U1 U2]^T`` from the SVD of ``C B``, so it is orthogonal: its
+    first ``p1 = rank(C B)`` outputs have degree 1 and the others degree
+    2 when the decoupling matrix ``[U1^T C B; U2^T C A B]`` is
+    nonsingular (Isidori, *Nonlinear Control Systems*, 1995; Silverman,
+    IEEE TAC 14(3), 1969).  When it is singular, ``NoRdLeqTwoError``
     certifies that no output transformation achieves degrees <= 2 (the
-    system is not state-feedback equivalent to a negative imaginary system
-    when it is minimal with no zero at the origin).  The search reads the
-    Markov parameters alone and requires no controllability; the search
-    path of ``to_normal_form`` decides it.  Returns ``(T_y, info)``,
-    ``info`` the relative degrees of the transformed outputs.
+    system is not state-feedback equivalent to a negative imaginary
+    system when it is minimal with no zero at the origin).  The search
+    reads ``C B`` and ``C A B`` alone and requires no controllability;
+    the search path of ``to_normal_form`` decides it.
     """
     p = sys.require_square("output-transformation search")
-    original = _degrees(sys)
-    if original.kind is RdKind.FULL and original.max_degree <= 2:
-        return np.eye(p), original
-
-    A, B, C = sys.A, sys.B, sys.C
-    M = C @ B
-    T = np.eye(p)
-    zero_tol = TOL.markov_zero * spectral_norm(M)
-    work = M.copy()
-    remaining = list(range(p))
-    while remaining:
-        sub = np.abs(work[remaining, :])
-        i_loc, j_piv = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i_loc, j_piv] <= zero_tol:
-            break
-        i_piv = remaining.pop(i_loc)
-        for k in remaining:
-            factor = work[k, j_piv] / work[i_piv, j_piv]
-            if factor != 0.0:
-                work[k, :] -= factor * work[i_piv, :]
-                T[k, :] -= factor * T[i_piv, :]
-    # remaining rows are now (numerically) zero rows of T C B: degree >= 2
-    transformed = _with_outputs(sys, T)
-    deg2 = sorted(remaining)
-    W = transformed.C[deg2, :] @ A @ B if deg2 else np.zeros((0, p))
-    if deg2 and linalg.rank(W) < len(deg2):
+    info, U = _decoupling(sys, sys.C)
+    if info.p1 + info.p2 < p:
         raise NoRdLeqTwoError(
-            "no output transformation yields relative degree <= 2: "
-            "a combined output has relative degree >= 3")
-    result = _degrees(transformed)
-    if result.kind is not RdKind.FULL or result.max_degree > 2:
-        raise NoRdLeqTwoError(
-            "no output transformation yields relative degree <= 2: "
-            "mixed-degree rows of the high-frequency gain matrix are "
-            "dependent and cannot be repaired by output transformation")
-    return T, result
+            "no output transformation yields relative degree <= 2: the "
+            "decoupling matrix [U1^T C B; U2^T C A B] is singular")
+    return U.T, RelativeDegreeInfo((1,) * info.p1 + (2,) * info.p2,
+                                   info.p1, info.p2)
 
 
 def _checked_inverse(M, name):
@@ -444,10 +302,11 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     Explicit ``T_x``/``T_u`` may be supplied to pin a particular choice;
     they are validated against the same structure.
 
-    The search path (``T_y`` None) requires a controllable system.  Its
-    ``NotControllableError`` follows the errors of the degrees'
-    preconditions (``relative_degree_vector`` of ``sys``) and precedes the
-    search's ``NoRdLeqTwoError`` and the normal form's own errors.  When
+    An explicit ``T_y`` must give the outputs ``T_y C`` degrees 1 and 2
+    with ``p1 + p2 = p`` (``_decoupling``).  The search path (``T_y``
+    None) requires a controllable system.  Its ``NotControllableError``
+    follows the errors of ``_decoupling`` and precedes the search's
+    ``NoRdLeqTwoError`` and the normal form's own errors.  When
     ``NormalForm.screened_minimal`` holds, ``A`` is not decomposed for
     it; otherwise, or when the search or the normal form fails, the PBH
     test of ``sys`` decides.  An explicit ``T_y`` takes no such gate.
@@ -457,8 +316,8 @@ def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
             raise InputError(f"T_y must be {p}x{p}")
-        info = _degrees(_with_outputs(sys, T_y))
-        return _normal_form(sys, T_y, info, T_x, T_u)
+        return _normal_form(sys, T_y, _decoupling(sys, T_y @ sys.C)[0],
+                            T_x, T_u)
     try:
         T_y, info = find_output_transformation(sys)
     except NoRdLeqTwoError:
@@ -480,16 +339,13 @@ def _normal_form(sys, T_y, info, T_x, T_u):
     p = sys.n_outputs
     A, B = sys.A, sys.B
     n = sys.n
-    if info.kind is not RdKind.FULL or any(d not in (1, 2) for d in info.r):
+    p1, p2 = info.p1, info.p2
+    if p1 + p2 < p or info.r.count(1) != p1 or info.r.count(2) != p2:
         raise InputError(
             "T_y does not yield a relative degree vector with degrees in "
-            f"{{1, 2}} (got r={info.r}, kind={info.kind.value})")
+            f"{{1, 2}} (got r={info.r}, p1={p1}, p2={p2})")
     order = sorted(range(p), key=lambda i: (info.r[i], i))
-    perm = np.eye(p)[order, :]
-    T_y_eff = perm @ T_y
-    r_sorted = [info.r[i] for i in order]
-    p1 = sum(1 for d in r_sorted if d == 1)
-    p2 = p - p1
+    T_y_eff = T_y[order, :]
     m = n - p - p2
     if m < 0:
         raise InputError("state dimension too small for the degree structure")

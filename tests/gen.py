@@ -186,6 +186,30 @@ def planted_system(rng, p1, p2, m_a, m_b, max_attempts=20):
     raise RuntimeError("could not draw a valid planted system")
 
 
+def degree3_system(rng, p1, m):
+    """Square system with ``p1`` outputs of relative degree 1 and one of
+    degree 3 and Hurwitz zero dynamics of ``m`` states, hidden like
+    ``planted_system``'s: the output combination that removes ``C B``
+    also removes ``C A B``, so no output transformation gives relative
+    degrees <= 2."""
+    n, p = m + p1 + 3, p1 + 1
+    A = rng.standard_normal((n, n))
+    A[:m, :m] = random_hurwitz(rng, m)
+    c = m + p1                            # the chain y, y', y''
+    A[c:c + 2, :] = 0.0
+    A[c, c + 1] = A[c + 1, c + 2] = 1.0
+    B = np.zeros((n, p))
+    B[m:m + p1, :p1] = np.eye(p1)
+    B[c + 2, p1] = 1.0
+    C = np.zeros((p, n))
+    C[:p1, m:m + p1] = np.eye(p1)
+    C[p1, c] = 1.0
+    T_x = well_conditioned(rng, n)
+    return StateSpace(A=np.linalg.solve(T_x, A) @ T_x,
+                      B=np.linalg.solve(T_x, B) @ well_conditioned(rng, p),
+                      C=np.linalg.solve(well_conditioned(rng, p), C) @ T_x)
+
+
 def random_shape(rng, max_p=3, max_n=8, force_p2=None, force_ma=None):
     """Random block dimensions within the given budget."""
     while True:

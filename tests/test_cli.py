@@ -79,8 +79,8 @@ class TestAnalyze:
         assert code == 0
         info = structure.relative_degree_vector(load_system(plant_path))
         assert rep["relative_degree"] == {
-            "r": list(info.r), "kind": info.kind.value,
-            "notes": list(info.notes)}
+            "r": list(info.r), "p1": info.p1, "p2": info.p2}
+        assert rep["relative_degree"] == {"r": [1, 1], "p1": 1, "p2": 1}
 
     def test_pinned_transforms(self, capsys, plant_path, params_path,
                                tmp_path):
@@ -130,7 +130,7 @@ class TestAnalyze:
         assert rep["error"]["kind"] == "numerical-failure"
 
     def test_markov_overflow_exits_three(self, capsys, tmp_path):
-        # C B = C A B = 0, and ||A||^2 = 1e320 overflows: the relative
+        # C B = C A B = 0, and ||A||_F^2 = 1e320 overflows: the relative
         # degree is undecided, not a verdict, and no warning escapes
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
@@ -139,7 +139,7 @@ class TestAnalyze:
         code, rep = run_cli(capsys, "analyze", str(path))
         assert code == 3
         assert rep["error"]["type"] == "NumericalError"
-        assert rep["error"]["message"].startswith("output 0:")
+        assert rep["error"]["message"].startswith("the Markov parameters")
 
 
 class TestSynthesize:
@@ -304,30 +304,6 @@ class TestOneRead:
         assert opened.count(path) == 1
         assert rep["inputs"]["sha256"] == \
             hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-class TestDegreesOncePerOutputs:
-    """``relative_degree_vector`` runs once per distinct output matrix:
-    the ssni pre-check's degrees serve the normal form of ``T_y = I``, and
-    ``analyze``'s the output-transformation search."""
-
-    @pytest.mark.parametrize("command, distinct", [
-        (["synthesize", "--target", "ssni"], 1), (["analyze"], 2)],
-        ids=["ssni", "analyze"])
-    def test_one_call_per_output_matrix(self, capsys, monkeypatch, tmp_path,
-                                        plant_path, command, distinct):
-        if command[0] == "synthesize":
-            drawn, _ = planted_system(np.random.default_rng(5), 2, 0, 0, 2)
-            plant_path = tmp_path / "plant.json"
-            plant_path.write_text(json.dumps(drawn.to_dict()))
-        outputs = []
-        rdv = structure.relative_degree_vector
-        monkeypatch.setattr(structure, "relative_degree_vector",
-                            lambda sys: outputs.append(sys.C) or rdv(sys))
-        code, _ = run_cli(capsys, command[0], str(plant_path), *command[1:])
-        assert code == 0
-        assert len(outputs) == distinct
-        assert len({C.tobytes() for C in outputs}) == distinct
 
 
 class TestStabilize:

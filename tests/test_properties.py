@@ -45,11 +45,14 @@ and a bounded budget.
   gate), and ``TransformSet.build`` returns the inverse, or raises the error class
   and message, of its gates decided by the SVD alone, on matrices of
   ``kappa_2`` from 1 to 1e17, exactly singular ones, and entries scaled
-  from 1e-150 to 1e300, where ``||.||_F`` overflows but the SVD does not;
-  ``relative_degree_vector``, whose Markov rows are bracketed by
-  ``||A||_F``, gives the degrees, ``H``, kind and notes, or the error, of
-  its rule read at ``||A||_2`` from the SVD, with rows planted at the
-  threshold and at either bracket, and ``A`` scaled up to 1e160.
+  from 1e-150 to 1e300, where ``||.||_F`` overflows but the SVD does not.
+* ``C B`` and ``C A B`` decide the output transformation: on
+  ``planted_system`` plants (p <= 3, n <= 8) behind a full output mixing
+  ``relative_degree_vector`` and ``find_output_transformation`` recover
+  the planted ``(p1, p2)``, and on the (1, 1) plant hidden behind a
+  diagonal or general state similarity of condition up to 1e3 they give
+  ``(1, 1)``, each with ``||T_y T_y^T - I||_2 <= 1e-14``; on plants with
+  an output of degree 3 the search raises ``NoRdLeqTwoError``.
 """
 
 import numpy as np
@@ -62,6 +65,7 @@ from nisynth import StateSpace, cli, is_minimal, linalg, simulate  # noqa: E402
 from nisynth.errors import (  # noqa: E402
     InputError,
     NisynthError,
+    NoRdLeqTwoError,
     NumericalError,
     NotControllableError,
     SimulationDivergedError,
@@ -69,8 +73,6 @@ from nisynth.errors import (  # noqa: E402
 )
 from nisynth.linalg import TOL, spectral_norm  # noqa: E402
 from nisynth.structure import (  # noqa: E402
-    RdKind,
-    RelativeDegreeInfo,
     TransformSet,
     find_output_transformation,
     relative_degree_vector,
@@ -79,6 +81,7 @@ from nisynth.structure import (  # noqa: E402
 from nisynth.synth import robust_stabilize, synthesize_ni  # noqa: E402
 
 from gen import (  # noqa: E402
+    degree3_system,
     normal_form_from_blocks,
     planted_normal_blocks,
     planted_system,
@@ -504,112 +507,45 @@ def test_transform_gates_give_the_svd_verdict(M):
         assert got[1] == want[1]
 
 
-def svd_relative_degrees(sys):
-    """``relative_degree_vector``'s rule with ``||A||_2`` from the SVD of
-    ``A``, read before any Markov row: each row of order ``j`` is zero up
-    to ``TOL.markov_zero ||c_i|| ||A||_2^j ||B||``."""
-    p, n = sys.n_outputs, sys.n
-    A, B, C = sys.A, sys.B, sys.C
-    if linalg.rank(B) != p or linalg.rank(C) != p:
-        raise InputError(
-            "relative-degree analysis requires rank(B) = rank(C) = p")
-    b_norm = spectral_norm(B)
-    a_norm = spectral_norm(A)
-    degrees, h_rows, notes = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(p):
-            ci = C[i:i + 1, :]
-            c_norm = linalg.frobenius_norm(ci)
-            found = None
-            power = np.eye(n)
-            for j in range(n):
-                row = ci @ power @ B
-                power = power @ A
-                row_norm = linalg.frobenius_norm(row)
-                try:
-                    threshold = TOL.markov_zero * (c_norm * a_norm ** j
-                                                   * b_norm)
-                except OverflowError:
-                    threshold = np.inf
-                if not (np.isfinite(row_norm) and np.isfinite(threshold)):
-                    raise NumericalError(
-                        f"output {i}: the Markov parameter C_{i} A^{j} B "
-                        "or its zero threshold overflows")
-                if row_norm > threshold:
-                    found = j + 1
-                    h_rows.append(row)
-                    break
-            degrees.append(found)
-            if found is None:
-                notes.append(f"output {i}: all Markov parameters up to "
-                             f"order {n} vanish")
-    if None in degrees:
-        return RelativeDegreeInfo(tuple(degrees), None, RdKind.NONE,
-                                  tuple(notes))
-
-    def independent(M):
-        s = np.linalg.svd(M, compute_uv=False)
-        return s[-1] > TOL.markov_zero * s[0]
-
-    H = np.vstack(h_rows)
-    kind = RdKind.FULL if independent(H) else RdKind.LIRD_ONLY
-    if kind is RdKind.LIRD_ONLY:
-        for d in sorted(set(degrees)):
-            if not independent(H[[i for i in range(p) if degrees[i] == d]]):
-                kind = RdKind.NONE
-                notes.append(f"degree-{d} rows of H are linearly dependent")
-                break
-    return RelativeDegreeInfo(tuple(degrees), H, kind, tuple(notes))
-
-
 @st.composite
-def markov_plants(draw):
-    """``(A, B, C)`` with rank(B) = rank(C) = p whose first Markov rows
-    ``C_i A B`` are planted at ``factor`` times the threshold at
-    ``||A||_2``: on it, at half its lower bracket ``||A||_F / sqrt(n)``,
-    at twice its upper one ``||A||_F``, each offset by up to 1e-3, or
-    free; ``C B`` vanishes but for rounding, and ``A`` is scaled after."""
-    p = draw(st.integers(1, 2))
-    n = draw(st.integers(2 * p + 1, 7))
+def two_product_plants(draw):
+    """``(plant, want)``: a ``planted_system`` with its planted ``(p1,
+    p2)`` behind a full output mixing; a ``degree3_system`` (``want``
+    None); or the ``(1, 1, 2, 2)`` plant hidden as ``(T A T^-1, T B, C
+    T^-1)``, with ``T`` of condition ``kappa <= 1e3`` diagonal, ``diag(s)``
+    with ``s = logspace(0, log10 kappa, n)`` permuted, or general, ``U
+    diag(s) V``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    decades = draw(st.sampled_from((0.0, 1.0, 4.0, 17.0)))
-    A = random_orthogonal(rng, n) * np.logspace(0.0, -decades, n) \
-        @ random_orthogonal(rng, n)
-    B = rng.standard_normal((n, p))
-    # rows of Q^T: an orthonormal basis of the complement of span B
-    Q = np.linalg.qr(B, mode="complete")[0][:, p:]
-    U, sv, _ = np.linalg.svd(Q.T @ A @ B)
-    a_norm, f_norm = spectral_norm(A), np.linalg.norm(A)
-    exact = TOL.markov_zero * a_norm * spectral_norm(B)
-    C = np.empty((p, n))
-    for i in range(p):
-        target = draw(st.sampled_from(("exact", "low", "high", "free")))
-        factor = {"exact": 1.0, "low": f_norm / np.sqrt(n) / a_norm / 2.0,
-                  "high": 2.0 * f_norm / a_norm, "free": 1e3}[target]
-        factor *= 1.0 + draw(st.sampled_from(OFFSETS))
-        # u = cos t u0 + sin t u1 with u0 G = 0 and ||u1 G|| = sv[0]
-        sin = min(1.0, factor * exact / sv[0])
-        u = np.sqrt(1.0 - sin ** 2) * U[:, -1] + sin * U[:, 0]
-        if i:  # an independent second row
-            u = u + rng.standard_normal(n - p) * draw(st.sampled_from(
-                (0.0, 1e-3, 1.0)))
-        C[i] = Q @ u
-    scale = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e77, 1e154, 1e160)))
-    if draw(st.integers(0, 5)) == 0:
-        A = np.zeros((n, n))
-    return A * scale, B, C
+    kind = draw(st.sampled_from(("planted", "degree-3", "diagonal",
+                                 "general")))
+    if kind == "planted":
+        shape = random_shape(rng, max_p=3, max_n=8)
+        return planted_system(rng, *shape)[0], shape[:2]
+    if kind == "degree-3":
+        return degree3_system(rng, int(rng.integers(0, 3)),
+                              int(rng.integers(1, 4))), None
+    plant, _ = planted_system(rng, 1, 1, 2, 2)
+    s = np.logspace(0.0, np.log10(draw(st.sampled_from(
+        (1.0, 10.0, 1e2, 1e3)))), plant.n)
+    T = np.diag(rng.permutation(s)) if kind == "diagonal" else \
+        random_orthogonal(rng, plant.n) * s @ random_orthogonal(rng, plant.n)
+    Ti = np.linalg.inv(T)
+    return StateSpace(A=T @ plant.A @ Ti, B=T @ plant.B,
+                      C=plant.C @ Ti), (1, 1)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(markov_plants())
-def test_bracketed_markov_rows_give_the_svd_degrees(plant):
-    A, B, C = plant
-    got = outcome(relative_degree_vector, StateSpace(A=A, B=B, C=C))
-    want = outcome(svd_relative_degrees, StateSpace(A=A, B=B, C=C))
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        g, w = got[1], want[1]
-        assert (g.r, g.kind, g.notes) == (w.r, w.kind, w.notes)
-        assert (g.H is None and w.H is None) or np.array_equal(g.H, w.H)
-    else:
-        assert got[1] == want[1]
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(two_product_plants())
+def test_two_products_decide_the_output_transformation(case):
+    plant, want = case
+    if want is None:
+        assert relative_degree_vector(plant).p2 == 0
+        with pytest.raises(NoRdLeqTwoError):
+            find_output_transformation(plant)
+        return
+    info = relative_degree_vector(plant)
+    assert (info.p1, info.p2) == want
+    T_y, found = find_output_transformation(plant)
+    assert (found.p1, found.p2) == want
+    assert found.r == (1,) * want[0] + (2,) * want[1]
+    assert spectral_norm(T_y @ T_y.T - np.eye(len(T_y))) <= 1e-14

@@ -17,7 +17,6 @@ from nisynth.synth import (
     synthesize_ssni,
 )
 from nisynth.structure import (
-    RdKind,
     _complement_basis,
     _real_eigenbasis,
     find_output_transformation,
@@ -42,8 +41,7 @@ from gen import (
 def assert_same_normal_form(a, b):
     """Block for block and bit for bit."""
     assert (a.p1, a.p2, a.m) == (b.p1, b.p2, b.m)
-    assert (a.rd_info.r, a.rd_info.kind) == (b.rd_info.r, b.rd_info.kind)
-    assert np.array_equal(a.rd_info.H, b.rd_info.H)
+    assert a.rd_info == b.rd_info
     for name in ("A00", "A01", "A02", "A03", "A10", "A11", "A12", "A13",
                  "A30", "A31", "A32", "A33"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -60,9 +58,10 @@ def triple_integrator():
 class TestRelativeDegreeVector:
     def test_demo_plant_has_no_rd_vector(self, demo_plant):
         info = relative_degree_vector(demo_plant)
-        assert info.kind is not RdKind.FULL
-        # C B is singular, both rows hit at degree one
+        # C B is singular, both rows hit at degree one; the decoupling
+        # block of the null direction is not
         assert info.r == (1, 1)
+        assert (info.p1, info.p2) == (1, 1)
 
     def test_demo_plant_after_output_transform(self, demo_plant,
                                                demo_transforms):
@@ -70,7 +69,7 @@ class TestRelativeDegreeVector:
                          C=demo_transforms["T_y"] @ demo_plant.C)
         info = relative_degree_vector(sys)
         assert info.r == (1, 2)
-        assert info.kind is RdKind.FULL
+        assert (info.p1, info.p2) == (1, 1)
 
     def test_double_integrator(self):
         # C B = 0, C A B = 1: oracle by direct multiplication
@@ -79,11 +78,12 @@ class TestRelativeDegreeVector:
         assert float((sys.C @ sys.B)[0, 0]) == 0.0
         assert float((sys.C @ sys.A @ sys.B)[0, 0]) == 1.0
         info = relative_degree_vector(sys)
-        assert info.r == (2,) and info.kind is RdKind.FULL
+        assert info.r == (2,) and (info.p1, info.p2) == (0, 1)
 
     def test_triple_integrator_degree_three(self):
+        # C B = C A B = 0: degree three or more, and no decoupling
         info = relative_degree_vector(triple_integrator())
-        assert info.r == (3,) and info.kind is RdKind.FULL
+        assert info.r == (">=3",) and (info.p1, info.p2) == (0, 0)
 
     def test_invariant_under_state_transformation(self):
         rng = np.random.default_rng(51)
@@ -93,8 +93,8 @@ class TestRelativeDegreeVector:
             T = well_conditioned(rng, sys.n)
             moved = StateSpace(A=T @ sys.A @ np.linalg.inv(T), B=T @ sys.B,
                                C=sys.C @ np.linalg.inv(T))
-            assert relative_degree_vector(sys).r == \
-                relative_degree_vector(moved).r
+            assert relative_degree_vector(sys) == \
+                relative_degree_vector(moved)
 
     def test_full_kind_has_rank_p(self):
         rng = np.random.default_rng(53)
@@ -104,24 +104,8 @@ class TestRelativeDegreeVector:
             transformed = StateSpace(A=sys.A, B=sys.B,
                                      C=truth["T_y"] @ sys.C)
             info = relative_degree_vector(transformed)
-            assert info.kind is RdKind.FULL
-            assert linalg.rank(info.H) == p1 + p2
-
-    def test_a_norm_read_from_a_cached_spectrum(self, monkeypatch):
-        # ||A||_2 of a system whose spectrum is cached is the one it
-        # records, bit for bit; a system without one gets no eig
-        sys, _ = planted_system(np.random.default_rng(97), 1, 1, 0, 2)
-        fresh = StateSpace(A=sys.A, B=sys.B, C=sys.C)
-        want = relative_degree_vector(fresh)
-        assert "spectrum" not in vars(fresh)
-        assert sys.spectrum.norm == np.linalg.svd(sys.A, compute_uv=False)[0]
-        norms = []
-        monkeypatch.setattr(structure, "spectral_norm",
-                            lambda M: norms.append(M) or linalg.spectral_norm(M))
-        got = relative_degree_vector(sys)
-        assert norms == []
-        assert (got.r, got.kind) == (want.r, want.kind)
-        assert np.array_equal(got.H, want.H)
+            assert info.r == (1,) * p1 + (2,) * p2
+            assert (info.p1, info.p2) == (p1, p2)
 
 
 def recorded_svds(monkeypatch):
@@ -139,21 +123,10 @@ def recorded_svds(monkeypatch):
 
 
 class TestBoundFirstGates:
-    """The relative degrees, the transforms' inverses and the split basis
-    are decided from norm bounds; an SVD is taken only where a bound
-    leaves a gate open."""
-
-    def test_row_between_the_brackets_reads_the_svd_norm(self, monkeypatch):
-        # C A B = 1e-8 lies between the thresholds at ||A||_F / sqrt(3) = 1
-        # and at ||A||_F; at ||A||_2 = 1 + 5e-9 it is zero, and C A^2 B =
-        # 2e-8 is not: r = 3, from one SVD of A
-        plant = StateSpace(A=[[1.0, 0, 0], [1e-8, 1, 0], [0, 0, 1]],
-                           B=[[1.0], [0.0], [0.0]], C=[[0.0, 1, 0]])
-        seen = recorded_svds(monkeypatch)
-        info = relative_degree_vector(plant)
-        assert info.r == (3,)
-        assert sum(np.array_equal(M, plant.A) for M in seen) == 1
-        assert plant.a_norm > 1.0
+    """The transforms' inverses and the split basis are decided from norm
+    bounds, and an SVD is taken only where a bound leaves a gate open; the
+    relative degrees take the SVDs of ``C B`` and of the decoupling block
+    alone."""
 
     def test_degree_three_reject_takes_one_svd_of_a(self, monkeypatch):
         # the search fails, and the plant's own PBH test decomposes A once,
@@ -166,16 +139,17 @@ class TestBoundFirstGates:
         assert sum(np.array_equal(M, plant.A) for M in seen) == 1
         assert "spectrum" in vars(plant)
 
-    def test_robust_op_of_26_states_takes_ten_svds(self, monkeypatch):
-        # outputs of degrees (1, 1, 2): the search keeps T_y = I, and A,
-        # T_x, T_u and the split basis take no SVD
+    def test_robust_op_of_26_states_takes_nine_svds(self, monkeypatch):
+        # outputs of degrees (1, 1, 2): the search takes the SVDs of C B and
+        # of the 1 x 1 decoupling block, and A, T_x, T_u and the split
+        # basis take none
         drawn, truth = planted_system(np.random.default_rng(0), 2, 1, 12, 10)
         plant = StateSpace(A=drawn.A, B=drawn.B, C=truth["T_y"] @ drawn.C)
         seen = recorded_svds(monkeypatch)
         res = robust_stabilize(UncertainSystem(plant=plant, gamma=1.0),
                                SynthesisConfig(rng_seed=5))
         assert classify_freq(res.nominal_closed, "ni").holds
-        assert len(seen) == 10
+        assert len(seen) == 9
         tf = res.gains.normal_form.transforms
         for M in (plant.A, tf.T_x, tf.T_u):
             assert not any(np.array_equal(S, M) for S in seen)
@@ -184,13 +158,12 @@ class TestBoundFirstGates:
 class TestFindOutputTransformation:
     def test_demo_plant(self, demo_plant):
         T_y, info = find_output_transformation(demo_plant)
-        assert info.kind is RdKind.FULL
-        assert sorted(info.r) == [1, 2]
+        assert info.r == (1, 2) and (info.p1, info.p2) == (1, 1)
         # post-condition, not a particular matrix: re-check independently
         recheck = relative_degree_vector(
             StateSpace(A=demo_plant.A, B=demo_plant.B,
                        C=T_y @ demo_plant.C))
-        assert recheck.kind is RdKind.FULL and max(recheck.r) <= 2
+        assert recheck == info
         # without T_y, to_normal_form runs the same search itself
         assert_same_normal_form(to_normal_form(demo_plant),
                                 to_normal_form(demo_plant, T_y))
@@ -203,9 +176,8 @@ class TestFindOutputTransformation:
 
     def test_transformed_outputs_read_the_plants_spectrum(self, demo_plant,
                                                           monkeypatch):
-        # the demo needs T_y != I; the systems with outputs T_y C share the
-        # plant's A, so once the plant's spectrum is cached neither the
-        # search nor to_normal_form takes an SVD of A
+        # the demo needs T_y != I; with the plant's spectrum cached,
+        # neither the search nor to_normal_form takes an SVD of A
         plant = StateSpace(A=demo_plant.A, B=demo_plant.B, C=demo_plant.C)
         assert not plant.controllability_failures.any()
         norms = []
@@ -221,7 +193,7 @@ class TestFindOutputTransformation:
         ("ssni", (2, 0, 0, 4)), ("ssni", (3, 0, 0, 3))])
     def test_one_svd_of_a_per_fresh_plant(self, monkeypatch, path, shape):
         # a plant with nothing cached: A is not decomposed; the degrees
-        # bracket ||A||_2 by ||A||_F, so A takes no SVD either
+        # read ||A||_F, so A takes no SVD either
         drawn, _ = planted_system(np.random.default_rng(61), *shape)
         plant = StateSpace(A=drawn.A, B=drawn.B, C=drawn.C)
         svd = np.linalg.svd
@@ -259,7 +231,7 @@ class TestFindOutputTransformation:
             B=[[0.0, 0], [1, 0], [1, 0], [0, 1]],
             C=[[1.0, 0, 1, 0], [1, 0, 0, 0]])
         info = relative_degree_vector(sys)
-        assert info.kind is RdKind.LIRD_ONLY
+        assert info.r == (1, 2) and (info.p1, info.p2) == (1, 0)
         with pytest.raises(NoRdLeqTwoError):
             find_output_transformation(sys)
 
@@ -293,8 +265,7 @@ class TestFindOutputTransformation:
             p1, p2, m_a, m_b = random_shape(rng, max_p=3, max_n=8)
             sys, _ = planted_system(rng, p1, p2, m_a, m_b)
             T_y, info = find_output_transformation(sys)
-            assert info.kind is RdKind.FULL and max(info.r) <= 2
-            assert sorted(info.r) == [1] * p1 + [2] * p2
+            assert info.r == (1,) * p1 + (2,) * p2
             assert_same_normal_form(to_normal_form(sys),
                                     to_normal_form(sys, T_y))
 
