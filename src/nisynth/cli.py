@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, certify, structure, synth
 from .errors import InputError, NumericalError, RelativeDegreeNotOneError, VerdictError
-from .linalg import StabilityClass, frobenius_norm
+from .linalg import StabilityClass, safe_norm, scaled_norm
 from .statespace import (
     Minimality,
     UncertainSystem,
@@ -57,23 +57,6 @@ def _emit(report, args):
     except OSError as exc:
         path, args.out = args.out, None
         raise InputError(f"cannot write report file {path}: {exc}") from exc
-
-
-def _scaled_norm(x):
-    """``(m, k)`` with ``||x||_2 = m 2^k``: ``m`` is the norm of ``x 2^-k``,
-    ``k`` the binary exponent of the largest magnitude, so ``m`` neither
-    overflows nor underflows; binary scaling is exact."""
-    _, k = math.frexp(float(np.abs(x).max()))
-    return frobenius_norm(np.ldexp(x, -k)), k
-
-
-def _norm(x):
-    """``||x||_2`` from ``_scaled_norm``: finite wherever the norm is
-    representable, and ``np.linalg.norm(x)`` bit for bit wherever that
-    neither overflows nor underflows."""
-    m, k = _scaled_norm(x)
-    with np.errstate(over="ignore"):  # a norm above the float range: inf
-        return float(np.ldexp(m, k))
 
 
 def _load_system(args):
@@ -276,16 +259,16 @@ def cmd_simulate(args):
         x0 = np.array([float(v) for v in args.x0.split(",")])
     except ValueError as exc:
         raise InputError(f"--x0 must be comma-separated numbers: {exc}") from exc
-    traj = simulate(system, x0, t_end=args.t_end, dt=args.dt)
-    (m0, k0), (m_end, k_end) = _scaled_norm(x0), _scaled_norm(traj.states[-1])
+    x_end = simulate(system, x0, t_end=args.t_end, dt=args.dt).states[-1]
+    (m0, k0), (m_end, k_end) = scaled_norm(x0), scaled_norm(x_end)
     with np.errstate(over="ignore"):  # beyond the float range: inf
         # the ratio of the scaled norms, so a norm's overflow does not
         # carry into it; bit for bit norm_end / norm0 in the normal range
         ratio = float(np.ldexp(m_end / m0, k_end - k0)) if m0 else None
     sim = report["simulation"] = {
         "t_end": args.t_end, "dt": args.dt, "n_states": system.n,
-        "x0": x0.tolist(), "final_state": traj.states[-1].tolist(),
-        "initial_norm": _norm(x0), "final_norm": _norm(traj.states[-1]),
+        "x0": x0.tolist(), "final_state": x_end.tolist(),
+        "initial_norm": safe_norm(x0), "final_norm": safe_norm(x_end),
         "ratio": ratio,
     }
     # JSON has no inf: such a figure is reported as null, with a note

@@ -238,6 +238,25 @@ def frobenius_norm(X, axis=None):
     return np.sqrt(np.add.reduce((X.conj() * X).real, axis=axis))
 
 
+def scaled_norm(X):
+    """``(m, k)`` with ``||X||_F = m 2^k``: ``m`` is the norm of ``X 2^-k``,
+    ``k`` the binary exponent of the largest magnitude, so ``m`` neither
+    overflows nor underflows; binary scaling is exact."""
+    _, k = math.frexp(float(np.abs(X).max(initial=0.0)))
+    return frobenius_norm(np.ldexp(X, -k)), k
+
+
+def safe_norm(X):
+    """``||X||_F`` from ``scaled_norm``: finite wherever the norm is
+    representable, and ``frobenius_norm(X)`` bit for bit wherever that
+    neither overflows nor underflows."""
+    m, k = scaled_norm(X)
+    try:
+        return math.ldexp(m, k)
+    except OverflowError:  # a norm above the float range
+        return math.inf
+
+
 def frobenius_clears(X, low):
     """True when ``||X||_F <= low / 2``: since ``||X||_2 <= ||X||_F``
     (Golub & Van Loan, *Matrix Computations*, 2.3), a gate ``||X||_2 <=

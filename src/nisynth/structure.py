@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     InputError,
-    NisynthError,
     NoRdLeqTwoError,
     NotControllableError,
     NotWeaklyMinimumPhaseError,
@@ -55,11 +54,12 @@ def _decoupling(sys, C):
     ``RelativeDegreeInfo`` and the left singular vectors ``U`` of ``C B``.
 
     An entry of ``C B`` or ``C A B`` is zero up to ``TOL.markov_zero
-    ||C||_F ||B||_F`` or ``TOL.markov_zero ||C||_F ||A||_F ||B||_F``: rows
-    by their norms, ranks by their singular values.  Refuses ``D != 0``
-    and, where the decoupling matrix is singular, ``rank(B) < p`` or
-    ``rank(C) < p`` (``InputError``), which a nonsingular one rules out;
-    a product or threshold that overflows is ``NumericalError``.
+    ||C||_F ||B||_F`` or ``TOL.markov_zero ||C||_F ||A||_F ||B||_F``, each
+    norm ``linalg.safe_norm``'s: rows by their norms, ranks by their
+    singular values.  Refuses ``D != 0`` and, where the decoupling matrix
+    is singular, ``rank(B) < p`` or ``rank(C) < p`` (``InputError``), which
+    a nonsingular one rules out; a product or threshold that overflows is
+    ``NumericalError``.
     """
     if sys.D.any():
         raise InputError("relative-degree analysis requires a strictly "
@@ -68,9 +68,9 @@ def _decoupling(sys, C):
     p = C.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         CB, CAB = C @ B, C @ A @ B
-        zero_cb = TOL.markov_zero * (linalg.frobenius_norm(C)
-                                     * linalg.frobenius_norm(B))
-        zero_cab = zero_cb * linalg.frobenius_norm(A)
+        zero_cb = TOL.markov_zero * (linalg.safe_norm(C)
+                                     * linalg.safe_norm(B))
+        zero_cab = zero_cb * linalg.safe_norm(A)
         finite = np.isfinite(CAB).all() and math.isfinite(zero_cab)
         rows = zip(linalg.frobenius_norm(CB, axis=1),
                    linalg.frobenius_norm(CAB, axis=1))
@@ -114,7 +114,7 @@ def find_output_transformation(sys):
     system is not state-feedback equivalent to a negative imaginary
     system when it is minimal with no zero at the origin).  The search
     reads ``C B`` and ``C A B`` alone and requires no controllability;
-    the search path of ``to_normal_form`` decides it.
+    ``to_normal_form`` decides it.
     """
     p = sys.require_square("output-transformation search")
     info, U = _decoupling(sys, sys.C)
@@ -282,50 +282,44 @@ def _internal_rows(B, C_T):
 
 
 def _require_controllable(sys):
-    """The search path's controllability verdict, from the PBH test of
-    ``sys`` itself."""
+    """The normal form's controllability verdict: the PBH test of ``sys``."""
     if sys.controllability_failures.any():
         raise NotControllableError(
-            "output-transformation search requires a controllable system")
+            "the normal form requires a controllable system")
 
 
 def to_normal_form(sys, T_y=None, T_x=None, T_u=None):
     """Transform a degree-(1,2) system into normal form.
 
-    ``T_y`` defaults to the one ``find_output_transformation`` finds.
-    Rows are sorted so degree-1 outputs precede degree-2 (the permutation
-    is folded into ``T_y``).  The state transform stacks the internal rows
-    ``Cz`` (``_internal_rows``, smooth in ``B`` and ``C_T``) over
-    ``[C_O; C_T; C_T A]``; the input transform is ``T_u = [C_O; C_T A] B``.
-    ``T_x`` is nonsingular when ``T_u`` is: times ``B``, then ``C_T^T``, a
-    vanishing row combination leaves ``T_u`` and ``C_T C_T^T > 0``.
-    Explicit ``T_x``/``T_u`` may be supplied to pin a particular choice;
-    they are validated against the same structure.
+    ``T_y`` defaults to the one ``find_output_transformation`` finds; a
+    supplied one must give the outputs ``T_y C`` degrees 1 and 2 with
+    ``p1 + p2 = p`` (``_decoupling``).  Rows are sorted so degree-1
+    outputs precede degree-2 (the permutation is folded into ``T_y``).
+    The state transform stacks the internal rows ``Cz`` (``_internal_rows``,
+    smooth in ``B`` and ``C_T``) over ``[C_O; C_T; C_T A]``; the input
+    transform is ``T_u = [C_O; C_T A] B``.  ``T_x`` is nonsingular when
+    ``T_u`` is: times ``B``, then ``C_T^T``, a vanishing row combination
+    leaves ``T_u`` and ``C_T C_T^T > 0``.  Explicit ``T_x``/``T_u`` may be
+    supplied to pin a particular choice; they are validated against the
+    same structure.
 
-    An explicit ``T_y`` must give the outputs ``T_y C`` degrees 1 and 2
-    with ``p1 + p2 = p`` (``_decoupling``).  The search path (``T_y``
-    None) requires a controllable system.  Its ``NotControllableError``
-    follows the errors of ``_decoupling`` and precedes the search's
-    ``NoRdLeqTwoError`` and the normal form's own errors.  When
-    ``NormalForm.screened_minimal`` holds, ``A`` is not decomposed for
-    it; otherwise, or when the search or the normal form fails, the PBH
-    test of ``sys`` decides.  An explicit ``T_y`` takes no such gate.
+    Requires a controllable system.  An ``InputError`` comes first; then,
+    when the degrees or the normal form fail or ``NormalForm.screened_minimal``
+    cannot prove ``sys`` minimal, the PBH test of ``sys`` decides
+    (``NotControllableError``).  A screened plant's ``A`` is not decomposed.
     """
     p = sys.require_square("normal form")
     if T_y is not None:
         T_y = as_matrix(T_y, "T_y", square=True)
         if T_y.shape[0] != p:
             raise InputError(f"T_y must be {p}x{p}")
-        return _normal_form(sys, T_y, _decoupling(sys, T_y @ sys.C)[0],
-                            T_x, T_u)
     try:
-        T_y, info = find_output_transformation(sys)
-    except NoRdLeqTwoError:
-        _require_controllable(sys)
-        raise
-    try:
+        if T_y is None:
+            T_y, info = find_output_transformation(sys)
+        else:
+            info = _decoupling(sys, T_y @ sys.C)[0]
         nf = _normal_form(sys, T_y, info, T_x, T_u)
-    except (NisynthError, np.linalg.LinAlgError):
+    except (VerdictError, NumericalError, np.linalg.LinAlgError):
         _require_controllable(sys)
         raise
     if not nf.screened_minimal:
@@ -358,6 +352,8 @@ def _normal_form(sys, T_y, info, T_x, T_u):
         T_u = T_u_expected
     else:
         T_u = as_matrix(T_u, "T_u", square=True)
+        if T_u.shape[0] != p:
+            raise InputError(f"T_u must be {p}x{p}")
         # this limit and those of T_x are TOL.supplied_transform times at
         # least 1: frobenius_clears passes them without the SVDs
         defect = T_u - T_u_expected

@@ -22,7 +22,6 @@ from .certify import Certificate, Verdict
 from .errors import (
     DcGainConditionError,
     InputError,
-    NisynthError,
     NotControllableError,
     NotMinimumPhaseError,
     NumericalError,
@@ -570,17 +569,18 @@ def robust_stabilize(usys, cfg=None, T_y=None, T_x=None, T_u=None):
     uncertain loop is ``nominal_closed`` ``(A + B K_x, B K_v, C)`` in
     positive feedback with ``Delta`` (see ``FeedbackLaw``).
 
-    A plant that is not minimal is rejected before any other error is
-    reported (``NotControllableError``, else ``VerdictError``), by its own
-    PBH tests; they run only when ``NormalForm.screened_minimal`` cannot
-    prove the plant minimal or the normal form raises.
+    A plant that is not minimal is rejected, by its own PBH tests, before
+    any error but an ``InputError`` is reported (``NotControllableError``,
+    else ``VerdictError``); they run only when
+    ``NormalForm.screened_minimal`` cannot prove the plant minimal or the
+    normal form raises.
     """
     if not isinstance(usys, UncertainSystem):
         usys = UncertainSystem(plant=usys, gamma=1.0)
     plant = usys.plant
     try:
         nf = to_normal_form(plant, T_y, T_x=T_x, T_u=T_u)
-    except (NisynthError, np.linalg.LinAlgError):
+    except (VerdictError, NumericalError, np.linalg.LinAlgError):
         _require_minimal(plant)
         raise
     if not nf.screened_minimal:

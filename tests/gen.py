@@ -12,9 +12,10 @@ import numpy as np
 from nisynth import StateSpace, is_minimal
 from nisynth.errors import NumericalError, VerdictError
 from nisynth.structure import (
+    _normal_form,
     normal_form_input_matrix,
     normal_form_output_matrix,
-    to_normal_form,
+    relative_degree_vector,
 )
 
 #: matrices whose eigenbasis is not trusted (``EigenResult.left`` is None):
@@ -52,17 +53,24 @@ EDGE_ZERO_DYNAMICS = {
 }
 
 
-def edge_plant(A00):
-    """The p1 = 2, p2 = 0 normal-form realization with internal dynamics
-    ``A00`` and ``A01``, ``A10``, ``A11`` drawn from ``default_rng(0)``."""
+def edge_blocks(A00):
+    """The p1 = 2, p2 = 0 normal-form blocks with internal dynamics ``A00``
+    and ``A01``, ``A10``, ``A11`` drawn from ``default_rng(0)``."""
     m, p1 = len(A00), 2
     rng = np.random.default_rng(0)
     blk = {"A00": A00, "A01": rng.standard_normal((m, p1)),
            "A10": rng.standard_normal((p1, m)),
            "A11": rng.standard_normal((p1, p1))}
-    A = np.block([[blk["A00"], blk["A01"]], [blk["A10"], blk["A11"]]])
-    return StateSpace(A=A, B=normal_form_input_matrix(m, p1, 0),
-                      C=normal_form_output_matrix(m, p1, 0))
+    for name, shape in (("A02", (m, 0)), ("A03", (m, 0)), ("A12", (p1, 0)),
+                        ("A13", (p1, 0)), ("A30", (0, m)), ("A31", (0, p1)),
+                        ("A32", (0, 0)), ("A33", (0, 0))):
+        blk[name] = np.zeros(shape)
+    return blk
+
+
+def edge_plant(A00):
+    """The realization of ``edge_blocks(A00)``."""
+    return assemble_normal_realization(edge_blocks(A00), 2, 0, len(A00))
 
 
 def feedthrough_plant():
@@ -144,10 +152,12 @@ def assemble_normal_realization(blk, p1, p2, m):
 
 
 def normal_form_from_blocks(blk, p1, p2, m):
-    """NormalForm with identity transforms (blocks taken literally)."""
+    """NormalForm with identity transforms (blocks taken literally).  It
+    takes no controllability gate: the syntheses' own controllability
+    tests are fed blocks that are uncontrollable on purpose."""
     sysnf = assemble_normal_realization(blk, p1, p2, m)
-    n, p = sysnf.n, p1 + p2
-    return to_normal_form(sysnf, np.eye(p), T_x=np.eye(n))
+    return _normal_form(sysnf, np.eye(p1 + p2),
+                        relative_degree_vector(sysnf), np.eye(sysnf.n), None)
 
 
 def zero_at_origin(sys):

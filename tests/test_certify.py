@@ -75,6 +75,26 @@ class TestClassifyFreq:
         assert verdict.holds
         assert any("residue" in note for note in verdict.notes)
 
+    def test_imaginary_pole_residue_alone_fails_ni(self):
+        # R(s) = -1/(s^2 + 1): j(R - R*) = 0 off the pole, so the sampled
+        # condition holds, but the residue at j is -1/2
+        sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
+                         C=[[-1.0, 0.0]])
+        verdict = classify_freq(sys, "ni")
+        assert not verdict.holds
+        assert verdict.worst_margin == 0.0
+        assert verdict.notes[-1] == "residue at j*1 fails the PSD condition"
+
+    def test_ssni_limit_fails_where_sni_holds(self):
+        # R(s) = 1/(s + 1)^2: SNI, but C B = 0, so the high-frequency
+        # limit of the strong-strict class fails
+        sys = StateSpace(A=[[-1.0, 1.0], [0.0, -1.0]], B=[[0.0], [1.0]],
+                         C=[[1.0, 0.0]])
+        assert classify_freq(sys, "sni").holds
+        verdict = classify_freq(sys, "ssni")
+        assert not verdict.holds
+        assert verdict.notes[-1] == "a frequency-limit condition fails"
+
     def test_spectrum_computed_once_per_system(self, monkeypatch):
         sys = demo_nominal_closed()
         on_sys = []
@@ -861,6 +881,17 @@ class TestVerifyCertificate:
         assert verdict.holds is holds
         assert ("feedthrough matrix is not symmetric" in verdict.notes) \
             is not holds
+
+    def test_lossless_rotation_fails_ssni(self):
+        # R(s) = 1/(s^2 + 1) with Y = I: B + A Y C^T = 0, so the NI
+        # certificate holds, but A Y + Y A^T = 0 is not negative definite
+        sys = StateSpace(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
+                         C=[[1.0, 0.0]])
+        assert verify_certificate(sys, "ni", np.eye(2))[0].holds
+        verdict, _ = verify_certificate(sys, "ssni", np.eye(2))
+        assert not verdict.holds
+        assert verdict.notes == ("A Y + Y A^T is not negative definite "
+                                 "(lambda_max 0.000e+00)",)
 
     def test_one_scale_invariant_pd_rule(self):
         # Y = 1e-16 I is positive definite for definiteness, and the

@@ -129,17 +129,21 @@ class TestAnalyze:
         assert code == 3
         assert rep["error"]["kind"] == "numerical-failure"
 
-    def test_markov_overflow_exits_three(self, capsys, tmp_path):
-        # C B = C A B = 0, and ||A||_F^2 = 1e320 overflows: the relative
-        # degree is undecided, not a verdict, and no warning escapes
+    def test_markov_threshold_of_a_huge_a_is_decided(self, capsys,
+                                                      tmp_path):
+        # C B = C A B = 0, and ||A||_F^2 = 1e320 overflows where ||A||_F =
+        # 1e160 does not: the degrees are decided, no T_y exists, and the
+        # plant's PBH test finds the modes B does not drive; no warning
+        # escapes
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
             "A": [[-1e160, 0, 0], [0, -1, 0], [0, 0, -2]],
             "B": [[0], [0], [1]], "C": [[0, 1, 0]]}))
-        code, rep = run_cli(capsys, "analyze", str(path))
-        assert code == 3
-        assert rep["error"]["type"] == "NumericalError"
-        assert rep["error"]["message"].startswith("the Markov parameters")
+        for argv in (["analyze"], ["synthesize"],
+                     ["stabilize", "--gamma", "1"]):
+            code, rep = run_cli_clean(capsys, argv[0], str(path), *argv[1:])
+            assert code == 1, argv
+            assert rep["error"]["type"] == "NotControllableError"
 
 
 class TestSynthesize:
@@ -275,6 +279,19 @@ class TestMalformedInput:
         assert rep["error"]["message"].startswith(
             "supplied T_u does not match")
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_t_u_of_the_wrong_size_exits_two(self, capsys, plant_path,
+                                             params_path, tmp_path, size):
+        transforms = json.loads(Path(params_path).read_text())["transforms"]
+        transforms["T_u"] = np.eye(size).tolist()
+        path = tmp_path / "transforms.json"
+        path.write_text(json.dumps(transforms))
+        code, rep = run_cli_clean(capsys, "synthesize", plant_path,
+                                  "--transforms", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "InputError"
+        assert rep["error"]["message"] == "T_u must be 2x2"
+
 
 class TestOneRead:
     """Each command opens the system file once and reports the SHA-256
@@ -340,6 +357,18 @@ class TestFeedthrough:
         assert "strictly proper" in rep["error"]["message"]
 
 
+#: a ``hidden_mode_plants`` plant of ``test_properties``: a planted plant
+#: with one more mode that the input does not drive, behind an orthogonal
+#: similarity (kappa = 1)
+HIDDEN_MODE_PLANT = {
+    "A": [[-0.3990622816508484, -0.8785395307495917, -0.47510057383263815],
+          [-1.042959034142687, -0.7289824668103809, 0.053666756032551714],
+          [-0.22049337093365848, -0.18410697676550714, -1.0643709107034827]],
+    "B": [[-0.8206660625839781], [-0.25583850972201944],
+          [1.5829701164659644]],
+    "C": [[-0.7663810009660696, 1.160963950917374, -0.2096840540485595]]}
+
+
 class TestUncontrollablePlant:
     """A plant that is not minimal has no normal form to report on or to
     synthesize from: both commands exit 1 with the controllability
@@ -351,6 +380,23 @@ class TestUncontrollablePlant:
         path = tmp_path / "uncontrollable.json"
         path.write_text(json.dumps(uncontrollable_plant().to_dict()))
         code, rep = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert rep["error"]["type"] == "NotControllableError"
+
+    @pytest.mark.parametrize("argv", [[], ["--transforms"]],
+                             ids=["found", "pinned"])
+    def test_pinned_t_y_takes_the_gate(self, capsys, tmp_path, argv):
+        # the search finds T_y = [[-1]] on HIDDEN_MODE_PLANT; pinned, it
+        # takes the plant's controllability gate as the found one does,
+        # where the normal form's own PBH test had let the plant through
+        # to a certificate that failed verification (exit 3)
+        path = tmp_path / "hidden.json"
+        path.write_text(json.dumps(HIDDEN_MODE_PLANT))
+        if argv:
+            transforms = tmp_path / "transforms.json"
+            transforms.write_text('{"T_y": [[-1.0]]}')
+            argv = argv + [str(transforms)]
+        code, rep = run_cli_clean(capsys, "synthesize", str(path), *argv)
         assert code == 1
         assert rep["error"]["type"] == "NotControllableError"
 

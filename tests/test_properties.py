@@ -22,16 +22,19 @@ and a bounded budget.
   ||x0||_1``, the rounding of x0 the unstable modes grow); a saddle whose
   doubled product overflows where the steps do not returns the loop's
   samples bit for bit.
-* ``cli._norm``, the norm the ``simulate`` report takes of a
-  power-of-two-scaled vector, equals ``np.linalg.norm`` bit for bit on
-  vectors of up to 8 entries with magnitudes from 1e-12 to 1e12, where the
-  plain norm neither overflows nor underflows.
+* ``linalg.safe_norm``, the norm of a power-of-two-scaled array that the
+  ``simulate`` report and the Markov thresholds take, equals
+  ``np.linalg.norm`` bit for bit on vectors of up to 8 entries with
+  magnitudes from 1e-12 to 1e12, where the plain norm neither overflows
+  nor underflows.
 * The zero dynamics' PBH screen (``NormalForm.screened_minimal``) clears
   no plant that is not minimal: over ``planted_system`` plants (p <= 2,
   n <= 7) given one more mode at ``-U(0.5, 3)``, not driven (a zero row
   of ``B``) or not seen (a zero column of ``C``), then hidden by ``U
   diag(logspace(0, log10 kappa)) V`` with kappa in {1, 1e2, 1e4}, the
-  screen clears only where ``is_minimal`` calls the plant minimal, and
+  screen clears only where ``is_minimal`` calls the plant minimal,
+  ``to_normal_form`` with the ``T_y`` the search finds, pinned, raises
+  ``NotControllableError`` wherever that test fails controllability, and
   ``robust_stabilize`` reports the plant's own PBH verdict first.
 * ``linalg.frobenius_norm`` is ``np.linalg.norm`` bit for bit, with
   ``axis`` None, 0 and 1, on real and complex arrays of shapes 0 x k,
@@ -61,7 +64,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nisynth import StateSpace, cli, is_minimal, linalg, simulate  # noqa: E402
+from nisynth import StateSpace, is_minimal, linalg, simulate  # noqa: E402
 from nisynth.errors import (  # noqa: E402
     InputError,
     NisynthError,
@@ -323,7 +326,7 @@ def test_saddle_whose_doubled_product_overflows_takes_the_steps():
 def test_scaled_norm_is_the_plain_norm_in_range(size, seed):
     rng = np.random.default_rng(seed)
     x = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-12, 12, size)
-    assert cli._norm(x) == float(np.linalg.norm(x))
+    assert linalg.safe_norm(x) == float(np.linalg.norm(x))
 
 
 @st.composite
@@ -400,13 +403,17 @@ def hidden_mode_plants(draw):
 @given(hidden_mode_plants())
 def test_zero_dynamics_screen_clears_only_minimal_plants(plant):
     minim = is_minimal(plant)
+    T_y = nf = error = None
     try:
         T_y, _ = find_output_transformation(plant)
         nf = to_normal_form(plant, T_y)
-    except NisynthError:
-        nf = None      # no normal form, no screen: is_minimal decides
+    except NisynthError as exc:
+        error = exc    # no normal form, no screen: is_minimal decides
     if nf is not None and nf.screened_minimal:
         assert minim.minimal
+    # the found T_y, pinned, takes the plant's controllability gate
+    if T_y is not None and not minim.controllable:
+        assert type(error) is NotControllableError
     # the first verdict is the plant's own PBH test's, as before the
     # screen; a plant that test calls minimal takes the pipeline either way
     if not minim.controllable:

@@ -378,6 +378,14 @@ class TestSuppliedTransforms:
             self.normal_form(demo_plant, demo_transforms,
                              T_u=((1, 1), 1.0))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_t_u_of_the_wrong_size(self, demo_plant, demo_transforms, size):
+        # a 1 x 1 T_u would broadcast into the comparison, a 3 x 3 one fail
+        # it with numpy's ValueError
+        with pytest.raises(InputError, match=r"^T_u must be 2x2$"):
+            to_normal_form(demo_plant,
+                           **{**demo_transforms, "T_u": np.eye(size)})
+
     def test_t_x_rows_other_than_the_outputs(self, demo_plant,
                                              demo_transforms):
         with pytest.raises(InputError, match=r"rows m\.\.n must equal "

@@ -35,6 +35,8 @@ from nisynth.synth import (
 )
 
 from gen import (
+    assemble_normal_realization,
+    edge_blocks,
     feedthrough_plant,
     normal_form_from_blocks,
     planted_normal_blocks,
@@ -467,16 +469,16 @@ class TestSynthesizeSsni:
 
     def test_stiff_internal_dynamics_miss_the_margin(self):
         # the Lyapunov residual is -I up to rounding, below the required
-        # margin -1e-8 ||A00|| once ||A00|| exceeds 1e8
-        rng = np.random.default_rng(0)
-        A00 = -1e8 * np.diag([1.0, 2.0, 3.0])
-        A01, A10, A11 = (rng.standard_normal(shape)
-                         for shape in ((3, 2), (2, 3), (2, 2)))
-        sys = StateSpace(A=np.block([[A00, A01], [A10, A11]]),
-                         B=np.vstack([np.zeros((3, 2)), np.eye(2)]),
-                         C=np.hstack([np.zeros((2, 3)), np.eye(2)]))
+        # margin -1e-8 ||A00|| once ||A00|| exceeds 1e8.  The blocks are
+        # taken literally: the plant's own PBH test calls them
+        # uncontrollable, as the modes at -1e8 {1, 2, 3} are reached only
+        # through O(1) couplings (pencil s_min 3e-8 to 5e-8 against rank
+        # thresholds of 3e-7 to 5e-7)
+        blk = edge_blocks(-1e8 * np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(NotControllableError):
+            to_normal_form(assemble_normal_realization(blk, 2, 0, 3))
         with pytest.raises(NumericalError, match="strict Lyapunov margin"):
-            synthesize_ssni(to_normal_form(sys, np.eye(2)))
+            synthesize_ssni(normal_form_from_blocks(blk, 2, 0, 3))
 
     def test_round_trip_on_planted_systems(self):
         rng = np.random.default_rng(157)
@@ -500,7 +502,6 @@ class TestSynthesizeSsni:
 
     def test_each_matrix_decomposed_once(self, monkeypatch):
         sys, _ = planted_system(np.random.default_rng(163), 2, 0, 0, 3)
-        nf = to_normal_form(sys, np.eye(2))
         calls = []
         eig = linalg.eig
 
@@ -509,11 +510,14 @@ class TestSynthesizeSsni:
             return eig(A)
 
         monkeypatch.setattr(linalg, "eig", recording_eig)
+        nf = to_normal_form(sys, np.eye(2))
         g = synthesize_ssni(nf)
-        # the Hurwitz and PBH tests share one eig(A00); the plant loop's
-        # Hurwitz test, verify_certificate and is_minimal share its
-        # spectrum, and the normal-form loop is never decomposed
-        for M, count in ((nf.A00, 1), (g.nominal_closed.A, 1),
+        # the normal form's controllability gate and the syntheses' Hurwitz
+        # and PBH tests share one eig(A00), which proves the plant minimal
+        # without an eig of its A; the plant loop's Hurwitz test,
+        # verify_certificate and is_minimal share its spectrum, and the
+        # normal-form loop is never decomposed
+        for M, count in ((nf.A00, 1), (sys.A, 0), (g.nominal_closed.A, 1),
                          (g.closed_loop.A, 0)):
             assert sum(np.array_equal(A, M) for A in calls) == count
 
@@ -639,21 +643,24 @@ class TestRobustStabilize:
                            match="^plant realization is not observable$"):
             robust_stabilize(plant)
 
-    @pytest.mark.parametrize("plant", [
-        StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
-                   C=[[1.0, 1.0]], D=[[5.0]]),
+    @pytest.mark.parametrize("plant, first, message", [
+        (StateSpace(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.0]],
+                    C=[[1.0, 1.0]], D=[[5.0]]),
+         InputError, "strictly proper"),
         # a triple integrator with an undriven mode at -1
-        StateSpace(A=[[0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
-                      [0, 0, 0, -1]],
-                   B=[[0.0], [0], [1], [0]], C=[[1.0, 0, 0, 1]])],
+        (StateSpace(A=[[0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0],
+                       [0, 0, 0, -1]],
+                    B=[[0.0], [0], [1], [0]], C=[[1.0, 0, 0, 1]]),
+         NotControllableError, "^plant realization is not controllable$")],
         ids=["feedthrough", "degree-3"])
-    def test_minimality_verdict_comes_first(self, plant):
-        # neither has a normal form (D != 0; relative degree 3), yet the
-        # plant's minimality is reported first
+    def test_minimality_verdict_comes_first(self, plant, first, message):
+        # neither has a normal form (D != 0; relative degree 3), and
+        # neither is controllable: the plant's minimality is reported
+        # before the degree verdict, and only an input error such as
+        # D != 0 comes before it
         with pytest.raises(InputError):
             to_normal_form(plant, np.eye(1))
-        with pytest.raises(NotControllableError,
-                           match="^plant realization is not controllable$"):
+        with pytest.raises(first, match=message):
             robust_stabilize(plant)
 
     def test_rounding_does_not_make_h_full_rank(self):
